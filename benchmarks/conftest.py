@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
-Each benchmark file regenerates one table/figure of the paper (see the
-per-experiment index in DESIGN.md).  Datasets are the synthetic Table-1
+Each benchmark file regenerates one table/figure of the paper.  The
+served-path benchmark (whole-request throughput, latency and per-layer
+spans) is separate; see ``perfbench/NOTES.md``.  Datasets are the synthetic Table-1
 stand-ins, built once per session.  Benchmarks measure *query* time only;
 graph construction happens in fixtures.
 

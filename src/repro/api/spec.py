@@ -22,6 +22,7 @@ slices with wrong provenance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -168,6 +169,10 @@ class QuerySpec:
             raise QueryParameterError("k must be at least 1")
         if self.gamma < 1:
             raise QueryParameterError("gamma must be at least 1")
+        if not math.isfinite(self.delta):
+            raise QueryParameterError(
+                f"delta must be a finite number, not {self.delta!r}"
+            )
         if self.delta <= 1.0:
             raise QueryParameterError("delta must be greater than 1")
         if self.algorithm not in ALGORITHMS:

@@ -15,7 +15,7 @@ bytes* as a fresh query.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..api.spec import ALGORITHMS, AUTO, QuerySpec
@@ -64,6 +64,54 @@ class CommunityView:
             out["members"] = list(self.members)
         return out
 
+    # -- memoised wire text ---------------------------------------------
+    # A view is immutable and a cache entry serves slices of one
+    # persistent view tuple, so each rendering of a view is computed once
+    # and stored on the view itself: it lives exactly as long as the
+    # cache entry (or result) holding the view.  The memo sits in the
+    # instance ``__dict__`` beside the fields, outside equality, hashing
+    # and repr (which read fields only) and outside pickling (see
+    # ``__getstate__``).  No lock: renderers racing on a fresh view each
+    # store the same text, and a single dict store is atomic.
+
+    def json_fragment(self, include_members: bool = True) -> str:
+        """``json.dumps(self.to_dict(include_members), sort_keys=True,
+        default=str)``, rendered once per ``include_members`` variant."""
+        slot = _JSON_MEMBERS if include_members else _JSON_BARE
+        text = self.__dict__.get(slot)
+        if text is None:
+            text = self.__dict__[slot] = json.dumps(
+                self.to_dict(include_members), sort_keys=True, default=str
+            )
+        return text
+
+    def text_head(self) -> str:
+        """The position-free tail of this view's ``top-{i}:`` line."""
+        text = self.__dict__.get(_TEXT_HEAD)
+        if text is None:
+            text = self.__dict__[_TEXT_HEAD] = (
+                f"influence={self.influence:.8g} "
+                f"keynode={self.keynode} size={self.size}"
+            )
+        return text
+
+    def text_members(self) -> str:
+        """This view's ``members:`` line in the text protocol."""
+        text = self.__dict__.get(_TEXT_MEMBERS)
+        if text is None:
+            text = self.__dict__[_TEXT_MEMBERS] = (
+                "       members: " + ", ".join(str(v) for v in self.members)
+            )
+        return text
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickle the fields only: a rendered view pickles to the same
+        # bytes as a fresh one (the cluster pipe and warm-start payloads).
+        state = self.__dict__
+        if len(state) > len(_FIELD_NAMES):
+            state = {key: state[key] for key in _FIELD_NAMES}
+        return state
+
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "CommunityView":
         """Inverse of :meth:`to_dict` (the warm-start restore path).
@@ -80,6 +128,14 @@ class CommunityView:
             size=int(payload.get("size", len(members))),
             members=members,
         )
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(CommunityView))
+# Memo keys in a view's ``__dict__``, one per rendering.
+_JSON_MEMBERS = "_json_members"
+_JSON_BARE = "_json_bare"
+_TEXT_HEAD = "_text_head"
+_TEXT_MEMBERS = "_text_members"
 
 
 @dataclass(frozen=True)
@@ -124,7 +180,8 @@ class QueryResult:
     def influences(self) -> Tuple[float, ...]:
         return tuple(v.influence for v in self.communities)
 
-    def to_dict(self, include_members: bool = True) -> Dict[str, Any]:
+    def _scalars(self) -> Dict[str, Any]:
+        """Every top-level key of :meth:`to_dict` but the community list."""
         out = {
             "graph": self.query.graph,
             "graph_version": self.graph_version,
@@ -136,9 +193,6 @@ class QueryResult:
             "elapsed_ms": self.elapsed_ms,
             "complete": self.complete,
             "kernel": self.kernel,
-            "communities": [
-                v.to_dict(include_members) for v in self.communities
-            ],
         }
         if self.worker is not None:
             # Emitted only for worker-served results: in-process serving
@@ -147,10 +201,31 @@ class QueryResult:
             out["worker"] = self.worker
         return out
 
+    def to_dict(self, include_members: bool = True) -> Dict[str, Any]:
+        out = self._scalars()
+        out["communities"] = [
+            v.to_dict(include_members) for v in self.communities
+        ]
+        return out
+
     def to_json(self, include_members: bool = True) -> str:
-        """Deterministic JSON (sorted keys, no whitespace variance)."""
-        return json.dumps(
-            self.to_dict(include_members), sort_keys=True, default=str
+        """Deterministic JSON (sorted keys, no whitespace variance).
+
+        Byte-identical to ``json.dumps(self.to_dict(include_members),
+        sort_keys=True, default=str)``, but each community is spliced in
+        as its memoised :meth:`CommunityView.json_fragment`, so a cache
+        hit encodes only the scalar provenance.  Sorted, the keys open
+        with ``"algorithm"`` then ``"communities"``; the rest follow.
+        """
+        scalars = self._scalars()
+        algorithm = json.dumps(scalars.pop("algorithm"), default=str)
+        communities = ", ".join(
+            v.json_fragment(include_members) for v in self.communities
+        )
+        rest = json.dumps(scalars, sort_keys=True, default=str)
+        return (
+            f'{{"algorithm": {algorithm}, '
+            f'"communities": [{communities}], {rest[1:]}'
         )
 
     @classmethod

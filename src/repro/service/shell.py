@@ -25,6 +25,7 @@ Protocol (one command per line; ``key=value`` arguments in any order)::
 from __future__ import annotations
 
 import json
+import math
 import shlex
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
@@ -187,6 +188,10 @@ def parse_mutation_ops(tokens: Sequence[str]) -> List[Tuple]:
                 raise QueryParameterError(
                     f"bad reweight value in {token!r}"
                 ) from exc
+            if not math.isfinite(weight):
+                raise QueryParameterError(
+                    f"reweight value must be finite in {token!r}"
+                )
             ops.append((kind, _mutation_label(left), weight))
         else:
             ops.append((kind, _mutation_label(left), _mutation_label(right)))
@@ -267,18 +272,16 @@ class ServiceShell:
     def format_views(
         views: Sequence[CommunityView], members: bool, start: int = 1
     ) -> List[str]:
-        """Render community views as protocol lines."""
+        """Render community views as protocol lines.
+
+        Only the ``top-{i}`` index depends on position; the rest of each
+        view's text is memoised on the view.
+        """
         lines: List[str] = []
         for i, view in enumerate(views, start=start):
-            lines.append(
-                f"top-{i}: influence={view.influence:.8g} "
-                f"keynode={view.keynode} size={view.size}"
-            )
+            lines.append(f"top-{i}: {view.text_head()}")
             if members:
-                lines.append(
-                    "       members: "
-                    + ", ".join(str(v) for v in view.members)
-                )
+                lines.append(view.text_members())
         return lines
 
     @classmethod
