@@ -22,12 +22,11 @@ slices with wrong provenance.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.fastpeel import KERNELS, resolve_kernel
-from ..errors import QueryParameterError
+from ..errors import QueryParameterError, check_delta
 
 __all__ = [
     "ALGORITHMS",
@@ -169,12 +168,7 @@ class QuerySpec:
             raise QueryParameterError("k must be at least 1")
         if self.gamma < 1:
             raise QueryParameterError("gamma must be at least 1")
-        if not math.isfinite(self.delta):
-            raise QueryParameterError(
-                f"delta must be a finite number, not {self.delta!r}"
-            )
-        if self.delta <= 1.0:
-            raise QueryParameterError("delta must be greater than 1")
+        check_delta(self.delta)
         if self.algorithm not in ALGORITHMS:
             raise QueryParameterError(
                 f"unknown algorithm {self.algorithm!r}; "

@@ -19,7 +19,8 @@ promotes the same routing surface to worker **processes**:
   (``use_shared_memory=False`` forces the fallback for tests).
 * **parent-side cache mirror** — every worker result is mirrored into
   the parent :class:`~repro.service.cache.ResultCache` as frozen views,
-  so (a) repeat hits are served in-parent without IPC, (b) warm-start
+  so (a) repeat hits are served in-parent on the event loop, with no
+  IPC and no executor hop, (b) warm-start
   snapshots keep working unchanged regardless of backend, and (c) a
   **restarted** worker is re-seeded from the mirror: the first job of a
   family carries the cached views and the fresh worker's rebuilt
@@ -565,32 +566,45 @@ class ClusterPool:
         spec: QuerySpec,
         span: Optional[Span] = None,
     ) -> QueryResult:
-        """Serve one spec off the event loop (the scheduler's entry)."""
+        """Serve one spec (the scheduler's entry): a pure slice of the
+        parent mirror on the loop, anything else off it."""
+        if self._shut_down:
+            raise RuntimeError("cluster pool is shut down")
+        with use_span(span):
+            result = engine.execute_cached(spec)
+        if result is not None:
+            return result
         return await asyncio.get_running_loop().run_in_executor(
-            None, self._execute_with_span, engine, spec, span
+            None, self._execute_with_span, spec, span
         )
 
     def _execute_with_span(
-        self, engine: QueryEngine, spec: QuerySpec, span: Optional[Span]
+        self, spec: QuerySpec, span: Optional[Span]
     ) -> QueryResult:
         """Re-enter the upstream span on the executor thread
         (``run_in_executor`` does not copy contextvars; ``None`` maps to
         NO_TRACE so an untraced server query never re-mints a root)."""
         with use_span(span):
-            return self.execute(engine, spec)
+            return self._execute_on_worker(spec)
 
     def execute(self, engine: QueryEngine, spec: QuerySpec) -> QueryResult:
         """Serve one spec: parent cache slice, or a worker roundtrip."""
         if self._shut_down:
             raise RuntimeError("cluster pool is shut down")
+        # A pure slice of mirrored views: served in-parent, no IPC.
+        result = engine.execute_cached(spec)
+        if result is not None:
+            return result
+        return self._execute_on_worker(spec)
+
+    def _execute_on_worker(self, spec: QuerySpec) -> QueryResult:
+        """One worker roundtrip for a spec the parent cache missed."""
+        if self._shut_down:
+            raise RuntimeError("cluster pool is shut down")
         self.start_workers()
         handle = self.registry.get(spec.graph)
-        key = CacheKey.for_spec(spec, handle.version)
-        if self._cache_covers(key, spec.k):
-            # A pure slice of mirrored views: serve in-parent, no IPC.
-            # (engine.execute cannot compute here — the entry covers k.)
-            return engine.execute(spec)
         family = spec.cache_key()
+        key = CacheKey.for_family(family, handle.version)
         worker = self._workers[self.route(family)]
         tracer = self.tracer
         parent = current_span()
@@ -844,16 +858,6 @@ class ClusterPool:
     # ------------------------------------------------------------------
     # parent-cache mirror + seeds
     # ------------------------------------------------------------------
-    def _cache_covers(self, key: CacheKey, k: int) -> bool:
-        if self.cache is None:
-            return False
-        entry = self.cache.get(key)
-        if isinstance(entry, ProgressiveEntry):
-            return entry.exhausted or entry.materialized >= k
-        if isinstance(entry, StaticEntry):
-            return entry.complete or len(entry.views) >= k
-        return False
-
     def _seed_payload(self, key: CacheKey):
         """The re-seed message for a family this worker has never held."""
         if self.cache is None:

@@ -40,7 +40,7 @@ import time
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..errors import QueryParameterError
+from ..errors import QueryParameterError, check_delta
 from ..graph.subgraph import PrefixView
 from ..graph.weighted_graph import WeightedGraph
 from .local_search import SearchStats
@@ -442,8 +442,7 @@ class GeneralLocalSearch:
         delta: float = 2.0,
     ) -> None:
         measure.validate_gamma(gamma)
-        if delta <= 1.0:
-            raise QueryParameterError("delta must be greater than 1")
+        check_delta(delta)
         self.graph = graph
         self.gamma = gamma
         self.measure = measure

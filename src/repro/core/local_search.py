@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..errors import QueryParameterError
+from ..errors import QueryParameterError, check_delta
 from ..obs.trace import record_phase
 from ..graph.subgraph import PrefixView
 from ..graph.weighted_graph import WeightedGraph
@@ -163,8 +163,7 @@ class LocalSearch:
     ) -> None:
         if gamma < 1:
             raise QueryParameterError("gamma must be at least 1")
-        if delta <= 1.0:
-            raise QueryParameterError("delta must be greater than 1")
+        check_delta(delta)
         if growth not in ("exponential", "linear"):
             raise QueryParameterError(f"unknown growth strategy {growth!r}")
         if counting not in ("countic", "onlineall"):

@@ -23,7 +23,7 @@ import math
 import time
 from typing import List, Optional
 
-from ..errors import QueryParameterError
+from ..errors import QueryParameterError, check_delta
 from ..graph.subgraph import PrefixView
 from ..graph.weighted_graph import WeightedGraph
 from .community import Community
@@ -86,8 +86,7 @@ def top_k_noncontainment_communities(
         raise QueryParameterError("k must be at least 1")
     if gamma < 1:
         raise QueryParameterError("gamma must be at least 1")
-    if delta <= 1.0:
-        raise QueryParameterError("delta must be greater than 1")
+    check_delta(delta)
 
     started = time.perf_counter()
     resolved = resolve_kernel(kernel)

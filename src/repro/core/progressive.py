@@ -25,7 +25,7 @@ import threading
 import time
 from typing import Iterator, List, Optional, Tuple
 
-from ..errors import QueryParameterError
+from ..errors import QueryParameterError, check_delta
 from ..graph.subgraph import PrefixView
 from ..graph.weighted_graph import WeightedGraph
 from ..obs.trace import record_phase
@@ -75,8 +75,7 @@ class LocalSearchP:
     ) -> None:
         if gamma < 1:
             raise QueryParameterError("gamma must be at least 1")
-        if delta <= 1.0:
-            raise QueryParameterError("delta must be greater than 1")
+        check_delta(delta)
         self.graph = graph
         self.gamma = gamma
         self.delta = delta

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..errors import QueryParameterError
+from ..errors import QueryParameterError, check_delta
 from ..graph.disjoint_set import KeyedDisjointSet
 from ..graph.subgraph import PrefixView
 from ..graph.truss_decomposition import edge_key, edge_supports
@@ -267,8 +267,7 @@ class LocalSearchTruss:
     ) -> None:
         if gamma < 2:
             raise QueryParameterError("truss gamma must be at least 2")
-        if delta <= 1.0:
-            raise QueryParameterError("delta must be greater than 1")
+        check_delta(delta)
         self.graph = graph
         self.gamma = gamma
         self.delta = delta

@@ -9,6 +9,8 @@ problems (the simulated disk-resident edge store).
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "ReproError",
     "GraphConstructionError",
@@ -16,6 +18,7 @@ __all__ = [
     "SelfLoopError",
     "UnknownVertexError",
     "QueryParameterError",
+    "check_delta",
     "StorageError",
     "DatasetError",
     "ServiceError",
@@ -74,6 +77,22 @@ class UnknownVertexError(ReproError):
 
 class QueryParameterError(ReproError):
     """Raised for invalid query parameters (``k``, ``gamma``, ``delta``...)."""
+
+
+def check_delta(delta: float) -> None:
+    """Raise :class:`QueryParameterError` unless ``delta`` is a valid
+    growth ratio.
+
+    The doubling searchers grow their prefix by ``delta`` per round, so
+    it must be finite and greater than 1; ``nan``/``inf`` would fail
+    deep inside the growth arithmetic with an untyped error instead.
+    """
+    if not math.isfinite(delta):
+        raise QueryParameterError(
+            f"delta must be a finite number, not {delta!r}"
+        )
+    if delta <= 1.0:
+        raise QueryParameterError("delta must be greater than 1")
 
 
 class StorageError(ReproError):

@@ -37,11 +37,12 @@ the scoped cache invalidation in
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
-from ..errors import GraphConstructionError, SelfLoopError
+from ..errors import GraphConstructionError, QueryParameterError, SelfLoopError
 from .weighted_graph import WeightedGraph
 
 __all__ = [
@@ -76,7 +77,12 @@ class EdgeBatch:
             if len(op) != 3 or op[0] not in _KINDS:
                 raise ValueError(f"malformed mutation op {op!r}")
             if op[0] == "reweight":
-                float(op[2])  # must be a real number
+                # A real number (float() raises otherwise), and finite:
+                # a nan weight breaks the distinct-weight order.
+                if not math.isfinite(float(op[2])):
+                    raise QueryParameterError(
+                        f"reweight value must be finite in {op!r}"
+                    )
             elif op[1] == op[2]:
                 raise SelfLoopError(op[1])
 

@@ -1,9 +1,14 @@
 """ShardPool — per-graph worker executors keeping the event loop free.
 
-Cursor advances are CPU-bound Python; running them on the asyncio event
-loop would stall *every* connection while one graph peels.  The pool
-gives each shard a single-threaded executor and routes work by graph
-name (stable CRC32 hash), so
+A pure cache hit is a tuple slice: :meth:`ShardPool.execute_spec`
+serves it on the event loop itself (via
+:meth:`~repro.service.engine.QueryEngine.execute_cached`, which never
+builds, resumes or blocks), because a thread round trip would cost
+more than the hit.  Everything else — cold peels, cursor extensions,
+graph builds, and hits whose entry lock is busy — is CPU-bound Python
+that would stall *every* connection if it ran on the loop.  For that
+work the pool gives each shard a single-threaded executor and routes
+by graph name (stable CRC32 hash), so
 
 * queries against one graph serialise on that graph's shard — the
   natural unit of contention, since a ``(graph, gamma)`` family shares
@@ -11,20 +16,20 @@ name (stable CRC32 hash), so
 * queries against *different* graphs land on different shards and never
   block each other;
 * **hot graphs** can be replicated onto several consecutive shards
-  (:meth:`ShardPool.replicate`): cache-hit traffic — the dominant kind
-  on a hot graph — is lock-free slicing and parallelises across
-  replicas.  Dispatch **prefers an idle replica**: the base rotation is
-  round-robin, but when the rotation's choice is mid-job and a twin
-  sits idle, the work is steered to the idle twin instead (counted in
+  (:meth:`ShardPool.replicate`) so the shard-bound work of a hot graph
+  — cold families and extensions — spreads across replicas.  Dispatch
+  **prefers an idle replica**: the base rotation is round-robin, but
+  when the rotation's choice is mid-job and a twin sits idle, the work
+  is steered to the idle twin instead (counted in
   ``ServiceMetrics.replica_idle_dispatches``) — a hot family never
   queues behind a busy replica while another idles.  Replicas share the
   one graph object, and with it the one immutable
   :class:`~repro.graph.csr.CSRAdjacency` the peel kernels run on —
   replication adds workers, not memory.
 
-Shards are *threads*: ideal for cache-hit traffic and for keeping the
-loop responsive, GIL-bound for concurrent CPU-heavy peels.  For true
-multi-core execution :func:`create_pool` swaps in the process-backed
+Shards are *threads*: they keep the loop responsive but are GIL-bound
+for concurrent CPU-heavy peels.  For true multi-core execution
+:func:`create_pool` swaps in the process-backed
 :class:`~repro.cluster.pool.ClusterPool` behind the same
 :meth:`execute_spec` surface (``repro serve --workers N``); threads
 remain the default and the fallback when multiprocessing is
@@ -191,16 +196,25 @@ class ShardPool:
         spec: "QuerySpec",
         span: Optional["Span"] = None,
     ) -> "QueryResult":
-        """Serve one spec on the spec graph's shard.
+        """Serve one spec: on the loop if cached, else on its shard.
 
         The backend-neutral execution surface shared with
         :class:`~repro.cluster.pool.ClusterPool` — the scheduler only
-        ever calls this.  The upstream span is re-entered on the shard
-        thread explicitly (``run_in_executor`` does not copy
-        contextvars); a ``None`` span still wraps the call in
-        :data:`~repro.obs.trace.NO_TRACE` so an untraced server query
-        never mints a second root inside the engine.
+        ever calls this.  A pure slice of a cached entry is served right
+        here by :meth:`~repro.service.engine.QueryEngine.execute_cached`
+        (no thread hop); everything else — cold, extending, or a hit
+        whose lock is busy — runs on the spec graph's shard.  The
+        upstream span is entered explicitly on both paths
+        (``run_in_executor`` does not copy contextvars); a ``None`` span
+        still maps to :data:`~repro.obs.trace.NO_TRACE` so an untraced
+        server query never mints a second root inside the engine.
         """
+        if self._shut_down:
+            raise RuntimeError("shard pool is shut down")
+        with use_span(span):
+            result = engine.execute_cached(spec)
+        if result is not None:
+            return result
 
         def traced() -> "QueryResult":
             with use_span(span):

@@ -60,7 +60,12 @@ class CacheKey:
     @classmethod
     def for_spec(cls, spec, version: int) -> "CacheKey":
         """The cache identity of ``spec`` against graph ``version``."""
-        family = spec.cache_key()
+        return cls.for_family(spec.cache_key(), version)
+
+    @classmethod
+    def for_family(cls, family, version: int) -> "CacheKey":
+        """The cache identity of a resolved
+        :class:`~repro.api.spec.FamilyKey` against graph ``version``."""
         return cls(
             graph=family.graph,
             version=version,
@@ -211,6 +216,33 @@ class ProgressiveEntry:
             self._served[key] = out
         return out
 
+    def _hit(
+        self, k: int
+    ) -> Optional[Tuple[Tuple[CommunityView, ...], str, bool]]:
+        """The pure prefix answer for ``k``, or ``None`` if the cursor
+        would have to resume (lock held)."""
+        if len(self._views) >= k or self._exhausted:
+            complete = self._exhausted and k >= len(self._views)
+            return self._answer(k), "cache", complete
+        return None
+
+    def try_serve(
+        self, k: int
+    ) -> Optional[Tuple[Tuple[CommunityView, ...], str, bool]]:
+        """:meth:`serve` for a pure prefix hit only, without blocking.
+
+        Returns ``None`` when the entry lock is busy (another thread is
+        resuming the cursor) or when ``k`` is not yet materialised; it
+        never resumes or rebuilds a cursor, so it is safe to call from
+        an event loop.
+        """
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            return self._hit(k)
+        finally:
+            self._lock.release()
+
     def serve(self, k: int) -> Tuple[Tuple[CommunityView, ...], str, bool]:
         """Serve top-``k``, resuming (or rebuilding) the cursor as needed.
 
@@ -221,10 +253,10 @@ class ProgressiveEntry:
         ``max_cached_k`` truncation, which may forget exhaustion).
         """
         with self._lock:
+            hit = self._hit(k)
+            if hit is not None:
+                return hit
             had = len(self._views)
-            if had >= k or self._exhausted:
-                complete = self._exhausted and k >= len(self._views)
-                return self._answer(k), "cache", complete
             cursor = self._cursor
             if cursor is None:
                 if self.cursor_factory is None:
@@ -312,15 +344,32 @@ class ResultCache:
         self.max_cached_k = max_cached_k
         self._data: "OrderedDict[CacheKey, object]" = OrderedDict()
         self._lock = threading.RLock()
+        # Source counters take their own lock: ``record`` runs on the
+        # event loop for loop-served hits and must never wait behind a
+        # migration holding ``_lock``.
+        self._stats_lock = threading.Lock()
         self.stats = CacheStats()
+
+    def _lookup(self, key: CacheKey):
+        """The entry for ``key``, refreshing its LRU slot (lock held)."""
+        entry = self._data.get(key)
+        if entry is not None:
+            self._data.move_to_end(key)
+        return entry
 
     def get(self, key: CacheKey):
         """The entry for ``key`` (refreshing its LRU slot), or ``None``."""
         with self._lock:
-            entry = self._data.get(key)
-            if entry is not None:
-                self._data.move_to_end(key)
-            return entry
+            return self._lookup(key)
+
+    def peek(self, key: CacheKey):
+        """:meth:`get` without blocking: ``None`` when the lock is busy."""
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            return self._lookup(key)
+        finally:
+            self._lock.release()
 
     def put(self, key: CacheKey, entry) -> None:
         with self._lock:
@@ -332,7 +381,7 @@ class ResultCache:
 
     def record(self, source: str) -> None:
         """Count one served query by its source tag."""
-        with self._lock:
+        with self._stats_lock:
             if source == "cache":
                 self.stats.hits += 1
             elif source == "extended":

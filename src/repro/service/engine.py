@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from ..api.spec import AUTO, FamilyKey, QuerySpec
+from ..api.spec import AUTO, QuerySpec
 from ..baselines import backward, forward, online_all
 from ..core.local_search import LocalSearch
 from ..core.noncontainment import top_k_noncontainment_communities
@@ -33,6 +33,11 @@ from .model import CommunityView, QueryResult
 from .registry import GraphHandle, GraphRegistry
 
 __all__ = ["QueryPlan", "QueryEngine", "progressive_cursor_factory"]
+
+#: What a serve step yields: ``(views, source, complete, phases)``.
+_Served = Tuple[
+    Tuple[CommunityView, ...], str, bool, Optional[Dict[str, float]]
+]
 
 
 def progressive_cursor_factory(
@@ -184,7 +189,11 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def plan(self, query: QuerySpec) -> QueryPlan:
         """Resolve ``algorithm="auto"`` and classify the dispatch."""
-        algorithm = query.resolved_algorithm()
+        return self._plan(query, query.resolved_algorithm())
+
+    @staticmethod
+    def _plan(query: QuerySpec, algorithm: str) -> QueryPlan:
+        """The plan for ``query`` given its already-resolved algorithm."""
         progressive = algorithm == "localsearch-p"
         if query.algorithm != AUTO:
             reason = "requested explicitly"
@@ -204,7 +213,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def _serve_progressive(
         self, handle: GraphHandle, query: QuerySpec, key: CacheKey
-    ) -> Tuple[Tuple[CommunityView, ...], str, bool, Optional[Dict[str, float]]]:
+    ) -> _Served:
         entry = self.cache.get(key) if self.cache is not None else None
         if not isinstance(entry, ProgressiveEntry):
             cursor_factory = progressive_cursor_factory(
@@ -219,30 +228,15 @@ class QueryEngine:
             )
             if self.cache is not None:
                 self.cache.put(key, entry)
-        views, source, complete = entry.serve(query.k)
-        # The cursor's stats accumulate phase timings over the family's
-        # whole lifetime; snapshot them after the serve so the metrics
-        # row carries the cumulative peel/enumerate breakdown.  The
-        # cursor is None after k-truncation released it (or for a
-        # restored entry that never resumed) — no fresh timing then.
-        cursor = entry.cursor
-        phases = (
-            dict(cursor.searcher.stats.phases)
-            if cursor is not None and cursor.searcher.stats.phases
-            else None
-        )
-        return views, source, complete, phases
+        return entry.serve(query.k) + (_cursor_phases(entry),)
 
     def _serve_static(
         self, handle: GraphHandle, query: QuerySpec, key: CacheKey, algorithm: str
-    ) -> Tuple[Tuple[CommunityView, ...], str, bool, Optional[Dict[str, float]]]:
+    ) -> _Served:
         entry = self.cache.get(key) if self.cache is not None else None
-        if isinstance(entry, StaticEntry):
-            served = entry.serve(query.k)
-            if served is not None:
-                views, source = served
-                complete = entry.complete and query.k >= len(entry.views)
-                return views, source, complete, None
+        hit = _static_hit(entry, query.k)
+        if hit is not None:
+            return hit
         result = _STATIC_RUNNERS[algorithm](handle.graph, query, key.kernel)
         views = tuple(
             CommunityView.from_community(c) for c in result.communities
@@ -257,6 +251,14 @@ class QueryEngine:
                 StaticEntry.capped(views, complete, self.cache.max_cached_k),
             )
         return views[: query.k], "cold", complete, phases
+
+    def _serve_cached(self, query: QuerySpec, key: CacheKey) -> Optional[_Served]:
+        """A pure slice of ``key``'s entry, or ``None``; never blocks."""
+        entry = self.cache.peek(key)
+        if isinstance(entry, ProgressiveEntry):
+            served = entry.try_serve(query.k)
+            return None if served is None else served + (_cursor_phases(entry),)
+        return _static_hit(entry, query.k)
 
     # ------------------------------------------------------------------
     def execute(self, query: Optional[QuerySpec] = None, **params) -> QueryResult:
@@ -273,14 +275,37 @@ class QueryEngine:
             raise TypeError(
                 "pass either a QuerySpec or field kwargs, not both"
             )
+        return self._run(query, cached_only=False)
+
+    def execute_cached(self, query: QuerySpec) -> Optional[QueryResult]:
+        """Serve ``query`` only if it is a pure slice of a cached entry.
+
+        The event-loop entry point of the serving tier: it never builds
+        a graph, never resumes a cursor and never waits on a lock held
+        by another thread.  It returns ``None`` — having recorded
+        nothing — when the graph is not built yet, the family has no
+        entry, the entry does not cover ``k``, or a cache or entry lock
+        is busy; the caller then runs :meth:`execute` off the loop.  A
+        hit is recorded exactly like one served by :meth:`execute`
+        (cache and metrics counters, family phases, the ``engine``
+        span, the profiler), except that with no upstream span it mints
+        no trace root: the full path makes the sampling decision.
+        """
+        return self._run(query, cached_only=True)
+
+    def _run(self, query: QuerySpec, cached_only: bool) -> Optional[QueryResult]:
+        """Trace one execution: an ``engine`` child span under an
+        upstream span, else (full path only) a sampled ``query`` root."""
         tracer = self.tracer
         if tracer is None:
-            return self._execute(query)
+            return self._execute(query, cached_only)
         parent = current_span()
         if parent is NO_TRACE:
             span = None  # upstream sampled this query out
         elif parent is not None:
             span = tracer.start_span("engine", parent)
+        elif cached_only:
+            span = None
         else:
             # No serving layer above us: the engine is the edge, and
             # the sampling decision is made (once) here.  Tags attach
@@ -290,13 +315,17 @@ class QueryEngine:
             if span is not None:
                 span.annotate(graph=query.graph)
         if span is None:
-            return self._execute(query)
+            return self._execute(query, cached_only)
         with use_span(span):
             try:
-                result = self._execute(query)
+                result = self._execute(query, cached_only)
             except Exception as exc:
                 tracer.end(span, error=type(exc).__name__)
                 raise
+        if result is None:
+            # A miss: the child span is dropped unrecorded (spans only
+            # reach their trace when ended) and the full path retries.
+            return None
         tracer.end(
             span,
             graph=query.graph,
@@ -309,37 +338,54 @@ class QueryEngine:
         )
         return result
 
-    def _execute(self, query: QuerySpec) -> QueryResult:
+    def _execute(
+        self, query: QuerySpec, cached_only: bool = False
+    ) -> Optional[QueryResult]:
         """Dispatch to the execution body, via the profiler when armed."""
         profiler = self.profiler
         if profiler is not None:
-            return profiler.profile_call(self._execute_impl, query)
-        return self._execute_impl(query)
+            return profiler.profile_call(self._execute_impl, query, cached_only)
+        return self._execute_impl(query, cached_only)
 
-    def _execute_impl(self, query: QuerySpec) -> QueryResult:
-        """The untraced execution body (plan → cache → run → record)."""
+    def _execute_impl(
+        self, query: QuerySpec, cached_only: bool = False
+    ) -> Optional[QueryResult]:
+        """The untraced execution body (plan → cache → run → record).
+
+        With ``cached_only`` the graph handle and the cache entry are
+        only peeked, and anything but a pure slice returns ``None``.
+        """
         started = time.perf_counter()
         # ONE handle read per query: graph, version, cache key and the
         # result's graph_version all derive from this single immutable
         # reference, so a concurrent mutation/compaction flip can never
         # produce a mixed-version answer (the flip only swaps the
         # entry's handle reference; this one stays pinned).
-        handle = self.registry.get(query.graph)
-        plan = self.plan(query)
-        # The spec's canonical cache identity: resolved algorithm plus
-        # the peel kernel in effect for this query (None for algorithms
-        # that never reach the kernel dispatcher), so cached answers and
-        # their kernel provenance can never cross kernels.
-        key = CacheKey.for_spec(query, handle.version)
-        kernel = key.kernel
-        if plan.progressive:
-            views, source, complete, phases = self._serve_progressive(
-                handle, query, key
-            )
+        if cached_only:
+            if self.cache is None:
+                return None
+            handle = self.registry.peek(query.graph)
+            if handle is None:  # unknown or unbuilt: never build here
+                return None
         else:
-            views, source, complete, phases = self._serve_static(
-                handle, query, key, plan.algorithm
-            )
+            handle = self.registry.get(query.graph)
+        # ONE spec resolution per query: the canonical family (resolved
+        # algorithm plus the peel kernel in effect, None for algorithms
+        # that never reach the kernel dispatcher) keys the cache, plans
+        # the dispatch and labels the metrics row, so cached answers and
+        # their kernel provenance can never cross kernels.
+        family = query.cache_key()
+        key = CacheKey.for_family(family, handle.version)
+        plan = self._plan(query, family.algorithm)
+        if cached_only:
+            served = self._serve_cached(query, key)
+            if served is None:
+                return None
+        elif plan.progressive:
+            served = self._serve_progressive(handle, query, key)
+        else:
+            served = self._serve_static(handle, query, key, plan.algorithm)
+        views, source, complete, phases = served
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if self.cache is not None:
             self.cache.record(source)
@@ -348,17 +394,8 @@ class QueryEngine:
                 plan.algorithm,
                 elapsed_ms,
                 source,
-                kernel=kernel,
-                # The cache key already carries the resolved family
-                # fields; rebuilding the FamilyKey from it skips a
-                # second kernel/algorithm resolution on the hot path.
-                family=FamilyKey(
-                    graph=key.graph,
-                    gamma=key.gamma,
-                    algorithm=key.algorithm,
-                    delta=key.delta,
-                    kernel=key.kernel,
-                ),
+                kernel=family.kernel,
+                family=family,
                 phases=phases,
             )
         return QueryResult(
@@ -370,5 +407,30 @@ class QueryEngine:
             elapsed_ms=elapsed_ms,
             complete=complete,
             plan_reason=plan.reason,
-            kernel=kernel,
+            kernel=family.kernel,
         )
+
+
+def _cursor_phases(entry: ProgressiveEntry) -> Optional[Dict[str, float]]:
+    """The family cursor's cumulative kernel-phase timings, if any.
+
+    Snapshot after a serve, so the metrics row carries the family's
+    lifetime peel/enumerate breakdown.  The cursor is ``None`` after
+    k-truncation released it (or for a restored entry that never
+    resumed): no fresh timing then.
+    """
+    cursor = entry.cursor
+    if cursor is None or not cursor.searcher.stats.phases:
+        return None
+    return dict(cursor.searcher.stats.phases)
+
+
+def _static_hit(entry, k: int) -> Optional[_Served]:
+    """A static entry's answer for ``k`` if it covers it (lock-free)."""
+    if not isinstance(entry, StaticEntry):
+        return None
+    served = entry.serve(k)
+    if served is None:
+        return None
+    views, source = served
+    return views, source, entry.complete and k >= len(entry.views), None

@@ -452,6 +452,17 @@ class GraphRegistry:
                 return self._build(name, entry)
             return entry.handle
 
+    def peek(self, name: str) -> Optional[GraphHandle]:
+        """The built handle for ``name``, or ``None`` when it is unknown
+        or not built yet.
+
+        Never builds and never blocks (one GIL-atomic dict read and one
+        reference read), so an event loop can call it; ``get`` stays the
+        way to build, and raises for unknown names.
+        """
+        entry = self._entries.get(name)
+        return entry.handle if entry is not None else None
+
     def reload(self, name: str) -> GraphHandle:
         """Force a rebuild and bump the version (invalidates caches)."""
         entry = self._entry(name)

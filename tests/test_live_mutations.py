@@ -28,9 +28,10 @@ import time
 
 import pytest
 
+import repro
 from repro.api.spec import QuerySpec
 from repro.cluster import ClusterPool
-from repro.errors import GraphConstructionError, SelfLoopError
+from repro.errors import GraphConstructionError, QueryParameterError, SelfLoopError
 from repro.graph.builder import graph_from_arrays
 from repro.graph.csr import CSRAdjacency, DeltaCSR
 from repro.graph.delta import (
@@ -106,6 +107,22 @@ class TestEdgeBatch:
     def test_reweight_needs_numeric_weight(self):
         with pytest.raises((TypeError, ValueError)):
             EdgeBatch(ops=(("reweight", 0, "heavy"),))
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_reweights(self, weight):
+        with pytest.raises(QueryParameterError, match="finite"):
+            EdgeBatch(ops=(("reweight", 0, weight),))
+        registry = GraphRegistry(preload_datasets=False)
+        registry.register("g", lambda: _small_graph()[0])
+        registry.get("g")
+        with pytest.raises(QueryParameterError, match="finite"):
+            registry.apply("g", [("reweight", 0, weight)])
+        with repro.open(registry=registry) as rp:
+            with pytest.raises(QueryParameterError, match="finite"):
+                rp.mutate("g", [("reweight", 0, weight)])
+        # A rejected batch never flips the graph's version.
+        assert registry.version("g") == 1
+        assert registry.mutations == 0
 
     def test_len_iter_describe(self):
         batch = EdgeBatch(ops=(("insert", 0, 1), ("reweight", 2, 5.5)))

@@ -5,6 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import LocalSearch, top_k_influential_communities
+from repro.core.general import GeneralLocalSearch, MinDegreeMeasure
+from repro.core.noncontainment import top_k_noncontainment_communities
+from repro.core.progressive import LocalSearchP
+from repro.core.truss_search import LocalSearchTruss
 from repro.core.reference import reference_top_k
 from repro.errors import QueryParameterError
 from tests.conftest import random_graph
@@ -140,3 +144,25 @@ class TestStats:
             pytest.skip("graph has fewer than k communities")
         size_star = g.prefix_size(p_star)
         assert result.stats.accessed_size <= 2 * delta * size_star + 1
+
+
+_SEARCHERS = {
+    "localsearch": lambda g, delta: LocalSearch(g, gamma=2, delta=delta).search(3),
+    "localsearch-p": lambda g, delta: LocalSearchP(g, gamma=2, delta=delta).run(k=3),
+    "noncontainment": lambda g, delta: top_k_noncontainment_communities(
+        g, 3, 2, delta=delta
+    ),
+    "truss": lambda g, delta: LocalSearchTruss(g, gamma=3, delta=delta).search(3),
+    "general": lambda g, delta: GeneralLocalSearch(
+        g, 2, MinDegreeMeasure(), delta=delta
+    ).search(3),
+}
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf"), 1.0])
+@pytest.mark.parametrize("searcher", sorted(_SEARCHERS))
+def test_every_searcher_rejects_a_bad_delta_with_a_typed_error(
+    fig3, searcher, delta
+):
+    with pytest.raises(QueryParameterError, match="delta"):
+        _SEARCHERS[searcher](fig3, delta)
