@@ -5,8 +5,8 @@ measured on a ~100k-vertex Chung-Lu power-law graph with planted dense
 blocks (the same stand-in shape as ``bench_kernel_peel.py``):
 
 * **scale-out** — a CPU-bound cold workload (16 distinct query
-  families, each a whole-graph ``kernel=array`` peel) executed through
-  ``--workers 4`` process workers achieves at least **1.8x** the
+  families, each a whole-graph peel on the ``array`` kernel) executed
+  through ``--workers 4`` process workers achieves at least **1.8x** the
   throughput of the 4-thread ShardPool on the *same* workload: the
   threads serialise on the GIL, the processes do not.  The sweep runs
   workers = 1 / 2 / 4 so the report shows the scaling curve, not one
@@ -55,7 +55,9 @@ N = 100_000
 AVG_DEGREE = 8.0
 SEED = 7
 GRAPH = "big"
-KERNEL = "array"  # the pure-CPython CPU-bound kernel: worst GIL case
+#: The pure-CPython CPU-bound kernel (worst GIL case), set for the whole
+#: process by :func:`main` before any engine or pool is built.
+KERNEL = "array"
 
 #: Distinct cold families: every (gamma, delta) pair peels essentially
 #: the whole graph (few or no communities survive these gammas) — heavy
@@ -97,7 +99,7 @@ def fresh_stack(graph):
 
 def cold_specs() -> List[QuerySpec]:
     return [
-        QuerySpec(graph=GRAPH, gamma=gamma, k=COLD_K, delta=delta, kernel=KERNEL)
+        QuerySpec(graph=GRAPH, gamma=gamma, k=COLD_K, delta=delta)
         for gamma in COLD_GAMMAS
         for delta in COLD_DELTAS
     ]
@@ -105,7 +107,7 @@ def cold_specs() -> List[QuerySpec]:
 
 def prog_specs(k: int) -> List[QuerySpec]:
     return [
-        QuerySpec(graph=GRAPH, gamma=gamma, k=k, delta=delta, kernel=KERNEL)
+        QuerySpec(graph=GRAPH, gamma=gamma, k=k, delta=delta)
         for gamma in PROG_GAMMAS
         for delta in COLD_DELTAS
     ]
@@ -168,8 +170,8 @@ def measure_cluster(graph, workers: int, use_shared_memory=None) -> Dict[str, fl
 
 def identity_report(graph) -> Dict[str, object]:
     """Cold + ``extend_to`` documents across the three execution paths."""
-    spec_cold = QuerySpec(graph=GRAPH, gamma=10, k=4, kernel=KERNEL)
-    spec_ext = QuerySpec(graph=GRAPH, gamma=10, k=12, kernel=KERNEL)
+    spec_cold = QuerySpec(graph=GRAPH, gamma=10, k=4)
+    spec_ext = QuerySpec(graph=GRAPH, gamma=10, k=12)
 
     def canonical(result) -> str:
         doc = result.to_dict()
@@ -238,6 +240,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="where to write the JSON report (CI uploads it as an artifact)",
     )
     args = parser.parse_args(argv)
+    # The peel kernel is process configuration: engines resolve it when
+    # built, and cluster workers inherit it through WorkerConfig.
+    os.environ["REPRO_KERNEL"] = KERNEL
 
     cores = os.cpu_count() or 1
     print(f"building {N:,}-vertex graph ({cores} cores visible)...", flush=True)

@@ -7,8 +7,8 @@ configuration — beats each of them on **both** p95 latency and
 throughput.
 
 The workload is zipf-skewed over (graphs x families): two graphs, each
-with a pool of distinct cold query families (``kernel=array``
-whole-graph peels) **chosen so they all hash-home onto one worker** —
+with a pool of distinct cold query families (whole-graph peels on the
+``array`` kernel) **chosen so they all hash-home onto one worker** —
 the pathological placement collision that replication exists to fix.
 Mid-run the zipf ranking flips: the hot graph becomes the cold one and
 vice versa.  Five arms serve the identical query sequence through a
@@ -64,6 +64,7 @@ N = 16_000
 AVG_DEGREE = 8.0
 SEED = 7
 GRAPHS = ("a", "b")
+#: Set as ``REPRO_KERNEL`` for the whole process by :func:`main`.
 KERNEL = "array"
 WORKERS = 2
 
@@ -107,9 +108,7 @@ def colliding_families(graph: str, worker: int) -> List[QuerySpec]:
     specs = []
     for gamma in FAMILY_GAMMAS:
         for delta in FAMILY_DELTAS:
-            spec = QuerySpec(
-                graph=graph, gamma=gamma, k=8, delta=delta, kernel=KERNEL
-            )
+            spec = QuerySpec(graph=graph, gamma=gamma, k=8, delta=delta)
             home = (
                 zlib.crc32(ClusterPool._family_bytes(spec.cache_key()))
                 % WORKERS
@@ -162,7 +161,7 @@ def build_workload() -> List[List[str]]:
             cursors[graph] += 1
             lines.append(
                 f"query {spec.graph} k={spec.k} gamma={spec.gamma} "
-                f"delta={spec.delta:g} kernel={spec.kernel}"
+                f"delta={spec.delta:g}"
             )
         phases.append(lines)
     return phases
@@ -310,6 +309,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="where to write the JSON report (CI uploads it as an artifact)",
     )
     args = parser.parse_args(argv)
+    # The peel kernel is process configuration: the server's engine
+    # resolves it when built, and its workers inherit it.
+    os.environ["REPRO_KERNEL"] = KERNEL
 
     cores = os.cpu_count() or 1
     print(

@@ -26,13 +26,13 @@ import sys
 
 import pytest
 
+from repro.api import QuerySpec
 from repro.bench.harness import measure_ms
 from repro.service import (
     GraphRegistry,
     QueryEngine,
     ResultCache,
     ServiceMetrics,
-    TopKQuery,
 )
 
 GAMMA = 10
@@ -55,13 +55,13 @@ def warm_engine(registry: GraphRegistry) -> QueryEngine:
     engine = QueryEngine(
         registry, cache=ResultCache(), metrics=ServiceMetrics()
     )
-    engine.execute(TopKQuery(graph=DATASET, gamma=GAMMA, k=K))  # fill
+    engine.execute(QuerySpec(graph=DATASET, gamma=GAMMA, k=K))  # fill
     return engine
 
 
 def mixed_workload():
     return [
-        TopKQuery(graph=DATASET, gamma=gamma, k=k)
+        QuerySpec(graph=DATASET, gamma=gamma, k=k)
         for gamma in (5, 10, 20)
         for k in (4, 8, 16, 8, 4)
     ]
@@ -70,8 +70,8 @@ def mixed_workload():
 def speedup_report(registry: GraphRegistry) -> dict:
     """Measure cold / warm / prefix / extension latency and mixed qps."""
     engine = warm_engine(registry)
-    query = TopKQuery(graph=DATASET, gamma=GAMMA, k=K)
-    prefix = TopKQuery(graph=DATASET, gamma=GAMMA, k=K // 4)
+    query = QuerySpec(graph=DATASET, gamma=GAMMA, k=K)
+    prefix = QuerySpec(graph=DATASET, gamma=GAMMA, k=K // 4)
 
     cold_ms = measure_ms(
         lambda: cold_engine(registry).execute(query), repeat=3
@@ -83,9 +83,9 @@ def speedup_report(registry: GraphRegistry) -> dict:
 
     def extend():
         fresh = QueryEngine(registry, cache=ResultCache())
-        fresh.execute(TopKQuery(graph=DATASET, gamma=GAMMA, k=K))
+        fresh.execute(QuerySpec(graph=DATASET, gamma=GAMMA, k=K))
         result = fresh.execute(
-            TopKQuery(graph=DATASET, gamma=GAMMA, k=2 * K)
+            QuerySpec(graph=DATASET, gamma=GAMMA, k=2 * K)
         )
         assert result.source == "extended"
 
@@ -127,7 +127,7 @@ def registry(wiki):
 def bench_cold_query(benchmark, registry):
     engine = cold_engine(registry)
     result = benchmark(
-        lambda: engine.execute(TopKQuery(graph=DATASET, gamma=GAMMA, k=K))
+        lambda: engine.execute(QuerySpec(graph=DATASET, gamma=GAMMA, k=K))
     )
     assert result.source == "cold"
     assert len(result) == K
@@ -137,7 +137,7 @@ def bench_cold_query(benchmark, registry):
 def bench_warm_repeat_query(benchmark, registry):
     engine = warm_engine(registry)
     result = benchmark(
-        lambda: engine.execute(TopKQuery(graph=DATASET, gamma=GAMMA, k=K))
+        lambda: engine.execute(QuerySpec(graph=DATASET, gamma=GAMMA, k=K))
     )
     assert result.source == "cache"
 
@@ -147,7 +147,7 @@ def bench_prefix_reuse_query(benchmark, registry):
     engine = warm_engine(registry)
     result = benchmark(
         lambda: engine.execute(
-            TopKQuery(graph=DATASET, gamma=GAMMA, k=K // 4)
+            QuerySpec(graph=DATASET, gamma=GAMMA, k=K // 4)
         )
     )
     assert result.source == "cache"
@@ -160,9 +160,9 @@ def bench_extension_resumes(benchmark, registry):
 
     def extend():
         engine = QueryEngine(registry, cache=ResultCache())
-        engine.execute(TopKQuery(graph=DATASET, gamma=GAMMA, k=K))
+        engine.execute(QuerySpec(graph=DATASET, gamma=GAMMA, k=K))
         return engine.execute(
-            TopKQuery(graph=DATASET, gamma=GAMMA, k=2 * K)
+            QuerySpec(graph=DATASET, gamma=GAMMA, k=2 * K)
         )
 
     result = benchmark(extend)

@@ -162,6 +162,7 @@ async def main(history_output: str = "") -> int:
                 QuerySpec(graph="email", k=5, gamma=3)
             )
             assert result.communities, "query returned no communities"
+            queried_at = time.time()
 
             # Traces finalise before the response bytes leave the
             # server, so the scrape after the reply is race-free.
@@ -188,7 +189,7 @@ async def main(history_output: str = "") -> int:
             check_readyz(
                 _http_json(base, "/readyz"), workers, process_backend
             )
-            history = _wait_for_history(base)
+            history = _wait_for_history(base, after=queried_at)
             check_history(history, process_backend)
             check_dashboard(_http_text(base, "/dashboard?window=60"))
             assert "repro_slo_ok{" in _http_text(base, "/metrics"), (
@@ -211,17 +212,20 @@ async def main(history_output: str = "") -> int:
     return 0
 
 
-def _wait_for_history(base: str, timeout_s: float = 10.0) -> dict:
-    """Poll until the collector has at least one derived point (two
-    ticks at the 0.2 s cadence)."""
+def _wait_for_history(
+    base: str, after: float, timeout_s: float = 10.0
+) -> dict:
+    """Poll until the collector has a derived point taken after wall
+    time ``after``, so the query that returned before it is in the
+    point (ticks come at the 0.2 s cadence)."""
     deadline = time.time() + timeout_s
     doc: dict = {}
     while time.time() < deadline:
         doc = _http_json(base, "/history.json?window=60")
-        if doc.get("points"):
+        if any(point["t"] > after for point in doc.get("points", ())):
             return doc
         time.sleep(0.1)
-    raise AssertionError(f"history never produced points: {doc}")
+    raise AssertionError(f"history has no point after t={after}: {doc}")
 
 
 if __name__ == "__main__":

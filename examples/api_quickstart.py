@@ -63,11 +63,14 @@ def local_demo() -> None:
         rs.extend_to(8)
         print(f"extend_to(8) -> {len(rs)} views, source={rs.source}")
 
-        # A spec is a value: build once, reuse, ship over the wire.
-        spec = QuerySpec(graph="email", gamma=5, k=3, kernel="array")
+        # A spec is a value: build once, reuse, ship over the wire.  The
+        # peel kernel is not part of it: that is process configuration
+        # ($REPRO_KERNEL, resolved once when the engine is built), and
+        # every result reports it as provenance (stats['kernel']).
+        spec = QuerySpec(graph="email", gamma=5, k=3)
         print("\nwire form:", spec.to_wire())
         assert QuerySpec.from_wire(spec.to_wire()) == spec
-        show("same spec, explicit stdlib kernel", rp.topk(spec))
+        show("same family as a spec value", rp.topk(spec))
 
 
 def remote_demo() -> None:

@@ -71,7 +71,6 @@ from .service import (
     ResultCache,
     ServiceMetrics,
     SessionManager,
-    TopKQuery,
 )
 from .core.count import construct_cvs
 from .api import QuerySpec, ResultSet
@@ -115,7 +114,6 @@ __all__ = [
     "ResultCache",
     "SessionManager",
     "ServiceMetrics",
-    "TopKQuery",
     "QueryResult",
     "CommunityView",
     # errors

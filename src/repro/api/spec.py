@@ -14,9 +14,13 @@ clients keep working.
 
 The canonical :meth:`cache_key` is what the result cache and the batch
 scheduler key off: it is ``k``-independent (the progressive order only
-truncates at ``k``) and **includes the resolved peel kernel**, so a
-``kernel=python`` query can never be served another kernel's cursor
-slices with wrong provenance.
+truncates at ``k``).  The peel kernel is not part of a query: the
+python, array and numpy kernels produce identical answers, so the kernel
+is process configuration (``$REPRO_KERNEL``, resolved once by each
+:class:`~repro.service.engine.QueryEngine`) and only reported on each
+result as provenance.  The text and wire grammars still accept a
+``kernel=K`` argument from older clients: an unknown ``K`` is rejected,
+a known one is ignored.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.fastpeel import KERNELS, resolve_kernel
+from ..core.fastpeel import KERNELS
 from ..errors import QueryParameterError, check_delta
 
 __all__ = [
@@ -90,15 +94,13 @@ class FamilyKey:
     Two queries sharing a FamilyKey share one result stream: the cache
     stores one (resumable) entry per family, and the batch scheduler
     coalesces concurrent queries of a family onto one engine pass.
-    ``algorithm`` and ``kernel`` are *resolved* (no ``auto``/``None``),
-    so provenance can never be mixed across kernels.
+    ``algorithm`` is *resolved* (never ``auto``).
     """
 
     graph: str
     gamma: int
     algorithm: str
     delta: float
-    kernel: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,6 @@ class QuerySpec:
         ``cohesion``/``containment`` say so).
     delta:
         Progressive growth ratio, > 1.
-    kernel:
-        Peel kernel (``auto``/``python``/``array``/``numpy``); ``None``
-        defers to ``$REPRO_KERNEL`` and then ``auto``.
     containment:
         ``False`` restricts the answer to non-containment communities
         (Section 5.1); only valid with ``algorithm`` ``auto`` or
@@ -150,7 +149,6 @@ class QuerySpec:
     k: int = 10
     algorithm: str = AUTO
     delta: float = 2.0
-    kernel: Optional[str] = None
     containment: bool = True
     cohesion: str = "core"
     mode: str = "text"
@@ -173,11 +171,6 @@ class QuerySpec:
             raise QueryParameterError(
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {', '.join(ALGORITHMS)}"
-            )
-        if self.kernel is not None and self.kernel not in _KERNEL_CHOICES:
-            raise QueryParameterError(
-                f"unknown kernel {self.kernel!r}; "
-                f"choose from {', '.join(_KERNEL_CHOICES)}"
             )
         if self.cohesion not in COHESIONS:
             raise QueryParameterError(
@@ -229,29 +222,17 @@ class QuerySpec:
             return "noncontainment"
         return "localsearch-p"
 
-    def resolved_kernel(self) -> Optional[str]:
-        """The peel kernel actually in effect, or ``None`` when the
-        resolved algorithm never reaches the kernel dispatcher."""
-        if self.resolved_algorithm() not in KERNEL_ALGORITHMS:
-            return None
-        return resolve_kernel(self.kernel)
-
     def cache_key(self) -> FamilyKey:
         """The canonical cache / coalesce identity of this query.
 
-        ``k`` and ``mode`` are excluded (the result stream does not
-        depend on them); ``algorithm`` and ``kernel`` are resolved, so
-        e.g. ``kernel=None`` under ``REPRO_KERNEL=numpy`` and an
-        explicit ``kernel='numpy'`` share one entry, while
-        ``kernel='python'`` can never be served a numpy cursor's
-        slices.
+        ``k``, ``mode`` and ``tenant`` are excluded (the result stream
+        does not depend on them); ``algorithm`` is resolved.
         """
         return FamilyKey(
             graph=self.graph,
             gamma=self.gamma,
             algorithm=self.resolved_algorithm(),
             delta=self.delta,
-            kernel=self.resolved_kernel(),
         )
 
     def with_k(self, k: int) -> "QuerySpec":
@@ -273,7 +254,6 @@ class QuerySpec:
             "k": self.k,
             "algorithm": self.algorithm,
             "delta": self.delta,
-            "kernel": self.kernel,
             "containment": self.containment,
             "cohesion": self.cohesion,
             "mode": self.mode,
@@ -300,7 +280,8 @@ class QuerySpec:
         any dict carrying the classic ``graph``/``gamma``/``k``/
         ``delta``/``algorithm`` keys without a ``"v"`` marker.  Unknown
         keys are ignored (a v1 decoder stays forward-compatible with
-        additive v1 extensions).
+        additive v1 extensions).  A ``kernel`` key is checked by
+        :func:`_check_kernel` and dropped.
         """
         if isinstance(payload, (str, bytes)):
             try:
@@ -321,7 +302,7 @@ class QuerySpec:
             )
         if "graph" not in payload:
             raise QueryParameterError("wire payload is missing 'graph'")
-        kernel = payload.get("kernel")
+        _check_kernel(payload.get("kernel"))
         tenant = payload.get("tenant")
         try:
             return cls(
@@ -330,7 +311,6 @@ class QuerySpec:
                 k=int(payload.get("k", 10)),
                 algorithm=str(payload.get("algorithm", AUTO)),
                 delta=float(payload.get("delta", 2.0)),
-                kernel=None if kernel is None else str(kernel),
                 containment=bool(payload.get("containment", True)),
                 cohesion=str(payload.get("cohesion", "core")),
                 mode=str(payload.get("mode", "text")),
@@ -348,8 +328,7 @@ class QuerySpec:
 
 _USAGE = (
     "usage: query GRAPH [k=N] [gamma=N] [algorithm=A] [delta=F] "
-    "[kernel=K] [cohesion=core|truss] [containment=BOOL] [tenant=T] "
-    "[members] [json]"
+    "[cohesion=core|truss] [containment=BOOL] [tenant=T] [members] [json]"
 )
 
 _KV_KEYS = (
@@ -364,6 +343,16 @@ _KV_KEYS = (
     "tenant",
 )
 _FLAG_WORDS = ("members", "json", "nc")
+
+
+def _check_kernel(kernel: Any) -> None:
+    """Reject an unknown legacy ``kernel`` argument; a known one is
+    dropped, because the kernel is process configuration."""
+    if kernel is not None and kernel not in _KERNEL_CHOICES:
+        raise QueryParameterError(
+            f"unknown kernel {kernel!r}; "
+            f"choose from {', '.join(_KERNEL_CHOICES)}"
+        )
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -384,7 +373,8 @@ def parse_spec_tokens(tokens: Sequence[str]) -> Tuple[QuerySpec, bool]:
     The grammar every text frontend shares (stdio shell, TCP and unix
     transports): a graph name followed by ``key=value`` pairs in any
     order plus bare flags.  ``json`` selects ``mode="json"``; ``nc`` is
-    shorthand for ``containment=false``.
+    shorthand for ``containment=false``.  A ``kernel=K`` argument is
+    checked and dropped (see :func:`_check_kernel`).
     """
     if not tokens:
         raise QueryParameterError(_USAGE)
@@ -408,6 +398,7 @@ def parse_spec_tokens(tokens: Sequence[str]) -> Tuple[QuerySpec, bool]:
     containment = not ("nc" in flags)
     if "containment" in kv:
         containment = _parse_bool("containment", kv["containment"])
+    _check_kernel(kv.get("kernel"))
     try:
         spec = QuerySpec(
             graph=graph,
@@ -415,7 +406,6 @@ def parse_spec_tokens(tokens: Sequence[str]) -> Tuple[QuerySpec, bool]:
             gamma=int(kv.get("gamma", "10")),
             algorithm=kv.get("algorithm", AUTO),
             delta=float(kv.get("delta", "2.0")),
-            kernel=kv.get("kernel"),
             containment=containment,
             cohesion=kv.get("cohesion", "core"),
             mode=mode,

@@ -30,8 +30,14 @@ from ..core.noncontainment import noncontainment_communities_from_record
 __all__ = ["forward", "forward_noncontainment"]
 
 
-def forward(graph: WeightedGraph, k: int, gamma: int) -> TopKResult:
-    """Run Forward: one global peel, then communities of the last ``k``."""
+def forward(
+    graph: WeightedGraph, k: int, gamma: int, kernel: Optional[str] = None
+) -> TopKResult:
+    """Run Forward: one global peel, then communities of the last ``k``.
+
+    ``kernel`` selects the peel kernel (``None`` defers to
+    ``$REPRO_KERNEL``), as for :func:`~repro.core.count.construct_cvs`.
+    """
     if k < 1:
         raise QueryParameterError("k must be at least 1")
     if gamma < 1:
@@ -41,7 +47,7 @@ def forward(graph: WeightedGraph, k: int, gamma: int) -> TopKResult:
     stats = SearchStats(gamma=gamma, k=k, graph_size=graph.size)
     stats.prefixes.append(view.p)
     stats.prefix_sizes.append(view.size)
-    record = construct_cvs(view, gamma)
+    record = construct_cvs(view, gamma, kernel=kernel)
     stats.counts.append(record.num_communities)
     communities = enumerate_top_k(graph, record, k)
     stats.elapsed_seconds = time.perf_counter() - started

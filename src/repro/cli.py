@@ -29,12 +29,14 @@ execution, sharded workers, and warm-start cache persistence.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
 from .api.facade import Repro
 from .api.facade import open as api_open
 from .api.spec import QuerySpec
+from .core.fastpeel import KERNEL_ENV_VAR
 from .graph.io import load_snap_graph
 from .graph.metrics import GraphStatistics, graph_statistics
 from .workloads.datasets import dataset_names, load_dataset
@@ -299,25 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_kernel_choice(args: argparse.Namespace) -> Optional[str]:
-    """Honour ``--kernel`` for the whole process.
-
-    The choice rides in the :class:`QuerySpec` (so provenance and cache
-    identity are exact) *and* is exported via ``REPRO_KERNEL`` so
-    algorithms that reach the peel only through their own internal
-    ``construct_cvs`` calls (forward, the index baselines) respect it
-    too.
-    """
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        import os
-
-        from .core.fastpeel import KERNEL_ENV_VAR
-
-        os.environ[KERNEL_ENV_VAR] = kernel
-    return kernel
-
-
 def _open_facade(args: argparse.Namespace) -> "tuple[Repro, str]":
     """An in-process facade + the graph name the command targets.
 
@@ -325,8 +308,13 @@ def _open_facade(args: argparse.Namespace) -> "tuple[Repro, str]":
     to the preloaded registry, an edge-list file is registered as the
     facade's default graph.  Either way the query subcommands build one
     :class:`QuerySpec` and hand it to the same ``topk`` surface every
-    other frontend uses.
+    other frontend uses.  ``--kernel`` is exported as ``REPRO_KERNEL``
+    first: the peel kernel is process configuration, resolved once when
+    the facade's engine is built.
     """
+    kernel = getattr(args, "kernel", None)
+    if kernel is not None:
+        os.environ[KERNEL_ENV_VAR] = kernel
     if args.dataset:
         return api_open(), args.dataset
     rp = api_open(args.edges, weights=args.weights, datasets=False)
@@ -340,7 +328,6 @@ def _build_spec(args: argparse.Namespace, graph: str, **overrides) -> QuerySpec:
         k=getattr(args, "k", 10),
         algorithm=getattr(args, "algorithm", "localsearch-p"),
         delta=getattr(args, "delta", 2.0),
-        kernel=_apply_kernel_choice(args),
     )
     params.update(overrides)
     return QuerySpec(**params)

@@ -525,7 +525,7 @@ class ClusterPool:
     def _family_bytes(family: FamilyKey) -> bytes:
         return (
             f"{family.graph}|{family.gamma}|{family.algorithm}"
-            f"|{family.delta!r}|{family.kernel}"
+            f"|{family.delta!r}"
         ).encode("utf-8")
 
     def home_worker(self, family: FamilyKey) -> int:
@@ -898,10 +898,7 @@ class ClusterPool:
                     key,
                     ProgressiveEntry(
                         cursor_factory=progressive_cursor_factory(
-                            handle.graph,
-                            key.gamma,
-                            key.delta,
-                            kernel=key.kernel,
+                            handle.graph, key.gamma, key.delta
                         ),
                         views=views,
                         exhausted=result.complete,

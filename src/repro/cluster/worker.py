@@ -68,9 +68,8 @@ __all__ = ["worker_main", "WorkerConfig"]
 class WorkerConfig:
     """Plain picklable knobs shipped to :func:`worker_main` at start.
 
-    ``kernel_env`` pins ``REPRO_KERNEL`` in the child so kernel
-    resolution (and with it every :meth:`~repro.api.spec.QuerySpec.
-    cache_key`) agrees byte-for-byte with the parent even under
+    ``kernel_env`` pins ``REPRO_KERNEL`` in the child, so the worker's
+    engine resolves the same peel kernel as the parent even under
     ``spawn``, where the child would otherwise re-read a possibly
     changed environment.
     """
@@ -170,12 +169,11 @@ def _install_seed(
         return False
     kind, views, flag = seed
     if kind == "progressive":
-        family = spec.cache_key()
         cache.put(
             key,
             ProgressiveEntry(
                 cursor_factory=progressive_cursor_factory(
-                    handle.graph, family.gamma, family.delta, kernel=family.kernel
+                    handle.graph, key.gamma, key.delta
                 ),
                 views=views,
                 exhausted=bool(flag),

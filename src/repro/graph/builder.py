@@ -31,6 +31,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..errors import (
@@ -81,7 +82,15 @@ class GraphBuilder:
     def add_vertex(
         self, label: Hashable, weight: Optional[float] = None
     ) -> None:
-        """Register a vertex, optionally (re-)setting its weight."""
+        """Register a vertex, optionally (re-)setting its weight.
+
+        Raises :class:`GraphConstructionError` for a NaN or infinite
+        weight: influence values must be finite.
+        """
+        if weight is not None and not math.isfinite(weight):
+            raise GraphConstructionError(
+                f"vertex {label!r} has a non-finite weight {weight!r}"
+            )
         if label not in self._insertion:
             self._insertion[label] = len(self._insertion)
         if weight is not None or label not in self._weights:

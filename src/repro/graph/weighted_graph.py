@@ -27,11 +27,13 @@ order (rank 0 = highest weight).  Consequences used throughout the library:
 
 Weights must be distinct (paper Section 2).  Construction through
 :class:`~repro.graph.builder.GraphBuilder` offers tie-breaking policies;
-this class itself accepts any strictly-decreasing weight sequence.
+this class itself accepts any strictly-decreasing sequence of finite
+weights.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
@@ -52,6 +54,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..errors import GraphConstructionError, UnknownVertexError
 
 __all__ = ["WeightedGraph"]
+
+
+def _check_finite(weights: Sequence[float]) -> None:
+    """Raise :class:`GraphConstructionError` on a NaN or infinite weight."""
+    if not all(map(math.isfinite, weights)):
+        rank = next(r for r, w in enumerate(weights) if not math.isfinite(w))
+        raise GraphConstructionError(
+            f"weight of rank {rank} is not finite: {weights[rank]!r}"
+        )
 
 
 class WeightedGraph:
@@ -168,8 +179,9 @@ class WeightedGraph:
 
         The CSR rows are exactly the ``N>=`` / ``N<`` partition in the
         canonical sorted order, so the reconstruction is a straight
-        re-slicing — no validation pass is needed: the buffers came from
-        a graph that already passed it.  The given ``csr`` is installed
+        re-slicing — no structural validation pass is needed: the
+        buffers came from a graph that already passed it.  The weights
+        are still checked to be finite, in O(n).  The given ``csr`` is installed
         as the graph's cached mirror, so the peel kernels run directly
         on the original buffers (zero-copy when those live in a
         shared-memory segment); only the Python-level row lists are
@@ -183,6 +195,7 @@ class WeightedGraph:
             raise GraphConstructionError(
                 f"{len(graph._weights)} weights for {n} CSR vertices"
             )
+        _check_finite(graph._weights)
         graph._adj_up = [
             up_tgt[up_off[u]:up_off[u + 1]] for u in range(n)
         ]
@@ -203,6 +216,7 @@ class WeightedGraph:
         return graph
 
     def _validate(self) -> None:
+        _check_finite(self._weights)
         n = self.num_vertices
         for rank in range(1, n):
             if not self._weights[rank - 1] > self._weights[rank]:

@@ -37,13 +37,12 @@ Quickstart (in-process; see ``repro serve --tcp`` for the CLI)::
 """
 
 from .client import ReproClient
-from .scheduler import BatchKey, BatchScheduler, CoalesceStats
+from .scheduler import BatchScheduler, CoalesceStats
 from .shards import ShardPool, create_pool
 from .transport import ReproServer
 from .warmstart import WarmStart
 
 __all__ = [
-    "BatchKey",
     "BatchScheduler",
     "CoalesceStats",
     "ReproClient",

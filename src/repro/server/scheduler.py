@@ -31,28 +31,10 @@ from ..service.metrics import ServiceMetrics, family_label
 from ..service.model import QueryResult
 from .shards import ShardPool
 
-__all__ = ["BatchKey", "CoalesceStats", "BatchScheduler"]
+__all__ = ["CoalesceStats", "BatchScheduler"]
 
 #: Source tag for queries served by slicing another query's engine pass.
 COALESCED = "coalesced"
-
-
-@dataclass(frozen=True)
-class BatchKey:
-    """Deprecated pre-PR-4 coalescing identity.
-
-    The scheduler now keys batches off the spec's canonical
-    :meth:`~repro.api.spec.QuerySpec.cache_key` (a
-    :class:`~repro.api.spec.FamilyKey`), which also folds in the
-    resolved peel kernel — this shape ignored it, so a ``kernel=python``
-    query could be sliced from a numpy cursor's pass with wrong
-    provenance.  Kept only for external constructors.
-    """
-
-    graph: str
-    gamma: int
-    algorithm: str
-    delta: float
 
 
 @dataclass
@@ -140,9 +122,7 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     def key_for(self, query: QuerySpec) -> FamilyKey:
         """The coalescing key: the spec's canonical cache identity
-        (``auto`` algorithm and peel kernel both resolved — queries on
-        different kernels never share a pass, so each waiter's
-        ``QueryResult.kernel`` provenance is exact)."""
+        (``auto`` algorithm resolved)."""
         return query.cache_key()
 
     @property

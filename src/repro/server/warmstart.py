@@ -37,8 +37,9 @@ from ..service.registry import GraphHandle, GraphRegistry
 __all__ = ["WarmStart", "SNAPSHOT_FORMAT"]
 
 #: Bump when the snapshot schema changes; mismatched files boot cold.
-#: v2 added the peel kernel to each entry's cache identity (PR 4); v1
-#: snapshots predate kernel-keyed caching and boot cold.
+#: v2 entries may carry a ``kernel`` field from when the peel kernel was
+#: part of the cache identity; it is ignored on load, and when several
+#: kernel rows share one family the first one restored wins.
 SNAPSHOT_FORMAT = 2
 
 
@@ -152,7 +153,6 @@ class WarmStart:
                 gamma=key.gamma,
                 algorithm=key.algorithm,
                 delta=key.delta,
-                kernel=key.kernel,
                 views=[view.to_dict() for view in views],
             )
             entries.append(payload)
@@ -190,7 +190,6 @@ class WarmStart:
                 )
                 gamma, delta = int(raw["gamma"]), float(raw["delta"])
                 algorithm = raw["algorithm"]
-                kernel = raw.get("kernel")
             except (KeyError, TypeError, ValueError):
                 continue  # one malformed entry must not spoil the rest
             if name not in handles:
@@ -209,14 +208,13 @@ class WarmStart:
                 gamma=gamma,
                 algorithm=algorithm,
                 delta=delta,
-                kernel=kernel,
             )
             if cache.get(key) is not None:
                 continue  # never clobber state computed since boot
             if kind == "progressive":
                 entry: object = ProgressiveEntry(
                     cursor_factory=progressive_cursor_factory(
-                        handle.graph, gamma, delta, kernel=kernel
+                        handle.graph, gamma, delta
                     ),
                     views=views,
                     exhausted=bool(raw.get("exhausted", False)),

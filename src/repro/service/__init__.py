@@ -15,9 +15,8 @@ The algorithm layer answers *one* query optimally; this package makes
   lifecycle counters;
 * :mod:`~repro.service.shell` — the ``repro serve`` line protocol.
 
-Queries arrive as :class:`repro.api.QuerySpec` objects (``TopKQuery``
-remains as a deprecated alias); most callers should prefer the public
-facade — ``repro.open()`` — over wiring these pieces by hand.
+Queries arrive as :class:`repro.api.QuerySpec` objects; most callers
+should prefer the public facade — ``repro.open()`` — over wiring these pieces by hand.
 
 Quickstart::
 
@@ -33,7 +32,7 @@ Quickstart::
 from .cache import CacheKey, CacheStats, ResultCache
 from .engine import QueryEngine, QueryPlan
 from .metrics import ServiceMetrics, percentile
-from .model import ALGORITHMS, AUTO, CommunityView, QueryResult, TopKQuery
+from .model import ALGORITHMS, AUTO, CommunityView, QueryResult
 from .registry import GraphHandle, GraphRegistry
 from .sessions import Session, SessionManager
 from .shell import ServiceShell
@@ -54,6 +53,5 @@ __all__ = [
     "ServiceShell",
     "Session",
     "SessionManager",
-    "TopKQuery",
     "percentile",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..core.progressive import ProgressiveCursor
@@ -42,12 +42,10 @@ __all__ = [
 class CacheKey:
     """Identity of a cached answer.
 
-    ``(gamma, algorithm, delta, kernel)`` mirror the spec's canonical
-    :meth:`~repro.api.spec.QuerySpec.cache_key` family (algorithm and
-    kernel *resolved*); ``version`` pins the graph build the answer was
-    computed against, so reloads invalidate for free.  ``kernel`` keeps
-    per-kernel provenance honest: a ``kernel=python`` query can never be
-    handed another kernel's cursor slices.
+    ``(gamma, algorithm, delta)`` mirror the spec's canonical
+    :meth:`~repro.api.spec.QuerySpec.cache_key` family (algorithm
+    *resolved*); ``version`` pins the graph build the answer was
+    computed against, so reloads invalidate for free.
     """
 
     graph: str
@@ -55,7 +53,6 @@ class CacheKey:
     gamma: int
     algorithm: str
     delta: float
-    kernel: Optional[str] = None
 
     @classmethod
     def for_spec(cls, spec, version: int) -> "CacheKey":
@@ -72,7 +69,6 @@ class CacheKey:
             gamma=family.gamma,
             algorithm=family.algorithm,
             delta=family.delta,
-            kernel=family.kernel,
         )
 
 
@@ -439,14 +435,7 @@ class ResultCache:
                 keep = identical or (
                     len(views) > 0 and views[-1].influence > barrier
                 )
-                new_key = CacheKey(
-                    graph=key.graph,
-                    version=new_version,
-                    gamma=key.gamma,
-                    algorithm=key.algorithm,
-                    delta=key.delta,
-                    kernel=key.kernel,
-                )
+                new_key = replace(key, version=new_version)
                 if keep and isinstance(entry, ProgressiveEntry):
                     factory = (
                         progressive_factory(new_key)

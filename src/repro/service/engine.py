@@ -19,8 +19,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from ..api.spec import AUTO, QuerySpec
+from ..api.spec import AUTO, KERNEL_ALGORITHMS, QuerySpec
 from ..baselines import backward, forward, online_all
+from ..core.fastpeel import resolve_kernel
 from ..core.local_search import LocalSearch
 from ..core.noncontainment import top_k_noncontainment_communities
 from ..core.progressive import LocalSearchP, ProgressiveCursor
@@ -51,9 +52,8 @@ def progressive_cursor_factory(
     Shared by the engine's hot path, the warm-start restore and the
     cluster workers' per-FamilyKey state, so a rebuilt cursor always
     re-peels with semantics identical to the one whose views it is
-    extending (including the kernel, which is part of the cache
-    identity).  Each cursor's stream owns one
-    :class:`~repro.core.fastpeel.PeelScratch` /
+    extending.  ``kernel=None`` defers to ``$REPRO_KERNEL``.  Each
+    cursor's stream owns one :class:`~repro.core.fastpeel.PeelScratch` /
     :class:`~repro.core.fastenum.EnumScratch` pair, so every resume —
     local or inside a worker process — reuses the family's peel buffers
     and its EnumIC-P union-find.
@@ -76,16 +76,17 @@ class QueryPlan:
     reason: str
 
 
-#: Non-progressive runners: (graph, spec, resolved kernel) -> object
-#: with ``.communities``.  Only the kernel-dispatcher algorithms take
-#: the kernel; the rest use their own peels.
+#: Non-progressive runners: (graph, spec, engine kernel) -> object
+#: with ``.communities``.  onlineall and backward use their own peels;
+#: truss takes the kernel for its union-find only, and like them
+#: reports no kernel (see :data:`~repro.api.spec.KERNEL_ALGORITHMS`).
 _STATIC_RUNNERS: Dict[
     str, Callable[[WeightedGraph, QuerySpec, Optional[str]], object]
 ] = {
     "localsearch": lambda g, q, kern: LocalSearch(
         g, gamma=q.gamma, delta=q.delta, kernel=kern
     ).search(q.k),
-    "forward": lambda g, q, kern: forward(g, q.k, q.gamma),
+    "forward": lambda g, q, kern: forward(g, q.k, q.gamma, kernel=kern),
     "onlineall": lambda g, q, kern: online_all(g, q.k, q.gamma),
     "backward": lambda g, q, kern: backward(g, q.k, q.gamma),
     "truss": lambda g, q, kern: top_k_truss_communities(
@@ -120,6 +121,11 @@ class QueryEngine:
         :data:`~repro.obs.trace.NO_TRACE` sentinel marks "upstream
         sampled this query out": no span is recorded and no root is
         minted.
+
+    The peel kernel is process configuration: the engine resolves
+    ``$REPRO_KERNEL`` once, when it is built, into :attr:`kernel`, runs
+    every kernel-dispatcher algorithm on it and reports it on each
+    result.
     """
 
     def __init__(
@@ -133,6 +139,8 @@ class QueryEngine:
         self.cache = cache
         self.metrics = metrics
         self.tracer = tracer
+        #: The resolved peel kernel every query of this engine runs on.
+        self.kernel = resolve_kernel()
         #: Optional :class:`~repro.obs.profiling.OnDemandProfiler`.
         #: When armed, :meth:`_execute` routes through it so one live
         #: execution at a time is captured; unarmed cost is one
@@ -164,7 +172,7 @@ class QueryEngine:
 
             def factory_for(new_key: CacheKey):
                 return progressive_cursor_factory(
-                    graph, new_key.gamma, new_key.delta, kernel=new_key.kernel
+                    graph, new_key.gamma, new_key.delta, kernel=self.kernel
                 )
 
             preserved, invalidated = self.cache.migrate_graph(
@@ -217,7 +225,7 @@ class QueryEngine:
         entry = self.cache.get(key) if self.cache is not None else None
         if not isinstance(entry, ProgressiveEntry):
             cursor_factory = progressive_cursor_factory(
-                handle.graph, query.gamma, query.delta, kernel=key.kernel
+                handle.graph, query.gamma, query.delta, kernel=self.kernel
             )
             entry = ProgressiveEntry(
                 cursor_factory(),
@@ -237,7 +245,7 @@ class QueryEngine:
         hit = _static_hit(entry, query.k)
         if hit is not None:
             return hit
-        result = _STATIC_RUNNERS[algorithm](handle.graph, query, key.kernel)
+        result = _STATIC_RUNNERS[algorithm](handle.graph, query, self.kernel)
         views = tuple(
             CommunityView.from_community(c) for c in result.communities
         )
@@ -261,20 +269,8 @@ class QueryEngine:
         return _static_hit(entry, query.k)
 
     # ------------------------------------------------------------------
-    def execute(self, query: Optional[QuerySpec] = None, **params) -> QueryResult:
-        """Serve one query end to end.
-
-        Accepts a :class:`QuerySpec` (or the deprecated ``TopKQuery``
-        alias) positionally — the stable signature — or spec fields as
-        keyword arguments (``execute(graph="email", k=5)``) as a
-        convenience.
-        """
-        if query is None:
-            query = QuerySpec(**params)
-        elif params:
-            raise TypeError(
-                "pass either a QuerySpec or field kwargs, not both"
-            )
+    def execute(self, query: QuerySpec) -> QueryResult:
+        """Serve one query end to end."""
         return self._run(query, cached_only=False)
 
     def execute_cached(self, query: QuerySpec) -> Optional[QueryResult]:
@@ -369,14 +365,12 @@ class QueryEngine:
                 return None
         else:
             handle = self.registry.get(query.graph)
-        # ONE spec resolution per query: the canonical family (resolved
-        # algorithm plus the peel kernel in effect, None for algorithms
-        # that never reach the kernel dispatcher) keys the cache, plans
-        # the dispatch and labels the metrics row, so cached answers and
-        # their kernel provenance can never cross kernels.
+        # ONE spec resolution per query: the canonical family keys the
+        # cache, plans the dispatch and labels the metrics row.
         family = query.cache_key()
         key = CacheKey.for_family(family, handle.version)
         plan = self._plan(query, family.algorithm)
+        kernel = self.kernel if plan.algorithm in KERNEL_ALGORITHMS else None
         if cached_only:
             served = self._serve_cached(query, key)
             if served is None:
@@ -394,7 +388,7 @@ class QueryEngine:
                 plan.algorithm,
                 elapsed_ms,
                 source,
-                kernel=family.kernel,
+                kernel=kernel,
                 family=family,
                 phases=phases,
             )
@@ -407,7 +401,7 @@ class QueryEngine:
             elapsed_ms=elapsed_ms,
             complete=complete,
             plan_reason=plan.reason,
-            kernel=family.kernel,
+            kernel=kernel,
         )
 
 

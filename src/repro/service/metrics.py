@@ -42,7 +42,7 @@ def family_label(family) -> str:
     """A stable, JSON-key-safe rendering of a FamilyKey."""
     return (
         f"{family.graph}|gamma={family.gamma}|{family.algorithm}"
-        f"|delta={family.delta:g}|kernel={family.kernel}"
+        f"|delta={family.delta:g}"
     )
 
 

@@ -20,14 +20,7 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..api.spec import ALGORITHMS, AUTO, QuerySpec
 
-__all__ = ["TopKQuery", "CommunityView", "QueryResult", "ALGORITHMS", "AUTO"]
-
-#: Deprecated alias.  The query type now lives in :mod:`repro.api.spec`
-#: as :class:`QuerySpec` (same constructor signature plus the new
-#: ``kernel`` / ``containment`` / ``cohesion`` / ``mode`` fields);
-#: ``TopKQuery`` remains so existing imports and isinstance checks keep
-#: working.
-TopKQuery = QuerySpec
+__all__ = ["CommunityView", "QueryResult", "ALGORITHMS", "AUTO"]
 
 
 @dataclass(frozen=True)
@@ -150,7 +143,7 @@ class QueryResult:
       a larger ``k`` (the paper's suffix property: no work is repeated).
     """
 
-    query: TopKQuery
+    query: QuerySpec
     algorithm: str
     graph_version: int
     communities: Tuple[CommunityView, ...]

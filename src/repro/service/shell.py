@@ -45,7 +45,7 @@ commands:
   load NAME EDGES [WEIGHTS]             register an edge-list file
   mutate GRAPH insert=U:V delete=U:V reweight=V:W ...
                                         apply a live edge-mutation batch
-  query GRAPH [k=N] [gamma=N] [algorithm=A] [delta=F] [kernel=K]
+  query GRAPH [k=N] [gamma=N] [algorithm=A] [delta=F]
         [cohesion=core|truss] [containment=BOOL] [members] [json]
   query {"v": 1, "graph": ...}          versioned wire-JSON query
   session open GRAPH [gamma=N] [delta=F]
@@ -239,18 +239,6 @@ class ServiceShell:
         self.tracer = tracer if tracer is not None else engine.tracer
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def parse_query(tokens: Sequence[str]) -> Tuple[QuerySpec, bool, bool]:
-        """Deprecated 3-tuple shim: ``(QuerySpec, members, json)``.
-
-        The shared grammar now lives in
-        :func:`repro.api.spec.parse_spec_tokens`, which folds the
-        response mode into ``spec.mode``; this wrapper keeps the
-        pre-PR-4 3-tuple shape for callers that still unpack it.
-        """
-        spec, members = parse_spec_tokens(tokens)
-        return spec, members, spec.mode == "json"
-
     @staticmethod
     def parse_query_line(rest: str) -> Tuple[QuerySpec, bool]:
         """Parse everything after ``query ``: ``(QuerySpec, members)``.

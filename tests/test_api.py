@@ -15,7 +15,6 @@ import pytest
 
 import repro
 from repro.api import (
-    FamilyKey,
     QuerySpec,
     ResultSet,
     parse_spec_tokens,
@@ -23,7 +22,7 @@ from repro.api import (
 )
 from repro.errors import QueryParameterError, ServiceError
 from repro.graph.builder import graph_from_arrays
-from repro.service import GraphRegistry, QueryEngine, ResultCache, TopKQuery
+from repro.service import GraphRegistry, QueryEngine, ResultCache
 
 
 def layered_cliques(num_cliques=6):
@@ -64,7 +63,7 @@ class TestQuerySpecValidation:
             dict(graph="g", gamma=0),
             dict(graph="g", delta=1.0),
             dict(graph="g", algorithm="quantum"),
-            dict(graph="g", kernel="fortran"),
+            dict(graph="g", tenant=""),
             dict(graph="g", cohesion="clique"),
             dict(graph="g", mode="xml"),
             dict(graph="g", cohesion="truss", algorithm="localsearch"),
@@ -75,11 +74,6 @@ class TestQuerySpecValidation:
     def test_invalid_specs_raise(self, params):
         with pytest.raises(QueryParameterError):
             QuerySpec(**params)
-
-    def test_topkquery_is_a_deprecation_alias(self):
-        assert TopKQuery is QuerySpec
-        legacy = TopKQuery(graph="g", gamma=3, k=2, algorithm="forward")
-        assert isinstance(legacy, QuerySpec)
 
 
 class TestResolution:
@@ -105,21 +99,17 @@ class TestCacheKey:
         b = QuerySpec(graph="g", gamma=3, k=50, mode="json")
         assert a.cache_key() == b.cache_key()
 
-    def test_kernel_is_part_of_the_family(self):
-        a = QuerySpec(graph="g", gamma=3, kernel="python")
-        b = QuerySpec(graph="g", gamma=3, kernel="array")
-        assert a.cache_key() != b.cache_key()
-        assert a.cache_key().kernel == "python"
-
     def test_default_kernel_matches_explicit_resolved(self, monkeypatch):
+        # The kernel is process configuration: an explicit kernel=array
+        # argument is checked and dropped, so it names the same spec and
+        # family as no kernel at all, and the engine runs array.
         monkeypatch.setenv("REPRO_KERNEL", "array")
-        a = QuerySpec(graph="g", gamma=3)
-        b = QuerySpec(graph="g", gamma=3, kernel="array")
-        assert a.cache_key() == b.cache_key()
-
-    def test_non_kernel_algorithms_key_kernel_none(self):
-        spec = QuerySpec(graph="g", algorithm="backward")
-        assert spec.cache_key() == FamilyKey("g", 10, "backward", 2.0, None)
+        explicit, _ = parse_spec_tokens(["g", "gamma=3", "kernel=array"])
+        default = QuerySpec(graph="g", gamma=3)
+        assert explicit == default
+        assert explicit.cache_key() == default.cache_key()
+        engine = QueryEngine(GraphRegistry(preload_datasets=False))
+        assert engine.kernel == "array"
 
     def test_equivalent_nc_spellings_share_a_family(self):
         explicit = QuerySpec(graph="g", algorithm="noncontainment")
@@ -131,7 +121,7 @@ class TestWireCodec:
     def test_round_trip_is_identity_and_byte_stable(self):
         spec = QuerySpec(
             graph="email", gamma=5, k=3, algorithm="localsearch-p",
-            delta=3.0, kernel="array", mode="json",
+            delta=3.0, mode="json",
         )
         wire = spec.to_wire()
         again = QuerySpec.from_wire(wire)
@@ -179,9 +169,8 @@ class TestTokenGrammar:
 
     def test_new_keys_parse(self):
         spec, _ = parse_spec_tokens(
-            ["g", "kernel=python", "cohesion=core", "containment=false", "json"]
+            ["g", "cohesion=core", "containment=false", "json"]
         )
-        assert spec.kernel == "python"
         assert not spec.containment
         assert spec.mode == "json"
 
@@ -199,15 +188,6 @@ class TestTokenGrammar:
     def test_bad_boolean_is_reported(self):
         with pytest.raises(QueryParameterError, match="not a boolean"):
             parse_spec_tokens(["g", "containment=maybe"])
-
-    def test_parse_query_shim_keeps_the_3_tuple(self):
-        from repro.service import ServiceShell
-
-        spec, members, as_json = ServiceShell.parse_query(
-            ["g", "k=2", "json", "members"]
-        )
-        assert isinstance(spec, QuerySpec)
-        assert members and as_json
 
     def test_wire_request_carries_members_next_to_the_spec(self):
         spec, members = parse_wire_query(
@@ -272,8 +252,11 @@ class TestResultSet:
         influences = [v.influence for v in streamed]
         assert influences == sorted(influences, reverse=True)
 
-    def test_stats_and_kernel_provenance(self, facade):
-        rs = facade.topk(QuerySpec(graph="cliques", gamma=3, k=2, kernel="python"))
+    def test_stats_and_kernel_provenance(self, registry, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        rs = repro.open(registry=registry).topk(
+            QuerySpec(graph="cliques", gamma=3, k=2)
+        )
         assert rs.kernel == "python"
         stats = rs.stats
         assert stats["source"] == "cold"
@@ -328,10 +311,6 @@ class TestLocalFacade:
             facade.graph("cliques").topk(
                 QuerySpec(graph="cliques"), k=2
             )
-
-    def test_engine_kwargs_shim(self, facade):
-        result = facade.engine.execute(graph="cliques", gamma=3, k=2)
-        assert len(result.communities) == 2
 
 
 class TestRemoteFacade:

@@ -1,6 +1,10 @@
-"""Unit tests for GraphBuilder: tie policies, loops, parallel edges."""
+"""Unit tests for GraphBuilder: tie policies, loops, parallel edges,
+and the rejection of non-finite vertex weights on every load path."""
 
 from __future__ import annotations
+
+import io
+import math
 
 import pytest
 
@@ -10,6 +14,9 @@ from repro.errors import (
     SelfLoopError,
 )
 from repro.graph.builder import GraphBuilder, graph_from_arrays
+from repro.graph.io import load_npz, load_snap_graph
+from repro.graph.weighted_graph import WeightedGraph
+from repro.service import GraphRegistry, QueryEngine, ServiceShell, SessionManager
 
 
 class TestBasics:
@@ -133,3 +140,66 @@ class TestGraphFromArrays:
         assert g.neighbors_up(4) == [0, 1, 2, 3]
         for u in range(4):
             assert g.neighbors_down(u) == [4]
+
+
+def _edges_and_weights_files(tmp_path, value):
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n1 2\n")
+    weights = tmp_path / "g.weights"
+    weights.write_text(f"0 3.0\n1 {value!r}\n2 1.0\n")
+    return str(edges), str(weights)
+
+
+def _via_builder(tmp_path, value):
+    graph_from_arrays(3, [(0, 1), (1, 2)], weights=[3.0, value, 1.0])
+
+
+def _via_weights_file(tmp_path, value):
+    load_snap_graph(*_edges_and_weights_files(tmp_path, value))
+
+
+def _via_npz_file(tmp_path, value):
+    np = pytest.importorskip("numpy")
+    path = tmp_path / "g.npz"
+    np.savez_compressed(
+        path,
+        edges=np.array([[0, 1], [1, 2]]),
+        weights=np.array([3.0, value, 1.0]),
+        labels=np.array([0, 1, 2]),
+    )
+    load_npz(path)
+
+
+def _via_rank_ordered(tmp_path, value):
+    with pytest.raises(GraphConstructionError):
+        WeightedGraph([value], [[]], [[]])
+    WeightedGraph.from_csr(graph_from_arrays(1, []).csr(), [value])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "load",
+    [
+        _via_builder,
+        _via_weights_file,
+        _via_npz_file,
+        _via_rank_ordered,
+    ],
+    ids=["builder", "weights-file", "npz-file", "rank-ordered"],
+)
+def test_non_finite_vertex_weights_are_rejected(tmp_path, load, value):
+    with pytest.raises(GraphConstructionError, match="finite"):
+        load(tmp_path, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_shell_load_answers_non_finite_weights_with_a_typed_error(
+    tmp_path, value
+):
+    registry = GraphRegistry(preload_datasets=False)
+    out = io.StringIO()
+    shell = ServiceShell(QueryEngine(registry), SessionManager(registry), out)
+    edges, weights = _edges_and_weights_files(tmp_path, value)
+    assert shell.execute_line(f"load g {edges} {weights}")
+    (line,) = out.getvalue().splitlines()
+    assert line.startswith("error: ") and "non-finite" in line

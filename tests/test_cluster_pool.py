@@ -303,7 +303,7 @@ def test_replica_routing_keeps_round_robin_when_all_idle():
 # ----------------------------------------------------------------------
 def test_by_family_aggregates_hit_rate_and_percentiles():
     metrics = ServiceMetrics()
-    family = QuerySpec(graph="g", gamma=3, k=5, kernel="array").cache_key()
+    family = QuerySpec(graph="g", gamma=3, k=5).cache_key()
     metrics.observe_query("localsearch-p", 10.0, "cold", family=family)
     metrics.observe_query("localsearch-p", 1.0, "cache", family=family)
     metrics.observe_query("localsearch-p", 2.0, "extended", family=family)

@@ -156,12 +156,10 @@ def test_release_all_is_the_shutdown_backstop():
 # ----------------------------------------------------------------------
 # byte-identical community streams across execution paths
 # ----------------------------------------------------------------------
-def _stream_oracle(graph, gamma, k, kernel=None):
+def _stream_oracle(graph, gamma, k):
     registry = _registry_with(graph)
     engine = QueryEngine(registry, cache=ResultCache(8))
-    return engine.execute(
-        QuerySpec(graph="g", gamma=gamma, k=k, kernel=kernel)
-    )
+    return engine.execute(QuerySpec(graph="g", gamma=gamma, k=k))
 
 
 @needs_mp

@@ -11,12 +11,14 @@ asyncio transport and ReproClient.
 from __future__ import annotations
 
 import asyncio
+import importlib
 import io
 import json
 
 import pytest
 
-from repro.core.fastpeel import resolve_kernel
+from repro.api import KERNEL_ALGORITHMS, QuerySpec
+from repro.core.fastpeel import KERNELS, resolve_kernel
 from repro.core.progressive import LocalSearchP
 from repro.graph.builder import graph_from_arrays
 from repro.server import ReproClient, ReproServer
@@ -27,7 +29,6 @@ from repro.service import (
     ServiceMetrics,
     ServiceShell,
     SessionManager,
-    TopKQuery,
 )
 
 
@@ -85,7 +86,7 @@ class TestKernelProvenance:
     def test_query_result_reports_kernel(self):
         registry = make_registry()
         engine = QueryEngine(registry, cache=ResultCache(4))
-        result = engine.execute(TopKQuery(graph="g", k=2, gamma=3))
+        result = engine.execute(QuerySpec(graph="g", k=2, gamma=3))
         assert result.kernel == resolve_kernel()
         assert result.to_dict()["kernel"] == result.kernel
 
@@ -97,6 +98,44 @@ class TestKernelProvenance:
         assert snap["by_kernel"] == {resolve_kernel(): 2}
         shell.execute_line("metrics")
         assert f"kernel[{resolve_kernel()}]" in out.getvalue()
+
+    @pytest.mark.parametrize(
+        "algorithm", ["localsearch", "forward", "onlineall", "backward"]
+    )
+    def test_only_kernel_algorithms_report_a_kernel(self, algorithm):
+        engine = QueryEngine(make_registry(), cache=None)
+        result = engine.execute(
+            QuerySpec(graph="g", k=2, gamma=3, algorithm=algorithm)
+        )
+        expected = engine.kernel if algorithm in KERNEL_ALGORITHMS else None
+        assert result.kernel == expected
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_forward_reports_the_kernel_construct_cvs_ran(
+        self, kernel, monkeypatch
+    ):
+        """Regression: ``forward`` used to report one kernel while its
+        global peel resolved another.  The engine resolves the kernel
+        once, when it is built; a later change of ``$REPRO_KERNEL``
+        must not split what runs from what is reported."""
+        forward_module = importlib.import_module("repro.baselines.forward")
+        original = forward_module.construct_cvs
+        ran = []
+
+        def spy(*args, **kwargs):
+            ran.append(resolve_kernel(kwargs.get("kernel")))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(forward_module, "construct_cvs", spy)
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        engine = QueryEngine(make_registry(), cache=None)
+        other = "python" if kernel != "python" else "array"
+        monkeypatch.setenv("REPRO_KERNEL", other)
+        result = engine.execute(
+            QuerySpec(graph="g", k=2, gamma=3, algorithm="forward")
+        )
+        assert ran == [resolve_kernel(kernel)]
+        assert result.kernel == ran[0]
 
 
 class TestAllocationFreeHits:
@@ -111,7 +150,7 @@ class TestAllocationFreeHits:
     def test_entry_serve_memoises_answers(self):
         registry = make_registry()
         engine = QueryEngine(registry, cache=ResultCache(4))
-        query = TopKQuery(graph="g", k=2, gamma=3)
+        query = QuerySpec(graph="g", k=2, gamma=3)
         cold = engine.execute(query)
         assert cold.source == "cold"
         hit1 = engine.execute(query)

@@ -277,7 +277,10 @@ class TestDifferentialProperty:
         return n, edges, weights, graph, model_e, model_w
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_overlay_matches_scratch_rebuild_per_kernel(self, kernel):
+    def test_overlay_matches_scratch_rebuild_per_kernel(
+        self, kernel, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
         n, edges, weights, graph, model_e, model_w = self._stream_setup(11)
         rng = random.Random(11)
         for batch in delta_stream(
@@ -286,15 +289,14 @@ class TestDifferentialProperty:
             graph, _, _ = apply_batch(graph, batch)
             apply_ops_to_model(model_e, model_w, batch.ops)
             oracle = _scratch(graph, model_e, model_w)
-            spec_live = QuerySpec(graph="live", gamma=2, k=5, kernel=kernel)
-            spec_oracle = QuerySpec(
-                graph="oracle", gamma=2, k=5, kernel=kernel
-            )
+            spec_live = QuerySpec(graph="live", gamma=2, k=5)
+            spec_oracle = QuerySpec(graph="oracle", gamma=2, k=5)
             reg = GraphRegistry(preload_datasets=False)
             live_graph, oracle_graph = graph, oracle
             reg.register("live", lambda g=live_graph: g)
             reg.register("oracle", lambda g=oracle_graph: g)
             engine = QueryEngine(reg)
+            assert engine.kernel == kernel
             got = engine.execute(spec_live)
             want = engine.execute(spec_oracle)
             assert [
@@ -549,11 +551,11 @@ class TestScopedInvalidation:
         )
         keep = CacheKey(
             graph="g", version=1, gamma=1, algorithm="forward",
-            delta=None, kernel=None,
+            delta=None,
         )
         drop = CacheKey(
             graph="g", version=1, gamma=2, algorithm="forward",
-            delta=None, kernel=None,
+            delta=None,
         )
         cache.put(keep, StaticEntry(views, True))
         low = (
@@ -569,7 +571,7 @@ class TestScopedInvalidation:
         migrated = cache.get(
             CacheKey(
                 graph="g", version=2, gamma=1, algorithm="forward",
-                delta=None, kernel=None,
+                delta=None,
             )
         )
         assert migrated is not None and migrated.views == views

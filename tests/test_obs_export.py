@@ -20,7 +20,7 @@ from repro.service.metrics import ServiceMetrics
 def family(graph="g", gamma=2):
     return FamilyKey(
         graph=graph, gamma=gamma, algorithm="localsearch-p",
-        delta=2.0, kernel="fastpeel",
+        delta=2.0,
     )
 
 

@@ -29,7 +29,7 @@ def k4():
 def family(graph="g", gamma=2, delta=2.0):
     return FamilyKey(
         graph=graph, gamma=gamma, algorithm="localsearch-p",
-        delta=delta, kernel="fastpeel",
+        delta=delta,
     )
 
 
@@ -224,7 +224,7 @@ class TestBounding:
 class TestFamilyLabel:
     def test_label_is_stable_and_json_safe(self):
         label = family_label(family())
-        assert label == "g|gamma=2|localsearch-p|delta=2|kernel=fastpeel"
+        assert label == "g|gamma=2|localsearch-p|delta=2"
         assert family_label(family()) == label
 
     def test_label_distinguishes_fields(self):

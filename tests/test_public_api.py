@@ -48,7 +48,6 @@ PUBLIC_SURFACE = sorted(
         "ResultCache",
         "SessionManager",
         "ServiceMetrics",
-        "TopKQuery",
         "QueryResult",
         "CommunityView",
         # errors

@@ -12,9 +12,10 @@ from __future__ import annotations
 import asyncio
 from typing import List, Tuple
 
+from repro.api import QuerySpec
 from repro.graph.builder import graph_from_arrays
 from repro.server import ReproClient, ReproServer
-from repro.service import GraphRegistry, QueryEngine, ServiceShell, TopKQuery
+from repro.service import GraphRegistry, QueryEngine, ServiceShell
 
 
 def layered_cliques(num_cliques=8):
@@ -70,7 +71,7 @@ def serial_reference(workload) -> List[List[str]]:
     engine = QueryEngine(make_registry(), cache=None)
     reference = []
     for graph, gamma, k, members in workload:
-        result = engine.execute(TopKQuery(graph=graph, gamma=gamma, k=k))
+        result = engine.execute(QuerySpec(graph=graph, gamma=gamma, k=k))
         reference.append(ServiceShell.render_result(result, members)[1:])
     return reference
 

@@ -7,9 +7,11 @@ exactly the prefix a serial, cache-free execution would have returned.
 from __future__ import annotations
 
 import asyncio
+import io
 
 import pytest
 
+from repro.api import QuerySpec, parse_spec_tokens
 from repro.errors import UnknownGraphError
 from repro.graph.builder import graph_from_arrays
 from repro.server import BatchScheduler, ShardPool
@@ -18,7 +20,8 @@ from repro.service import (
     QueryEngine,
     ResultCache,
     ServiceMetrics,
-    TopKQuery,
+    ServiceShell,
+    SessionManager,
 )
 
 
@@ -60,7 +63,7 @@ def test_concurrent_same_family_coalesces_to_one_pass(registry):
         scheduler, pool = make_scheduler(registry, metrics)
         try:
             ks = [1, 3, 5, 2, 4, 5]
-            queries = [TopKQuery(graph="cliques", gamma=3, k=k) for k in ks]
+            queries = [QuerySpec(graph="cliques", gamma=3, k=k) for k in ks]
             results = await asyncio.gather(
                 *(scheduler.submit(q) for q in queries)
             )
@@ -87,8 +90,8 @@ def test_different_families_do_not_coalesce(registry):
         scheduler, pool = make_scheduler(registry)
         try:
             results = await asyncio.gather(
-                scheduler.submit(TopKQuery(graph="cliques", gamma=3, k=2)),
-                scheduler.submit(TopKQuery(graph="cliques", gamma=2, k=2)),
+                scheduler.submit(QuerySpec(graph="cliques", gamma=3, k=2)),
+                scheduler.submit(QuerySpec(graph="cliques", gamma=2, k=2)),
             )
         finally:
             pool.shutdown()
@@ -103,7 +106,7 @@ def test_max_batch_splits_large_bursts(registry):
         scheduler, pool = make_scheduler(registry, max_batch=2)
         try:
             queries = [
-                TopKQuery(graph="cliques", gamma=3, k=k) for k in (1, 2, 3, 4, 5)
+                QuerySpec(graph="cliques", gamma=3, k=k) for k in (1, 2, 3, 4, 5)
             ]
             results = await asyncio.gather(
                 *(scheduler.submit(q) for q in queries)
@@ -124,7 +127,7 @@ def test_serial_traffic_is_width_one_and_undelayed(registry):
         try:
             for k in (2, 4, 1):
                 result = await scheduler.submit(
-                    TopKQuery(graph="cliques", gamma=3, k=k)
+                    QuerySpec(graph="cliques", gamma=3, k=k)
                 )
                 assert len(result.communities) == k
         finally:
@@ -141,8 +144,8 @@ def test_followers_complete_flag_tracks_their_own_k(registry):
         try:
             # 6 cliques -> 6 communities total; k=10 exhausts the stream.
             big, small = await asyncio.gather(
-                scheduler.submit(TopKQuery(graph="cliques", gamma=3, k=10)),
-                scheduler.submit(TopKQuery(graph="cliques", gamma=3, k=2)),
+                scheduler.submit(QuerySpec(graph="cliques", gamma=3, k=10)),
+                scheduler.submit(QuerySpec(graph="cliques", gamma=3, k=2)),
             )
         finally:
             pool.shutdown()
@@ -159,8 +162,8 @@ def test_errors_propagate_to_every_waiter(registry):
         scheduler, pool = make_scheduler(registry)
         try:
             results = await asyncio.gather(
-                scheduler.submit(TopKQuery(graph="missing", gamma=3, k=2)),
-                scheduler.submit(TopKQuery(graph="missing", gamma=3, k=4)),
+                scheduler.submit(QuerySpec(graph="missing", gamma=3, k=2)),
+                scheduler.submit(QuerySpec(graph="missing", gamma=3, k=4)),
                 return_exceptions=True,
             )
         finally:
@@ -177,7 +180,7 @@ def test_queue_depth_returns_to_zero(registry):
         try:
             await asyncio.gather(
                 *(
-                    scheduler.submit(TopKQuery(graph="cliques", gamma=3, k=k))
+                    scheduler.submit(QuerySpec(graph="cliques", gamma=3, k=k))
                     for k in (1, 2, 3)
                 )
             )
@@ -201,57 +204,44 @@ def test_validation():
         pool.shutdown()
 
 
-def test_kernel_is_part_of_the_coalesce_key(registry):
-    """Regression: the pre-QuerySpec BatchKey ignored the peel kernel,
-    so a kernel=python query could be sliced from another kernel's
-    engine pass and report that kernel's provenance.  The spec's
-    cache_key() folds the resolved kernel in: different kernels never
-    share a pass, and each waiter's QueryResult.kernel is its own."""
+def test_kernel_spellings_share_one_pass_and_one_entry(registry):
+    """The peel kernel is process configuration, not query identity.
+
+    ``kernel=python``, ``kernel=array`` and no kernel at all name one
+    family: they coalesce onto one engine pass, fill one cache entry,
+    and each result reports the engine's own kernel.  An unknown kernel
+    is still a typed ``error:`` line."""
 
     async def main():
         scheduler, pool = make_scheduler(registry)
         try:
-            python_q = TopKQuery(graph="cliques", gamma=3, k=2, kernel="python")
-            array_q = TopKQuery(graph="cliques", gamma=3, k=4, kernel="array")
-            assert scheduler.key_for(python_q) != scheduler.key_for(array_q)
-            py_result, arr_result = await asyncio.gather(
-                scheduler.submit(python_q),
-                scheduler.submit(array_q),
-            )
-        finally:
-            pool.shutdown()
-        # Two families -> two engine passes, nothing coalesced across.
-        assert scheduler.stats.batches == 2
-        assert py_result.source == "cold" and arr_result.source == "cold"
-        # Provenance is exact per waiter, not inherited from a lead.
-        assert py_result.kernel == "python"
-        assert arr_result.kernel == "array"
-        # ... and the answers are byte-identical anyway (differential
-        # kernel equivalence), so only provenance was ever at stake.
-        assert py_result.communities == arr_result.communities[:2]
-
-    asyncio.run(main())
-
-
-def test_same_kernel_spellings_do_coalesce(registry, monkeypatch):
-    """kernel=None under REPRO_KERNEL=array and an explicit
-    kernel=array resolve to the same family and share one pass."""
-    monkeypatch.setenv("REPRO_KERNEL", "array")
-
-    async def main():
-        metrics = ServiceMetrics()
-        scheduler, pool = make_scheduler(registry, metrics)
-        try:
-            implicit = TopKQuery(graph="cliques", gamma=3, k=2)
-            explicit = TopKQuery(graph="cliques", gamma=3, k=4, kernel="array")
-            assert scheduler.key_for(implicit) == scheduler.key_for(explicit)
+            specs = [
+                parse_spec_tokens(line.split())[0]
+                for line in (
+                    "cliques gamma=3 k=2 kernel=python",
+                    "cliques gamma=3 k=4 kernel=array",
+                    "cliques gamma=3 k=3",
+                )
+            ]
+            assert len({scheduler.key_for(spec) for spec in specs}) == 1
             results = await asyncio.gather(
-                scheduler.submit(implicit), scheduler.submit(explicit)
+                *(scheduler.submit(spec) for spec in specs)
             )
         finally:
             pool.shutdown()
-        assert scheduler.stats.batches == 1
-        assert sorted(r.source for r in results) == ["coalesced", "cold"]
-        assert all(r.kernel == "array" for r in results)
+        return scheduler.engine, results
 
-    asyncio.run(main())
+    engine, results = asyncio.run(main())
+    assert sorted(r.source for r in results) == ["coalesced", "coalesced", "cold"]
+    assert len(engine.cache) == 1
+    assert all(r.kernel == engine.kernel for r in results)
+    for result in results:
+        assert result.communities == reference_views(registry, result.query)
+
+    out = io.StringIO()
+    shell = ServiceShell(engine, SessionManager(registry), out)
+    shell.execute_line("query cliques gamma=3 k=2 kernel=fortran")
+    assert out.getvalue().splitlines() == [
+        "error: unknown kernel 'fortran'; "
+        "choose from auto, python, array, numpy"
+    ]

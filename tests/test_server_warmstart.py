@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 
+from repro.api import QuerySpec
 from repro.graph.builder import graph_from_arrays
 from repro.server import WarmStart
 from repro.service import (
     GraphRegistry,
     QueryEngine,
     ResultCache,
-    TopKQuery,
 )
 from repro.service.cache import ProgressiveEntry
 
@@ -36,7 +36,7 @@ def test_progressive_roundtrip_serves_identical_views(tmp_path):
     registry = make_registry()
     cache = ResultCache()
     engine = QueryEngine(registry, cache=cache)
-    original = engine.execute(TopKQuery(graph="cliques", gamma=3, k=4))
+    original = engine.execute(QuerySpec(graph="cliques", gamma=3, k=4))
     assert WarmStart(str(path)).save(cache, registry) == 1
 
     registry2 = make_registry()
@@ -46,17 +46,47 @@ def test_progressive_roundtrip_serves_identical_views(tmp_path):
     engine2 = QueryEngine(registry2, cache=cache2)
 
     # Prefix: pure slice, byte-identical, no recomputation.
-    warm = engine2.execute(TopKQuery(graph="cliques", gamma=3, k=3))
+    warm = engine2.execute(QuerySpec(graph="cliques", gamma=3, k=3))
     assert warm.source == "cache"
     assert warm.communities == original.communities[:3]
 
     # Extension beyond the snapshot: rebuilt cursor, identical stream.
-    extended = engine2.execute(TopKQuery(graph="cliques", gamma=3, k=6))
+    extended = engine2.execute(QuerySpec(graph="cliques", gamma=3, k=6))
     assert extended.source == "extended"
     reference = QueryEngine(registry2, cache=None).execute(
-        TopKQuery(graph="cliques", gamma=3, k=6)
+        QuerySpec(graph="cliques", gamma=3, k=6)
     )
     assert extended.communities == reference.communities
+
+
+def test_kernel_rows_of_one_family_restore_one_entry(tmp_path):
+    """A format-2 snapshot from when the peel kernel was part of the
+    cache identity can hold one row per kernel for the same family.
+    The kernel field is ignored on load, the first row is restored and
+    the later one is skipped by the no-clobber check."""
+    path = tmp_path / "snap.json"
+    registry = make_registry()
+    cache = ResultCache()
+    engine = QueryEngine(registry, cache=cache)
+    original = engine.execute(QuerySpec(graph="cliques", gamma=3, k=4))
+    WarmStart(str(path)).save(cache, registry)
+    document = json.loads(path.read_text())
+    (row,) = document["entries"]
+    assert "kernel" not in row
+    python_row = dict(row, kernel="python")
+    array_row = dict(row, kernel="array", views=row["views"][:2])
+    document["entries"] = [python_row, array_row]
+    path.write_text(json.dumps(document))
+
+    registry2 = make_registry()
+    cache2 = ResultCache()
+    assert WarmStart(str(path)).load(cache2, registry2) == 1
+    assert len(cache2) == 1
+    warm = QueryEngine(registry2, cache=cache2).execute(
+        QuerySpec(graph="cliques", gamma=3, k=4)
+    )
+    assert warm.source == "cache"
+    assert warm.communities == original.communities
 
 
 def test_exhausted_entry_restores_as_complete(tmp_path):
@@ -64,7 +94,7 @@ def test_exhausted_entry_restores_as_complete(tmp_path):
     registry = make_registry()
     cache = ResultCache()
     engine = QueryEngine(registry, cache=cache)
-    result = engine.execute(TopKQuery(graph="cliques", gamma=3, k=50))
+    result = engine.execute(QuerySpec(graph="cliques", gamma=3, k=50))
     assert result.complete and len(result.communities) == 6
     WarmStart(str(path)).save(cache, registry)
 
@@ -72,7 +102,7 @@ def test_exhausted_entry_restores_as_complete(tmp_path):
     cache2 = ResultCache()
     WarmStart(str(path)).load(cache2, registry2)
     engine2 = QueryEngine(registry2, cache=cache2)
-    again = engine2.execute(TopKQuery(graph="cliques", gamma=3, k=50))
+    again = engine2.execute(QuerySpec(graph="cliques", gamma=3, k=50))
     assert again.source == "cache"
     assert again.complete
     assert again.communities == result.communities
@@ -84,7 +114,7 @@ def test_static_entry_roundtrip(tmp_path):
     cache = ResultCache()
     engine = QueryEngine(registry, cache=cache)
     original = engine.execute(
-        TopKQuery(graph="cliques", gamma=3, k=4, algorithm="onlineall")
+        QuerySpec(graph="cliques", gamma=3, k=4, algorithm="onlineall")
     )
     WarmStart(str(path)).save(cache, registry)
 
@@ -93,7 +123,7 @@ def test_static_entry_roundtrip(tmp_path):
     assert WarmStart(str(path)).load(cache2, registry2) == 1
     engine2 = QueryEngine(registry2, cache=cache2)
     warm = engine2.execute(
-        TopKQuery(graph="cliques", gamma=3, k=4, algorithm="onlineall")
+        QuerySpec(graph="cliques", gamma=3, k=4, algorithm="onlineall")
     )
     assert warm.source == "cache"
     assert warm.communities == original.communities
@@ -106,7 +136,7 @@ def test_stale_graph_version_boots_cold(tmp_path):
     registry.reload("cliques")  # version 2: snapshot keys on v2
     cache = ResultCache()
     engine = QueryEngine(registry, cache=cache)
-    engine.execute(TopKQuery(graph="cliques", gamma=3, k=3))
+    engine.execute(QuerySpec(graph="cliques", gamma=3, k=3))
     WarmStart(str(path)).save(cache, registry)
 
     registry2 = make_registry()  # fresh: first build is version 1 != 2
@@ -120,7 +150,7 @@ def test_unregistered_graph_is_skipped(tmp_path):
     registry = make_registry()
     cache = ResultCache()
     QueryEngine(registry, cache=cache).execute(
-        TopKQuery(graph="cliques", gamma=3, k=2)
+        QuerySpec(graph="cliques", gamma=3, k=2)
     )
     WarmStart(str(path)).save(cache, registry)
 
@@ -134,7 +164,7 @@ def test_live_entries_are_never_clobbered(tmp_path):
     registry = make_registry()
     cache = ResultCache()
     engine = QueryEngine(registry, cache=cache)
-    engine.execute(TopKQuery(graph="cliques", gamma=3, k=2))
+    engine.execute(QuerySpec(graph="cliques", gamma=3, k=2))
     WarmStart(str(path)).save(cache, registry)
 
     # Same registry/cache: the key already holds a live entry.
@@ -165,7 +195,7 @@ def test_malformed_entry_does_not_spoil_the_rest(tmp_path):
     registry = make_registry()
     cache = ResultCache()
     QueryEngine(registry, cache=cache).execute(
-        TopKQuery(graph="cliques", gamma=3, k=2)
+        QuerySpec(graph="cliques", gamma=3, k=2)
     )
     WarmStart(str(path)).save(cache, registry)
     document = json.loads(path.read_text(encoding="utf-8"))
@@ -182,7 +212,7 @@ def test_save_is_atomic_over_previous_snapshot(tmp_path):
     registry = make_registry()
     cache = ResultCache()
     QueryEngine(registry, cache=cache).execute(
-        TopKQuery(graph="cliques", gamma=3, k=2)
+        QuerySpec(graph="cliques", gamma=3, k=2)
     )
     warm = WarmStart(str(path))
     warm.save(cache, registry)
@@ -197,7 +227,7 @@ def test_restored_entry_respects_max_cached_k(tmp_path):
     registry = make_registry()
     cache = ResultCache()
     engine = QueryEngine(registry, cache=cache)
-    engine.execute(TopKQuery(graph="cliques", gamma=3, k=5))
+    engine.execute(QuerySpec(graph="cliques", gamma=3, k=5))
     WarmStart(str(path)).save(cache, registry)
 
     registry2 = make_registry()
@@ -206,7 +236,7 @@ def test_restored_entry_respects_max_cached_k(tmp_path):
     entry = cache2.get(cache2.keys()[0])
     assert isinstance(entry, ProgressiveEntry)
     engine2 = QueryEngine(registry2, cache=cache2)
-    result = engine2.execute(TopKQuery(graph="cliques", gamma=3, k=5))
+    result = engine2.execute(QuerySpec(graph="cliques", gamma=3, k=5))
     assert len(result.communities) == 5
     # Served in full, but retention honours the cap.
     assert entry.materialized == 2
@@ -217,7 +247,7 @@ def test_restored_static_entry_respects_max_cached_k(tmp_path):
     registry = make_registry()
     cache = ResultCache()
     QueryEngine(registry, cache=cache).execute(
-        TopKQuery(graph="cliques", gamma=3, k=5, algorithm="localsearch")
+        QuerySpec(graph="cliques", gamma=3, k=5, algorithm="localsearch")
     )
     WarmStart(str(path)).save(cache, registry)
 
@@ -229,11 +259,11 @@ def test_restored_static_entry_respects_max_cached_k(tmp_path):
     assert not entry.complete
     # Within the retained prefix: still a byte-identical hit.
     warm = QueryEngine(registry2, cache=cache2).execute(
-        TopKQuery(graph="cliques", gamma=3, k=2, algorithm="localsearch")
+        QuerySpec(graph="cliques", gamma=3, k=2, algorithm="localsearch")
     )
     assert warm.source == "cache"
     reference = QueryEngine(registry2, cache=None).execute(
-        TopKQuery(graph="cliques", gamma=3, k=2, algorithm="localsearch")
+        QuerySpec(graph="cliques", gamma=3, k=2, algorithm="localsearch")
     )
     assert warm.communities == reference.communities
 
@@ -245,7 +275,7 @@ def test_changed_data_same_version_boots_cold(tmp_path):
     registry = make_registry()
     cache = ResultCache()
     QueryEngine(registry, cache=cache).execute(
-        TopKQuery(graph="cliques", gamma=3, k=3)
+        QuerySpec(graph="cliques", gamma=3, k=3)
     )
     WarmStart(str(path)).save(cache, registry)
 
@@ -261,7 +291,7 @@ def test_entries_stale_in_process_are_not_saved(tmp_path):
     registry = make_registry()
     cache = ResultCache()
     engine = QueryEngine(registry, cache=cache)
-    engine.execute(TopKQuery(graph="cliques", gamma=3, k=2))  # keyed v1
+    engine.execute(QuerySpec(graph="cliques", gamma=3, k=2))  # keyed v1
     registry.reload("cliques")  # now v2: the cached entry is stale
     assert WarmStart(str(path)).save(cache, registry) == 0
 
@@ -279,7 +309,7 @@ class TestPeriodicSnapshots:
         ws = WarmStart(str(path), snapshot_interval=0.05)
         assert ws.start_periodic(cache, registry)
         try:
-            engine.execute(TopKQuery(graph="cliques", gamma=3, k=4))
+            engine.execute(QuerySpec(graph="cliques", gamma=3, k=4))
             deadline = time.monotonic() + 10.0
             while not path.exists() and time.monotonic() < deadline:
                 time.sleep(0.02)
@@ -293,7 +323,7 @@ class TestPeriodicSnapshots:
         cache2 = ResultCache()
         assert WarmStart(str(path)).load(cache2, registry2) >= 1
         warm = QueryEngine(registry2, cache=cache2).execute(
-            TopKQuery(graph="cliques", gamma=3, k=4)
+            QuerySpec(graph="cliques", gamma=3, k=4)
         )
         assert warm.source == "cache"
 

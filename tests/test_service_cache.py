@@ -11,13 +11,13 @@ import json
 
 import pytest
 
+from repro.api import QuerySpec
 from repro.graph.builder import graph_from_arrays
 from repro.service import (
     CacheKey,
     GraphRegistry,
     QueryEngine,
     ResultCache,
-    TopKQuery,
 )
 from repro.service.cache import ProgressiveEntry, StaticEntry
 
@@ -70,16 +70,16 @@ class TestPrefixReuseInvariant:
         fresh_engine = QueryEngine(registry, cache=None)
 
         big = cached_engine.execute(
-            TopKQuery(graph="cliques", gamma=3, k=6, algorithm=algorithm)
+            QuerySpec(graph="cliques", gamma=3, k=6, algorithm=algorithm)
         )
         assert big.source == "cold"
 
         served = cached_engine.execute(
-            TopKQuery(graph="cliques", gamma=3, k=k_prime, algorithm=algorithm)
+            QuerySpec(graph="cliques", gamma=3, k=k_prime, algorithm=algorithm)
         )
         assert served.source == "cache"
         fresh = fresh_engine.execute(
-            TopKQuery(graph="cliques", gamma=3, k=k_prime, algorithm=algorithm)
+            QuerySpec(graph="cliques", gamma=3, k=k_prime, algorithm=algorithm)
         )
         assert fresh.source == "cold"
         assert communities_json(served) == communities_json(fresh)
@@ -89,23 +89,23 @@ class TestPrefixReuseInvariant:
         cached_engine = QueryEngine(registry, cache=ResultCache())
         fresh_engine = QueryEngine(registry, cache=None)
 
-        cached_engine.execute(TopKQuery(graph="cliques", gamma=3, k=2))
+        cached_engine.execute(QuerySpec(graph="cliques", gamma=3, k=2))
         extended = cached_engine.execute(
-            TopKQuery(graph="cliques", gamma=3, k=5)
+            QuerySpec(graph="cliques", gamma=3, k=5)
         )
         assert extended.source == "extended"
-        fresh = fresh_engine.execute(TopKQuery(graph="cliques", gamma=3, k=5))
+        fresh = fresh_engine.execute(QuerySpec(graph="cliques", gamma=3, k=5))
         assert communities_json(extended) == communities_json(fresh)
 
     def test_extension_does_not_recompute_prefix(self, registry):
         """The resumed cursor's searcher never re-peels earlier prefixes."""
         engine = QueryEngine(registry, cache=ResultCache())
-        engine.execute(TopKQuery(graph="cliques", gamma=3, k=2))
-        key = CacheKey.for_spec(TopKQuery(graph="cliques", gamma=3), version=1)
+        engine.execute(QuerySpec(graph="cliques", gamma=3, k=2))
+        key = CacheKey.for_spec(QuerySpec(graph="cliques", gamma=3), version=1)
         entry = engine.cache.get(key)
         assert isinstance(entry, ProgressiveEntry)
         rounds_before = entry.cursor.searcher.stats.rounds
-        engine.execute(TopKQuery(graph="cliques", gamma=3, k=6))
+        engine.execute(QuerySpec(graph="cliques", gamma=3, k=6))
         rounds_after = entry.cursor.searcher.stats.rounds
         # Resuming added rounds monotonically; prefixes stayed increasing
         # (a restart would reset to the small initial prefix).
@@ -118,13 +118,13 @@ class TestSources:
     def test_cold_then_cache_then_extended(self, registry):
         engine = QueryEngine(registry, cache=ResultCache())
         assert engine.execute(
-            TopKQuery(graph="two-k4s", gamma=3, k=1)
+            QuerySpec(graph="two-k4s", gamma=3, k=1)
         ).source == "cold"
         assert engine.execute(
-            TopKQuery(graph="two-k4s", gamma=3, k=1)
+            QuerySpec(graph="two-k4s", gamma=3, k=1)
         ).source == "cache"
         assert engine.execute(
-            TopKQuery(graph="two-k4s", gamma=3, k=2)
+            QuerySpec(graph="two-k4s", gamma=3, k=2)
         ).source == "extended"
         stats = engine.cache.stats
         assert (stats.misses, stats.hits, stats.extended) == (1, 1, 1)
@@ -132,10 +132,10 @@ class TestSources:
 
     def test_exhausted_cursor_serves_larger_k_from_cache(self, registry):
         engine = QueryEngine(registry, cache=ResultCache())
-        first = engine.execute(TopKQuery(graph="two-k4s", gamma=3, k=10))
+        first = engine.execute(QuerySpec(graph="two-k4s", gamma=3, k=10))
         assert len(first) == 2  # only two communities exist
         assert first.complete
-        again = engine.execute(TopKQuery(graph="two-k4s", gamma=3, k=50))
+        again = engine.execute(QuerySpec(graph="two-k4s", gamma=3, k=50))
         assert again.source == "cache"
         assert len(again) == 2
         assert again.complete
@@ -143,22 +143,22 @@ class TestSources:
     def test_static_algorithm_larger_k_is_a_miss(self, registry):
         engine = QueryEngine(registry, cache=ResultCache())
         engine.execute(
-            TopKQuery(graph="cliques", gamma=3, k=2, algorithm="localsearch")
+            QuerySpec(graph="cliques", gamma=3, k=2, algorithm="localsearch")
         )
         bigger = engine.execute(
-            TopKQuery(graph="cliques", gamma=3, k=4, algorithm="localsearch")
+            QuerySpec(graph="cliques", gamma=3, k=4, algorithm="localsearch")
         )
         assert bigger.source == "cold"
         # ... but the refreshed entry now serves the larger prefix.
         assert engine.execute(
-            TopKQuery(graph="cliques", gamma=3, k=4, algorithm="localsearch")
+            QuerySpec(graph="cliques", gamma=3, k=4, algorithm="localsearch")
         ).source == "cache"
 
     def test_different_gamma_is_a_different_entry(self, registry):
         engine = QueryEngine(registry, cache=ResultCache())
-        engine.execute(TopKQuery(graph="two-k4s", gamma=3, k=2))
+        engine.execute(QuerySpec(graph="two-k4s", gamma=3, k=2))
         assert engine.execute(
-            TopKQuery(graph="two-k4s", gamma=2, k=2)
+            QuerySpec(graph="two-k4s", gamma=2, k=2)
         ).source == "cold"
 
 
@@ -180,21 +180,21 @@ class TestLRUAndInvalidation:
 
     def test_reload_invalidates_via_version(self, registry):
         engine = QueryEngine(registry, cache=ResultCache())
-        engine.execute(TopKQuery(graph="two-k4s", gamma=3, k=2))
+        engine.execute(QuerySpec(graph="two-k4s", gamma=3, k=2))
         registry.reload("two-k4s")
-        result = engine.execute(TopKQuery(graph="two-k4s", gamma=3, k=2))
+        result = engine.execute(QuerySpec(graph="two-k4s", gamma=3, k=2))
         assert result.source == "cold"
         assert result.graph_version == 2
 
     def test_invalidate_graph(self, registry):
         engine = QueryEngine(registry, cache=ResultCache())
-        engine.execute(TopKQuery(graph="two-k4s", gamma=3, k=2))
-        engine.execute(TopKQuery(graph="cliques", gamma=3, k=2))
+        engine.execute(QuerySpec(graph="two-k4s", gamma=3, k=2))
+        engine.execute(QuerySpec(graph="cliques", gamma=3, k=2))
         dropped = engine.cache.invalidate_graph("two-k4s")
         assert dropped == 1
         assert len(engine.cache) == 1
         assert engine.execute(
-            TopKQuery(graph="two-k4s", gamma=3, k=2)
+            QuerySpec(graph="two-k4s", gamma=3, k=2)
         ).source == "cold"
 
 
@@ -215,9 +215,9 @@ class TestKTruncationPolicy:
 
     def test_served_in_full_but_retained_capped(self, registry):
         engine = QueryEngine(registry, cache=ResultCache(max_cached_k=3))
-        big = engine.execute(TopKQuery(graph="cliques", gamma=3, k=6))
+        big = engine.execute(QuerySpec(graph="cliques", gamma=3, k=6))
         assert len(big) == 6
-        key = CacheKey.for_spec(TopKQuery(graph="cliques", gamma=3), version=1)
+        key = CacheKey.for_spec(QuerySpec(graph="cliques", gamma=3), version=1)
         entry = engine.cache.get(key)
         assert isinstance(entry, ProgressiveEntry)
         assert entry.materialized == 3
@@ -227,26 +227,26 @@ class TestKTruncationPolicy:
     def test_prefix_within_cap_is_a_hit_beyond_recomputes(self, registry):
         capped = QueryEngine(registry, cache=ResultCache(max_cached_k=3))
         fresh = QueryEngine(registry, cache=None)
-        capped.execute(TopKQuery(graph="cliques", gamma=3, k=6))
+        capped.execute(QuerySpec(graph="cliques", gamma=3, k=6))
 
-        small = capped.execute(TopKQuery(graph="cliques", gamma=3, k=2))
+        small = capped.execute(QuerySpec(graph="cliques", gamma=3, k=2))
         assert small.source == "cache"
         assert communities_json(small) == communities_json(
-            fresh.execute(TopKQuery(graph="cliques", gamma=3, k=2))
+            fresh.execute(QuerySpec(graph="cliques", gamma=3, k=2))
         )
 
         # Beyond the cap: the factory rebuilds a cursor and the stream
         # (deterministic) reproduces the identical answer.
-        large = capped.execute(TopKQuery(graph="cliques", gamma=3, k=5))
+        large = capped.execute(QuerySpec(graph="cliques", gamma=3, k=5))
         assert large.source == "extended"
         assert communities_json(large) == communities_json(
-            fresh.execute(TopKQuery(graph="cliques", gamma=3, k=5))
+            fresh.execute(QuerySpec(graph="cliques", gamma=3, k=5))
         )
 
     def test_queries_within_cap_never_truncate(self, registry):
         engine = QueryEngine(registry, cache=ResultCache(max_cached_k=10))
-        engine.execute(TopKQuery(graph="cliques", gamma=3, k=4))
-        key = CacheKey.for_spec(TopKQuery(graph="cliques", gamma=3), version=1)
+        engine.execute(QuerySpec(graph="cliques", gamma=3, k=4))
+        key = CacheKey.for_spec(QuerySpec(graph="cliques", gamma=3), version=1)
         entry = engine.cache.get(key)
         assert entry.materialized == 4
         assert entry.cursor is not None  # still resumable in place
@@ -254,11 +254,11 @@ class TestKTruncationPolicy:
     def test_static_entries_stored_pre_truncated(self, registry):
         engine = QueryEngine(registry, cache=ResultCache(max_cached_k=2))
         first = engine.execute(
-            TopKQuery(graph="cliques", gamma=3, k=4, algorithm="localsearch")
+            QuerySpec(graph="cliques", gamma=3, k=4, algorithm="localsearch")
         )
         assert len(first) == 4  # the caller sees everything
         key = CacheKey.for_spec(
-            TopKQuery(graph="cliques", gamma=3, algorithm="localsearch"),
+            QuerySpec(graph="cliques", gamma=3, algorithm="localsearch"),
             version=1,
         )
         entry = engine.cache.get(key)
@@ -267,21 +267,21 @@ class TestKTruncationPolicy:
         assert not entry.complete
         # Within the retained prefix: still a byte-identical hit.
         again = engine.execute(
-            TopKQuery(graph="cliques", gamma=3, k=2, algorithm="localsearch")
+            QuerySpec(graph="cliques", gamma=3, k=2, algorithm="localsearch")
         )
         assert again.source == "cache"
         assert communities_json(again) == communities_json(
             QueryEngine(registry, cache=None).execute(
-                TopKQuery(graph="cliques", gamma=3, k=2, algorithm="localsearch")
+                QuerySpec(graph="cliques", gamma=3, k=2, algorithm="localsearch")
             )
         )
 
     def test_exhaustion_flag_survives_only_below_cap(self, registry):
         # two-k4s has exactly 2 communities; cap 3 never truncates them.
         engine = QueryEngine(registry, cache=ResultCache(max_cached_k=3))
-        done = engine.execute(TopKQuery(graph="two-k4s", gamma=3, k=10))
+        done = engine.execute(QuerySpec(graph="two-k4s", gamma=3, k=10))
         assert done.complete
-        again = engine.execute(TopKQuery(graph="two-k4s", gamma=3, k=50))
+        again = engine.execute(QuerySpec(graph="two-k4s", gamma=3, k=50))
         assert again.source == "cache"
         assert again.complete
 
@@ -289,10 +289,10 @@ class TestKTruncationPolicy:
         # 6 communities total, cap 5: the exhausting query is truncated
         # in retention but must still be reported complete.
         capped = QueryEngine(registry, cache=ResultCache(max_cached_k=5))
-        result = capped.execute(TopKQuery(graph="cliques", gamma=3, k=100))
+        result = capped.execute(QuerySpec(graph="cliques", gamma=3, k=100))
         assert len(result) == 6
         assert result.complete
         reference = QueryEngine(registry, cache=None).execute(
-            TopKQuery(graph="cliques", gamma=3, k=100)
+            QuerySpec(graph="cliques", gamma=3, k=100)
         )
         assert reference.complete

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.api import QuerySpec
 from repro.cli import main
 from repro.errors import QueryParameterError
 from repro.graph.builder import graph_from_arrays
@@ -16,7 +17,6 @@ from repro.service import (
     QueryEngine,
     ResultCache,
     ServiceMetrics,
-    TopKQuery,
 )
 from repro.service.metrics import percentile
 
@@ -58,7 +58,7 @@ def edge_file(tmp_path):
 class TestPlanner:
     def test_auto_resolves_to_progressive(self, registry):
         engine = QueryEngine(registry)
-        plan = engine.plan(TopKQuery(graph="g"))
+        plan = engine.plan(QuerySpec(graph="g"))
         assert plan.algorithm == "localsearch-p"
         assert plan.progressive
 
@@ -73,19 +73,19 @@ class TestPlanner:
             ("truss", False),
             ("noncontainment", False),
         ]:
-            plan = engine.plan(TopKQuery(graph="g", algorithm=algorithm))
+            plan = engine.plan(QuerySpec(graph="g", algorithm=algorithm))
             assert plan.algorithm == algorithm
             assert plan.progressive is progressive
 
     def test_invalid_query_parameters_raise(self):
         with pytest.raises(QueryParameterError):
-            TopKQuery(graph="g", k=0)
+            QuerySpec(graph="g", k=0)
         with pytest.raises(QueryParameterError):
-            TopKQuery(graph="g", gamma=0)
+            QuerySpec(graph="g", gamma=0)
         with pytest.raises(QueryParameterError):
-            TopKQuery(graph="g", delta=1.0)
+            QuerySpec(graph="g", delta=1.0)
         with pytest.raises(QueryParameterError):
-            TopKQuery(graph="g", algorithm="quantum")
+            QuerySpec(graph="g", algorithm="quantum")
 
 
 class TestDispatch:
@@ -97,7 +97,7 @@ class TestDispatch:
     def test_all_min_degree_algorithms_agree(self, registry, algorithm):
         engine = QueryEngine(registry, cache=ResultCache())
         result = engine.execute(
-            TopKQuery(graph="g", gamma=3, k=2, algorithm=algorithm)
+            QuerySpec(graph="g", gamma=3, k=2, algorithm=algorithm)
         )
         assert len(result) == 2
         assert list(result.influences) == sorted(
@@ -110,18 +110,18 @@ class TestDispatch:
     def test_truss_and_noncontainment_dispatch(self, registry):
         engine = QueryEngine(registry)
         truss = engine.execute(
-            TopKQuery(graph="g", gamma=4, k=1, algorithm="truss")
+            QuerySpec(graph="g", gamma=4, k=1, algorithm="truss")
         )
         assert truss.communities[0].size == 4
         nc = engine.execute(
-            TopKQuery(graph="g", gamma=3, k=2, algorithm="noncontainment")
+            QuerySpec(graph="g", gamma=3, k=2, algorithm="noncontainment")
         )
         assert len(nc) >= 1
 
     def test_result_serialises_deterministically(self, registry):
         engine = QueryEngine(registry)
-        a = engine.execute(TopKQuery(graph="g", gamma=3, k=2))
-        b = engine.execute(TopKQuery(graph="g", gamma=3, k=2))
+        a = engine.execute(QuerySpec(graph="g", gamma=3, k=2))
+        b = engine.execute(QuerySpec(graph="g", gamma=3, k=2))
         dump = lambda r: json.dumps(
             [v.to_dict() for v in r.communities], sort_keys=True
         )
@@ -145,9 +145,9 @@ class TestMetrics:
     def test_engine_records_metrics(self, registry):
         metrics = ServiceMetrics()
         engine = QueryEngine(registry, cache=ResultCache(), metrics=metrics)
-        engine.execute(TopKQuery(graph="g", gamma=3, k=2))
-        engine.execute(TopKQuery(graph="g", gamma=3, k=2))
-        engine.execute(TopKQuery(graph="g", gamma=3, k=1))
+        engine.execute(QuerySpec(graph="g", gamma=3, k=2))
+        engine.execute(QuerySpec(graph="g", gamma=3, k=2))
+        engine.execute(QuerySpec(graph="g", gamma=3, k=1))
         snap = metrics.snapshot()
         assert snap["queries_served"] == 3
         assert snap["by_source"] == {"cold": 1, "cache": 2}
@@ -160,7 +160,7 @@ class TestMetrics:
     def test_engine_threads_phase_breakdown_to_family_rows(self, registry):
         metrics = ServiceMetrics()
         engine = QueryEngine(registry, cache=ResultCache(), metrics=metrics)
-        engine.execute(TopKQuery(graph="g", gamma=3, k=2))
+        engine.execute(QuerySpec(graph="g", gamma=3, k=2))
         [row] = metrics.by_family().values()
         # The progressive searcher peeled and enumerated: both halves of
         # the kernel show up in the family's breakdown.
@@ -168,12 +168,12 @@ class TestMetrics:
         assert "enumerate" in row["phases_ms"]
         # A pure cache hit does no kernel work but must not erase the
         # breakdown already recorded for the family.
-        engine.execute(TopKQuery(graph="g", gamma=3, k=1))
+        engine.execute(QuerySpec(graph="g", gamma=3, k=1))
         [row] = metrics.by_family().values()
         assert "enumerate" in row["phases_ms"]
         # Static algorithms thread their SearchStats phases too.
         engine.execute(
-            TopKQuery(graph="g", gamma=3, k=2, algorithm="localsearch")
+            QuerySpec(graph="g", gamma=3, k=2, algorithm="localsearch")
         )
         static_rows = [
             r for label, r in metrics.by_family().items()
