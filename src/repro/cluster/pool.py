@@ -128,7 +128,9 @@ class ClusterPool:
         build hook that publishes segments eagerly.
     cache:
         Optional parent result cache for the mirror / re-seed / warm-
-        start contract (strongly recommended in servers).
+        start contract (strongly recommended in servers).  Its
+        capacity is each worker's cache capacity too; without it the
+        workers cache nothing.
     metrics:
         Optional shared metrics sink (per-worker dispatch counts and
         queue depths, segment attach counts, restarts, ``by_backend``).
@@ -155,7 +157,6 @@ class ClusterPool:
         replication: Optional[Mapping[str, int]] = None,
         use_shared_memory: Optional[bool] = None,
         start_method: Optional[str] = None,
-        worker_cache_size: int = 128,
         job_timeout: float = 300.0,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -168,7 +169,6 @@ class ClusterPool:
         self.metrics = metrics
         self.tracer = tracer
         self.job_timeout = job_timeout
-        self.worker_cache_size = worker_cache_size
         self.use_shared_memory = (
             shared_memory_available()
             if use_shared_memory is None
@@ -375,7 +375,7 @@ class ClusterPool:
         parent_conn, child_conn = context.Pipe()
         config = WorkerConfig(
             worker_id=worker.index,
-            cache_size=self.worker_cache_size,
+            cache_size=self.cache.capacity if self.cache is not None else None,
             max_cached_k=self.cache.max_cached_k if self.cache is not None else None,
             kernel_env=os.environ.get("REPRO_KERNEL"),
         )
@@ -695,16 +695,17 @@ class ClusterPool:
                         ("query", spec, seed, trace_ref),
                         timeout=self.job_timeout,
                     )
-                    if reply[0] == "result":
-                        # Error replies create no worker-side entry:
-                        # marking the family held would skip the seed
-                        # on the next attempt.  Successful ones refresh
-                        # the LRU slot, trimmed to the worker's own
-                        # cache size so "held" marks expire in step
-                        # with the worker's actual evictions.
+                    if reply[0] == "result" and self.cache is not None:
+                        # Error replies (and cacheless workers) create
+                        # no worker-side entry: marking the family held
+                        # would skip the seed on the next attempt.
+                        # Successful ones refresh the LRU slot, trimmed
+                        # to the worker's cache size (the parent's) so
+                        # "held" marks expire in step with the worker's
+                        # actual evictions.
                         worker.families[family] = True
                         worker.families.move_to_end(family)
-                        while len(worker.families) > self.worker_cache_size:
+                        while len(worker.families) > self.cache.capacity:
                             worker.families.popitem(last=False)
                     return reply
                 except (OSError, EOFError, BrokenPipeError) as exc:

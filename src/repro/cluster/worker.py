@@ -68,6 +68,9 @@ __all__ = ["worker_main", "WorkerConfig"]
 class WorkerConfig:
     """Plain picklable knobs shipped to :func:`worker_main` at start.
 
+    ``cache_size`` is the capacity of the parent's result cache, so a
+    server's ``--cache-size`` bounds every worker's cache too; ``None``
+    (a parent without a cache) gives the worker no cache either.
     ``kernel_env`` pins ``REPRO_KERNEL`` in the child, so the worker's
     engine resolves the same peel kernel as the parent even under
     ``spawn``, where the child would otherwise re-read a possibly
@@ -79,7 +82,7 @@ class WorkerConfig:
     def __init__(
         self,
         worker_id: int,
-        cache_size: int = 128,
+        cache_size: Optional[int],
         max_cached_k: Optional[int] = None,
         kernel_env: Optional[str] = None,
     ) -> None:
@@ -194,7 +197,11 @@ def worker_main(conn, config: WorkerConfig) -> None:
     if config.kernel_env is not None:
         os.environ["REPRO_KERNEL"] = config.kernel_env
     registry = _WorkerRegistry()
-    cache = ResultCache(config.cache_size, max_cached_k=config.max_cached_k)
+    cache = (
+        ResultCache(config.cache_size, max_cached_k=config.max_cached_k)
+        if config.cache_size is not None
+        else None
+    )
     # sample=0: the worker never originates traces — it only roots
     # remote spans under a parent-supplied trace_ref, and those are
     # shipped back rather than stored locally.
@@ -266,7 +273,8 @@ def worker_main(conn, config: WorkerConfig) -> None:
                     # Cursors walk the old generation; the parent
                     # re-seeds affected families from its scope-migrated
                     # mirror on the next dispatch.
-                    cache.invalidate_graph(name)
+                    if cache is not None:
+                        cache.invalidate_graph(name)
                     attaches += 1
                     conn.send(("ok", (name, target_version)))
                 elif tag == "detach":
@@ -280,7 +288,8 @@ def worker_main(conn, config: WorkerConfig) -> None:
                                 "worker_id": config.worker_id,
                                 "pid": os.getpid(),
                                 "graphs": registry.names(),
-                                "families": len(cache),
+                                "families": len(cache or ()),
+                                "cache_size": config.cache_size,
                                 "jobs": jobs,
                                 "attaches": attaches,
                             },

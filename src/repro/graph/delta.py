@@ -246,6 +246,7 @@ def _overlay_graph(
     for u, row in down_rows.items():
         new._adj_down[u] = row
     new._labels = graph._labels
+    new._label_order = graph._label_order
     new._rank_of = graph._rank_of
     new._num_edges = graph._num_edges + delta_m
     new._prefix_sizes = [0]

@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..errors import GraphConstructionError, UnknownVertexError
 
-__all__ = ["WeightedGraph"]
+__all__ = ["LabelOrder", "WeightedGraph"]
 
 
 def _check_finite(weights: Sequence[float]) -> None:
@@ -63,6 +63,43 @@ def _check_finite(weights: Sequence[float]) -> None:
         raise GraphConstructionError(
             f"weight of rank {rank} is not finite: {weights[rank]!r}"
         )
+
+
+class LabelOrder:
+    """The member order of one label list: ``str(label)``, then rank.
+
+    :meth:`key` is built once, on first use, and returns
+    ``(position, by_position)``: ``position[rank]`` is the rank's place
+    in the order and ``by_position[i]`` the label at place ``i``.  The
+    positions are a permutation of ``0..n-1``, so any set of ranks
+    sorts into member order as a plain int sort of its positions.
+
+    A graph generation that keeps its parent's label list (an edge
+    overlay, a compaction) shares the parent's instance, and with it
+    the key; only a new label list (a re-rank rebuild) builds a new
+    one.  Concurrent first calls may both build it; the results are
+    equal and one wins.
+    """
+
+    __slots__ = ("_labels", "_key")
+
+    def __init__(self, labels: Sequence[Hashable]) -> None:
+        self._labels = labels
+        self._key: Optional[Tuple[List[int], List[Hashable]]] = None
+
+    def key(self) -> Tuple[List[int], List[Hashable]]:
+        key = self._key
+        if key is None:
+            labels = self._labels
+            # A stable sort of ranks by str breaks str ties by rank.
+            order = sorted(
+                range(len(labels)), key=list(map(str, labels)).__getitem__
+            )
+            position = [0] * len(order)
+            for i, rank in enumerate(order):
+                position[rank] = i
+            key = self._key = (position, [labels[r] for r in order])
+        return key
 
 
 class WeightedGraph:
@@ -93,6 +130,7 @@ class WeightedGraph:
         "_adj_up",
         "_adj_down",
         "_labels",
+        "_label_order",
         "_rank_of",
         "_num_edges",
         "_prefix_sizes",
@@ -126,6 +164,7 @@ class WeightedGraph:
         }
         if len(self._rank_of) != n:
             raise GraphConstructionError("vertex labels must be unique")
+        self._label_order = LabelOrder(self._labels)
         self._num_edges = sum(len(a) for a in self._adj_up)
         # Lazily-extended cumulative prefix sizes; see prefix_size().
         # _prefix_sizes[p] = size(G_p) = p + |edges among ranks < p|.
@@ -210,6 +249,7 @@ class WeightedGraph:
         }
         if len(graph._rank_of) != n:
             raise GraphConstructionError("vertex labels must be unique")
+        graph._label_order = LabelOrder(graph._labels)
         graph._num_edges = csr.num_edges
         graph._prefix_sizes = [0]
         graph._csr = csr
@@ -302,6 +342,10 @@ class WeightedGraph:
     def labels(self, ranks: Iterable[int]) -> List[Hashable]:
         """Map an iterable of ranks to their labels."""
         return [self._labels[r] for r in ranks]
+
+    def label_order(self) -> LabelOrder:
+        """The member order of this graph's labels (see :class:`LabelOrder`)."""
+        return self._label_order
 
     def rank_of(self, label: Hashable) -> int:
         """Rank (0 = highest weight) of the vertex with ``label``."""

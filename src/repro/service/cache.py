@@ -27,7 +27,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..core.progressive import ProgressiveCursor
 from ..errors import ServiceError
-from .model import CommunityView
+from .model import CommunityView, ForestProjector
 
 __all__ = [
     "CacheKey",
@@ -109,10 +109,15 @@ class ProgressiveEntry:
       the cursor (whose internal list of live ``Community`` objects is the
       real memory hog) are released, bounding what a long-running server
       retains per entry.  Queries above the cap recompute via the factory.
+
+    Views are projected by a :class:`ForestProjector` that lives exactly
+    as long as the cursor: its memo holds the cursor's communities, so
+    it is dropped with the cursor and a rebuilt cursor starts a new one.
     """
 
     __slots__ = (
         "_cursor",
+        "_projector",
         "cursor_factory",
         "max_cached_k",
         "_views",
@@ -147,6 +152,7 @@ class ProgressiveEntry:
                     "releases the cursor; extension must rebuild it)"
                 )
         self._cursor = cursor
+        self._projector = ForestProjector() if cursor is not None else None
         self.cursor_factory = cursor_factory
         self.max_cached_k = max_cached_k
         self._views: List[CommunityView] = list(views)
@@ -187,6 +193,7 @@ class ProgressiveEntry:
             return
         del self._views[cap:]
         self._cursor = None
+        self._projector = None
         # The tail is gone; only the retained prefix is known complete,
         # and memoised answers beyond the cap are no longer servable.
         self._exhausted = False
@@ -262,9 +269,9 @@ class ProgressiveEntry:
                     )
                 cursor = self.cursor_factory()
                 self._cursor = cursor
+                self._projector = ForestProjector()
             communities = cursor.take(k)
-            for community in communities[had:]:
-                self._views.append(CommunityView.from_community(community))
+            self._views.extend(map(self._projector.view, communities[had:]))
             self._exhausted = cursor.exhausted
             if had == 0:
                 source = "cold"

@@ -30,7 +30,7 @@ from ..graph.weighted_graph import WeightedGraph
 from ..obs.trace import NO_TRACE, Tracer, current_span, use_span
 from .cache import CacheKey, ProgressiveEntry, ResultCache, StaticEntry
 from .metrics import ServiceMetrics
-from .model import CommunityView, QueryResult
+from .model import CommunityView, ForestProjector, QueryResult
 from .registry import GraphHandle, GraphRegistry
 
 __all__ = ["QueryPlan", "QueryEngine", "progressive_cursor_factory"]
@@ -246,9 +246,7 @@ class QueryEngine:
         if hit is not None:
             return hit
         result = _STATIC_RUNNERS[algorithm](handle.graph, query, self.kernel)
-        views = tuple(
-            CommunityView.from_community(c) for c in result.communities
-        )
+        views = tuple(map(ForestProjector().view, result.communities))
         stats = getattr(result, "stats", None)
         stats_phases = getattr(stats, "phases", None)
         phases = dict(stats_phases) if stats_phases else None

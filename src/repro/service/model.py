@@ -16,20 +16,29 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..api.spec import ALGORITHMS, AUTO, QuerySpec
+from ..core.community import Community
 
-__all__ = ["CommunityView", "QueryResult", "ALGORITHMS", "AUTO"]
+__all__ = [
+    "CommunityView",
+    "ForestProjector",
+    "QueryResult",
+    "ALGORITHMS",
+    "AUTO",
+]
 
 
 @dataclass(frozen=True)
 class CommunityView:
     """Frozen, graph-free projection of one community.
 
-    ``members`` are user-facing labels sorted by string representation, so
-    two views of the same community — however it was enumerated — compare
-    and serialise identically.
+    ``members`` are user-facing labels in member order: by
+    ``str(label)``, and labels whose ``str`` forms collide (``1`` and
+    ``"1"``) by rank.  It is a total order, so two views of the same
+    community — however it was enumerated or projected — compare and
+    serialise identically.
     """
 
     keynode: Hashable
@@ -39,12 +48,19 @@ class CommunityView:
 
     @classmethod
     def from_community(cls, community: Any) -> "CommunityView":
-        """Project a :class:`Community` or :class:`TrussCommunity`."""
+        """Project a :class:`Community` or :class:`TrussCommunity`.
+
+        The reference projection: it walks the whole community and
+        sorts by ``str``.  The serving tier projects through a
+        :class:`ForestProjector`, which must agree with it exactly.
+        """
+        labels = community.graph.labels(sorted(community.vertex_ranks))
         return cls(
             keynode=community.keynode_label,
             influence=community.influence,
             size=community.num_vertices,
-            members=tuple(sorted(community.vertices, key=str)),
+            # A stable sort of rank-ordered labels: str ties go by rank.
+            members=tuple(sorted(labels, key=str)),
         )
 
     def to_dict(self, include_members: bool = True) -> Dict[str, Any]:
@@ -129,6 +145,59 @@ _JSON_MEMBERS = "_json_members"
 _JSON_BARE = "_json_bare"
 _TEXT_HEAD = "_text_head"
 _TEXT_MEMBERS = "_text_members"
+
+
+class ForestProjector:
+    """Project communities of one answer into views, each one once.
+
+    A :class:`~repro.core.community.Community` is its own group plus
+    links to child communities that have strictly larger influence, so
+    they come earlier in the same answer (EnumIC, Algorithm 3 Line 14).
+    The projector keeps each projected community's members as a sorted
+    list of :class:`~repro.graph.weighted_graph.LabelOrder` positions
+    and builds a parent's list by sorting its own group's positions
+    and merging in its children's lists: timsort merges the
+    already-sorted runs.  Nothing is re-walked or re-stringified.
+
+    A child's list is handed to its parent, which is the child's only
+    parent, so the memo holds only the roots projected so far: pairwise
+    disjoint communities, at most one entry per graph vertex.  A child
+    missing from the memo (projected by an earlier projector, or never)
+    is sorted from its vertex ranks on the spot: the memo saves time
+    only, never decides the answer.  Other community types (such as
+    :class:`~repro.core.community.TrussCommunity`) sort their
+    ``vertex_ranks`` by the same key, with no merge.
+
+    Views equal :meth:`CommunityView.from_community`'s.  Not
+    thread-safe: callers serialise use of one projector.
+    """
+
+    __slots__ = ("_sorted",)
+
+    def __init__(self) -> None:
+        self._sorted: Dict[Any, List[int]] = {}
+
+    def view(self, community: Any) -> CommunityView:
+        position, by_position = community.graph.label_order().key()
+        if isinstance(community, Community):
+            at = position.__getitem__
+            merged = list(map(at, community.own_vertices))
+            memo = self._sorted
+            for child in community.children:
+                part = memo.pop(child, None)
+                merged += (
+                    map(at, child.iter_vertex_ranks()) if part is None else part
+                )
+            merged.sort()
+            memo[community] = merged
+        else:
+            merged = sorted(map(position.__getitem__, community.vertex_ranks))
+        return CommunityView(
+            keynode=community.keynode_label,
+            influence=community.influence,
+            size=community.num_vertices,
+            members=tuple(map(by_position.__getitem__, merged)),
+        )
 
 
 @dataclass(frozen=True)

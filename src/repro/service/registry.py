@@ -378,6 +378,7 @@ class GraphRegistry:
                 new_graph._adj_up = graph._adj_up
                 new_graph._adj_down = graph._adj_down
                 new_graph._labels = graph._labels
+                new_graph._label_order = graph._label_order
                 new_graph._rank_of = graph._rank_of
                 new_graph._num_edges = graph._num_edges
                 new_graph._prefix_sizes = graph._prefix_sizes

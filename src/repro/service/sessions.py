@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.progressive import LocalSearchP, ProgressiveCursor
 from ..errors import UnknownSessionError
 from .metrics import ServiceMetrics
-from .model import CommunityView
+from .model import CommunityView, ForestProjector
 from .registry import GraphRegistry
 
 __all__ = ["Session", "SessionManager"]
@@ -38,6 +38,8 @@ class Session:
     created_at: float
     last_used: float
     delivered: int = 0
+    #: Projects the cursor's communities; it lives as long as the session.
+    projector: ForestProjector = field(default_factory=ForestProjector)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
@@ -161,10 +163,11 @@ class SessionManager:
         with session._lock:
             start = session.delivered
             communities = session.cursor.take(start + count)[start:]
+            views = list(map(session.projector.view, communities))
             session.delivered += len(communities)
             session.last_used = self.clock()
             done = session.exhausted
-        return [CommunityView.from_community(c) for c in communities], done
+        return views, done
 
     def close(self, session_id: str) -> None:
         """Close a session (idempotent errors: unknown ids raise)."""

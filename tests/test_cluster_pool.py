@@ -171,6 +171,28 @@ def test_health_check_restarts_dead_workers():
 
 
 @needs_mp
+def test_workers_take_the_server_cache_size():
+    registry = GraphRegistry(preload_datasets=False)
+    graphs = {"a": _graph(7), "b": _graph(8)}
+    for name, graph in graphs.items():
+        registry.register(name, lambda graph=graph: graph)
+    server = ReproServer(registry, cache_size=1, workers=1)
+    pool = server.shards
+    try:
+        assert isinstance(pool, ClusterPool)
+        sources = [
+            pool.execute(server.engine, QuerySpec(graph=name, gamma=3, k=4)).source
+            for name in "abababab"
+        ]
+        # A one-entry worker cache evicts each graph's family before
+        # it comes round again: nothing is answered from the worker.
+        assert sources == ["cold"] * 8
+        assert pool.health_check()["worker:0"]["cache_size"] == 1
+    finally:
+        pool.shutdown()
+
+
+@needs_mp
 def test_graph_reload_reattaches_new_version():
     registry, cache, metrics, engine = _stack()
     pool = ClusterPool(1, registry, cache=cache, metrics=metrics)
