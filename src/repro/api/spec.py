@@ -15,12 +15,13 @@ clients keep working.
 The canonical :meth:`cache_key` is what the result cache and the batch
 scheduler key off: it is ``k``-independent (the progressive order only
 truncates at ``k``).  The peel kernel is not part of a query: the
-python, array and numpy kernels produce identical answers, so the kernel
+python and array kernels produce identical answers, so the kernel
 is process configuration (``$REPRO_KERNEL``, resolved once by each
 :class:`~repro.service.engine.QueryEngine`) and only reported on each
 result as provenance.  The text and wire grammars still accept a
-``kernel=K`` argument from older clients: an unknown ``K`` is rejected,
-a known one is ignored.
+``kernel=K`` argument from older clients: a ``K`` outside
+:data:`~repro.core.fastpeel.KERNELS` is rejected, a known one is
+ignored.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ KERNEL_ALGORITHMS = frozenset(
 #: on incompatible changes; :meth:`QuerySpec.from_wire` keeps accepting
 #: every version it knows (including the legacy pre-versioned shape).
 WIRE_VERSION = 1
-
-_KERNEL_CHOICES = (AUTO,) + KERNELS
 
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "off"})
@@ -348,10 +347,11 @@ _FLAG_WORDS = ("members", "json", "nc")
 def _check_kernel(kernel: Any) -> None:
     """Reject an unknown legacy ``kernel`` argument; a known one is
     dropped, because the kernel is process configuration."""
-    if kernel is not None and kernel not in _KERNEL_CHOICES:
+    if kernel is not None and (
+        not isinstance(kernel, str) or kernel not in KERNELS
+    ):
         raise QueryParameterError(
-            f"unknown kernel {kernel!r}; "
-            f"choose from {', '.join(_KERNEL_CHOICES)}"
+            f"unknown kernel {kernel!r}; choose from {', '.join(KERNELS)}"
         )
 
 

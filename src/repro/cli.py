@@ -36,7 +36,7 @@ from typing import List, Optional
 from .api.facade import Repro
 from .api.facade import open as api_open
 from .api.spec import QuerySpec
-from .core.fastpeel import KERNEL_ENV_VAR
+from .core.fastpeel import KERNEL_ENV_VAR, KERNELS
 from .graph.io import load_snap_graph
 from .graph.metrics import GraphStatistics, graph_statistics
 from .workloads.datasets import dataset_names, load_dataset
@@ -90,10 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print full member lists (default: sizes only)",
     )
     query.add_argument(
-        "--kernel", choices=("auto", "python", "array", "numpy"),
-        default=None,
-        help="peel kernel (default: $REPRO_KERNEL, then auto — numpy "
-             "when available, the stdlib array kernel otherwise)",
+        "--kernel", choices=tuple(KERNELS), default=None,
+        help="peel kernel (default: $REPRO_KERNEL, then auto = array; "
+             "numpy is an old name for array)",
     )
 
     stats = sub.add_parser("stats", help="print Table-1 statistics")
@@ -122,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(stream)
     stream.add_argument("--gamma", type=int, default=10)
     stream.add_argument(
-        "--kernel", choices=("auto", "python", "array", "numpy"),
-        default=None,
+        "--kernel", choices=tuple(KERNELS), default=None,
         help="peel kernel (default: $REPRO_KERNEL, then auto)",
     )
     stream.add_argument(

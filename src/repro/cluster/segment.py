@@ -16,8 +16,7 @@ segment, 8-byte-aligned region by region, and returns a small picklable
 the regions — **no copy** — and rebuilds a
 :class:`~repro.graph.weighted_graph.WeightedGraph` via
 :meth:`~repro.graph.weighted_graph.WeightedGraph.from_csr`, with the
-shared buffers installed as its CSR mirror (the numpy peel kernel then
-vectorises directly over the parent's memory).
+shared buffers installed as its CSR mirror.
 
 Lifecycle is refcounted in the parent through :class:`SegmentStore`:
 one publish per ``(graph name, registry version)`` however many pools

@@ -25,7 +25,6 @@ from .fastpeel import (
     KERNELS,
     PeelScratch,
     fast_construct_cvs,
-    numpy_available,
     resolve_kernel,
 )
 from .general import (
@@ -81,7 +80,6 @@ __all__ = [
     "EnumScratch",
     "fast_build_community",
     "fast_construct_cvs",
-    "numpy_available",
     "resolve_kernel",
     "CohesivenessMeasure",
     "MinDegreeMeasure",

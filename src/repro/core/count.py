@@ -68,7 +68,7 @@ class CVSRecord:
     nbrs:
         The prefix adjacency used by the peel — a materialised
         list-of-lists (python kernel) or a shared-buffer
-        :class:`~repro.graph.csr.PrefixAdjacency` (array/numpy kernels);
+        :class:`~repro.graph.csr.PrefixAdjacency` (array kernel);
         either way ``nbrs[v]`` is the in-prefix neighbour row EnumIC
         scans ("neighbours of v in g", Line 10 of Algorithm 3).
     noncontainment:
@@ -243,17 +243,18 @@ def construct_cvs(
     ``CountIC``) and LocalSearch-P (Algorithm 4, with ``stop_rank`` set to
     the previous round's prefix length).
 
-    ``kernel`` selects the peel implementation (``python`` / ``array`` /
-    ``numpy`` / ``auto``); ``None`` defers to the ``REPRO_KERNEL``
-    environment variable, then ``auto``.  All kernels produce identical
-    records (:mod:`repro.core.fastpeel`); the ``python`` kernel — this
+    ``kernel`` selects the peel implementation (any name in
+    :data:`~repro.core.fastpeel.KERNELS`); ``None`` defers to the
+    ``REPRO_KERNEL`` environment variable, then ``auto``.  Both kernels
+    produce identical records (:mod:`repro.core.fastpeel`); the
+    ``python`` kernel — this
     module's :func:`peel_cvs` over a materialised adjacency — is the
     differential-testing oracle.  ``scratch`` optionally carries a
     :class:`~repro.core.fastpeel.PeelScratch` across the rounds of one
     progressive query so buffers and down-cuts are reused.  ``phases``
     optionally accumulates per-phase wall time in ms (see
     :func:`repro.obs.trace.record_phase`) — the python kernel reports
-    ``adjacency``/``peel``, the fast kernels ``csr_build`` /
+    ``adjacency``/``peel``, the array kernel ``csr_build`` /
     ``gamma_core`` / ``peel``; :func:`peel_cvs` itself stays untouched
     (it is the differential-testing oracle).
     """
@@ -269,7 +270,6 @@ def construct_cvs(
             gamma,
             stop_rank=stop_rank,
             track_noncontainment=track_noncontainment,
-            kernel=resolved,
             scratch=scratch,
             phases=phases,
         )

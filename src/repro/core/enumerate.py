@@ -22,11 +22,11 @@ split into instalments.
 
 This module is also the enumeration **kernel dispatcher**, mirroring
 :func:`repro.core.count.construct_cvs`: ``kernel`` selects the
-implementation (``python`` / ``array`` / ``numpy`` / ``auto``; ``None``
-defers to ``REPRO_KERNEL``, then ``auto``), and ``scratch`` optionally
-carries an :class:`~repro.core.fastenum.EnumScratch` across calls.  The
-dict-based path below is the differential-testing oracle; passing an
-explicit ``state`` always selects it (shared
+implementation (any name in :data:`~repro.core.fastpeel.KERNELS`;
+``None`` defers to ``REPRO_KERNEL``, then ``auto``), and ``scratch``
+optionally carries an :class:`~repro.core.fastenum.EnumScratch` across
+calls.  The dict-based path below is the differential-testing oracle;
+passing an explicit ``state`` always selects it (shared
 :class:`~repro.graph.disjoint_set.KeyedDisjointSet` objects cannot feed
 the flat kernels, and callers holding one are oracle callers).
 """
@@ -128,14 +128,11 @@ def enumerate_top_k(
     count = len(keys) if k is None else min(k, len(keys))
     out: List[Community] = []
     if state is None:
-        resolved = resolve_kernel(kernel)
-        if resolved != "python":
+        if resolve_kernel(kernel) != "python":
             sc = scratch if scratch is not None else EnumScratch()
-            sc.begin(graph, record.p, resolved, fresh=True)
+            sc.begin(graph, record.p, fresh=True)
             for index in range(len(keys) - 1, len(keys) - 1 - count, -1):
-                out.append(
-                    fast_build_community(graph, record, index, sc, resolved)
-                )
+                out.append(fast_build_community(graph, record, index, sc))
             return out
         state = EnumerationState()
     # keys is in increasing weight order; the last `count` are the top-k,
@@ -166,12 +163,11 @@ def enumerate_progressive(
     if record.nbrs is None:
         raise ValueError("record must carry its peel adjacency (nbrs)")
     if state is None:
-        resolved = resolve_kernel(kernel)
-        if resolved != "python":
+        if resolve_kernel(kernel) != "python":
             sc = scratch if scratch is not None else EnumScratch()
-            sc.begin(graph, record.p, resolved, fresh=False)
+            sc.begin(graph, record.p, fresh=False)
             for index in range(len(record.keys) - 1, -1, -1):
-                yield fast_build_community(graph, record, index, sc, resolved)
+                yield fast_build_community(graph, record, index, sc)
             return
         state = EnumerationState()
     for index in range(len(record.keys) - 1, -1, -1):

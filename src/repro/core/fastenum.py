@@ -1,31 +1,21 @@
-"""Flat-array EnumIC kernels — allocation-free community enumeration.
+"""The flat-array EnumIC kernel — allocation-free community enumeration.
 
 :mod:`repro.core.enumerate` (the *python* kernel) is the readable,
 line-by-line transcription of Algorithm 3 over the dict-based
 :class:`~repro.graph.disjoint_set.KeyedDisjointSet` and stays the
-differential-testing oracle.  This module provides the drop-in
-replacement that made the peel fast (:mod:`repro.core.fastpeel`) for the
-enumeration side: the ``v2key`` union-find becomes flat ``parent`` /
-``size`` / ``key`` / ``anchor`` stores addressed by CSR vertex rank,
-with path-halving find loops inlined into the group scan.
-
-* the ``array`` kernel — pure stdlib.  Working state lives in plain
-  Python lists (CPython's fastest scalar substrate); the neighbour scan
-  iterates the two row parts of the shared
-  :class:`~repro.graph.csr.PrefixAdjacency` buffers directly, so the
-  per-row list concatenation of ``nbrs[v]`` never happens.  The whole
-  group lands in ``u``'s set as one star rooted at the keynode — a bulk
-  write that is byte-identical to the oracle's per-vertex ``assign``
-  (singletons union into the first vertex, which always wins the
-  union-by-size tie);
-* the ``numpy`` kernel — the same scalar union-find on an ``int64``
-  parent array, with the two group-local bulk phases vectorised for
-  large groups: the group assignment is one fancy-index write, and the
-  neighbour scan gathers every row of the group at once, deduplicates
-  to *first occurrences* (exact: once a vertex's key is ``u`` or
-  ``null`` it stays so within one group scan, so every non-first
-  occurrence is a no-op) and pre-filters the candidates down to tracked
-  foreign vertices before a short scalar union loop.
+differential-testing oracle.  This module is the enumeration side of
+the ``array`` kernel (:mod:`repro.core.fastpeel` is the peel side): the
+``v2key`` union-find becomes flat ``parent`` / ``size`` / ``key`` /
+``anchor`` stores addressed by CSR vertex rank, with path-halving find
+loops inlined into the group scan.  Working state lives in plain Python
+lists (CPython's fastest scalar substrate); the neighbour scan iterates
+the two row parts of the shared
+:class:`~repro.graph.csr.PrefixAdjacency` buffers directly, so the
+per-row list concatenation of ``nbrs[v]`` never happens.  The whole
+group lands in ``u``'s set as one star rooted at the keynode — a bulk
+write that is byte-identical to the oracle's per-vertex ``assign``
+(singletons union into the first vertex, which always wins the
+union-by-size tie).
 
 All state lives in a reusable :class:`EnumScratch` mirroring
 :class:`~repro.core.fastpeel.PeelScratch`: buffers grow and never
@@ -56,23 +46,15 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..graph.csr import PrefixAdjacency
 from .community import Community, GroupView
-from .fastpeel import _gather_rows, _get_numpy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.weighted_graph import WeightedGraph
     from .count import CVSRecord
 
 __all__ = [
-    "ENUM_NUMPY_MIN_GROUP",
     "EnumScratch",
     "fast_build_community",
 ]
-
-#: Below this group size the ``numpy`` kernel processes the group with
-#: the scalar (array-kernel) path: per-group numpy fixed costs (fancy
-#: indexing, unique) exceed the vectorisation win on small groups.
-#: Tests pin this to 0 to force the vectorised path onto tiny graphs.
-ENUM_NUMPY_MIN_GROUP = 48
 
 
 class EnumScratch:
@@ -90,7 +72,7 @@ class EnumScratch:
     * ``anchor[key]`` — some member vertex of the key's set, ``-1``
       when the key has no set (the oracle's ``_anchor`` dict).
 
-    ``touched`` / ``touched_chunks`` / ``anchored`` record exactly which
+    ``touched`` / ``anchored`` record exactly which
     slots were written, so :meth:`reset` rolls back in O(touched) —
     never O(capacity).  ``communities`` is EnumIC-P's global "already
     built" map, persisted across progressive rounds.
@@ -101,61 +83,41 @@ class EnumScratch:
     """
 
     __slots__ = (
-        "mode",
         "parent",
         "size",
         "key",
         "anchor",
         "touched",
-        "touched_chunks",
         "anchored",
         "communities",
         "graph",
-        "_cvs_src",
-        "_cvs_np",
     )
 
     def __init__(self) -> None:
-        self.mode = "array"
-        self.parent: List[int] = []  # ndarray in "numpy" mode
+        self.parent: List[int] = []
         self.size: List[int] = []
         self.key: List[int] = []
         self.anchor: List[int] = []
         self.touched: List[int] = []
-        self.touched_chunks: list = []  # ndarray slices (numpy bulk writes)
         self.anchored: List[int] = []
         self.communities: Dict[int, object] = {}
         self.graph: Optional["WeightedGraph"] = None
-        self._cvs_src: Optional[list] = None
-        self._cvs_np = None
 
     # ------------------------------------------------------------------
-    def begin(self, graph: "WeightedGraph", p: int, kernel: str, fresh: bool) -> None:
+    def begin(self, graph: "WeightedGraph", p: int, fresh: bool) -> None:
         """Bind the scratch to one enumeration pass.
 
         ``fresh`` resets the union-find (a cold EnumIC starts from an
         empty state, like a new :class:`EnumerationState`); progressive
-        rounds pass ``False`` so EnumIC-P's state persists.  A graph or
-        storage-mode switch always resets.
+        rounds pass ``False`` so EnumIC-P's state persists.  A graph
+        switch always resets.
         """
-        mode = "numpy" if kernel == "numpy" else "array"
-        if self.graph is not graph or mode != self.mode:
+        if self.graph is not graph:
             self.reset()
-            self._set_mode(mode)
             self.graph = graph
         elif fresh:
             self.reset()
         self.ensure(p)
-
-    def _set_mode(self, mode: str) -> None:
-        if mode == self.mode:
-            return
-        if mode == "numpy":
-            np = _get_numpy()
-            self.parent = np.array(self.parent, dtype=np.int64)
-        else:
-            self.parent = list(self.parent)
-        self.mode = mode
 
     def ensure(self, n: int) -> None:
         """Grow (never shrink) every store to at least ``n`` slots."""
@@ -163,13 +125,7 @@ class EnumScratch:
         if cap >= n:
             return
         target = max(n, 2 * cap)
-        if self.mode == "numpy":
-            np = _get_numpy()
-            grown = np.full(target, -1, dtype=np.int64)
-            grown[:cap] = self.parent
-            self.parent = grown
-        else:
-            self.parent.extend([-1] * (target - cap))
+        self.parent.extend([-1] * (target - cap))
         self.size.extend([0] * (target - cap))
         self.key.extend([-1] * (target - cap))
         self.anchor.extend([-1] * (target - cap))
@@ -184,19 +140,12 @@ class EnumScratch:
         parent = self.parent
         for v in self.touched:
             parent[v] = -1
-        chunks = self.touched_chunks
-        if chunks:
-            for chunk in chunks:
-                parent[chunk] = -1
-            del chunks[:]
         anchor = self.anchor
         for k in self.anchored:
             anchor[k] = -1
         del self.touched[:]
         del self.anchored[:]
         self.communities.clear()
-        self._cvs_src = None
-        self._cvs_np = None
 
     # ------------------------------------------------------------------
     # scalar operations, mirroring KeyedDisjointSet exactly (used by the
@@ -268,15 +217,21 @@ class EnumScratch:
 
 
 # ----------------------------------------------------------------------
-# the array kernel (also the numpy kernel's small-group path)
+# entry point
 # ----------------------------------------------------------------------
-def _build_array(
+def fast_build_community(
     graph: "WeightedGraph",
     record: "CVSRecord",
     index: int,
     scratch: EnumScratch,
 ) -> Community:
-    """One keynode's community (Lines 4-14 of Algorithm 3), flat state."""
+    """Build keynode ``record.keys[index]``'s community on flat state.
+
+    Lines 4-14 of Algorithm 3.  The caller owns the scratch lifecycle:
+    :meth:`EnumScratch.begin` once per enumeration pass (``fresh=True``
+    for a cold EnumIC, ``False`` for EnumIC-P rounds), then one call per
+    keynode in decreasing weight order.
+    """
     u = record.keys[index]
     start, stop = record.group_bounds(index)
     cvs = record.cvs
@@ -390,148 +345,3 @@ def _build_array(
     )
     communities[u] = community
     return community
-
-
-# ----------------------------------------------------------------------
-# the numpy kernel
-# ----------------------------------------------------------------------
-def _build_numpy(
-    graph: "WeightedGraph",
-    record: "CVSRecord",
-    index: int,
-    scratch: EnumScratch,
-    np,
-    nstate,
-    cvs_np,
-) -> Community:
-    """The array kernel with both group-local bulk phases vectorised."""
-    u = record.keys[index]
-    start, stop = record.group_bounds(index)
-    if stop - start < ENUM_NUMPY_MIN_GROUP or nstate is None:
-        return _build_array(graph, record, index, scratch)
-
-    parent = scratch.parent  # int64 ndarray in this mode
-    size = scratch.size
-    key_arr = scratch.key
-    anchor = scratch.anchor
-    grp = cvs_np[start:stop]
-
-    # Lines 5-8, vectorised: one fancy-index write builds the keynode
-    # star — valid exactly when every group vertex is fresh (always, for
-    # vertex EnumIC; checked anyway so untypical states fall back).
-    r = -1
-    if anchor[u] == -1 and cvs_np[start] == u and not (parent[grp] != -1).any():
-        parent[grp] = u
-        size[u] = stop - start
-        key_arr[u] = u
-        anchor[u] = u
-        scratch.anchored.append(u)
-        scratch.touched_chunks.append(grp)
-        r = u
-    else:
-        cvs = record.cvs
-        for i in range(start, stop):
-            scratch.assign(cvs[i], u)
-
-    # Lines 9-13, gathered then pruned: prune on the raw per-part
-    # gathers FIRST (pre-scan parent state: untracked vertices are
-    # no-ops, and direct children of the star's root are the group
-    # itself), and only the few survivors are put back into the
-    # oracle's exact scan order (group position ascending, up-part then
-    # in-prefix down-part — children discovery order depends on it).
-    # Duplicate survivors need no dedup: the first occurrence does the
-    # union, which keys the merged set ``u``, so repeats are no-ops in
-    # the scalar loop — as are vertices whose sets merge into ``u``'s
-    # mid-scan, which the pre-scan filter deliberately keeps.
-    up_off, up_tgt, down_off, down_tgt, cuts = nstate
-    up_starts = up_off[grp]
-    up_lens = up_off[grp + 1] - up_starts
-    down_starts = down_off[grp]
-    down_lens = cuts[grp] - down_starts
-    children: List[Community] = []
-    communities = scratch.communities
-    cand_parts = []
-    rank_parts = []
-    for part, starts, lens, tgt in (
-        (0, up_starts, up_lens, up_tgt),
-        (1, down_starts, down_lens, down_tgt),
-    ):
-        if not int(lens.sum()):
-            continue
-        gathered = _gather_rows(np, tgt, starts, lens)
-        pc = parent[gathered]
-        mask = pc != -1
-        if r != -1:
-            mask &= pc != r
-        hits = np.nonzero(mask)[0]
-        if hits.size:
-            # Scan rank of each survivor: source-vertex group position
-            # doubled, +1 for the down-part (rows stay in gather order).
-            src = np.searchsorted(np.cumsum(lens), hits, side="right")
-            cand_parts.append(gathered[hits])
-            rank_parts.append(2 * src + part)
-    if cand_parts:
-        cand = np.concatenate(cand_parts)
-        order = np.argsort(np.concatenate(rank_parts), kind="stable")
-        for w in cand[order].tolist():
-            while parent[w] != w:
-                parent[w] = parent[parent[w]]
-                w = parent[w]
-            if key_arr[w] != u:
-                children.append(communities[key_arr[w]])
-                ka = anchor[u]
-                while parent[ka] != ka:
-                    parent[ka] = parent[parent[ka]]
-                    ka = parent[ka]
-                if size[ka] < size[w]:
-                    ka, w = w, ka
-                parent[w] = ka
-                size[ka] += size[w]
-                key_arr[ka] = u
-                anchor[u] = ka
-
-    community = Community(
-        graph,
-        keynode=u,
-        gamma=record.gamma,
-        own_vertices=GroupView(record.cvs, start, stop),
-        children=children,
-    )
-    communities[u] = community
-    return community
-
-
-# ----------------------------------------------------------------------
-# entry point
-# ----------------------------------------------------------------------
-def fast_build_community(
-    graph: "WeightedGraph",
-    record: "CVSRecord",
-    index: int,
-    scratch: EnumScratch,
-    kernel: str,
-) -> Community:
-    """Build keynode ``record.keys[index]``'s community on flat state.
-
-    The caller owns the scratch lifecycle: :meth:`EnumScratch.begin`
-    once per enumeration pass (``fresh=True`` for a cold EnumIC,
-    ``False`` for EnumIC-P rounds), then one call per keynode in
-    decreasing weight order.
-    """
-    if kernel == "numpy":
-        if scratch._cvs_src is not record.cvs:
-            np = _get_numpy()
-            scratch._cvs_np = np.array(record.cvs, dtype=np.int64)
-            scratch._cvs_src = record.cvs
-        nbrs = record.nbrs
-        nstate = nbrs.numpy_state() if type(nbrs) is PrefixAdjacency else None
-        return _build_numpy(
-            graph,
-            record,
-            index,
-            scratch,
-            _get_numpy(),
-            nstate,
-            scratch._cvs_np,
-        )
-    return _build_array(graph, record, index, scratch)

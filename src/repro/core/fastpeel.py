@@ -1,25 +1,18 @@
-"""Flat-array peel kernels — allocation-free ConstructCVS / CountIC.
+"""The flat-array peel kernel — allocation-free ConstructCVS / CountIC.
 
 :func:`repro.core.count.peel_cvs` (the *python* kernel) is the readable,
 line-by-line transcription of Algorithms 2/5 and stays the differential-
-testing oracle.  This module provides two drop-in replacements that
-produce **identical** :class:`~repro.core.count.CVSRecord` outputs while
-cutting the constant factor:
-
-* the ``array`` kernel — pure stdlib.  It peels directly over the
-  graph's shared :class:`~repro.graph.csr.CSRAdjacency` buffers instead
-  of materialising a per-call list-of-lists adjacency, and folds the
-  alive flag into the degree array: removed vertices are parked at a
-  large negative sentinel, so liveness is one sign test on the value
-  already in hand and dead neighbours cost a single comparison.  Its
-  working state lives in a reusable :class:`PeelScratch`, so the steady
-  state of a progressive query allocates nothing proportional to the
-  prefix beyond its outputs;
-* the ``numpy`` kernel — the same sequential keynode extraction on top
-  of a **vectorised** preparation: prefix degrees and the initial
-  γ-core reduction (typically the bulk of a cold peel on a heavy-tailed
-  graph) run as whole-array numpy operations before the Python loop
-  takes over for the order-sensitive group peel.
+testing oracle.  This module is the ``array`` kernel, a pure-stdlib
+drop-in replacement that produces **identical**
+:class:`~repro.core.count.CVSRecord` outputs while cutting the constant
+factor.  It peels directly over the graph's shared
+:class:`~repro.graph.csr.CSRAdjacency` buffers instead of materialising
+a per-call list-of-lists adjacency, and folds the alive flag into the
+degree array: removed vertices are parked at a large negative sentinel,
+so liveness is one sign test on the value already in hand and dead
+neighbours cost a single comparison.  Its working state lives in a
+reusable :class:`PeelScratch`, so the steady state of a progressive
+query allocates nothing proportional to the prefix beyond its outputs.
 
 Across the rounds of a progressive query the scratch also carries the
 previous round's **down-cuts** forward.  The prefix grows monotonically,
@@ -31,11 +24,10 @@ the paper's "extract G>=tau incrementally" arrangement (Section 3.1)
 and of :meth:`~repro.graph.subgraph.PrefixView.extend`.
 
 Kernel selection (:func:`resolve_kernel`): an explicit argument wins,
-then the ``REPRO_KERNEL`` environment variable (``python`` / ``array``
-/ ``numpy`` / ``auto``), then ``auto`` — numpy when importable, the
-stdlib ``array`` kernel otherwise.  A requested ``numpy`` silently
-degrades to ``array`` when numpy is missing: the fast path must never
-introduce a hard dependency.
+then the ``REPRO_KERNEL`` environment variable, then ``auto``, which is
+the ``array`` kernel.  :data:`KERNELS` is the one table of accepted
+names; ``numpy`` (a retired vectorised kernel) stays a legal name for
+``array`` so pinned deployments and older clients keep working.
 
 Equivalence argument (tested exhaustively in ``tests/test_fastpeel.py``):
 the initial γ-core reduction is recorded nowhere and its fixpoint (the
@@ -62,70 +54,43 @@ from .count import CVSRecord
 __all__ = [
     "KERNELS",
     "PeelScratch",
-    "numpy_available",
     "resolve_kernel",
     "fast_construct_cvs",
 ]
 
-#: Recognised kernel names (``auto`` resolves to one of the last two).
-KERNELS = ("python", "array", "numpy")
+#: Every accepted kernel name and the kernel it runs: ``python`` is the
+#: oracle, ``array`` the fast path and ``auto`` the default.  ``numpy``
+#: named a retired vectorised kernel; pinned deployments and older wire
+#: clients still send it, so it stays legal and runs (and reports)
+#: ``array``.
+KERNELS = {
+    "auto": "array",
+    "python": "python",
+    "array": "array",
+    "numpy": "array",
+}
 
 #: Environment variable consulted when no explicit kernel is passed.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Below this prefix length the ``numpy`` kernel prepares its state with
-#: the stdlib path: per-peel numpy fixed costs (buffer views, cumsums)
-#: exceed the vectorisation win on tiny prefixes.  Tests pin this to 0
-#: to force the vectorised path onto small graphs.
-NUMPY_MIN_P = 2048
 
 #: Dead-vertex degree sentinel.  Decrements only ever push it further
 #: below zero (at most m < 2**30 times), so a parked vertex can never
 #: re-trigger a removal test, and liveness is simply ``deg >= 0``.
 _LOW = -(1 << 30)
 
-_numpy_module = None
-_numpy_checked = False
-
-
-def numpy_available() -> bool:
-    """Whether the vectorised kernel can run (numpy import succeeds)."""
-    return _get_numpy() is not None
-
-
-def _get_numpy():
-    global _numpy_module, _numpy_checked
-    if not _numpy_checked:
-        _numpy_checked = True
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        _numpy_module = numpy
-    return _numpy_module
-
 
 def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Resolve an explicit kernel name / env var / ``auto`` to a kernel.
-
-    ``numpy`` degrades to ``array`` when numpy is not importable, so a
-    deployment can pin ``REPRO_KERNEL=numpy`` without creating a hard
-    dependency.
-    """
+    """Resolve an explicit kernel name / env var / ``auto`` to a kernel."""
     name = kernel if kernel is not None else os.environ.get(
         KERNEL_ENV_VAR, "auto"
     )
     name = name.strip().lower() or "auto"
-    if name == "auto":
-        return "numpy" if numpy_available() else "array"
-    if name not in KERNELS:
+    try:
+        return KERNELS[name]
+    except KeyError:
         raise ValueError(
-            f"unknown peel kernel {name!r}; choose from "
-            f"{', '.join(KERNELS)} or 'auto'"
-        )
-    if name == "numpy" and not numpy_available():
-        return "array"
-    return name
+            f"unknown peel kernel {name!r}; choose from {', '.join(KERNELS)}"
+        ) from None
 
 
 class PeelScratch:
@@ -282,67 +247,8 @@ def _reduce_array(
                         deg[w] = d - 1
 
 
-def _gather_rows(np, flat, starts, lens):
-    """Ragged gather: concatenate ``flat[starts[i] : starts[i]+lens[i]]``."""
-    total = int(lens.sum())
-    if total == 0:
-        return flat[:0]
-    shifts = np.repeat(
-        starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens
-    )
-    return flat[np.arange(total, dtype=np.int64) + shifts]
-
-
-def _reduce_numpy(
-    csr: CSRAdjacency,
-    p: int,
-    gamma: int,
-    cuts: List[int],
-    deg: List[int],
-) -> None:
-    """Degrees + γ-core reduction, vectorised.
-
-    Same contract as :func:`_reduce_array`; the reduction runs
-    wave-parallel (remove every sub-γ vertex of a wave at once, subtract
-    the removals via one ``bincount``) — order-free, but the fixpoint it
-    reaches is the same unique γ-core.
-    """
-    np = _get_numpy()
-    up_off, up_tgt, down_off, down_tgt = csr.numpy_views()
-    up_off_p = up_off[:p + 1]
-    down_off_p = down_off[:p + 1]
-    cuts_np = np.array(cuts, dtype=np.int64)
-    deg_np = (
-        (up_off_p[1:] - up_off_p[:p]) + (cuts_np - down_off_p[:p])
-    ).astype(np.int64)
-
-    alive = deg_np >= gamma
-    frontier = np.flatnonzero(~alive)
-    while frontier.size:
-        up_nbrs = _gather_rows(
-            np,
-            up_tgt,
-            up_off[frontier],
-            up_off[frontier + 1] - up_off[frontier],
-        )
-        down_nbrs = _gather_rows(
-            np,
-            down_tgt,
-            down_off[frontier],
-            cuts_np[frontier] - down_off[frontier],
-        )
-        touched = np.concatenate((up_nbrs, down_nbrs))
-        if touched.size:
-            deg_np -= np.bincount(touched, minlength=p)[:p]
-        newly = alive & (deg_np < gamma)
-        frontier = np.flatnonzero(newly)
-        alive[frontier] = False
-
-    deg[:p] = np.where(alive, deg_np, _LOW).tolist()
-
-
 # ----------------------------------------------------------------------
-# the main keynode peel (shared by the array and numpy kernels)
+# the main keynode peel
 # ----------------------------------------------------------------------
 def _peel_groups(
     up_off: List[int],
@@ -436,11 +342,10 @@ def fast_construct_cvs(
     gamma: int,
     stop_rank: int = 0,
     track_noncontainment: bool = False,
-    kernel: str = "array",
     scratch: Optional[PeelScratch] = None,
     phases=None,
 ) -> CVSRecord:
-    """ConstructCVS over a prefix view via the flat-array kernels.
+    """ConstructCVS over a prefix view via the flat-array kernel.
 
     Output-equivalent to the python kernel of
     :func:`repro.core.count.construct_cvs`; ``scratch`` (optional)
@@ -462,10 +367,7 @@ def fast_construct_cvs(
         sc.invalidate()
     deg = sc.ensure_degree(p)
     cuts = _advance_cuts(csr, p, sc)
-    if kernel == "numpy" and p >= NUMPY_MIN_P and numpy_available():
-        _reduce_numpy(csr, p, gamma, cuts, deg)
-    else:
-        _reduce_array(csr, p, gamma, cuts, deg, sc.stack)
+    _reduce_array(csr, p, gamma, cuts, deg, sc.stack)
     sc.remember(csr, p, cuts)
     t2 = perf_counter()
 

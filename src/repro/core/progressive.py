@@ -60,9 +60,8 @@ class LocalSearchP:
         (Section 5.1): communities containing no other influential
         γ-community; each is exactly its keynode's ``cvs`` group.
     kernel:
-        Peel kernel (``python`` / ``array`` / ``numpy`` / ``auto``);
-        ``None`` defers to ``REPRO_KERNEL`` / ``auto`` (see
-        :mod:`repro.core.fastpeel`).
+        Peel kernel (any name in :data:`~repro.core.fastpeel.KERNELS`);
+        ``None`` defers to ``REPRO_KERNEL`` / ``auto``.
     """
 
     def __init__(

@@ -171,22 +171,20 @@ def enumerate_truss_top_k(
     edge endpoints taking the role of group members.  O(size) time.
 
     ``kernel`` selects the union-find implementation: the flat
-    :class:`~repro.core.fastenum.EnumScratch` for ``array``/``numpy``
-    (edge groups are too small and irregular to vectorise, so both
-    resolve to the same scalar flat path — the win over the dict oracle
-    is the flat stores and inline path-halving), the dict-based oracle
-    for ``python`` or whenever an explicit ``state``/``built`` is
-    passed.  Unlike vertex groups, an edge group's endpoints may already
-    be tracked under a foreign key before any assignment under ``u``
-    happens, so this path exercises the union-find's dangling-anchor
-    takeover branch.
+    :class:`~repro.core.fastenum.EnumScratch` for ``array`` (the win
+    over the dict oracle is the flat stores and inline path-halving),
+    the dict-based oracle for ``python`` or whenever an explicit
+    ``state``/``built`` is passed.  Unlike vertex groups, an edge
+    group's endpoints may already be tracked under a foreign key before
+    any assignment under ``u`` happens, so this path exercises the
+    union-find's dangling-anchor takeover branch.
     """
     keys = record.keys
     count = len(keys) if k is None else min(k, len(keys))
     out: List[TrussCommunity] = []
     if state is None and built is None and resolve_kernel(kernel) != "python":
         sc = scratch if scratch is not None else EnumScratch()
-        sc.begin(graph, record.p, "array", fresh=True)
+        sc.begin(graph, record.p, fresh=True)
         communities = sc.communities
         for index in range(len(keys) - 1, len(keys) - 1 - count, -1):
             u = keys[index]

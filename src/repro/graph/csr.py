@@ -15,15 +15,11 @@ The canonical buffers are :class:`array.array` (``'i'`` targets, ``'q'``
 offsets): contiguous, picklable, and shareable across processes — the
 prerequisite for promoting the thread-based
 :class:`~repro.server.shards.ShardPool` to a process pool (dict/list
-graphs cannot be shared without a serialise-and-copy per worker).  Two
-derived views are built lazily and cached:
-
-* :meth:`lists` — plain Python-list mirrors, because CPython iterates a
-  list of (cached small) ints faster than it can box values out of an
-  ``array``; the pure-stdlib ``array`` kernel's inner loop runs on these;
-* :meth:`numpy_views` — **zero-copy** ``numpy.frombuffer`` views over
-  the canonical buffers, for the vectorised γ-core reduction of the
-  ``numpy`` kernel.
+graphs cannot be shared without a serialise-and-copy per worker).  The
+``array`` kernel's inner loops run on a derived view built lazily and
+cached, :meth:`lists`: plain Python-list mirrors, because CPython
+iterates a list of (cached small) ints faster than it can box values
+out of an ``array``.
 
 Because every threshold subgraph ``G>=tau`` is a rank prefix, the CSR
 needs no per-view rebuild: a prefix is fully described by the shared
@@ -56,7 +52,6 @@ class CSRAdjacency:
         "down_offsets",
         "down_targets",
         "_lists",
-        "_numpy",
     )
 
     def __init__(
@@ -76,7 +71,6 @@ class CSRAdjacency:
         self._lists: Optional[
             Tuple[List[int], List[int], List[int], List[int]]
         ] = None
-        self._numpy = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -96,8 +90,8 @@ class CSRAdjacency:
         :mod:`repro.cluster` rebuilds a graph's CSR inside a worker
         process with zero per-worker copies of the canonical buffers.
         Every consumer only needs ``len()``, ``.itemsize``, iteration
-        (:meth:`lists`) and the buffer protocol (:meth:`numpy_views`),
-        all of which both types provide.
+        (:meth:`lists`) and the buffer protocol, all of which both types
+        provide.
         """
         return cls(
             num_vertices, up_offsets, up_targets, down_offsets, down_targets
@@ -152,25 +146,6 @@ class CSRAdjacency:
             self._lists = mirrors
         return mirrors
 
-    def numpy_views(self):
-        """Zero-copy numpy views ``(up_off, up_tgt, down_off, down_tgt)``.
-
-        Raises ``ImportError`` when numpy is unavailable; callers gate on
-        :func:`repro.core.fastpeel.numpy_available`.
-        """
-        views = self._numpy
-        if views is None:
-            import numpy as np
-
-            views = (
-                np.frombuffer(self.up_offsets, dtype=np.int64),
-                np.frombuffer(self.up_targets, dtype=np.int32),
-                np.frombuffer(self.down_offsets, dtype=np.int64),
-                np.frombuffer(self.down_targets, dtype=np.int32),
-            )
-            self._numpy = views
-        return views
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"CSRAdjacency(n={self.num_vertices}, m={self.num_edges}, "
@@ -178,11 +153,10 @@ class CSRAdjacency:
         )
 
     # ------------------------------------------------------------------
-    # pickling: drop the derived caches (cheap to rebuild, numpy views
-    # are process-local buffer aliases anyway).  Memoryview-backed
-    # instances (shared-memory attach, from_buffers) materialise real
-    # arrays first: a memoryview cannot be pickled, and the receiving
-    # process has no claim on our segment lifetime anyway.
+    # pickling: drop the derived list mirrors (cheap to rebuild).
+    # Memoryview-backed instances (shared-memory attach, from_buffers)
+    # materialise real arrays first: a memoryview cannot be pickled, and
+    # the receiving process has no claim on our segment lifetime anyway.
     def __reduce__(self):
         def _own(buffer, typecode):
             return buffer if isinstance(buffer, array) else array(typecode, buffer)
@@ -208,9 +182,8 @@ class DeltaCSR:
     unchanged) and answers the full :class:`CSRAdjacency` interface by
     merging base and overlay **at the adjacency-row boundary** — row
     ``v`` comes from the overlay when touched, from the base otherwise.
-    Kernels consume :meth:`lists` / :meth:`numpy_views` exactly as they
-    do on a flat CSR, so peel/enumerate results are byte-identical to a
-    full rebuild.
+    Kernels consume :meth:`lists` exactly as they do on a flat CSR, so
+    peel/enumerate results are byte-identical to a full rebuild.
 
     The merge is lazy and cached: constructing the overlay is O(touched
     rows); the first kernel access folds the row mirrors by splicing
@@ -234,7 +207,6 @@ class DeltaCSR:
         "_down_rows",
         "_lists",
         "_arrays",
-        "_numpy",
     )
 
     def __init__(
@@ -254,7 +226,6 @@ class DeltaCSR:
         self._down_rows = dict(down_rows)
         self._lists = None
         self._arrays = None
-        self._numpy = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -328,22 +299,6 @@ class DeltaCSR:
     def down_targets(self) -> array:
         return self._canonical()[3]
 
-    def numpy_views(self):
-        """Zero-copy numpy views over the materialised merged buffers."""
-        views = self._numpy
-        if views is None:
-            import numpy as np
-
-            up_off, up_tgt, down_off, down_tgt = self._canonical()
-            views = (
-                np.frombuffer(up_off, dtype=np.int64),
-                np.frombuffer(up_tgt, dtype=np.int32),
-                np.frombuffer(down_off, dtype=np.int64),
-                np.frombuffer(down_tgt, dtype=np.int32),
-            )
-            self._numpy = views
-        return views
-
     @property
     def overlay_rows(self) -> int:
         """How many adjacency rows the overlay replaces (both sides)."""
@@ -412,13 +367,11 @@ class PrefixAdjacency(Sequence):
 
     __slots__ = (
         "p",
-        "csr",
         "_up_off",
         "_up_tgt",
         "_down_off",
         "_down_tgt",
         "_cuts",
-        "_numpy",
     )
 
     def __init__(
@@ -429,17 +382,12 @@ class PrefixAdjacency(Sequence):
     ) -> None:
         up_off, up_tgt, down_off, down_tgt = csr.lists()
         self.p = p
-        #: The shared CSR these rows are views over — kept so kernel code
-        #: (:mod:`repro.core.fastenum`) can reach the canonical buffers
-        #: and their zero-copy numpy views without re-deriving them.
-        self.csr = csr
         self._up_off = up_off
         self._up_tgt = up_tgt
         self._down_off = down_off
         self._down_tgt = down_tgt
         #: Absolute end index of each vertex's in-prefix down-row part.
         self._cuts = cuts
-        self._numpy = None
 
     def __len__(self) -> int:
         return self.p
@@ -473,29 +421,6 @@ class PrefixAdjacency(Sequence):
             self._down_tgt,
             self._cuts,
         )
-
-    def numpy_state(self):
-        """Numpy form ``(up_off, up_tgt, down_off, down_tgt, cuts)``.
-
-        The four CSR views are the graph's cached zero-copy buffers; the
-        cuts (per-prefix, so per-instance) are converted once and cached
-        here.  Raises ``ImportError`` when numpy is unavailable; callers
-        gate on :func:`repro.core.fastpeel.numpy_available`.
-        """
-        state = self._numpy
-        if state is None:
-            import numpy as np
-
-            up_off, up_tgt, down_off, down_tgt = self.csr.numpy_views()
-            state = (
-                up_off,
-                up_tgt,
-                down_off,
-                down_tgt,
-                np.array(self._cuts, dtype=np.int64),
-            )
-            self._numpy = state
-        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PrefixAdjacency(p={self.p})"

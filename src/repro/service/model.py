@@ -221,7 +221,7 @@ class QueryResult:
     complete: bool = False
     plan_reason: Optional[str] = field(default=None, compare=False)
     #: Peel kernel in effect when the query was served (resolved name —
-    #: ``python`` / ``array`` / ``numpy``); cache hits report the kernel
+    #: ``python`` / ``array``); cache hits report the kernel
     #: any fresh work would have used.  Excluded from equality so cached
     #: answers compare identical across kernel reconfigurations.
     kernel: Optional[str] = field(default=None, compare=False)

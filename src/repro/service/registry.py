@@ -210,9 +210,8 @@ class GraphRegistry:
         graph = entry.loader()
         entry.build_seconds = time.perf_counter() - started
         if self._prebuild_csr:
-            # Flatten eagerly (CSR + the list mirrors the stdlib kernel
-            # iterates) so first-query latency is flat; the numpy views
-            # are zero-copy and materialise on first vectorised peel.
+            # Flatten eagerly (CSR + the list mirrors the array kernel
+            # iterates) so first-query latency is flat.
             started = time.perf_counter()
             graph.csr().lists()
             entry.csr_seconds = time.perf_counter() - started

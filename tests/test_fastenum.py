@@ -1,13 +1,13 @@
-"""Differential and reuse tests for the flat-array EnumIC kernels.
+"""Differential and reuse tests for the flat-array EnumIC kernel.
 
 The python kernel (:mod:`repro.core.enumerate` over the dict-based
-:class:`KeyedDisjointSet`) is the oracle; the ``array`` and ``numpy``
-kernels must produce byte-identical community forests — keynode,
-influence, own vertices, and children, in the identical order — for
-every graph, γ, prefix and ``k``, cold and across warm (scratch- and
-state-carrying) progressive rounds, for vertex, non-containment and
-truss enumeration, in-process and across cluster worker processes under
-both multiprocessing start methods.
+:class:`KeyedDisjointSet`) is the oracle; the ``array`` kernel, named
+``array`` or by its old name ``numpy``, must produce byte-identical
+community forests — keynode, influence, own vertices, and children, in
+the identical order — for every graph, γ, prefix and ``k``, cold and
+across warm (scratch- and state-carrying) progressive rounds, for
+vertex, non-containment and truss enumeration, in-process and across
+cluster worker processes under both multiprocessing start methods.
 """
 
 import random
@@ -16,7 +16,7 @@ import pytest
 
 from repro.api.spec import QuerySpec
 from repro.cluster import ClusterPool
-from repro.core import fastenum, fastpeel
+from repro.core import fastpeel
 from repro.core.count import construct_cvs
 from repro.core.enumerate import (
     EnumerationState,
@@ -24,7 +24,7 @@ from repro.core.enumerate import (
     enumerate_top_k,
 )
 from repro.core.fastenum import EnumScratch
-from repro.core.fastpeel import PeelScratch, numpy_available
+from repro.core.fastpeel import PeelScratch
 from repro.core.noncontainment import top_k_noncontainment_communities
 from repro.core.progressive import LocalSearchP
 from repro.core.truss_search import (
@@ -45,18 +45,13 @@ from repro.workloads.generators import (
     planted_partition,
 )
 
+#: Every name that selects the array kernel: ``numpy`` is the old name
+#: of a retired vectorised kernel and must still reach it everywhere.
 FAST_KERNELS = ("array", "numpy")
 
 needs_mp = pytest.mark.skipif(
     not ClusterPool.available(), reason="multiprocessing unavailable"
 )
-
-
-@pytest.fixture(autouse=True)
-def force_numpy_paths(monkeypatch):
-    """Tiny test graphs must still exercise the vectorised numpy paths."""
-    monkeypatch.setattr(fastpeel, "NUMPY_MIN_P", 0)
-    monkeypatch.setattr(fastenum, "ENUM_NUMPY_MIN_GROUP", 0)
 
 
 def random_graph(seed: int):
@@ -103,11 +98,6 @@ def truss_fingerprint(communities):
     ]
 
 
-def skip_without_numpy(kernel):
-    if kernel == "numpy" and not numpy_available():
-        pytest.skip("numpy unavailable")
-
-
 # ----------------------------------------------------------------------
 # cold differential sweep
 # ----------------------------------------------------------------------
@@ -117,7 +107,6 @@ class TestColdDifferential:
 
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     def test_matches_python_oracle(self, kernel):
-        skip_without_numpy(kernel)
         for seed in self.SEEDS:
             rng = random.Random(30_000 + seed)
             graph = random_graph(seed)
@@ -164,7 +153,6 @@ class TestProgressiveDifferential:
     def test_warm_rounds_match_oracle(self, kernel):
         """Growing prefixes over one shared state/scratch pair: every
         round's incremental yield is byte-identical."""
-        skip_without_numpy(kernel)
         for seed in self.SEEDS:
             rng = random.Random(40_000 + seed)
             graph = random_graph(seed)
@@ -201,7 +189,6 @@ class TestProgressiveDifferential:
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     def test_streams_identical(self, kernel):
         """LocalSearch-P end to end: identical community sequences."""
-        skip_without_numpy(kernel)
         for seed in (2, 8, 19):
             graph = random_graph(seed)
             gamma = 2 + seed % 3
@@ -219,7 +206,6 @@ class TestProgressiveDifferential:
 class TestOtherCohesions:
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     def test_noncontainment_matches(self, kernel):
-        skip_without_numpy(kernel)
         for seed in (3, 11, 25):
             graph = random_graph(seed)
             oracle = top_k_noncontainment_communities(
@@ -318,8 +304,8 @@ class TestScratchReuse:
         assert forest_fingerprint(got) == forest_fingerprint(want)
 
     def test_mode_switch_resets_and_stays_correct(self):
-        if not numpy_available():
-            pytest.skip("numpy unavailable")
+        """Switching kernel names on one scratch resets it between cold
+        enumerations, stays correct, and never swaps its stores."""
         graph = random_graph(15)
         record = construct_cvs(
             PrefixView(graph, graph.num_vertices), 2, kernel="numpy"
@@ -328,14 +314,14 @@ class TestScratchReuse:
         want = forest_fingerprint(
             enumerate_top_k(graph, record, kernel="python")
         )
+        parent = None
         for kernel in ("array", "numpy", "array"):
             got = enumerate_top_k(
                 graph, record, kernel=kernel, scratch=scratch
             )
             assert forest_fingerprint(got) == want, kernel
-            assert scratch.mode == (
-                "numpy" if kernel == "numpy" else "array"
-            )
+            parent = parent if parent is not None else scratch.parent
+            assert scratch.parent is parent
 
     def test_reset_restores_virgin_state(self):
         graph = random_graph(18)
@@ -380,18 +366,6 @@ class TestDispatch:
         want = enumerate_top_k(graph, record, kernel="python")
         assert forest_fingerprint(got) == forest_fingerprint(want)
         assert scratch.graph is None
-
-    def test_numpy_degrades_to_array_when_missing(self, monkeypatch):
-        monkeypatch.setattr(fastpeel, "_numpy_module", None)
-        monkeypatch.setattr(fastpeel, "_numpy_checked", True)
-        monkeypatch.delenv(fastpeel.KERNEL_ENV_VAR, raising=False)
-        graph = random_graph(8)
-        record = construct_cvs(
-            PrefixView(graph, graph.num_vertices), 2, kernel="array"
-        )
-        got = enumerate_top_k(graph, record, kernel="numpy")
-        want = enumerate_top_k(graph, record, kernel="python")
-        assert forest_fingerprint(got) == forest_fingerprint(want)
 
     def test_enumerate_phase_recorded(self):
         graph = random_graph(4)

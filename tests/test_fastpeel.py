@@ -1,11 +1,11 @@
-"""Differential and reuse tests for the flat-array peel kernels.
+"""Differential and reuse tests for the flat-array peel kernel.
 
 The python kernel (:func:`repro.core.count.peel_cvs`) is the oracle;
-the ``array`` and ``numpy`` kernels must produce byte-identical
-:class:`CVSRecord` outputs for every graph, γ, prefix, ``stop_rank`` and
-non-containment setting — cold and across warm (scratch-carrying)
-progressive rounds — and the progressive community streams must match
-element for element.
+the ``array`` kernel, named ``array`` or by its old name ``numpy``,
+must produce byte-identical :class:`CVSRecord` outputs for every graph,
+γ, prefix, ``stop_rank`` and non-containment setting — cold and across
+warm (scratch-carrying) progressive rounds — and the progressive
+community streams must match element for element.
 """
 
 import random
@@ -15,10 +15,8 @@ import pytest
 from repro.core import fastpeel
 from repro.core.count import construct_cvs
 from repro.core.fastpeel import (
-    KERNELS,
     PeelScratch,
     fast_construct_cvs,
-    numpy_available,
     resolve_kernel,
 )
 from repro.core.progressive import LocalSearchP
@@ -31,13 +29,9 @@ from repro.workloads.generators import (
     planted_partition,
 )
 
+#: Every name that selects the array kernel: ``numpy`` is the old name
+#: of a retired vectorised kernel and must still reach it everywhere.
 FAST_KERNELS = ("array", "numpy")
-
-
-@pytest.fixture(autouse=True)
-def force_numpy_path(monkeypatch):
-    """Tiny test graphs must still exercise the vectorised numpy path."""
-    monkeypatch.setattr(fastpeel, "NUMPY_MIN_P", 0)
 
 
 def record_fingerprint(record):
@@ -79,8 +73,6 @@ class TestColdDifferential:
 
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     def test_matches_python_oracle(self, kernel):
-        if kernel == "numpy" and not numpy_available():
-            pytest.skip("numpy unavailable")
         for seed in self.SEEDS:
             rng = random.Random(10_000 + seed)
             graph = random_graph(seed)
@@ -114,8 +106,6 @@ class TestProgressiveDifferential:
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     def test_warm_rounds_match_oracle(self, kernel):
         """Growing prefixes over one scratch: every round byte-identical."""
-        if kernel == "numpy" and not numpy_available():
-            pytest.skip("numpy unavailable")
         for seed in self.SEEDS:
             rng = random.Random(20_000 + seed)
             graph = random_graph(seed)
@@ -150,8 +140,6 @@ class TestProgressiveDifferential:
     @pytest.mark.parametrize("delta", [1.5, 2.0, 3.0])
     def test_streams_identical(self, kernel, delta):
         """LocalSearch-P yields the identical community sequence."""
-        if kernel == "numpy" and not numpy_available():
-            pytest.skip("numpy unavailable")
         for seed in (1, 7, 23):
             graph = random_graph(seed)
             gamma = 2 + seed % 3
@@ -167,8 +155,6 @@ class TestProgressiveDifferential:
 
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     def test_noncontainment_streams_identical(self, kernel):
-        if kernel == "numpy" and not numpy_available():
-            pytest.skip("numpy unavailable")
         for seed in (3, 11):
             graph = random_graph(seed)
             def stream(k):
@@ -257,30 +243,13 @@ class TestKernelResolution:
 
     def test_auto_default(self, monkeypatch):
         monkeypatch.delenv(fastpeel.KERNEL_ENV_VAR, raising=False)
-        expected = "numpy" if numpy_available() else "array"
-        assert resolve_kernel() == expected
-        assert resolve_kernel("auto") == expected
+        assert resolve_kernel() == "array"
+        assert resolve_kernel("auto") == "array"
+        assert resolve_kernel("numpy") == "array"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
             resolve_kernel("cuda")
-
-    def test_numpy_degrades_to_array_when_missing(self, monkeypatch):
-        monkeypatch.setattr(fastpeel, "_numpy_module", None)
-        monkeypatch.setattr(fastpeel, "_numpy_checked", True)
-        monkeypatch.delenv(fastpeel.KERNEL_ENV_VAR, raising=False)
-        assert not numpy_available()
-        assert resolve_kernel("numpy") == "array"
-        assert resolve_kernel() == "array"
-        # And the peel itself still works on the stdlib path.
-        graph = random_graph(2)
-        got = fast_construct_cvs(
-            PrefixView(graph, graph.num_vertices), 2, kernel="numpy"
-        )
-        want = construct_cvs(
-            PrefixView(graph, graph.num_vertices), 2, kernel="python"
-        )
-        assert record_fingerprint(got) == record_fingerprint(want)
 
     def test_gamma_validation(self):
         graph = random_graph(1)

@@ -20,6 +20,7 @@ import pytest
 from repro.api import KERNEL_ALGORITHMS, QuerySpec
 from repro.core.fastpeel import KERNELS, resolve_kernel
 from repro.core.progressive import LocalSearchP
+from repro.errors import QueryParameterError
 from repro.graph.builder import graph_from_arrays
 from repro.server import ReproClient, ReproServer
 from repro.service import (
@@ -136,6 +137,64 @@ class TestKernelProvenance:
         )
         assert ran == [resolve_kernel(kernel)]
         assert result.kernel == ran[0]
+
+
+class TestKernelNames:
+    """``auto`` runs the array kernel, and ``numpy`` (the name of a
+    retired vectorised kernel) stays legal wherever a kernel can be
+    named: the query is served and reports ``array``."""
+
+    def test_auto_and_numpy_serve_and_report_array(
+        self, monkeypatch, tmp_path
+    ):
+        from repro import cli
+        from repro.api.facade import Repro
+        from repro.graph.io import write_edge_list
+
+        for name in ("auto", "numpy"):
+            monkeypatch.setenv("REPRO_KERNEL", name)
+            engine = QueryEngine(make_registry(), cache=None)
+            result = engine.execute(QuerySpec(graph="g", k=2, gamma=3))
+            assert engine.kernel == result.kernel == "array"
+            assert len(result.communities) == 2
+
+        # Wire: an older client's kernel=numpy is checked, then dropped.
+        monkeypatch.delenv("REPRO_KERNEL")
+        shell, out, _ = make_shell()
+        shell.execute_line("query g k=2 gamma=3 kernel=numpy json")
+        payload = json.loads(out.getvalue())
+        assert payload["kernel"] == "array"
+        assert len(payload["communities"]) == 2
+
+        # CLI: --kernel numpy pins the process, which then runs array.
+        served = []
+        real_topk = Repro.topk
+
+        def spy(self, *args, **kwargs):
+            served.append(real_topk(self, *args, **kwargs))
+            return served[-1]
+
+        monkeypatch.setattr(Repro, "topk", spy)
+        edges = tmp_path / "g.txt"
+        write_edge_list(edges, two_k4s().edges_as_labels())
+        text = io.StringIO()
+        code = cli.main(
+            ["query", "--edges", str(edges), "--k", "2", "--gamma", "3",
+             "--kernel", "numpy"],
+            out=text,
+        )
+        assert code == 0
+        assert "2 communities" in text.getvalue()
+        assert [rs.kernel for rs in served] == ["array"]
+
+    def test_unknown_kernel_is_still_an_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "fortran")
+        with pytest.raises(ValueError, match="unknown peel kernel 'fortran'"):
+            QueryEngine(make_registry(), cache=None)
+        # A wire payload's kernel must be a known name, not any hashable.
+        for kernel in ("fortran", ["array"], {"array": 1}):
+            with pytest.raises(QueryParameterError, match="unknown kernel"):
+                QuerySpec.from_wire({"graph": "g", "kernel": kernel})
 
 
 class TestAllocationFreeHits:

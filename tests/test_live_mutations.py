@@ -54,14 +54,7 @@ needs_mp = pytest.mark.skipif(
     not ClusterPool.available(), reason="multiprocessing unavailable"
 )
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is in the CI image
-    HAVE_NUMPY = False
-
-KERNELS = ["python", "array"] + (["numpy"] if HAVE_NUMPY else [])
+KERNELS = ["python", "array"]
 
 
 def _distinct_weights(n: int, seed: int = 0) -> list:
@@ -254,14 +247,6 @@ class TestDeltaCSR:
         flat = new.csr().materialize()
         assert isinstance(flat, CSRAdjacency)
         assert _csr_tuple(flat) == _csr_tuple(oracle.csr())
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-    def test_numpy_views_match(self):
-        new, oracle = self._mutated()
-        mine = new.csr().numpy_views()
-        theirs = oracle.csr().numpy_views()
-        for a, b in zip(mine, theirs):
-            assert a.tolist() == b.tolist()
 
 
 # ----------------------------------------------------------------------
