@@ -11,6 +11,7 @@ cluster worker processes under both multiprocessing start methods.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -366,6 +367,23 @@ class TestDispatch:
         want = enumerate_top_k(graph, record, kernel="python")
         assert forest_fingerprint(got) == forest_fingerprint(want)
         assert scratch.graph is None
+
+    def test_numpy_degrades_to_array_when_missing(self, monkeypatch):
+        """The old ``numpy`` name needs no numpy: with the module
+        unimportable it still runs the array enumeration."""
+        graph = random_graph(8)  # the generators themselves use numpy
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.delenv(fastpeel.KERNEL_ENV_VAR, raising=False)
+        with pytest.raises(ImportError):
+            import numpy  # noqa: F401
+        record = construct_cvs(
+            PrefixView(graph, graph.num_vertices), 2, kernel="array"
+        )
+        scratch = EnumScratch()
+        got = enumerate_top_k(graph, record, kernel="numpy", scratch=scratch)
+        assert scratch.graph is graph  # bound: the array path ran
+        want = enumerate_top_k(graph, record, kernel="python")
+        assert forest_fingerprint(got) == forest_fingerprint(want)
 
     def test_enumerate_phase_recorded(self):
         graph = random_graph(4)

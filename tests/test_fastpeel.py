@@ -9,6 +9,7 @@ community streams must match element for element.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -250,6 +251,25 @@ class TestKernelResolution:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
             resolve_kernel("cuda")
+
+    def test_numpy_degrades_to_array_when_missing(self, monkeypatch):
+        """The old ``numpy`` name needs no numpy: with the module
+        unimportable it still resolves to, and runs, the array kernel."""
+        graph = random_graph(2)  # the generators themselves use numpy
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.delenv(fastpeel.KERNEL_ENV_VAR, raising=False)
+        with pytest.raises(ImportError):
+            import numpy  # noqa: F401
+        assert resolve_kernel("numpy") == "array"
+        assert resolve_kernel() == "array"
+        got = construct_cvs(
+            PrefixView(graph, graph.num_vertices), 2, kernel="numpy"
+        )
+        assert isinstance(got.nbrs, PrefixAdjacency)  # the array path ran
+        want = construct_cvs(
+            PrefixView(graph, graph.num_vertices), 2, kernel="python"
+        )
+        assert record_fingerprint(got) == record_fingerprint(want)
 
     def test_gamma_validation(self):
         graph = random_graph(1)
