@@ -573,27 +573,12 @@ def _run_serve(args: argparse.Namespace, out, in_stream) -> int:
     if args.metrics_port is not None:
         from .obs.export import MetricsServer
 
-        def _readiness():
-            status = history.slo_status() if history is not None else None
-            if status is None or status["ok"]:
-                return {"ready": True, "reasons": []}
-            breached = sorted(
-                name
-                for name, objective in status["objectives"].items()
-                if not objective["ok"]
-            )
-            return {
-                "ready": False,
-                "reasons": [f"slo breach: {', '.join(breached)}"],
-                "slo": status,
-            }
-
         metrics_server = MetricsServer(
             metrics,
             trace_store=tracer.store if tracer is not None else None,
             port=args.metrics_port,
             history=history,
-            readiness=_readiness,
+            readiness=history.readiness,
             profiler=engine.profiler,
         )
         mhost, mport = metrics_server.start()

@@ -9,7 +9,6 @@ pulls in ``http.server``) loads lazily so the kernel hot path's
 ``record_phase`` import stays featherweight.
 """
 
-from .history import SLO, MetricsHistory, parse_slo
 from .trace import (
     DEFAULT_SLOW_MS,
     DEFAULT_TRACE_SAMPLE,
@@ -48,8 +47,13 @@ __all__ = [
 
 #: Lazily-resolved exports (PEP 562): attribute -> submodule.  Keeps
 #: the kernel hot path's ``record_phase`` import from dragging in
-#: ``http.server`` / ``cProfile`` / the dashboard renderer.
+#: ``http.server`` / ``cProfile`` / the dashboard renderer, and from
+#: importing :mod:`repro.service` (which the history collector reads
+#: its metric table from) while :mod:`repro.core` is half-initialised.
 _LAZY = {
+    "MetricsHistory": "history",
+    "SLO": "history",
+    "parse_slo": "history",
     "MetricsServer": "export",
     "render_prometheus": "export",
     "render_dashboard": "dashboard",

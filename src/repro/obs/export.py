@@ -2,8 +2,11 @@
 
 Everything here is standard library.  :func:`render_prometheus` turns a
 :meth:`~repro.service.metrics.ServiceMetrics.snapshot` (plus the trace
-store's counters) into Prometheus text-format 0.0.4;
-:class:`MetricsServer` serves it from a daemonized
+store's counters) into Prometheus text-format 0.0.4.  Every counter and
+gauge series comes from one loop over the declaration table
+:data:`~repro.service.metrics.METRICS`; only the latency percentiles,
+the per-family rows, the trace counters and the SLO series are written
+out by hand.  :class:`MetricsServer` serves it from a daemonized
 :class:`~http.server.ThreadingHTTPServer`, alongside JSON endpoints for
 the raw snapshot and the trace rings:
 
@@ -23,6 +26,9 @@ the raw snapshot and the trace rings:
 * ``GET /profile``        — on-demand cProfile capture
   (``?seconds=N&top=M``; 409 while another capture runs)
 
+A non-finite ``seconds`` or ``window`` answers 400 with a typed JSON
+error, ``{"error": ..., "type": "QueryParameterError"}``.
+
 The server thread only ever *reads* shared state (snapshot() and the
 trace store are internally locked; the history collector samples on its
 own thread), so it needs no coordination with the serving loop;
@@ -33,11 +39,14 @@ own thread), so it needs no coordination with the serving loop;
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from ..errors import QueryParameterError
+from ..service.metrics import COUNTER, METRICS, Metric
 from .dashboard import render_dashboard
 from .history import MetricsHistory
 from .profiling import OnDemandProfiler, ProfileBusyError
@@ -103,6 +112,34 @@ class _Lines:
         return "\n".join(self._out) + "\n"
 
 
+#: Rows of the cluster, control and live tiers print after the latency
+#: and family blocks, every other exported row before them.
+_LATE_TIERS = ("cluster", "control", "live")
+_EXPORTED = [metric for metric in METRICS if metric.prom is not None]
+_BEFORE_LATENCY = [m for m in _EXPORTED if m.keys[0] not in _LATE_TIERS]
+_AFTER_LATENCY = [m for m in _EXPORTED if m.keys[0] in _LATE_TIERS]
+
+
+def _sample_rows(
+    out: _Lines, snapshot: Dict[str, Any], rows: List[Metric]
+) -> None:
+    """The series of declared counters and gauges, in table order."""
+    for metric in rows:
+        kind = "counter" if metric.kind == COUNTER else "gauge"
+        value = metric.read(snapshot)
+        if metric.label is None:
+            out.sample(metric.prom, value, help_text=metric.help, kind=kind)
+            continue
+        for label_value, sample in sorted(value.items()):
+            out.sample(
+                metric.prom,
+                sample,
+                labels={metric.label: label_value},
+                help_text=metric.help,
+                kind=kind,
+            )
+
+
 def render_prometheus(
     snapshot: Dict[str, Any],
     trace_store: Optional[TraceStore] = None,
@@ -115,61 +152,7 @@ def render_prometheus(
     breach counter) ride along.
     """
     out = _Lines()
-    out.sample(
-        "repro_queries_served_total",
-        snapshot.get("queries_served", 0),
-        help_text="Queries served across all frontends.",
-        kind="counter",
-    )
-    for dimension in ("source", "algorithm", "kernel", "backend"):
-        for value, count in sorted(
-            (snapshot.get(f"by_{dimension}") or {}).items()
-        ):
-            out.sample(
-                f"repro_queries_by_{dimension}_total",
-                count,
-                labels={dimension: value},
-                kind="counter",
-            )
-    out.sample(
-        "repro_errors_total",
-        snapshot.get("errors", 0),
-        help_text="Errors observed by shell/transport/pool paths.",
-        kind="counter",
-    )
-    for kind_name, count in sorted((snapshot.get("by_error") or {}).items()):
-        out.sample(
-            "repro_errors_by_kind_total",
-            count,
-            labels={"kind": kind_name},
-            kind="counter",
-        )
-    out.sample(
-        "repro_cache_hit_rate",
-        snapshot.get("cache_hit_rate", 0.0),
-        help_text="Fraction of queries served without fresh computation.",
-    )
-    for field in ("sessions_opened", "sessions_closed", "sessions_expired"):
-        out.sample(f"repro_{field}_total", snapshot.get(field, 0), kind="counter")
-
-    server = snapshot.get("server") or {}
-    out.sample(
-        "repro_server_coalesce_rate",
-        server.get("coalesce_rate", 0.0),
-        help_text="Fraction of scheduler queries sharing an engine pass.",
-    )
-    for field in (
-        "connections_opened",
-        "connections_closed",
-        "batches",
-        "batched_queries",
-        "replica_idle_dispatches",
-    ):
-        out.sample(
-            f"repro_server_{field}_total", server.get(field, 0), kind="counter"
-        )
-    for field in ("max_batch_width", "queue_depth", "queue_depth_peak"):
-        out.sample(f"repro_server_{field}", server.get(field, 0))
+    _sample_rows(out, snapshot, _BEFORE_LATENCY)
 
     for algo, pcts in sorted((snapshot.get("latency_ms") or {}).items()):
         for pname, value in sorted(pcts.items()):
@@ -216,93 +199,7 @@ def render_prometheus(
                 help_text="Per-family nearest-rank latency percentiles.",
             )
 
-    cluster = snapshot.get("cluster") or {}
-    for worker, count in sorted((cluster.get("by_worker") or {}).items()):
-        out.sample(
-            "repro_cluster_worker_dispatches_total",
-            count,
-            labels={"worker": worker},
-            kind="counter",
-        )
-    for worker, depth in sorted((cluster.get("queue_depth") or {}).items()):
-        out.sample(
-            "repro_cluster_worker_queue_depth",
-            depth,
-            labels={"worker": worker},
-            help_text="Queued + in-flight jobs per cluster worker.",
-        )
-    out.sample(
-        "repro_cluster_queue_depth_peak", cluster.get("queue_depth_peak", 0)
-    )
-    for mode, count in sorted(
-        (cluster.get("segment_attaches") or {}).items()
-    ):
-        out.sample(
-            "repro_cluster_segment_attaches_total",
-            count,
-            labels={"mode": mode},
-            kind="counter",
-        )
-    out.sample(
-        "repro_cluster_worker_restarts_total",
-        cluster.get("worker_restarts", 0),
-        kind="counter",
-    )
-
-    control = snapshot.get("control") or {}
-    for policy, count in sorted((control.get("decisions") or {}).items()):
-        out.sample(
-            "repro_control_decisions_total",
-            count,
-            labels={"policy": policy},
-            help_text="Adaptive-controller decisions applied, by policy.",
-            kind="counter",
-        )
-    for tenant, count in sorted(
-        (control.get("admission_rejected") or {}).items()
-    ):
-        out.sample(
-            "repro_admission_rejected_total",
-            count,
-            labels={"tenant": tenant},
-            help_text="Queries refused by admission control, by tenant.",
-            kind="counter",
-        )
-
-    live = snapshot.get("live") or {}
-    out.sample(
-        "repro_live_mutations_applied_total",
-        live.get("mutations_applied", 0),
-        help_text="Edge-mutation batches applied through GraphRegistry.apply.",
-        kind="counter",
-    )
-    out.sample(
-        "repro_live_families_invalidated_total",
-        live.get("families_invalidated", 0),
-        help_text="Cached families dropped by scoped invalidation.",
-        kind="counter",
-    )
-    out.sample(
-        "repro_live_families_preserved_total",
-        live.get("families_preserved", 0),
-        help_text="Cached families carried across a graph mutation.",
-        kind="counter",
-    )
-    out.sample(
-        "repro_live_compactions_total",
-        live.get("compactions", 0),
-        help_text="Delta chains folded into fresh flat CSR generations.",
-        kind="counter",
-    )
-    for graph, generation in sorted(
-        (live.get("graph_generation") or {}).items()
-    ):
-        out.sample(
-            "repro_graph_generation",
-            generation,
-            labels={"graph": graph},
-            help_text="Current registry version (generation) per graph.",
-        )
+    _sample_rows(out, snapshot, _AFTER_LATENCY)
 
     if trace_store is not None:
         counters = trace_store.counters()
@@ -382,12 +279,27 @@ class _Handler(BaseHTTPRequestHandler):
     def _query_float(
         params: Dict[str, List[str]], key: str, default: float
     ) -> float:
+        """A float query parameter; unparseable falls back to
+        ``default``, and a non-finite value is a bad request."""
         try:
-            return float(params.get(key, [default])[0])
+            value = float(params.get(key, [default])[0])
         except (TypeError, ValueError):
             return default
+        if not math.isfinite(value):
+            raise QueryParameterError(
+                f"{key} must be a finite number, got {value!r}"
+            )
+        return value
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        try:
+            self._route()
+        except QueryParameterError as exc:
+            self._reply_json(
+                {"error": str(exc), "type": type(exc).__name__}, status=400
+            )
+
+    def _route(self) -> None:
         exporter: "MetricsServer" = self.server.exporter  # type: ignore[attr-defined]
         parsed = urlparse(self.path)
         path = parsed.path.rstrip("/") or "/"
@@ -473,7 +385,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ProfileBusyError as exc:
             self._reply_json({"error": str(exc)}, status=409)
         except ValueError as exc:
-            self._reply_json({"error": str(exc)}, status=400)
+            raise QueryParameterError(str(exc)) from exc
         else:
             self._reply(report, "text/plain")
 

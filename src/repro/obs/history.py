@@ -36,12 +36,12 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
+from ..service.metrics import HIT_SOURCES, METRICS, SERVED_SOURCES
+
 __all__ = ["SLO", "parse_slo", "MetricsHistory"]
 
-#: Hit-rate numerator/denominator sources (mirrors
-#: :attr:`~repro.service.metrics.ServiceMetrics.cache_hit_rate`).
-_HIT_SOURCES = ("cache", "extended", "coalesced")
-_SERVED_SOURCES = ("cache", "extended", "cold", "coalesced")
+#: The table rows copied into every tick, under their ``tick`` keys.
+_TICKED = tuple(metric for metric in METRICS if metric.tick is not None)
 
 
 class SLO:
@@ -223,9 +223,6 @@ class MetricsHistory:
         """Take one tick now (also the collector thread's body)."""
         now = self.clock()
         snap = self.metrics.snapshot()
-        source = snap.get("by_source") or {}
-        server = snap.get("server") or {}
-        cluster = snap.get("cluster") or {}
         families = snap.get("by_family") or {}
         if len(families) > self.max_families:
             busiest = sorted(
@@ -234,31 +231,17 @@ class MetricsHistory:
                 reverse=True,
             )[: self.max_families]
             families = dict(busiest)
-        live = snap.get("live") or {}
-        tick: Dict[str, Any] = {
-            "t": now,
-            "queries_served": snap.get("queries_served", 0),
-            "errors": snap.get("errors", 0),
-            "mutations_applied": live.get("mutations_applied", 0),
-            "families_invalidated": live.get("families_invalidated", 0),
-            "families_preserved": live.get("families_preserved", 0),
-            "compactions": live.get("compactions", 0),
-            "hits": sum(source.get(s, 0) for s in _HIT_SOURCES),
-            "hit_base": sum(source.get(s, 0) for s in _SERVED_SOURCES),
-            "batches": server.get("batches", 0),
-            "batched_queries": server.get("batched_queries", 0),
-            "queue_depth": server.get("queue_depth", 0),
-            "replica_idle_dispatches": server.get(
-                "replica_idle_dispatches", 0
-            ),
-            "workers": dict(cluster.get("queue_depth") or {}),
-            # Untruncated on purpose (one integer per registered graph):
-            # per-graph demand deltas stay exact even when the family
-            # table above dropped rows to ``max_families``.
-            "graphs": dict(snap.get("by_graph") or {}),
-            "families": families,
-            "latency_overall_ms": dict(snap.get("latency_overall_ms") or {}),
-        }
+        source = snap.get("by_source") or {}
+        tick: Dict[str, Any] = {"t": now}
+        for metric in _TICKED:
+            value = metric.read(snap)
+            tick[metric.tick] = (
+                dict(value) if metric.label is not None else value
+            )
+        tick["hits"] = sum(source.get(s, 0) for s in HIT_SOURCES)
+        tick["hit_base"] = sum(source.get(s, 0) for s in SERVED_SOURCES)
+        tick["families"] = families
+        tick["latency_overall_ms"] = dict(snap.get("latency_overall_ms") or {})
         if self.trace_store is not None:
             tick["traces"] = self.trace_store.counters()
         if self.gauges is not None:
@@ -405,6 +388,31 @@ class MetricsHistory:
             if self._slo_status is None:
                 return self.slo.evaluate(self._window_locked(self.slo.window_s))
             return self._slo_status
+
+    def readiness(
+        self, reasons: Optional[List[str]] = None, **extra: Any
+    ) -> Dict[str, Any]:
+        """The ``/readyz`` document with this collector's SLO verdict.
+
+        ``reasons`` are the caller's own not-ready reasons (dead
+        workers, say) and ``extra`` its own fields.  The verdict rides
+        along as ``"slo"`` whenever one exists, and a breach adds a
+        reason; ``ready`` holds iff no reason remains.  Both frontends
+        build ``/readyz`` here, so they answer the same document.
+        """
+        doc: Dict[str, Any] = dict(extra, reasons=list(reasons or ()))
+        status = self.slo_status()
+        if status is not None:
+            doc["slo"] = status
+            breached = sorted(
+                name
+                for name, objective in status["objectives"].items()
+                if not objective["ok"]
+            )
+            if breached:
+                doc["reasons"].append(f"slo breach: {', '.join(breached)}")
+        doc["ready"] = not doc["reasons"]
+        return doc
 
     def document(self, window_s: Optional[float] = None) -> Dict[str, Any]:
         """The ``/history.json`` payload: derived points + SLO state."""

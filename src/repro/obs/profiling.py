@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cProfile
 import io
+import math
 import pstats
 import threading
 import time
@@ -87,11 +88,15 @@ class OnDemandProfiler:
         """Arm for ``seconds``, then return the pstats top-``top`` table.
 
         Raises :class:`ProfileBusyError` when a capture is already in
-        progress and :class:`ValueError` for a non-positive window.
+        progress and :class:`ValueError` for a window that is not a
+        positive finite number.
         """
         seconds = float(seconds)
-        if seconds <= 0:
-            raise ValueError("profile seconds must be positive")
+        if not (math.isfinite(seconds) and seconds > 0):
+            raise ValueError(
+                f"profile seconds must be a positive finite number, "
+                f"got {seconds!r}"
+            )
         seconds = min(seconds, self.MAX_SECONDS)
         top = max(1, int(top))
         if not self._capture_lock.acquire(blocking=False):

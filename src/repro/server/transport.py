@@ -437,27 +437,17 @@ class ReproServer:
         is restarted.
         """
         reasons: List[str] = []
-        doc: Dict[str, Any] = {"ready": True, "reasons": reasons}
+        extra: Dict[str, Any] = {}
         liveness = getattr(self.shards, "liveness", None)
         if liveness is not None:
-            workers = liveness()
-            doc["workers"] = workers
+            workers = extra["workers"] = liveness()
             dead = sorted(tag for tag, alive in workers.items() if not alive)
             if dead:
                 reasons.append(f"dead workers: {', '.join(dead)}")
-        if self.history is not None and self.slo is not None:
-            status = self.history.slo_status()
-            if status is not None:
-                doc["slo"] = status
-                if not status["ok"]:
-                    breached = sorted(
-                        name
-                        for name, objective in status["objectives"].items()
-                        if not objective["ok"]
-                    )
-                    reasons.append(f"slo breach: {', '.join(breached)}")
-        doc["ready"] = not reasons
-        return doc
+        # The metrics server (the only caller) implies observability,
+        # and with it the history collector.
+        assert self.history is not None
+        return self.history.readiness(reasons, **extra)
 
     # ------------------------------------------------------------------
     async def _handle(

@@ -1,17 +1,20 @@
 """Service metrics — counters and latency percentiles for the serving layer.
 
-Pure in-process instrumentation (no external dependency): monotonically
-increasing counters (queries served, per-source/backend breakdown,
-session lifecycle), a bounded latency reservoir per algorithm, and
-nearest-rank percentiles over it.  Since PR 4 one canonical query
-identity exists (:meth:`repro.api.spec.QuerySpec.cache_key`), so the
-sink can also aggregate **per family**: :meth:`ServiceMetrics.by_family`
+Pure in-process instrumentation (no external dependency).  Every counter
+and gauge is declared once, as a :class:`Metric` row of :data:`METRICS`:
+its path in the :meth:`ServiceMetrics.snapshot` document, its kind, its
+optional label dimension, its Prometheus name and HELP text, and its key
+in a history tick.  ``ServiceMetrics`` initialises its state from the
+table, ``snapshot()`` builds the nested document from it, and the
+Prometheus exporter (:func:`repro.obs.export.render_prometheus`) and the
+history collector (:class:`repro.obs.history.MetricsHistory`) loop over
+it.  A new counter is one row plus the ``observe_*`` line that bumps it.
+
+The bespoke parts sit beside the table: a bounded latency reservoir per
+algorithm (plus one pooled reservoir) with nearest-rank percentiles, and
+the LRU-bounded **per-family** table — :meth:`ServiceMetrics.by_family`
 reports hit rate and p50/p95 latency per
-:class:`~repro.api.spec.FamilyKey` — the spec-addressed observability
-the shell's ``metrics`` command surfaces in text and JSON modes.  The
-cluster tier (:mod:`repro.cluster`) adds placement counters: per-worker
-dispatches and queue depths, segment attach counts, worker restarts,
-and a ``by_backend`` split of thread- vs process-served queries.
+:class:`~repro.api.spec.FamilyKey`.
 
 ``snapshot()`` returns a plain dict so the shell's ``metrics`` command
 and tests can consume it directly.
@@ -22,9 +25,23 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict, defaultdict, deque
-from typing import Deque, Dict, Iterable, Optional
+from typing import Any, Callable, Deque, Dict, Iterable, Optional
 
-__all__ = ["percentile", "family_label", "ServiceMetrics"]
+__all__ = [
+    "percentile", "family_label", "ServiceMetrics", "Metric", "METRICS",
+    "HIT_SOURCES", "SERVED_SOURCES",
+]
+
+#: Sources that served a query without a fresh computation: a cache
+#: slice, a resumed cursor, or a seat on another query's batch.
+HIT_SOURCES = frozenset({"cache", "extended", "coalesced"})
+#: Every source that served a query (the hit rate's denominator).
+SERVED_SOURCES = HIT_SOURCES | {"cold"}
+
+#: Metric kinds.  A ``peak`` is a gauge that only rises (the highest
+#: value seen); a ``rate`` holds no state of its own and is derived from
+#: other rows when the snapshot is built.
+COUNTER, GAUGE, PEAK, RATE = "counter", "gauge", "peak", "rate"
 
 
 def percentile(samples: Iterable[float], q: float) -> Optional[float]:
@@ -46,14 +63,168 @@ def family_label(family) -> str:
     )
 
 
+def _hit_rate(values: Dict[str, Any]) -> float:
+    # .get (never index) — by_source is a defaultdict, and a *read*
+    # must not insert zero-count keys into snapshots.
+    source = values["by_source"]
+    served = sum(source.get(s, 0) for s in SERVED_SOURCES)
+    if not served:
+        return 0.0
+    return sum(source.get(s, 0) for s in HIT_SOURCES) / served
+
+
+def _coalesce_rate(values: Dict[str, Any]) -> float:
+    if not values["batched_queries"]:
+        return 0.0
+    return 1.0 - values["batches"] / values["batched_queries"]
+
+
+class Metric:
+    """One declared counter or gauge.
+
+    ``path`` is the dotted position in the snapshot document and
+    ``attr`` the :class:`ServiceMetrics` attribute holding the state
+    (default: the path's last part).  A row with a ``label`` holds one
+    value per label value.  ``prom`` is the Prometheus series name
+    (``None`` = not exported), ``tick`` the key the history collector
+    copies the value to (``None`` = not sampled), and ``derive``
+    computes a ``rate`` row from the other rows' values.
+    """
+
+    __slots__ = (
+        "path", "keys", "kind", "label", "prom", "help", "attr", "tick",
+        "derive",
+    )
+
+    def __init__(
+        self,
+        path: str,
+        kind: str,
+        label: Optional[str] = None,
+        prom: Optional[str] = None,
+        help: str = "",
+        attr: Optional[str] = None,
+        tick: Optional[str] = None,
+        derive: Optional[Callable[[Dict[str, Any]], float]] = None,
+    ) -> None:
+        self.path, self.kind, self.label = path, kind, label
+        self.prom, self.help, self.tick, self.derive = prom, help, tick, derive
+        self.keys = tuple(path.split("."))
+        self.attr = attr or self.keys[-1]
+
+    def read(self, snapshot: Dict[str, Any]) -> Any:
+        """This row's value in a snapshot document; a missing row (a
+        partial or older document) reads as zero, or ``{}`` if labelled."""
+        node = snapshot
+        for key in self.keys[:-1]:
+            node = node.get(key) or {}
+        if self.label is not None:
+            return node.get(self.keys[-1]) or {}
+        return node.get(self.keys[-1], 0.0 if self.kind == RATE else 0)
+
+
+#: Every counter and gauge, in Prometheus exposition order.
+METRICS = (
+    Metric("queries_served", COUNTER, prom="repro_queries_served_total",
+           help="Queries served across all frontends.",
+           tick="queries_served"),
+    Metric("by_source", COUNTER, "source", "repro_queries_by_source_total"),
+    Metric("by_algorithm", COUNTER, "algorithm",
+           "repro_queries_by_algorithm_total"),
+    Metric("by_kernel", COUNTER, "kernel", "repro_queries_by_kernel_total"),
+    # thread = the in-process engine (stdio shell, thread shards,
+    # parent-side cache hits under the cluster backend); process =
+    # cluster workers.
+    Metric("by_backend", COUNTER, "backend",
+           "repro_queries_by_backend_total"),
+    # Never evicts (one integer per registered graph), so the control
+    # plane's per-graph demand signal stays exact however many families
+    # churn through the LRU-bounded family table.
+    Metric("by_graph", COUNTER, "graph", tick="graphs"),
+    Metric("errors", COUNTER, prom="repro_errors_total",
+           help="Errors observed by shell/transport/pool paths.",
+           tick="errors"),
+    Metric("by_error", COUNTER, "kind", "repro_errors_by_kind_total"),
+    Metric("cache_hit_rate", RATE, prom="repro_cache_hit_rate",
+           help="Fraction of queries served without fresh computation.",
+           derive=_hit_rate),
+    Metric("sessions_opened", COUNTER, prom="repro_sessions_opened_total"),
+    Metric("sessions_closed", COUNTER, prom="repro_sessions_closed_total"),
+    Metric("sessions_expired", COUNTER, prom="repro_sessions_expired_total"),
+    # Server tier (repro.server): connections, batch coalescing and
+    # scheduler queue pressure.
+    Metric("server.coalesce_rate", RATE, prom="repro_server_coalesce_rate",
+           help="Fraction of scheduler queries sharing an engine pass.",
+           derive=_coalesce_rate),
+    Metric("server.connections_opened", COUNTER,
+           prom="repro_server_connections_opened_total"),
+    Metric("server.connections_closed", COUNTER,
+           prom="repro_server_connections_closed_total"),
+    Metric("server.batches", COUNTER, prom="repro_server_batches_total",
+           tick="batches"),
+    Metric("server.batched_queries", COUNTER,
+           prom="repro_server_batched_queries_total",
+           tick="batched_queries"),
+    # Replicated-shard dispatches steered to an idle replica in
+    # preference to a busy round-robin choice.
+    Metric("server.replica_idle_dispatches", COUNTER,
+           prom="repro_server_replica_idle_dispatches_total",
+           tick="replica_idle_dispatches"),
+    Metric("server.max_batch_width", PEAK,
+           prom="repro_server_max_batch_width"),
+    Metric("server.queue_depth", GAUGE, prom="repro_server_queue_depth",
+           tick="queue_depth"),
+    Metric("server.queue_depth_peak", PEAK,
+           prom="repro_server_queue_depth_peak"),
+    # Cluster tier (repro.cluster): placement and segment lifecycle.
+    Metric("cluster.by_worker", COUNTER, "worker",
+           "repro_cluster_worker_dispatches_total"),
+    Metric("cluster.queue_depth", GAUGE, "worker",
+           "repro_cluster_worker_queue_depth",
+           "Queued + in-flight jobs per cluster worker.",
+           attr="cluster_depth", tick="workers"),
+    Metric("cluster.queue_depth_peak", PEAK,
+           prom="repro_cluster_queue_depth_peak", attr="cluster_depth_peak"),
+    Metric("cluster.segment_attaches", COUNTER, "mode",
+           "repro_cluster_segment_attaches_total"),
+    Metric("cluster.worker_restarts", COUNTER,
+           prom="repro_cluster_worker_restarts_total"),
+    # Control tier (repro.control).
+    Metric("control.decisions", COUNTER, "policy",
+           "repro_control_decisions_total",
+           "Adaptive-controller decisions applied, by policy.",
+           attr="control_decisions"),
+    Metric("control.admission_rejected", COUNTER, "tenant",
+           "repro_admission_rejected_total",
+           "Queries refused by admission control, by tenant."),
+    # Live tier (repro.live): mutations, scoped invalidation, compaction.
+    Metric("live.mutations_applied", COUNTER,
+           prom="repro_live_mutations_applied_total",
+           help="Edge-mutation batches applied through GraphRegistry.apply.",
+           tick="mutations_applied"),
+    Metric("live.families_invalidated", COUNTER,
+           prom="repro_live_families_invalidated_total",
+           help="Cached families dropped by scoped invalidation.",
+           tick="families_invalidated"),
+    Metric("live.families_preserved", COUNTER,
+           prom="repro_live_families_preserved_total",
+           help="Cached families carried across a graph mutation.",
+           tick="families_preserved"),
+    Metric("live.compactions", COUNTER, prom="repro_live_compactions_total",
+           help="Delta chains folded into fresh flat CSR generations.",
+           tick="compactions"),
+    Metric("live.graph_generation", GAUGE, "graph", "repro_graph_generation",
+           "Current registry version (generation) per graph."),
+)
+
+#: The rows that hold state (every kind but ``rate``).
+_STATE = tuple(metric for metric in METRICS if metric.kind != RATE)
+
+
 class _FamilyStats:
     """Per-family counters + bounded latency reservoir."""
 
     __slots__ = ("queries", "no_compute", "latency_ms", "phases")
-
-    #: Sources that served without a fresh computation (mirrors
-    #: :attr:`ServiceMetrics.cache_hit_rate`'s numerator).
-    HIT_SOURCES = frozenset({"cache", "extended", "coalesced"})
 
     def __init__(self, max_samples: int) -> None:
         self.queries = 0
@@ -71,7 +242,7 @@ class _FamilyStats:
         phases: Optional[Dict[str, float]] = None,
     ) -> None:
         self.queries += 1
-        if source in self.HIT_SOURCES:
+        if source in HIT_SOURCES:
             self.no_compute += 1
         self.latency_ms.append(elapsed_ms)
         if phases:
@@ -80,6 +251,10 @@ class _FamilyStats:
 
 class ServiceMetrics:
     """Thread-safe counters + per-algorithm latency reservoirs.
+
+    Each row of :data:`METRICS` that holds state is an attribute named
+    by its ``attr`` (a ``defaultdict(int)`` when labelled, else ``0``),
+    updated in place by the ``observe_*`` methods under one lock.
 
     ``max_samples`` bounds each algorithm's reservoir (oldest samples
     fall out first), keeping memory constant under heavy traffic;
@@ -104,62 +279,17 @@ class ServiceMetrics:
         self._lock = threading.Lock()
         self._max_samples = max_samples
         self._max_families = max_families
-        self.queries_served = 0
-        self.by_source: Dict[str, int] = defaultdict(int)
-        self.by_algorithm: Dict[str, int] = defaultdict(int)
-        self.by_kernel: Dict[str, int] = defaultdict(int)
-        #: Queries by execution backend: ``thread`` = the in-process
-        #: engine (stdio shell, thread shards, parent-side cache hits
-        #: under the cluster backend), ``process`` = cluster workers.
-        self.by_backend: Dict[str, int] = defaultdict(int)
+        for metric in _STATE:
+            setattr(
+                self,
+                metric.attr,
+                defaultdict(int) if metric.label is not None else 0,
+            )
         self._latency_ms: Dict[str, Deque[float]] = {}
         #: Global latency reservoir across every algorithm — one pooled
         #: p95 gauge for SLO evaluation and the dashboard.
         self._latency_all: Deque[float] = deque(maxlen=max_samples)
         self._families: "OrderedDict[object, _FamilyStats]" = OrderedDict()
-        #: Cumulative queries per graph name.  One integer per
-        #: *registered* graph (naturally bounded), so — unlike the
-        #: LRU-bounded family table — it never evicts: the control
-        #: plane's per-graph demand signal stays exact no matter how
-        #: many distinct families churn through the window.
-        self.by_graph: Dict[str, int] = defaultdict(int)
-        self.sessions_opened = 0
-        self.sessions_closed = 0
-        self.sessions_expired = 0
-        self.errors = 0
-        #: Errors by exception type name (``observe_error(kind=...)``).
-        self.by_error: Dict[str, int] = defaultdict(int)
-        # Server tier (repro.server): connection lifecycle, batch
-        # coalescing, and scheduler queue pressure.
-        self.connections_opened = 0
-        self.connections_closed = 0
-        self.batches = 0
-        self.batched_queries = 0
-        self.max_batch_width = 0
-        self.queue_depth = 0
-        self.queue_depth_peak = 0
-        #: Replicated-shard dispatches steered to an idle replica in
-        #: preference to a busy round-robin choice.
-        self.replica_idle_dispatches = 0
-        # Cluster tier (repro.cluster): placement + segment lifecycle.
-        self.by_worker: Dict[str, int] = defaultdict(int)
-        self.segment_attaches: Dict[str, int] = defaultdict(int)
-        self.worker_restarts = 0
-        self.cluster_depth: Dict[str, int] = {}
-        self.cluster_depth_peak = 0
-        # Live tier (repro.live): streaming mutations + scoped
-        # invalidation + delta-chain compaction.
-        self.mutations_applied = 0
-        self.families_invalidated = 0
-        self.families_preserved = 0
-        self.compactions = 0
-        #: Current graph generation (version) per mutated graph — the
-        #: segment-generation gauge the Prometheus exporter reports.
-        self.graph_generation: Dict[str, int] = {}
-        # Control tier (repro.control): applied controller decisions by
-        # policy name, and admission rejections by tenant label.
-        self.control_decisions: Dict[str, int] = defaultdict(int)
-        self.admission_rejected: Dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     def observe_query(
@@ -313,28 +443,7 @@ class ServiceMetrics:
         """Fraction of queries answered without a fresh computation
         (cache slice, resumed cursor, or coalesced onto a shared batch)."""
         with self._lock:
-            # .get (never index) — by_source is a defaultdict, and a
-            # *read* must not insert zero-count keys into snapshots.
-            served = sum(
-                self.by_source.get(s, 0)
-                for s in ("cache", "extended", "cold", "coalesced")
-            )
-            if not served:
-                return 0.0
-            return (
-                self.by_source.get("cache", 0)
-                + self.by_source.get("extended", 0)
-                + self.by_source.get("coalesced", 0)
-            ) / served
-
-    @property
-    def coalesce_rate(self) -> float:
-        """Fraction of scheduler-served queries that shared another
-        query's engine pass (0.0 when batching never ran)."""
-        with self._lock:
-            if not self.batched_queries:
-                return 0.0
-            return 1.0 - self.batches / self.batched_queries
+            return _hit_rate(vars(self))
 
     def latency_percentiles(self, algorithm: str) -> Dict[str, Optional[float]]:
         """``{"p50": ..., "p90": ..., "p99": ...}`` for one algorithm."""
@@ -342,15 +451,6 @@ class ServiceMetrics:
             samples = list(self._latency_ms.get(algorithm, ()))
         return {
             f"p{int(q)}": percentile(samples, q) for q in self.PERCENTILES
-        }
-
-    def overall_latency(self) -> Dict[str, Optional[float]]:
-        """Pooled p50/p95/p99 over the global reservoir (all algorithms)."""
-        with self._lock:
-            samples = list(self._latency_all)
-        return {
-            f"p{int(q)}": percentile(samples, q)
-            for q in self.OVERALL_PERCENTILES
         }
 
     def by_family(self) -> Dict[str, Dict[str, object]]:
@@ -364,16 +464,22 @@ class ServiceMetrics:
         :func:`family_label` strings (JSON-safe).
         """
         with self._lock:
-            rows = [
-                (
-                    family,
-                    stats.queries,
-                    stats.no_compute,
-                    list(stats.latency_ms),
-                    dict(stats.phases) if stats.phases else {},
-                )
-                for family, stats in self._families.items()
-            ]
+            rows = self._copy_families_locked()
+        return self._family_document(rows)
+
+    def _copy_families_locked(self) -> list:
+        return [
+            (
+                family,
+                stats.queries,
+                stats.no_compute,
+                list(stats.latency_ms),
+                dict(stats.phases) if stats.phases else {},
+            )
+            for family, stats in self._families.items()
+        ]
+
+    def _family_document(self, rows: list) -> Dict[str, Dict[str, object]]:
         out: Dict[str, Dict[str, object]] = {}
         for family, queries, no_compute, samples, phases in rows:
             out[family_label(family)] = {
@@ -390,67 +496,43 @@ class ServiceMetrics:
     def snapshot(self) -> Dict[str, object]:
         """A point-in-time, JSON-friendly view of everything.
 
-        Every container in the document is a **defensive copy** built
-        under the lock (``by_error``, the cluster depth dicts, the
-        family rows, the latency tables): mutating a snapshot never
-        writes through to live state, and live updates never mutate an
-        already-returned snapshot — both directions are regression-
-        tested, since the history collector and the HTTP exporter hold
-        snapshots across threads.
+        One consistent cut: every value — the :data:`METRICS` rows, the
+        latency reservoirs and the family rows — is copied under one
+        hold of the lock, and the derived fields (the hit and coalesce
+        rates, the family percentiles) are computed from that copy.
+
+        Every container in the document is a **defensive copy**:
+        mutating a snapshot never writes through to live state, and
+        live updates never mutate an already-returned snapshot — both
+        directions are regression-tested, since the history collector
+        and the HTTP exporter hold snapshots across threads.
         """
         with self._lock:
+            values = {
+                metric.attr: (
+                    dict(getattr(self, metric.attr))
+                    if metric.label is not None
+                    else getattr(self, metric.attr)
+                )
+                for metric in _STATE
+            }
             latencies = {
                 algo: list(samples)
                 for algo, samples in self._latency_ms.items()
             }
             overall = list(self._latency_all)
-            cluster = {
-                "by_worker": dict(self.by_worker),
-                "segment_attaches": dict(self.segment_attaches),
-                "worker_restarts": self.worker_restarts,
-                "queue_depth": dict(self.cluster_depth),
-                "queue_depth_peak": self.cluster_depth_peak,
-            }
-            control = {
-                "decisions": dict(self.control_decisions),
-                "admission_rejected": dict(self.admission_rejected),
-            }
-            live = {
-                "mutations_applied": self.mutations_applied,
-                "families_invalidated": self.families_invalidated,
-                "families_preserved": self.families_preserved,
-                "compactions": self.compactions,
-                "graph_generation": dict(self.graph_generation),
-            }
-            out: Dict[str, object] = {
-                "queries_served": self.queries_served,
-                "by_source": dict(self.by_source),
-                "by_algorithm": dict(self.by_algorithm),
-                "by_kernel": dict(self.by_kernel),
-                "by_backend": dict(self.by_backend),
-                "by_graph": dict(self.by_graph),
-                "sessions_opened": self.sessions_opened,
-                "sessions_closed": self.sessions_closed,
-                "sessions_expired": self.sessions_expired,
-                "errors": self.errors,
-                "by_error": dict(self.by_error),
-                "server": {
-                    "connections_opened": self.connections_opened,
-                    "connections_closed": self.connections_closed,
-                    "batches": self.batches,
-                    "batched_queries": self.batched_queries,
-                    "max_batch_width": self.max_batch_width,
-                    "queue_depth": self.queue_depth,
-                    "queue_depth_peak": self.queue_depth_peak,
-                    "replica_idle_dispatches": self.replica_idle_dispatches,
-                },
-            }
-        out["cluster"] = cluster
-        out["live"] = live
-        out["control"] = control
-        out["server"]["coalesce_rate"] = self.coalesce_rate  # type: ignore[index]
-        out["cache_hit_rate"] = self.cache_hit_rate
-        out["by_family"] = self.by_family()
+            families = self._copy_families_locked()
+        out: Dict[str, Any] = {}
+        for metric in METRICS:
+            node = out
+            for key in metric.keys[:-1]:
+                node = node.setdefault(key, {})
+            node[metric.keys[-1]] = (
+                metric.derive(values)
+                if metric.derive is not None
+                else values[metric.attr]
+            )
+        out["by_family"] = self._family_document(families)
         out["latency_ms"] = {
             algo: {
                 f"p{int(q)}": percentile(samples, q)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.service import (
     ServiceShell,
     SessionManager,
 )
-from repro.service.metrics import family_label
+from repro.service.metrics import METRICS, family_label
 
 
 def k4():
@@ -148,6 +150,69 @@ class TestSnapshotIsolation:
             a, b = self._dig(first, path), self._dig(second, path)
             assert a is not b, path
             assert a == b, path
+
+
+class TestSnapshotConsistency:
+    """snapshot() is one cut: every derived field agrees with the counts."""
+
+    def test_derived_fields_agree_under_concurrent_writers(self):
+        metrics = ServiceMetrics()
+        families = (family(gamma=2), family(gamma=3))
+        stop = threading.Event()
+
+        def writer():
+            i = 0
+            while not stop.is_set():
+                metrics.observe_query(
+                    "localsearch-p",
+                    1.0,
+                    "cache" if i % 2 else "cold",
+                    family=families[i % 2],
+                )
+                i += 1
+
+        # More writers than cores, and a short switch interval, so the
+        # snapshot is preempted as often as possible.
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        torn = []
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(3000):
+                snap = metrics.snapshot()
+                served = snap["queries_served"]
+                family_total = sum(
+                    row["queries"] for row in snap["by_family"].values()
+                )
+                source = snap["by_source"]
+                hit_rate = source.get("cache", 0) / served if served else 0.0
+                if (
+                    family_total != served
+                    or snap["cache_hit_rate"] != hit_rate
+                ):
+                    torn.append((served, family_total, source))
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert metrics.snapshot()["queries_served"] > 0
+        assert not torn, torn[:3]
+
+
+class TestMetricTable:
+    def test_rows_name_distinct_state_series_and_tick_keys(self):
+        for field in ("path", "attr", "prom", "tick"):
+            values = [
+                getattr(metric, field)
+                for metric in METRICS
+                if getattr(metric, field) is not None
+                and not (field == "attr" and metric.kind == "rate")
+            ]
+            assert len(values) == len(set(values)), field
 
 
 class TestErrorKinds:

@@ -9,20 +9,31 @@ shell ``trace`` command and the HTTP exporter alike.
 from __future__ import annotations
 
 import asyncio
+import io
 import json
+import queue
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import cli
 from repro.api import QuerySpec
 from repro.cluster import ClusterPool
 from repro.graph.builder import graph_from_arrays
+from repro.obs.profiling import OnDemandProfiler
 from repro.obs.trace import Tracer
 from repro.server import BatchScheduler, ReproServer, ShardPool
 from repro.server.client import ReproClient
-from repro.service import GraphRegistry, QueryEngine, ResultCache
+from repro.service import (
+    GraphRegistry,
+    QueryEngine,
+    ResultCache,
+    ServiceShell,
+    SessionManager,
+)
 
 needs_mp = pytest.mark.skipif(
     not ClusterPool.available(), reason="multiprocessing unavailable"
@@ -377,6 +388,151 @@ class TestObservabilityEndpoints:
 
         asyncio.run(main())
 
+
+
+class _BlockingLines:
+    """A stdin stand-in: ``readline`` blocks until a line is fed."""
+
+    def __init__(self) -> None:
+        self._lines: "queue.Queue[str]" = queue.Queue()
+
+    def feed(self, line: str) -> None:
+        self._lines.put(line)
+
+    def readline(self) -> str:
+        return self._lines.get()
+
+
+class _LockedText(io.StringIO):
+    """A StringIO that a serving thread writes and the test polls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def write(self, text: str) -> int:
+        with self._lock:
+            return super().write(text)
+
+    def getvalue(self) -> str:
+        with self._lock:
+            return super().getvalue()
+
+
+class TestReadinessParity:
+    SLO = "p95_ms=60000,err_rate=0.5,window_s=30"
+
+    def _stdio_readyz(self):
+        stdin, out = _BlockingLines(), _LockedText()
+        argv = [
+            "serve", "--no-datasets", "--metrics-port", "0",
+            "--slo", self.SLO,
+        ]
+        thread = threading.Thread(
+            target=cli.main, args=(argv,), kwargs={"out": out, "in_stream": stdin}
+        )
+        thread.start()
+        try:
+            deadline = time.time() + 10.0
+            while "metrics on http://" not in out.getvalue():
+                assert time.time() < deadline, out.getvalue()
+                time.sleep(0.02)
+            url = out.getvalue().split("metrics on ", 1)[1].split()[0]
+            return _http_get(url[: -len("/metrics")], "/readyz")
+        finally:
+            stdin.feed("quit\n")
+            thread.join(timeout=10.0)
+
+    def _network_readyz(self, registry):
+        async def main():
+            server = ReproServer(
+                registry=registry, backend="thread", metrics_port=0,
+                slo=self.SLO,
+            )
+            await server.start(tcp=("127.0.0.1", 0))
+            try:
+                mhost, mport = server.metrics_address
+                return _http_get(f"http://{mhost}:{mport}", "/readyz")
+            finally:
+                await server.stop()
+
+        return asyncio.run(main())
+
+    def test_stdio_and_network_answer_the_same_document(self, registry):
+        stdio_status, stdio_body = self._stdio_readyz()
+        net_status, net_body = self._network_readyz(registry)
+        assert stdio_status == net_status == 200
+        stdio_doc, net_doc = json.loads(stdio_body), json.loads(net_body)
+        assert stdio_doc == net_doc
+        # The verdict rides along while the objectives hold, too.
+        assert stdio_doc["slo"]["ok"] is True
+        assert stdio_doc["reasons"] == []
+
+
+class TestNonFiniteWindows:
+    MESSAGE = "profile seconds must be a positive finite number"
+
+    def test_profiler_rejects_non_finite_and_non_positive(self):
+        profiler = OnDemandProfiler()
+        for seconds in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                profiler.capture(seconds)
+        assert not profiler.armed
+
+    def test_shell_answers_its_own_error(self, registry):
+        engine = QueryEngine(registry, cache=ResultCache())
+        engine.profiler = OnDemandProfiler()
+        out = io.StringIO()
+        shell = ServiceShell(engine, SessionManager(registry), out)
+        for value in ("nan", "inf"):
+            shell.execute_line(f"profile seconds={value}")
+        lines = out.getvalue().splitlines()
+        assert lines == [
+            f"error: {self.MESSAGE}, got nan",
+            f"error: {self.MESSAGE}, got inf",
+        ]
+
+    def test_wire_and_http_answer_typed_errors(self, registry):
+        async def main():
+            server = ReproServer(
+                registry=registry, backend="thread", metrics_port=0
+            )
+            await server.start(tcp=("127.0.0.1", 0))
+            try:
+                host, port = server.tcp_address
+                client = await ReproClient.connect(host, port=port)
+                try:
+                    lines = await client.request("profile seconds=nan")
+                    assert lines == [f"error: {self.MESSAGE}, got nan"]
+                    # The connection survives the bad request.
+                    assert (await client.request("help"))[0] == "commands:"
+                finally:
+                    await client.close()
+                mhost, mport = server.metrics_address
+                base = f"http://{mhost}:{mport}"
+                for path, key in (
+                    ("/profile?seconds=nan", "seconds"),
+                    ("/profile?seconds=inf", "seconds"),
+                    ("/history.json?window=nan", "window"),
+                    ("/dashboard?window=-inf", "window"),
+                ):
+                    status, body = _http_get(base, path)
+                    assert status == 400, path
+                    doc = json.loads(body)
+                    assert doc["type"] == "QueryParameterError", path
+                    assert doc["error"].startswith(
+                        f"{key} must be a finite number"
+                    ), path
+                status, body = _http_get(base, "/profile?seconds=-1")
+                assert status == 400
+                assert json.loads(body) == {
+                    "error": f"{self.MESSAGE}, got -1.0",
+                    "type": "QueryParameterError",
+                }
+            finally:
+                await server.stop()
+
+        asyncio.run(main())
 
 @needs_mp
 class TestClusterReadiness:
