@@ -303,14 +303,17 @@ class QuerySpec:
             raise QueryParameterError("wire payload is missing 'graph'")
         _check_kernel(payload.get("kernel"))
         tenant = payload.get("tenant")
+        gamma = _wire_field(payload, "gamma", 10, int)
+        k = _wire_field(payload, "k", 10, int)
+        containment = _wire_field(payload, "containment", True, bool)
         try:
             return cls(
                 graph=str(payload["graph"]),
-                gamma=int(payload.get("gamma", 10)),
-                k=int(payload.get("k", 10)),
+                gamma=gamma,
+                k=k,
                 algorithm=str(payload.get("algorithm", AUTO)),
                 delta=float(payload.get("delta", 2.0)),
-                containment=bool(payload.get("containment", True)),
+                containment=containment,
                 cohesion=str(payload.get("cohesion", "core")),
                 mode=str(payload.get("mode", "text")),
                 tenant=None if tenant is None else str(tenant),
@@ -353,6 +356,27 @@ def _check_kernel(kernel: Any) -> None:
         raise QueryParameterError(
             f"unknown kernel {kernel!r}; choose from {', '.join(KERNELS)}"
         )
+
+
+def _wire_field(
+    payload: Dict[str, Any], key: str, default: Any, kind: type
+) -> Any:
+    """``payload[key]`` (or ``default``), which must be a JSON ``kind``.
+
+    No coercion: ``int(10.9)`` would serve γ=10, ``int(1e400)``
+    overflows and ``bool("false")`` is true.  JSON decodes ``true`` to
+    a Python bool, which is also an int, so a bool is no integer here.
+    """
+    value = payload.get(key, default)
+    if not isinstance(value, kind) or (
+        kind is int and isinstance(value, bool)
+    ):
+        name = "boolean" if kind is bool else "integer"
+        raise QueryParameterError(
+            f"bad wire payload field: {key} must be a JSON {name}, "
+            f"not {value!r}"
+        )
+    return value
 
 
 def _parse_bool(key: str, value: str) -> bool:

@@ -217,6 +217,12 @@ class LocalSearch:
             kernel=kernel,
         )
 
+        # The round whose prefix reaches ``stop`` holds every community
+        # (see LocalSearchP.stream); an empty γ-core needs no round.
+        stop = graph.core_stop(gamma)
+        if stop == 0:
+            stats.elapsed_seconds = time.perf_counter() - started
+            return TopKResult(communities=[], stats=stats)
         p = self.initial_prefix(k)
         initial_size = graph.prefix_size(p)
         record: Optional[CVSRecord] = None
@@ -243,7 +249,7 @@ class LocalSearch:
             stats.prefixes.append(p)
             stats.prefix_sizes.append(view.size)
             stats.counts.append(count)
-            if count >= k or view.is_whole_graph:
+            if count >= k or p >= stop:
                 break
             p = self._next_prefix(p, view.size, initial_size)
 

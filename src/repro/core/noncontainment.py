@@ -93,6 +93,12 @@ def top_k_noncontainment_communities(
     stats = SearchStats(
         gamma=gamma, k=k, delta=delta, graph_size=graph.size, kernel=resolved
     )
+    # The round whose prefix reaches ``stop`` holds every community
+    # (see LocalSearchP.stream); an empty γ-core needs no round.
+    stop = graph.core_stop(gamma)
+    if stop == 0:
+        stats.elapsed_seconds = time.perf_counter() - started
+        return TopKResult(communities=[], stats=stats)
     n = graph.num_vertices
     p = min(n, k + gamma)
     scratch = PeelScratch() if resolved != "python" else None
@@ -110,7 +116,7 @@ def top_k_noncontainment_communities(
         stats.prefixes.append(p)
         stats.prefix_sizes.append(view.size)
         stats.counts.append(count)
-        if count >= k or view.is_whole_graph:
+        if count >= k or p >= stop:
             break
         target = int(math.ceil(delta * view.size))
         p = max(graph.grow_prefix(p, target), min(p + 1, n))

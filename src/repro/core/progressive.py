@@ -16,6 +16,15 @@ and stop whenever enough communities have been seen.  Terminating after the
 ``k``-th community costs ``O(size(G>=tau*_k))`` — the instance-optimality
 of LocalSearch carries over (Section 4, "Time Complexity of
 LocalSearch-P").
+
+The stream itself ends at the first round whose prefix holds the whole
+γ-core of ``G`` (:meth:`~repro.graph.weighted_graph.WeightedGraph.core_stop`),
+where Algorithm 4 would go on to the whole graph: every community lies in
+that core, so an answer with fewer than ``k`` communities costs the prefix
+that reaches the core's last rank, and a γ above the degeneracy costs no
+round at all.  The stop comes from one O(n + m) core decomposition per
+graph generation, paid by its first search; a stream that reaches its
+``k``-th community first runs the same rounds as before.
 """
 
 from __future__ import annotations
@@ -92,14 +101,13 @@ class LocalSearchP:
 
         The generator may be abandoned at any time ("the user can terminate
         the algorithm once having seen enough results"); the work done is
-        proportional to the largest prefix peeled so far.
+        proportional to the largest prefix peeled so far.  It ends by
+        itself after the round whose prefix reaches ``core_stop(gamma)``.
         """
         graph, gamma = self.graph, self.gamma
         n = graph.num_vertices
         p_prev = 0
         p = self.initial_prefix()
-        if n == 0:
-            return
         # One resolved kernel, one reusable scratch pair and one chained
         # view family per stream: round i+1 reuses round i's buffers and
         # down-cuts (allocation-free steady state for the fast kernels,
@@ -109,6 +117,13 @@ class LocalSearchP:
         # round of this stream (and only this stream).
         kernel = resolve_kernel(self.kernel)
         self.stats.kernel = kernel
+        # The round whose prefix reaches ``stop`` holds the γ-core of G
+        # and so every community: it is the last.  ``stop <= n``, so this
+        # also ends the stream at the whole graph; an empty γ-core (or
+        # graph) ends it before the first round.
+        stop = graph.core_stop(gamma)
+        if stop == 0:
+            return
         scratch = PeelScratch() if kernel != "python" else None
         state = EnumerationState() if kernel == "python" else None
         enum_scratch = EnumScratch() if kernel != "python" else None
@@ -164,7 +179,7 @@ class LocalSearchP:
                         self.stats.phases,
                     )
                     yield community
-            if view.is_whole_graph:
+            if p >= stop:
                 return
             p_prev = p
             target = int(math.ceil(self.delta * view.size))

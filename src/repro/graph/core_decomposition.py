@@ -11,7 +11,16 @@ This module provides:
 * :func:`core_decomposition` — core numbers of every vertex via
   bucket-based peeling (O(n + m), Batagelj–Zaveršnik);
 * :func:`degeneracy` — the maximum core number; this is the ``γmax``
-  statistic of Table 1 in the paper (largest γ with a non-empty γ-core).
+  statistic of Table 1 in the paper (largest γ with a non-empty γ-core);
+* :func:`core_stops` — the same decomposition folded into one stop rank
+  per γ, the bound that ends a search once its prefix holds the γ-core.
+
+Core numbers do not depend on vertex weights, so one decomposition per
+graph generation serves every γ and survives any rank-preserving
+reweight.  :meth:`~repro.graph.weighted_graph.WeightedGraph.core_stop`
+caches the table and carries it across edge-overlay generations: an
+edge insertion raises any core number by at most 1 (Li, Yu & Mao,
+TKDE 2014; Sariyüce et al., VLDB 2013) and a deletion raises none.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ __all__ = [
     "gamma_core_members",
     "core_decomposition",
     "degeneracy",
+    "core_stops",
 ]
 
 
@@ -77,8 +87,10 @@ def core_decomposition(graph: WeightedGraph) -> List[int]:
     n = graph.num_vertices
     if n == 0:
         return []
-    deg = [graph.degree(u) for u in range(n)]
-    max_deg = max(deg) if n else 0
+    up = [graph.neighbors_up(u) for u in range(n)]
+    down = [graph.neighbors_down(u) for u in range(n)]
+    deg = [len(a) + len(b) for a, b in zip(up, down)]
+    max_deg = max(deg)
 
     # Bucket sort vertices by degree.
     bins = [0] * (max_deg + 2)
@@ -100,21 +112,24 @@ def core_decomposition(graph: WeightedGraph) -> List[int]:
         bins[d] = bins[d - 1]
     bins[0] = 0
 
-    core = deg[:]
-    for i in range(n):
-        u = order[i]
-        for w in graph.iter_neighbors(u):
-            if core[w] > core[u]:
+    core = deg  # lowered in place
+    # Swaps only touch positions after the current one, so iterating
+    # ``order`` while it changes visits vertices in peel order.
+    for u in order:
+        cu = core[u]
+        for row in (up[u], down[u]):
+            for w in row:
                 dw = core[w]
-                pw = pos[w]
-                ps = bins[dw]
-                s = order[ps]
-                if s != w:
-                    # Swap w to the front of its bucket.
-                    order[ps], order[pw] = w, s
-                    pos[w], pos[s] = ps, pw
-                bins[dw] += 1
-                core[w] -= 1
+                if dw > cu:
+                    # Move w to the front of its bucket, then shrink it.
+                    pw = pos[w]
+                    ps = bins[dw]
+                    if ps != pw:
+                        s = order[ps]
+                        order[ps], order[pw] = w, s
+                        pos[w], pos[s] = ps, pw
+                    bins[dw] = ps + 1
+                    core[w] = dw - 1
     return core
 
 
@@ -125,3 +140,22 @@ def degeneracy(graph: WeightedGraph) -> int:
     """
     cores = core_decomposition(graph)
     return max(cores) if cores else 0
+
+
+def core_stops(graph: WeightedGraph) -> List[int]:
+    """``stops[γ]`` = 1 + the highest rank whose core number is >= γ.
+
+    One entry per γ in ``0..degeneracy``; for a larger γ the γ-core is
+    empty.  The γ-core of ``graph`` lies inside the rank prefix
+    ``[0, stops[γ])``, and so does the γ-core of every prefix
+    ``G_p`` (a subgraph of ``graph``): once a search's prefix reaches
+    ``stops[γ]`` it holds the whole γ-core and with it every
+    influential γ-community.  O(n + m), one :func:`core_decomposition`.
+    """
+    cores = core_decomposition(graph)
+    stops = [0] * (max(cores, default=-1) + 1)
+    for rank, core in enumerate(cores):
+        stops[core] = rank + 1  # ranks ascend: the last write is the highest
+    for gamma in range(len(stops) - 2, -1, -1):
+        stops[gamma] = max(stops[gamma], stops[gamma + 1])
+    return stops

@@ -250,6 +250,13 @@ def _overlay_graph(
     new._rank_of = graph._rank_of
     new._num_edges = graph._num_edges + delta_m
     new._prefix_sizes = [0]
+    # Same rank space, so the parent's core stop table still bounds this
+    # generation once each insert is counted as slack (see core_stop).
+    table = graph._core_stops
+    if table is not None:
+        inserted = sum(1 for _, _, want in effective_edges if want)
+        table = (table[0], table[1] + inserted)
+    new._core_stops = table
     base_csr = graph._csr
     if base_csr is None:
         new._csr = None  # first csr() call flattens from the rows

@@ -135,6 +135,7 @@ class WeightedGraph:
         "_num_edges",
         "_prefix_sizes",
         "_csr",
+        "_core_stops",
     )
 
     def __init__(
@@ -171,6 +172,8 @@ class WeightedGraph:
         self._prefix_sizes: List[int] = [0]
         # Lazily-built flat-array mirror of the adjacency; see csr().
         self._csr = None
+        # Lazily-built (stops, slack) pair; see core_stop().
+        self._core_stops = None
         if validate:
             self._validate()
 
@@ -253,6 +256,7 @@ class WeightedGraph:
         graph._num_edges = csr.num_edges
         graph._prefix_sizes = [0]
         graph._csr = csr
+        graph._core_stops = None
         return graph
 
     def _validate(self) -> None:
@@ -399,6 +403,36 @@ class WeightedGraph:
             csr = CSRAdjacency.from_graph(self)
             self._csr = csr
         return csr
+
+    def core_stop(self, gamma: int) -> int:
+        """A prefix length that holds the whole γ-core of the graph.
+
+        Every influential γ-community lies in the γ-core of ``G``, and
+        the γ-core of any prefix ``G_p`` lies in it too, so a search
+        whose prefix reaches ``core_stop(gamma)`` has seen every
+        community; ``0`` means the γ-core is empty.  The value is 1 +
+        the highest rank whose core number is >= γ, read from a
+        :func:`~repro.graph.core_decomposition.core_stops` table built
+        once, on first use, and cached like :meth:`csr` (a benign
+        double-build can occur under concurrent first calls).
+
+        An edge-overlay generation keeps its parent's rank space and
+        inherits the parent's table with a ``slack``: the number of
+        edges inserted since the table was built.  Each insertion raises
+        a core number by at most 1, so the bound reads the table at
+        ``gamma - slack``; when that is not positive the bound is off
+        and the stop is ``n``.
+        """
+        table = self._core_stops
+        if table is None:
+            from .core_decomposition import core_stops
+
+            table = self._core_stops = (core_stops(self), 0)
+        stops, slack = table
+        gamma -= slack
+        if gamma <= 0:
+            return self.num_vertices
+        return stops[gamma] if gamma < len(stops) else 0
 
     def iter_neighbors(self, u: int) -> Iterator[int]:
         """All neighbours of rank ``u`` (up-part first)."""

@@ -357,8 +357,9 @@ class GraphRegistry:
 
         Returns ``None`` when there is nothing to fold.  The new
         generation's content is **identical** to the current one —
-        only the representation changes — so the event carries barrier
-        ``-inf`` and every cached family migrates warm.  Build hooks
+        only the representation changes, so it also keeps the core stop
+        table (``WeightedGraph.core_stop``) — and the event carries
+        barrier ``-inf`` and every cached family migrates warm.  Build hooks
         fire afterwards, publishing the new shared-memory segment
         generation for the cluster tier.
         """
@@ -382,6 +383,7 @@ class GraphRegistry:
                 new_graph._num_edges = graph._num_edges
                 new_graph._prefix_sizes = graph._prefix_sizes
                 new_graph._csr = flat
+                new_graph._core_stops = graph._core_stops
             else:
                 # Already flat (reweight-only chain or a re-rank
                 # rebuild): reuse the graph, just cut the chain over.

@@ -1,0 +1,370 @@
+"""The core stop table: a search ends once its prefix holds the γ-core.
+
+``WeightedGraph.core_stop(gamma)`` is 1 + the highest rank whose core
+number is >= γ (0 for an empty γ-core).  Every influential γ-community
+lies inside the γ-core of ``G``, so LocalSearch, LocalSearch-P and the
+non-containment search end at the first round whose prefix reaches the
+stop instead of peeling the whole graph.  Covered here:
+
+* the table itself (:func:`core_stops`) and its generation rules —
+  overlays inherit it with an insert ``slack``, compaction keeps it, a
+  re-rank rebuild and ``from_csr`` start without one;
+* a hypothesis property: on every generation (base, each overlay, a
+  compacted one, a ``from_csr`` copy) the exact γ-core lies below the
+  stop and LocalSearch-P answers equal the reference oracle on a fresh
+  rebuild of the same model;
+* short answers on every surface: email γ=50 (degeneracy 22) answers
+  nothing without a round, and email γ=20 ends at its stop with its
+  4 communities, through the searchers, the engine and the wire.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api.spec import QuerySpec
+from repro.core.local_search import LocalSearch
+from repro.core.noncontainment import top_k_noncontainment_communities
+from repro.core.progressive import LocalSearchP
+from repro.core.reference import reference_top_k
+from repro.graph.builder import graph_from_arrays
+from repro.graph.core_decomposition import (
+    core_decomposition,
+    core_stops,
+    gamma_core,
+)
+from repro.graph.delta import EdgeBatch, apply_batch, apply_ops_to_model
+from repro.graph.subgraph import PrefixView
+from repro.graph.weighted_graph import WeightedGraph
+from repro.server import ReproClient, ReproServer
+from repro.service.cache import CacheKey, ResultCache
+from repro.service.engine import QueryEngine
+from repro.service.registry import GraphRegistry
+from tests.conftest import random_graph
+
+
+def _exact_core(graph: WeightedGraph, gamma: int):
+    alive, _ = gamma_core(PrefixView(graph, graph.num_vertices), gamma)
+    return [u for u, keep in enumerate(alive) if keep]
+
+
+def _label_pairs(graph, communities):
+    return [
+        (c.influence, frozenset(graph.labels(c.vertex_ranks)))
+        for c in communities
+    ]
+
+
+# ----------------------------------------------------------------------
+# the table
+# ----------------------------------------------------------------------
+class TestCoreStops:
+    def test_two_cliques(self, two_cliques):
+        # Two K4s: every vertex has core number 3.
+        assert core_stops(two_cliques) == [8, 8, 8, 8]
+        assert two_cliques.core_stop(3) == 8
+        assert two_cliques.core_stop(4) == 0
+
+    def test_heavy_clique_light_path(self):
+        # K4 on ranks 0-3, then a path 3-4-5-6 of lighter vertices.
+        edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        edges += [(3, 4), (4, 5), (5, 6)]
+        graph = graph_from_arrays(7, edges)
+        assert core_decomposition(graph) == [3, 3, 3, 3, 1, 1, 1]
+        assert core_stops(graph) == [7, 7, 4, 4]
+        assert [graph.core_stop(g) for g in (1, 2, 3, 4, 9)] == [7, 4, 4, 0, 0]
+
+    def test_empty_graph(self):
+        graph = WeightedGraph([], [], [])
+        assert core_stops(graph) == []
+        assert graph.core_stop(1) == 0
+        assert LocalSearchP(graph, 1).run().communities == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stop_is_one_past_the_last_core_rank(self, seed):
+        graph = random_graph(30, 0.2, seed, weights="shuffled")
+        for gamma in range(1, 8):
+            core = _exact_core(graph, gamma)
+            assert graph.core_stop(gamma) == (max(core) + 1 if core else 0)
+
+
+class TestGenerations:
+    def _base(self):
+        # A triangle on the heavy ranks 0-2 and a light path 3-4-5.
+        return graph_from_arrays(
+            6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)]
+        )
+
+    def test_overlay_inherits_with_insert_slack(self):
+        base = self._base()
+        assert base.core_stop(2) == 3
+        # Two inserts make ranks 3-5 a triangle: their cores rise to 2.
+        overlay, _, stats = apply_batch(
+            base, EdgeBatch((("insert", 3, 5), ("insert", 0, 5)))
+        )
+        assert stats.inserted == 2 and not stats.rank_shuffle
+        # slack 2 turns the γ=2 lookup into γ=0: the bound is off.
+        assert overlay.core_stop(2) == overlay.num_vertices
+        assert overlay.core_stop(3) == base.core_stop(1)
+        assert overlay.core_stop(5) == 0 == base.core_stop(3)
+        assert max(_exact_core(overlay, 2)) < overlay.core_stop(2)
+
+    def test_deletes_and_rank_preserving_reweights_add_no_slack(self):
+        base = self._base()
+        stops = [base.core_stop(g) for g in range(1, 4)]
+        overlay, _, stats = apply_batch(
+            base, EdgeBatch((("delete", 0, 1), ("reweight", 4, 1.5)))
+        )
+        assert stats.deleted == 1 and stats.reweighted == 1
+        assert not stats.rank_shuffle
+        assert [overlay.core_stop(g) for g in range(1, 4)] == stops
+
+    def test_rerank_rebuild_starts_fresh(self):
+        # Vertex 5 is isolated and lightest; the reweight moves vertex 0
+        # below vertex 4, so ranks reorder but 5 stays last.
+        base = graph_from_arrays(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+        assert base.core_stop(1) == 5
+        rebuilt, _, stats = apply_batch(
+            base, EdgeBatch((("insert", 0, 4), ("reweight", 0, 1.5)))
+        )
+        assert stats.rank_shuffle
+        # An inherited table with slack 1 would answer n for γ=1; the
+        # rebuild decomposes afresh and stops before the isolated vertex.
+        assert rebuilt.core_stop(1) == rebuilt.core_stop(2) == 5
+        assert rebuilt.core_stop(3) == 0
+
+    def test_compaction_keeps_the_table(self):
+        registry = GraphRegistry(preload_datasets=False, compact_after=None)
+        base = self._base()
+        registry.register("g", lambda: base)
+        base.core_stop(1)
+        registry.apply("g", [("insert", 3, 5)])
+        overlay = registry.get("g").graph
+        registry.compact("g")
+        compacted = registry.get("g").graph
+        assert compacted is not overlay
+        assert [compacted.core_stop(g) for g in range(1, 5)] == [
+            overlay.core_stop(g) for g in range(1, 5)
+        ]
+
+    def test_from_csr_copy_builds_its_own(self):
+        base = self._base()
+        copy = WeightedGraph.from_csr(
+            base.csr(),
+            [base.weight(r) for r in range(base.num_vertices)],
+            base.labels(range(base.num_vertices)),
+        )
+        assert [copy.core_stop(g) for g in range(1, 5)] == [
+            base.core_stop(g) for g in range(1, 5)
+        ]
+
+
+# ----------------------------------------------------------------------
+# the bound is sound on every generation (hypothesis)
+# ----------------------------------------------------------------------
+_SPACING = 8.0  # weights are multiples of this; reweights land between
+
+
+@st.composite
+def _mutated_models(draw):
+    """A random graph plus 1-3 batches of mixed mutations."""
+    n = draw(st.integers(3, 12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(possible), unique=True, max_size=len(possible))
+    )
+    perm = draw(st.permutations(range(1, n + 1)))
+    weights = {v: _SPACING * w for v, w in enumerate(perm)}
+    model = dict(weights)
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        ops = []
+        for _ in range(draw(st.integers(1, 5))):
+            kind = draw(
+                st.sampled_from(["insert", "delete", "keep", "reorder"])
+            )
+            if kind in ("insert", "delete"):
+                u, v = draw(st.sampled_from(possible))
+                ops.append((kind, u, v))
+                continue
+            v = draw(st.integers(0, n - 1))
+            taken = set(model.values())
+            if kind == "keep":
+                # Strictly between v's weight and the next lighter one:
+                # the rank order is unchanged.
+                lower = max(
+                    (w for w in taken if w < model[v]), default=0.0
+                )
+                new = (model[v] + lower) / 2
+            else:
+                new = draw(st.integers(1, 4 * n)) * _SPACING / 3 + 0.25
+                if new in taken:
+                    continue
+            model[v] = new
+            ops.append(("reweight", v, new))
+        batches.append(EdgeBatch(tuple(ops)))
+    return n, edges, weights, batches
+
+
+def _check_generation(graph, n, model_edges, model_weights):
+    fresh = graph_from_arrays(
+        n, sorted(model_edges), weights=[model_weights[v] for v in range(n)]
+    )
+    for gamma in range(1, 6):
+        stop = graph.core_stop(gamma)
+        assert all(u < stop for u in _exact_core(graph, gamma)), gamma
+        got = _label_pairs(graph, LocalSearchP(graph, gamma).run().communities)
+        want = [
+            (influence, frozenset(fresh.labels(members)))
+            for influence, members in reference_top_k(fresh, n, gamma)
+        ]
+        assert got == want, gamma
+
+
+@given(_mutated_models())
+@settings(max_examples=100, deadline=None)
+def test_core_stop_bound_is_sound_on_every_generation(case):
+    n, edges, weights, batches = case
+    base = graph_from_arrays(n, edges, weights=[weights[v] for v in range(n)])
+    registry = GraphRegistry(preload_datasets=False, compact_after=None)
+    registry.register("g", lambda: base)
+    model_edges, model_weights = set(edges), dict(weights)
+    # The base builds its table here, so overlays inherit it with slack.
+    _check_generation(base, n, model_edges, model_weights)
+    for batch in batches:
+        registry.apply("g", batch)
+        apply_ops_to_model(model_edges, model_weights, batch.ops)
+        _check_generation(registry.get("g").graph, n, model_edges, model_weights)
+    registry.compact("g")
+    graph = registry.get("g").graph
+    _check_generation(graph, n, model_edges, model_weights)
+    copy = WeightedGraph.from_csr(
+        graph.csr(),
+        [graph.weight(r) for r in range(n)],
+        graph.labels(range(n)),
+    )
+    _check_generation(copy, n, model_edges, model_weights)
+
+
+# ----------------------------------------------------------------------
+# short answers end early on every surface
+# ----------------------------------------------------------------------
+def _ends_at_stop(prefixes, stop):
+    """The search's last round is its first to reach ``stop``."""
+    return prefixes and prefixes[-1] >= stop and all(
+        p < stop for p in prefixes[:-1]
+    )
+
+
+_SEARCHES = {
+    "localsearch-p": lambda g, gamma, kern: LocalSearchP(
+        g, gamma, kernel=kern
+    ).run(10),
+    "localsearch": lambda g, gamma, kern: LocalSearch(
+        g, gamma, kernel=kern
+    ).search(10),
+    "noncontainment": lambda g, gamma, kern: (
+        top_k_noncontainment_communities(g, 10, gamma, kernel=kern)
+    ),
+}
+
+
+class TestShortAnswers:
+    @pytest.mark.parametrize("algorithm", sorted(_SEARCHES))
+    def test_empty_core_runs_no_round(self, email_graph, algorithm):
+        assert email_graph.core_stop(50) == 0
+        for kernel in ("python", "array"):
+            result = _SEARCHES[algorithm](email_graph, 50, kernel)
+            assert result.communities == []
+            assert result.stats.prefixes == []
+
+    @pytest.mark.parametrize("algorithm", sorted(_SEARCHES))
+    def test_short_answer_ends_at_the_stop(self, email_graph, algorithm):
+        stop = email_graph.core_stop(20)
+        assert 0 < stop < email_graph.num_vertices
+        answers = []
+        for kernel in ("python", "array"):
+            result = _SEARCHES[algorithm](email_graph, 20, kernel)
+            assert _ends_at_stop(result.stats.prefixes, stop)
+            assert result.stats.prefixes[-1] < email_graph.num_vertices
+            answers.append(_label_pairs(email_graph, result.communities))
+        assert answers[0] == answers[1]
+        want = 1 if algorithm == "noncontainment" else 4
+        assert len(answers[0]) == want
+
+    @pytest.mark.parametrize(
+        "extra", [{}, {"algorithm": "localsearch"}, {"containment": False}]
+    )
+    def test_engine_answers_and_matches_the_python_kernel(
+        self, email_graph, monkeypatch, extra
+    ):
+        served = []
+        for kernel in ("python", "array"):
+            monkeypatch.setenv("REPRO_KERNEL", kernel)
+            registry = GraphRegistry(preload_datasets=False)
+            registry.register("email", lambda: email_graph)
+            cache = ResultCache(8)
+            engine = QueryEngine(registry, cache=cache)
+            empty = engine.execute(
+                QuerySpec(graph="email", k=10, gamma=50, **extra)
+            )
+            assert empty.communities == ()
+            assert empty.complete and empty.source == "cold"
+            short = engine.execute(
+                QuerySpec(graph="email", k=10, gamma=20, **extra)
+            )
+            assert short.complete and short.source == "cold"
+            served.append(
+                [(v.keynode, v.influence, v.members) for v in short.communities]
+            )
+            if not extra:
+                for gamma in (50, 20):
+                    spec = QuerySpec(graph="email", gamma=gamma)
+                    entry = cache.peek(CacheKey.for_spec(spec, version=1))
+                    stats = entry.cursor.searcher.stats
+                    stop = email_graph.core_stop(gamma)
+                    assert (
+                        stats.prefixes == []
+                        if stop == 0
+                        else _ends_at_stop(stats.prefixes, stop)
+                    )
+        assert served[0] == served[1]
+        assert len(served[0]) == (1 if extra.get("containment") is False else 4)
+
+    def test_wire_answers_at_once(self, email_graph):
+        async def main():
+            registry = GraphRegistry(preload_datasets=False)
+            registry.register("email", lambda: email_graph)
+            server = ReproServer(registry, shards=1)
+            await server.start(tcp=("127.0.0.1", 0))
+            host, port = server.tcp_address
+            client = await ReproClient.connect(host, port=port)
+            try:
+                for suffix in ("", " algorithm=localsearch", " nc"):
+                    lines = await client.request(
+                        f"query email k=10 gamma=50{suffix} json"
+                    )
+                    doc = json.loads(lines[0])
+                    assert doc["communities"] == []
+                    assert doc["complete"] is True
+                    assert doc["source"] == "cold"
+                    lines = await client.request(
+                        f"query email k=10 gamma=20{suffix} json"
+                    )
+                    doc = json.loads(lines[0])
+                    assert doc["complete"] is True
+                    assert len(doc["communities"]) == (
+                        1 if suffix == " nc" else 4
+                    )
+                text = await client.request("query email k=10 gamma=49")
+                assert text[0].startswith("localsearch-p[cold]: 0 communities")
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(main())
