@@ -28,8 +28,10 @@ Gates:
   **10x** the full-rebuild strawman's (whose per-mutation cold cache
   pins it at ~zero);
 * **(c) plumbing** — every tick applied exactly one mutation, scoped
-  invalidation preserved families, and background compaction folded
-  the delta chain at least once;
+  invalidation preserved families, background compaction folded the
+  delta chain at least once, and a final ``compact`` publishes a
+  generation whose core stop table is exact (a fresh ``core_stops``,
+  slack 0);
 * **(d) cluster hygiene** — the same stream served through a 2-worker
   ClusterPool (workers catch up via delta batches over the pipe, no
   restart) still matches the scratch oracle and leaks no
@@ -56,6 +58,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.api.spec import QuerySpec
 from repro.cluster import ClusterPool
 from repro.graph.builder import graph_from_arrays
+from repro.graph.core_decomposition import core_stops
 from repro.graph.delta import apply_ops_to_model
 from repro.service.cache import ResultCache
 from repro.service.engine import QueryEngine
@@ -307,6 +310,17 @@ def run_streams(report: Dict[str, object]) -> List[str]:
         failures.append("(c) scoped invalidation preserved no families")
     if not live.get("compactions"):
         failures.append("(c) background compaction never folded the chain")
+    registry.compact(GRAPH)
+    compacted = registry.get(GRAPH).graph
+    table = compacted._core_stops
+    report["stream"]["compacted_core_slack"] = (
+        None if table is None else table[1]
+    )
+    if table != (core_stops(compacted), 0):
+        failures.append(
+            "(c) the compacted generation's core stop table is not a "
+            "fresh core_stops with slack 0"
+        )
     return failures
 
 

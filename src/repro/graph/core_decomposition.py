@@ -21,6 +21,9 @@ reweight.  :meth:`~repro.graph.weighted_graph.WeightedGraph.core_stop`
 caches the table and carries it across edge-overlay generations: an
 edge insertion raises any core number by at most 1 (Li, Yu & Mao,
 TKDE 2014; Sariyüce et al., VLDB 2013) and a deletion raises none.
+The inserts add up to a slack that loosens the bound, so each
+compaction (:meth:`~repro.service.registry.GraphRegistry.compact`)
+runs one fresh decomposition and publishes an exact table.
 """
 
 from __future__ import annotations

@@ -252,11 +252,11 @@ def _overlay_graph(
     new._prefix_sizes = [0]
     # Same rank space, so the parent's core stop table still bounds this
     # generation once each insert is counted as slack (see core_stop).
-    table = graph._core_stops
-    if table is not None:
-        inserted = sum(1 for _, _, want in effective_edges if want)
-        table = (table[0], table[1] + inserted)
-    new._core_stops = table
+    # A parent without one (a from_csr copy, a re-rank rebuild) builds
+    # it here, so the chain pays one decomposition, not one per overlay.
+    stops, slack = graph._core_table()
+    inserted = sum(1 for _, _, want in effective_edges if want)
+    new._core_stops = (stops, slack + inserted)
     base_csr = graph._csr
     if base_csr is None:
         new._csr = None  # first csr() call flattens from the rows

@@ -421,18 +421,26 @@ class WeightedGraph:
         edges inserted since the table was built.  Each insertion raises
         a core number by at most 1, so the bound reads the table at
         ``gamma - slack``; when that is not positive the bound is off
-        and the stop is ``n``.
+        and the stop is ``n``.  Compaction
+        (:meth:`~repro.service.registry.GraphRegistry.compact`) resets
+        the slack to 0 with one fresh decomposition per fold, so the
+        slack never exceeds the inserts of one delta chain.
         """
+        stops, slack = self._core_table()
+        gamma -= slack
+        if gamma <= 0:
+            return self.num_vertices
+        return stops[gamma] if gamma < len(stops) else 0
+
+    def _core_table(self) -> Tuple[List[int], int]:
+        """The ``(stops, slack)`` pair behind :meth:`core_stop`, built
+        (slack 0) on first use."""
         table = self._core_stops
         if table is None:
             from .core_decomposition import core_stops
 
             table = self._core_stops = (core_stops(self), 0)
-        stops, slack = table
-        gamma -= slack
-        if gamma <= 0:
-            return self.num_vertices
-        return stops[gamma] if gamma < len(stops) else 0
+        return table
 
     def iter_neighbors(self, u: int) -> Iterator[int]:
         """All neighbours of rank ``u`` (up-part first)."""

@@ -25,7 +25,9 @@ generation can catch up by replaying batches over their attached CSR
 instead of re-attaching a whole segment; a background **compactor**
 folds the overlay chain into a fresh flat CSR generation (and, via the
 build hooks, a fresh shared-memory segment generation) once the chain
-grows past ``compact_after``.  Mutation hooks — distinct from build
+grows past ``compact_after``, re-tightening the core stop table on the
+way; ``describe()`` reports the table's slack and why the last
+background fold failed, if it did.  Mutation hooks — distinct from build
 hooks — let the service layer migrate caches scope-invalidated by the
 batch's barrier weight instead of dropping them wholesale.
 """
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import UnknownGraphError
+from ..graph.core_decomposition import core_stops
 from ..graph.delta import EdgeBatch, MutationStats, apply_batch
 from ..graph.io import load_snap_graph
 from ..graph.weighted_graph import WeightedGraph
@@ -107,6 +110,8 @@ class _Entry:
     deltas: List[Tuple[int, EdgeBatch]] = field(default_factory=list)
     #: Guards against stacking background compaction threads.
     compacting: bool = False
+    #: Why the last background fold failed (``None`` once one succeeds).
+    compaction_error: Optional[str] = None
 
 
 class GraphRegistry:
@@ -356,12 +361,15 @@ class GraphRegistry:
         """Fold the overlay chain into a fresh flat CSR generation.
 
         Returns ``None`` when there is nothing to fold.  The new
-        generation's content is **identical** to the current one —
-        only the representation changes, so it also keeps the core stop
-        table (``WeightedGraph.core_stop``) — and the event carries
-        barrier ``-inf`` and every cached family migrates warm.  Build hooks
-        fire afterwards, publishing the new shared-memory segment
-        generation for the cluster tier.
+        generation's content is **identical** to the current one — only
+        the representation changes — so the event carries barrier
+        ``-inf`` and every cached family migrates warm.  The fold also
+        re-tightens the core stop table (``WeightedGraph.core_stop``):
+        the chain's inserts left the inherited table a slack, so one
+        fresh decomposition, run before the flip, gives the new
+        generation an exact table with slack 0.  Build hooks fire
+        afterwards, publishing the new shared-memory segment generation
+        for the cluster tier.
         """
         entry = self._entry(name)
         with entry.lock:
@@ -370,6 +378,9 @@ class GraphRegistry:
                 return None
             started = time.perf_counter()
             graph = handle.graph
+            # Inserts left the inherited table a slack and deletes left
+            # it loose; one decomposition makes the fold's table exact.
+            table = (core_stops(graph), 0)
             csr = graph.csr()
             if hasattr(csr, "materialize"):
                 flat = csr.materialize()
@@ -383,11 +394,11 @@ class GraphRegistry:
                 new_graph._num_edges = graph._num_edges
                 new_graph._prefix_sizes = graph._prefix_sizes
                 new_graph._csr = flat
-                new_graph._core_stops = graph._core_stops
             else:
                 # Already flat (reweight-only chain or a re-rank
                 # rebuild): reuse the graph, just cut the chain over.
                 new_graph = graph
+            new_graph._core_stops = table
             if self._prebuild_csr:
                 new_graph.csr().lists()
             old_version = entry.version
@@ -395,6 +406,7 @@ class GraphRegistry:
             new_handle = GraphHandle(name, entry.version, new_graph)
             entry.handle = new_handle
             entry.deltas.clear()
+            entry.compaction_error = None
             entry.csr_seconds = time.perf_counter() - started
         with self._lock:
             self._compactions += 1
@@ -434,8 +446,9 @@ class GraphRegistry:
     def _compact_entry(self, name: str, entry: _Entry) -> None:
         try:
             self.compact(name)
-        except Exception:  # noqa: BLE001 — background fold is best-effort
-            pass
+        except Exception as exc:  # noqa: BLE001 — reported by describe()
+            with entry.lock:
+                entry.compaction_error = f"{type(exc).__name__}: {exc}"
         finally:
             entry.compacting = False
 
@@ -532,6 +545,8 @@ class GraphRegistry:
                 "description": entry.description,
                 "loaded": handle is not None,
                 "version": entry.version,
+                "compaction_error": entry.compaction_error,
+                "core_slack": None,
             }
             if handle is not None:
                 row["vertices"] = handle.num_vertices
@@ -539,5 +554,8 @@ class GraphRegistry:
                 row["build_seconds"] = entry.build_seconds
                 row["csr_seconds"] = entry.csr_seconds
                 row["pending_deltas"] = len(entry.deltas)
+                table = handle.graph._core_stops
+                if table is not None:
+                    row["core_slack"] = table[1]
             rows.append(row)
         return rows

@@ -7,21 +7,30 @@ non-containment search end at the first round whose prefix reaches the
 stop instead of peeling the whole graph.  Covered here:
 
 * the table itself (:func:`core_stops`) and its generation rules —
-  overlays inherit it with an insert ``slack``, compaction keeps it, a
-  re-rank rebuild and ``from_csr`` start without one;
-* a hypothesis property: on every generation (base, each overlay, a
-  compacted one, a ``from_csr`` copy) the exact γ-core lies below the
-  stop and LocalSearch-P answers equal the reference oracle on a fresh
-  rebuild of the same model;
+  overlays inherit it with an insert ``slack`` (a parent without one
+  builds it first, once per chain), compaction re-tightens it to an
+  exact table with slack 0, a re-rank rebuild and ``from_csr`` start
+  without one;
+* the registry's report of the table and of a failed background fold
+  (``core_slack``, ``compaction_error`` in ``describe()``);
+* a hypothesis property: on every generation (base, each overlay, one
+  compacted mid-chain and the overlays after it, a final compacted one,
+  a ``from_csr`` copy) the exact γ-core lies below the stop and
+  LocalSearch-P answers equal the reference oracle on a fresh rebuild
+  of the same model;
 * short answers on every surface: email γ=50 (degeneracy 22) answers
   nothing without a round, and email γ=20 ends at its stop with its
-  4 communities, through the searchers, the engine and the wire.
+  4 communities, through the searchers, the engine and the wire — and
+  again after 30 inserts and a compaction.
 """
 
 from __future__ import annotations
 
 import asyncio
+import importlib
 import json
+import threading
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -44,13 +53,40 @@ from repro.graph.weighted_graph import WeightedGraph
 from repro.server import ReproClient, ReproServer
 from repro.service.cache import CacheKey, ResultCache
 from repro.service.engine import QueryEngine
+from repro.service import registry as registry_module
 from repro.service.registry import GraphRegistry
 from tests.conftest import random_graph
+
+# The module, not the ``repro.graph.core_decomposition`` function that
+# shadows its name on the package: tests patch ``core_stops`` here.
+core_module = importlib.import_module("repro.graph.core_decomposition")
 
 
 def _exact_core(graph: WeightedGraph, gamma: int):
     alive, _ = gamma_core(PrefixView(graph, graph.num_vertices), gamma)
     return [u for u, keep in enumerate(alive) if keep]
+
+
+def _model(graph):
+    """``graph`` as a plain (label edge set, label -> weight) model."""
+    edges = {
+        tuple(sorted(graph.labels((u, v)))) for u, v in graph.iter_edges()
+    }
+    weights = {
+        graph.label(r): graph.weight(r) for r in range(graph.num_vertices)
+    }
+    return edges, weights
+
+
+def _insert_ops(n, edges, count):
+    """``count`` single-edge inserts of label pairs not in ``edges``."""
+    missing = (
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u, v) not in edges
+    )
+    return [("insert", u, v) for u, v in islice(missing, count)]
 
 
 def _label_pairs(graph, communities):
@@ -138,19 +174,109 @@ class TestGenerations:
         assert rebuilt.core_stop(1) == rebuilt.core_stop(2) == 5
         assert rebuilt.core_stop(3) == 0
 
-    def test_compaction_keeps_the_table(self):
+    def test_compaction_retightens_the_table(self):
         registry = GraphRegistry(preload_datasets=False, compact_after=None)
         base = self._base()
         registry.register("g", lambda: base)
         base.core_stop(1)
         registry.apply("g", [("insert", 3, 5)])
         overlay = registry.get("g").graph
+        assert overlay._core_stops[1] == 1
         registry.compact("g")
         compacted = registry.get("g").graph
         assert compacted is not overlay
-        assert [compacted.core_stop(g) for g in range(1, 5)] == [
-            overlay.core_stop(g) for g in range(1, 5)
-        ]
+        assert compacted._core_stops == (core_stops(compacted), 0)
+        # Ranks 3-5 are a triangle now, so no core number reaches 3:
+        # the exact γ=3 stop is 0 where slack 1 read the γ=2 stop, 3.
+        assert [compacted.core_stop(g) for g in range(1, 4)] == [6, 6, 0]
+
+    def test_compaction_of_a_flat_chain_builds_the_table(self):
+        # A re-rank rebuild is already flat and starts without a table:
+        # the fold reuses the graph and gives it an exact one.
+        registry = GraphRegistry(preload_datasets=False, compact_after=None)
+        base = graph_from_arrays(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+        registry.register("g", lambda: base)
+        event = registry.apply(
+            "g", (("insert", 0, 4), ("reweight", 0, 1.5))
+        )
+        assert event.stats.rank_shuffle
+        rebuilt = registry.get("g").graph
+        assert rebuilt._core_stops is None
+        registry.compact("g")
+        compacted = registry.get("g").graph
+        assert compacted is rebuilt
+        assert compacted._core_stops == (core_stops(compacted), 0)
+
+    def test_from_csr_chain_decomposes_once(self, monkeypatch):
+        n = 24
+        base = random_graph(n, 0.25, 3, weights="shuffled")
+        edges, weights = _model(base)
+        copy = WeightedGraph.from_csr(
+            base.csr(),
+            [base.weight(r) for r in range(n)],
+            base.labels(range(n)),
+        )
+        calls = []
+        real = core_module.core_stops
+        monkeypatch.setattr(
+            core_module,
+            "core_stops",
+            lambda graph: calls.append(graph) or real(graph),
+        )
+        inserts = _insert_ops(n, edges, 10)
+        graph = copy
+        for step in range(5):
+            ops = inserts[2 * step:2 * step + 2]
+            graph, _, stats = apply_batch(graph, EdgeBatch(tuple(ops)))
+            assert stats.inserted == 2 and not stats.rank_shuffle
+            apply_ops_to_model(edges, weights, ops)
+            assert graph._core_stops[1] == 2 * (step + 1)
+            _check_generation(graph, n, edges, weights)
+        assert len(calls) == 1 and calls[0] is copy
+
+    def test_describe_reports_slack_and_a_failed_fold(self, monkeypatch):
+        registry = GraphRegistry(preload_datasets=False, compact_after=2)
+        registry.register("g", self._base)
+
+        def row():
+            (only,) = registry.describe()
+            return only
+
+        def join_compactor():
+            for thread in threading.enumerate():
+                if thread.name == "repro-compact-g":
+                    thread.join(10.0)
+                    assert not thread.is_alive()
+
+        assert row()["core_slack"] is None
+        assert row()["compaction_error"] is None
+        registry.get("g")
+        assert row()["core_slack"] is None  # no search, no table yet
+        registry.apply("g", [("insert", 3, 5)])
+        assert row()["core_slack"] == 1
+
+        def broken(graph):
+            raise RuntimeError("decomposition failed")
+
+        monkeypatch.setattr(registry_module, "core_stops", broken)
+        registry.apply("g", [("insert", 0, 5)])
+        join_compactor()
+        failed = row()
+        assert failed["compaction_error"] == (
+            "RuntimeError: decomposition failed"
+        )
+        assert failed["pending_deltas"] == 2
+        assert failed["core_slack"] == 2
+        assert registry.compactions == 0
+
+        monkeypatch.undo()
+        registry.apply("g", [("delete", 0, 1)])  # the next apply retries
+        join_compactor()
+        healed = row()
+        assert healed["compaction_error"] is None
+        assert healed["pending_deltas"] == 0
+        assert healed["core_slack"] == 0
+        assert registry.compactions == 1
 
     def test_from_csr_copy_builds_its_own(self):
         base = self._base()
@@ -172,7 +298,8 @@ _SPACING = 8.0  # weights are multiples of this; reweights land between
 
 @st.composite
 def _mutated_models(draw):
-    """A random graph plus 1-3 batches of mixed mutations."""
+    """A random graph, 1-4 batches of mixed mutations and the batch
+    after which the chain is compacted."""
     n = draw(st.integers(3, 12))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(
@@ -182,7 +309,7 @@ def _mutated_models(draw):
     weights = {v: _SPACING * w for v, w in enumerate(perm)}
     model = dict(weights)
     batches = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 4))):
         ops = []
         for _ in range(draw(st.integers(1, 5))):
             kind = draw(
@@ -208,7 +335,8 @@ def _mutated_models(draw):
             model[v] = new
             ops.append(("reweight", v, new))
         batches.append(EdgeBatch(tuple(ops)))
-    return n, edges, weights, batches
+    compact_at = draw(st.integers(1, len(batches)))
+    return n, edges, weights, batches, compact_at
 
 
 def _check_generation(graph, n, model_edges, model_weights):
@@ -229,19 +357,27 @@ def _check_generation(graph, n, model_edges, model_weights):
 @given(_mutated_models())
 @settings(max_examples=100, deadline=None)
 def test_core_stop_bound_is_sound_on_every_generation(case):
-    n, edges, weights, batches = case
+    n, edges, weights, batches, compact_at = case
     base = graph_from_arrays(n, edges, weights=[weights[v] for v in range(n)])
     registry = GraphRegistry(preload_datasets=False, compact_after=None)
     registry.register("g", lambda: base)
     model_edges, model_weights = set(edges), dict(weights)
     # The base builds its table here, so overlays inherit it with slack.
     _check_generation(base, n, model_edges, model_weights)
-    for batch in batches:
+    for index, batch in enumerate(batches, 1):
         registry.apply("g", batch)
         apply_ops_to_model(model_edges, model_weights, batch.ops)
         _check_generation(registry.get("g").graph, n, model_edges, model_weights)
+        if index == compact_at:
+            # Mid-chain fold: the table is exact again, and the
+            # overlays after it inherit it with a fresh slack.
+            registry.compact("g")
+            graph = registry.get("g").graph
+            assert graph._core_stops == (core_stops(graph), 0)
+            _check_generation(graph, n, model_edges, model_weights)
     registry.compact("g")
     graph = registry.get("g").graph
+    assert graph._core_stops == (core_stops(graph), 0)
     _check_generation(graph, n, model_edges, model_weights)
     copy = WeightedGraph.from_csr(
         graph.csr(),
@@ -368,3 +504,43 @@ class TestShortAnswers:
                 await server.stop()
 
         asyncio.run(main())
+
+
+class TestChurnedStop:
+    """Inserts loosen the stop; a compaction makes it exact again."""
+
+    def test_compaction_restores_the_empty_core_answer(self, email_graph):
+        n = email_graph.num_vertices
+        edges, weights = _model(email_graph)
+        registry = GraphRegistry(preload_datasets=False, compact_after=None)
+        registry.register("email", lambda: email_graph)
+        engine = QueryEngine(registry, cache=ResultCache(8))
+        email_graph.core_stop(1)
+        for op in _insert_ops(n, edges, 30):
+            event = registry.apply("email", [op])
+            assert event.stats.inserted == 1
+            apply_ops_to_model(edges, weights, [op])
+        churned = registry.get("email").graph
+        # Slack 30 exceeds the degeneracy of 22: the γ=50 stop is loose.
+        assert churned._core_stops[1] == 30
+        assert churned.core_stop(50) > 0
+
+        registry.compact("email")
+        graph = registry.get("email").graph
+        assert graph._core_stops == (core_stops(graph), 0)
+        assert graph.core_stop(50) == 0
+        assert LocalSearchP(graph, gamma=50).run(10).stats.prefixes == []
+        assert engine.execute(
+            QuerySpec(graph="email", k=10, gamma=50)
+        ).communities == ()
+
+        fresh = graph_from_arrays(
+            n, sorted(edges), weights=[weights[v] for v in range(n)]
+        )
+        oracle = LocalSearchP(fresh, 20, kernel="python").run(10)
+        served = engine.execute(QuerySpec(graph="email", k=10, gamma=20))
+        assert [
+            (view.influence, frozenset(view.members))
+            for view in served.communities
+        ] == _label_pairs(fresh, oracle.communities)
+        assert served.communities
