@@ -13,8 +13,9 @@ to the peel.  Two scenarios:
 * **cold enumeration** — one full ``EnumIC`` pass over the whole
   graph's ``cvs`` (every community built, ``k = all``);
 * **progressive enumeration** — the exact LocalSearch-P round sequence
-  (doubling prefixes, per-round records, one shared EnumIC-P state),
-  timing only the enumeration half of each round.
+  (doubling prefixes up to the γ-core stop, the per-round records of
+  :meth:`~repro.core.progressive.LocalSearchP.records`, one shared
+  EnumIC-P state), timing only the enumeration half of each round.
 
 Every kernel enumerates its *natural* record: the python oracle walks a
 python-peeled record (materialised list-of-lists adjacency), the array
@@ -46,7 +47,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -59,7 +59,7 @@ from repro.core.enumerate import (
     enumerate_top_k,
 )
 from repro.core.fastenum import EnumScratch
-from repro.core.fastpeel import PeelScratch
+from repro.core.progressive import LocalSearchP
 from repro.graph.subgraph import PrefixView
 from repro.workloads.generators import (
     build_weighted_graph,
@@ -129,24 +129,7 @@ def time_cold(graph, kernel: str, record, scratch) -> Dict[str, object]:
 
 def progressive_records(graph, kernel: str):
     """The LocalSearch-P round-record sequence for ``kernel`` (untimed)."""
-    scratch = PeelScratch() if kernel != "python" else None
-    n = graph.num_vertices
-    records = []
-    p_prev, p = 0, GAMMA + 1
-    view = None
-    while True:
-        view = PrefixView(graph, p) if view is None else view.extend(p)
-        records.append(
-            construct_cvs(
-                view, GAMMA, stop_rank=p_prev, kernel=kernel, scratch=scratch
-            )
-        )
-        if view.is_whole_graph:
-            break
-        p_prev = p
-        target = int(math.ceil(DELTA * view.size))
-        p = max(graph.grow_prefix(p, target), min(p_prev + 1, n))
-    return records
+    return list(LocalSearchP(graph, GAMMA, DELTA, kernel=kernel).records())
 
 
 def time_progressive(graph, kernel: str, records) -> Dict[str, float]:

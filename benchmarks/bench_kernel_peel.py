@@ -8,8 +8,10 @@ graphs) at the service-default γ:
 * **cold peel** — one full ``ConstructCVS`` over the whole graph;
 * **progressive peel** — the exact LocalSearch-P round sequence
   (doubling prefixes, ``stop_rank`` chaining, one shared
-  :class:`~repro.core.fastpeel.PeelScratch`), i.e. the serving tier's
-  hot path.
+  :class:`~repro.core.fastpeel.PeelScratch`, the last round the first
+  to hold the γ-core), taken from
+  :meth:`~repro.core.progressive.LocalSearchP.records`, i.e. the serving
+  tier's hot path.
 
 Each rep times every kernel once, in turn, and each kernel keeps its
 best rep: a slow stretch of the host then costs every kernel a rep
@@ -33,14 +35,13 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.count import construct_cvs
-from repro.core.fastpeel import PeelScratch
+from repro.core.progressive import LocalSearchP
 from repro.graph.subgraph import PrefixView
 from repro.workloads.generators import (
     build_weighted_graph,
@@ -67,6 +68,7 @@ def build_graph():
     )
     graph = build_weighted_graph(n, edges, weights="degree", seed=SEED)
     graph.csr().lists()  # pre-flatten, as GraphRegistry does
+    graph.core_stop(GAMMA)  # the core stop table, built by a first search
     return graph
 
 
@@ -81,29 +83,16 @@ def time_cold(graph, kernel: str) -> Dict[str, float]:
 
 def time_progressive(graph, kernel: str) -> Dict[str, float]:
     """The LocalSearch-P peel round sequence, timed end to end."""
-    n = graph.num_vertices
     gc.collect()
     started = time.perf_counter()
-    scratch = PeelScratch()
-    keys_total = rounds = 0
-    p_prev, p = 0, GAMMA + 1
-    view = None
-    while True:
-        # Chain views exactly as LocalSearchP.stream does, so the
-        # python baseline keeps its production down-cut seeding.
-        view = PrefixView(graph, p) if view is None else view.extend(p)
-        record = construct_cvs(
-            view, GAMMA, stop_rank=p_prev, kernel=kernel, scratch=scratch
-        )
-        keys_total += record.num_communities
-        rounds += 1
-        if view.is_whole_graph:
-            break
-        p_prev = p
-        target = int(math.ceil(DELTA * view.size))
-        p = max(graph.grow_prefix(p, target), min(p_prev + 1, n))
+    searcher = LocalSearchP(graph, GAMMA, DELTA, kernel=kernel)
+    keys_total = sum(record.num_communities for record in searcher.records())
     seconds = time.perf_counter() - started
-    return {"seconds": seconds, "communities": keys_total, "rounds": rounds}
+    return {
+        "seconds": seconds,
+        "communities": keys_total,
+        "rounds": searcher.stats.rounds,
+    }
 
 
 def kernel_report() -> dict:

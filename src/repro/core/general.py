@@ -36,14 +36,14 @@ The optimised, measure-specific implementations live in
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..errors import QueryParameterError, check_delta
 from ..graph.subgraph import PrefixView
 from ..graph.weighted_graph import WeightedGraph
-from .local_search import SearchStats
+from .local_search import TopKResult
+from .rounds import PrefixRounds
 
 __all__ = [
     "CohesivenessMeasure",
@@ -90,6 +90,11 @@ class CohesivenessMeasure:
         adj = self.maximal_cohesive(graph, members, gamma)
         return {u for u, nbrs in adj.items() if nbrs}
 
+    def holding_core(self, gamma: int) -> int:
+        """A ``c`` whose ``c``-core of ``G`` holds every γ-community: 1
+        by default, as every member keeps a cohesive neighbour."""
+        return 1
+
     def validate_gamma(self, gamma: int) -> None:
         """Raise :class:`QueryParameterError` on an invalid γ."""
         if gamma < 1:
@@ -118,6 +123,9 @@ class MinDegreeMeasure(CohesivenessMeasure):
 
     name = "min-degree"
 
+    def holding_core(self, gamma: int) -> int:
+        return gamma
+
     def maximal_cohesive(
         self, graph: WeightedGraph, members: Set[int], gamma: int
     ) -> Dict[int, Set[int]]:
@@ -141,6 +149,10 @@ class TrussMeasure(CohesivenessMeasure):
     """k-truss cohesiveness: every edge in ≥ γ − 2 triangles (§5.2)."""
 
     name = "truss"
+
+    def holding_core(self, gamma: int) -> int:
+        # A truss edge's end has its other end and gamma - 2 apexes.
+        return gamma - 1
 
     def validate_gamma(self, gamma: int) -> None:
         if gamma < 2:
@@ -178,6 +190,10 @@ class EdgeConnectivityMeasure(CohesivenessMeasure):
     """
 
     name = "edge-connectivity"
+
+    def holding_core(self, gamma: int) -> int:
+        # A gamma-edge-connected subgraph has minimum degree >= gamma.
+        return gamma
 
     def maximal_cohesive(
         self, graph: WeightedGraph, members: Set[int], gamma: int
@@ -401,25 +417,8 @@ def count_cohesive_communities(
     return len(all_cohesive_communities(graph, view_p, gamma, measure))
 
 
-class GeneralResult:
-    """Result of a general top-k query."""
-
-    def __init__(
-        self, communities: List[GeneralCommunity], stats: SearchStats
-    ) -> None:
-        self.communities = communities
-        self.stats = stats
-
-    @property
-    def influences(self) -> List[float]:
-        """Influence values in reported (decreasing) order."""
-        return [c.influence for c in self.communities]
-
-    def __iter__(self):
-        return iter(self.communities)
-
-    def __len__(self) -> int:
-        return len(self.communities)
+#: One result type for every local search: communities plus stats.
+GeneralResult = TopKResult
 
 
 class GeneralLocalSearch:
@@ -452,23 +451,14 @@ class GeneralLocalSearch:
         """Top-``k`` influential γ-cohesive communities."""
         if k < 1:
             raise QueryParameterError("k must be at least 1")
-        graph = self.graph
-        started = time.perf_counter()
-        stats = SearchStats(
-            gamma=self.gamma, k=k, delta=self.delta, graph_size=graph.size
+        graph, gamma, measure = self.graph, self.gamma, self.measure
+        rounds = PrefixRounds(
+            graph, gamma, self.delta, k=k, core=measure.holding_core(gamma)
         )
-        n = graph.num_vertices
-        p = min(n, k + self.gamma)
-        while True:
-            communities = all_cohesive_communities(
-                graph, p, self.gamma, self.measure
-            )
-            stats.prefixes.append(p)
-            stats.prefix_sizes.append(graph.prefix_size(p))
-            stats.counts.append(len(communities))
-            if len(communities) >= k or p == n:
-                break
-            target = int(math.ceil(self.delta * graph.prefix_size(p)))
-            p = max(graph.grow_prefix(p, target), min(p + 1, n))
-        stats.elapsed_seconds = time.perf_counter() - started
-        return GeneralResult(communities[:k], stats)
+
+        def count(view: PrefixView, _p_prev: int):
+            found = all_cohesive_communities(graph, view.p, gamma, measure)
+            return len(found), found
+
+        communities = rounds.last(k + gamma, count) or []
+        return GeneralResult(communities[:k], rounds.finish())

@@ -27,20 +27,19 @@ CountIC for an OnlineAll-based counter.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..errors import QueryParameterError, check_delta
 from ..obs.trace import record_phase
 from ..graph.subgraph import PrefixView
 from ..graph.weighted_graph import WeightedGraph
 from .community import Community
-from .count import CVSRecord, construct_cvs
+from .count import CVSRecord
 from .enumerate import enumerate_top_k
 from .fastenum import EnumScratch
-from .fastpeel import PeelScratch, resolve_kernel
+from .rounds import PrefixRounds, SearchStats
 
 __all__ = [
     "SearchStats",
@@ -48,60 +47,6 @@ __all__ = [
     "LocalSearch",
     "top_k_influential_communities",
 ]
-
-
-@dataclass
-class SearchStats:
-    """Instrumentation of one LocalSearch run.
-
-    ``total_work`` is the sum of the sizes of all peeled prefixes — the
-    quantity the time-complexity analysis bounds.  ``accessed_size`` is the
-    size of the largest (final) prefix — the quantity instance-optimality
-    compares against ``size(G>=tau*)``.
-    """
-
-    gamma: int = 0
-    k: int = 0
-    delta: float = 2.0
-    prefixes: List[int] = field(default_factory=list)
-    prefix_sizes: List[int] = field(default_factory=list)
-    counts: List[int] = field(default_factory=list)
-    graph_size: int = 0
-    elapsed_seconds: float = 0.0
-    #: Which kernel served the run (resolved name, never "auto").  One
-    #: resolution covers both halves of the query: the peel
-    #: (:mod:`repro.core.fastpeel`) and the enumeration
-    #: (:mod:`repro.core.fastenum`) dispatch on the same name.
-    kernel: Optional[str] = None
-    #: Accumulated per-phase wall time in **milliseconds** (CSR build,
-    #: gamma-core, peel, enumeration, cursor resume) — written through
-    #: :func:`repro.obs.trace.record_phase`, so an active trace span
-    #: receives the same increments.  For a cached progressive cursor
-    #: the dict accumulates over the family's lifetime (each resume adds
-    #: to it), while span phases stay per-query.
-    phases: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def rounds(self) -> int:
-        """Number of CountIC invocations."""
-        return len(self.prefixes)
-
-    @property
-    def accessed_size(self) -> int:
-        """Size of the largest subgraph accessed (the final prefix)."""
-        return self.prefix_sizes[-1] if self.prefix_sizes else 0
-
-    @property
-    def total_work(self) -> int:
-        """Sum of the sizes of all peeled prefixes."""
-        return sum(self.prefix_sizes)
-
-    @property
-    def accessed_fraction(self) -> float:
-        """``size(accessed) / size(G)`` — the locality claim of Section 3.1."""
-        if not self.graph_size:
-            return 0.0
-        return self.accessed_size / self.graph_size
 
 
 @dataclass
@@ -122,9 +67,6 @@ class TopKResult:
 
     def __len__(self) -> int:
         return len(self.communities)
-
-
-CountFunction = Callable[[PrefixView, int], int]
 
 
 class LocalSearch:
@@ -181,24 +123,6 @@ class LocalSearch:
         """Line 1 heuristic: the ``(k + γ)``-th largest weight's prefix."""
         return min(self.graph.num_vertices, k + self.gamma)
 
-    def _next_prefix(self, p: int, current_size: int, initial_size: int) -> int:
-        """Line 4: the next (larger) prefix according to the growth policy."""
-        if self.growth == "exponential":
-            target = int(math.ceil(self.delta * current_size))
-        else:
-            increment = self.linear_increment or max(initial_size, 1)
-            target = current_size + increment
-        q = self.graph.grow_prefix(p, target)
-        # Guarantee progress even for degenerate targets.
-        return max(q, min(p + 1, self.graph.num_vertices))
-
-    def _count(self, view: PrefixView, gamma: int) -> int:
-        if self.counting == "onlineall":
-            from ..baselines.online_all import online_all_count
-
-            return online_all_count(view, gamma)
-        return construct_cvs(view, gamma).num_communities
-
     # ------------------------------------------------------------------
     def search(self, k: int) -> TopKResult:
         """Run Algorithm 1 and return the top-``k`` communities.
@@ -210,67 +134,34 @@ class LocalSearch:
         if k < 1:
             raise QueryParameterError("k must be at least 1")
         graph, gamma = self.graph, self.gamma
-        started = time.perf_counter()
-        kernel = resolve_kernel(self.kernel)
-        stats = SearchStats(
-            gamma=gamma, k=k, delta=self.delta, graph_size=graph.size,
-            kernel=kernel,
-        )
+        rounds = PrefixRounds(graph, gamma, self.delta, self.kernel, k=k)
+        first = self.initial_prefix(k)
+        increment = None
+        if self.growth == "linear":
+            increment = self.linear_increment or graph.prefix_size(first) or 1
 
-        # The round whose prefix reaches ``stop`` holds every community
-        # (see LocalSearchP.stream); an empty γ-core needs no round.
-        stop = graph.core_stop(gamma)
-        if stop == 0:
-            stats.elapsed_seconds = time.perf_counter() - started
-            return TopKResult(communities=[], stats=stats)
-        p = self.initial_prefix(k)
-        initial_size = graph.prefix_size(p)
-        record: Optional[CVSRecord] = None
-        # One scratch pair and one chained view family per search: every
-        # growth round reuses the previous round's buffers and down-cuts,
-        # and the final enumeration runs on the query's enum scratch.
-        scratch = PeelScratch() if kernel != "python" else None
-        enum_scratch = EnumScratch() if kernel != "python" else None
-        view: Optional[PrefixView] = None
-        while True:
-            view = PrefixView(graph, p) if view is None else view.extend(p)
-            if self.counting == "countic":
-                record = construct_cvs(
-                    view,
-                    gamma,
-                    kernel=kernel,
-                    scratch=scratch,
-                    phases=stats.phases,
-                )
-                count = record.num_communities
-            else:
-                record = None
-                count = self._count(view, gamma)
-            stats.prefixes.append(p)
-            stats.prefix_sizes.append(view.size)
-            stats.counts.append(count)
-            if count >= k or p >= stop:
-                break
-            p = self._next_prefix(p, view.size, initial_size)
+        def count(view: PrefixView, _p_prev: int):
+            if self.counting == "onlineall":
+                from ..baselines.online_all import online_all_count
 
+                return online_all_count(view, gamma), view
+            record = rounds.peel(view, gamma)
+            return record.num_communities, record
+
+        record = rounds.last(first, count, increment)
         if record is None:
+            return TopKResult(communities=[], stats=rounds.finish())
+        if self.counting == "onlineall":
             # LocalSearch-OA still enumerates through keys/cvs at the end.
-            record = construct_cvs(
-                PrefixView(graph, p),
-                gamma,
-                kernel=kernel,
-                scratch=scratch,
-                phases=stats.phases,
-            )
-        enum_started = time.perf_counter()
+            record = rounds.peel(record, gamma)
+        kernel, phases = rounds.kernel, rounds.stats.phases
+        enum_scratch = EnumScratch() if kernel != "python" else None
+        started = time.perf_counter()
         communities = enumerate_top_k(
             graph, record, k, kernel=kernel, scratch=enum_scratch
         )
-        record_phase(
-            "enumerate", time.perf_counter() - enum_started, stats.phases
-        )
-        stats.elapsed_seconds = time.perf_counter() - started
-        return TopKResult(communities=communities, stats=stats, record=record)
+        record_phase("enumerate", time.perf_counter() - started, phases)
+        return TopKResult(communities, rounds.finish(), record)
 
 
 def top_k_influential_communities(

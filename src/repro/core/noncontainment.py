@@ -9,8 +9,10 @@ The paper's adaptation of the framework: a keynode ``u`` is a
 (Algorithm 2) ends the procedure with no surviving neighbour; the
 corresponding community is then exactly the group ``gp(u)`` — no child
 links.  The peel (:func:`repro.core.count.peel_cvs`) computes these flags
-when ``track_noncontainment`` is set; this module wraps the LocalSearch
-doubling loop around the NC count.
+when ``track_noncontainment`` is set.  The search runs on the shared
+prefix-round loop (:class:`~repro.core.rounds.PrefixRounds`) with the
+NC count as its count step, so it ends, like LocalSearch, at the first
+round whose prefix holds the γ-core, and reports the same kernel phases.
 
 The subgraph ``G>=tau*`` needed for ``k`` NC communities is never smaller
 than the one for ``k`` ordinary communities (NC keynodes are a subset of
@@ -19,53 +21,56 @@ keynodes), so NC queries are expected to be somewhat slower — Eval-VII.
 
 from __future__ import annotations
 
-import math
 import time
-from typing import List, Optional
+from itertools import islice
+from typing import Iterator, List, Optional
 
 from ..errors import QueryParameterError, check_delta
 from ..graph.subgraph import PrefixView
 from ..graph.weighted_graph import WeightedGraph
+from ..obs.trace import record_phase
 from .community import Community
-from .count import CVSRecord, construct_cvs
-from .fastpeel import PeelScratch, resolve_kernel
-from .local_search import SearchStats, TopKResult
+from .count import CVSRecord
+from .local_search import TopKResult
+from .rounds import PrefixRounds
 
 __all__ = [
+    "iter_noncontainment_communities",
     "noncontainment_communities_from_record",
     "top_k_noncontainment_communities",
 ]
 
 
-def noncontainment_communities_from_record(
-    graph: WeightedGraph, record: CVSRecord, k: Optional[int] = None
-) -> List[Community]:
-    """Extract the top-``k`` NC communities from a tracked peel record.
+def iter_noncontainment_communities(
+    graph: WeightedGraph, record: CVSRecord
+) -> Iterator[Community]:
+    """The NC communities of a tracked peel record, lazily.
 
-    Communities are returned in decreasing influence order; each is its
+    Communities come in decreasing influence order; each is its
     keynode's group with no children.
     """
     if record.noncontainment is None:
         raise QueryParameterError(
             "record was peeled without track_noncontainment=True"
         )
-    out: List[Community] = []
     flags = record.noncontainment
     for i in range(len(record.keys) - 1, -1, -1):
-        if not flags[i]:
-            continue
-        out.append(
-            Community(
+        if flags[i]:
+            yield Community(
                 graph,
                 keynode=record.keys[i],
                 gamma=record.gamma,
                 own_vertices=record.group(i),
                 children=[],
             )
-        )
-        if k is not None and len(out) >= k:
-            break
-    return out
+
+
+def noncontainment_communities_from_record(
+    graph: WeightedGraph, record: CVSRecord, k: Optional[int] = None
+) -> List[Community]:
+    """The top-``k`` NC communities of a tracked peel record (all of
+    them if ``k`` is ``None``), in decreasing influence order."""
+    return list(islice(iter_noncontainment_communities(graph, record), k))
 
 
 def top_k_noncontainment_communities(
@@ -87,40 +92,18 @@ def top_k_noncontainment_communities(
     if gamma < 1:
         raise QueryParameterError("gamma must be at least 1")
     check_delta(delta)
+    rounds = PrefixRounds(graph, gamma, delta, kernel, k=k)
 
-    started = time.perf_counter()
-    resolved = resolve_kernel(kernel)
-    stats = SearchStats(
-        gamma=gamma, k=k, delta=delta, graph_size=graph.size, kernel=resolved
-    )
-    # The round whose prefix reaches ``stop`` holds every community
-    # (see LocalSearchP.stream); an empty γ-core needs no round.
-    stop = graph.core_stop(gamma)
-    if stop == 0:
-        stats.elapsed_seconds = time.perf_counter() - started
-        return TopKResult(communities=[], stats=stats)
-    n = graph.num_vertices
-    p = min(n, k + gamma)
-    scratch = PeelScratch() if resolved != "python" else None
-    view: Optional[PrefixView] = None
-    while True:
-        view = PrefixView(graph, p) if view is None else view.extend(p)
-        record = construct_cvs(
-            view,
-            gamma,
-            track_noncontainment=True,
-            kernel=resolved,
-            scratch=scratch,
+    def count(view: PrefixView, _p_prev: int):
+        record = rounds.peel(view, gamma, track_noncontainment=True)
+        return record.num_noncontainment, record
+
+    record = rounds.last(k + gamma, count)
+    communities: List[Community] = []
+    if record is not None:
+        started = time.perf_counter()
+        communities = noncontainment_communities_from_record(graph, record, k)
+        record_phase(
+            "enumerate", time.perf_counter() - started, rounds.stats.phases
         )
-        count = record.num_noncontainment
-        stats.prefixes.append(p)
-        stats.prefix_sizes.append(view.size)
-        stats.counts.append(count)
-        if count >= k or p >= stop:
-            break
-        target = int(math.ceil(delta * view.size))
-        p = max(graph.grow_prefix(p, target), min(p + 1, n))
-
-    communities = noncontainment_communities_from_record(graph, record, k)
-    stats.elapsed_seconds = time.perf_counter() - started
-    return TopKResult(communities=communities, stats=stats, record=record)
+    return TopKResult(communities, rounds.finish(), record)

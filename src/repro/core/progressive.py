@@ -17,19 +17,13 @@ and stop whenever enough communities have been seen.  Terminating after the
 of LocalSearch carries over (Section 4, "Time Complexity of
 LocalSearch-P").
 
-The stream itself ends at the first round whose prefix holds the whole
-γ-core of ``G`` (:meth:`~repro.graph.weighted_graph.WeightedGraph.core_stop`),
-where Algorithm 4 would go on to the whole graph: every community lies in
-that core, so an answer with fewer than ``k`` communities costs the prefix
-that reaches the core's last rank, and a γ above the degeneracy costs no
-round at all.  The stop comes from one O(n + m) core decomposition per
-graph generation, paid by its first search; a stream that reaches its
-``k``-th community first runs the same rounds as before.
+The rounds run on the shared prefix-round loop (:mod:`repro.core.rounds`),
+so the stream ends at the first round whose prefix holds the γ-core of
+``G``, where Algorithm 4 would go on to the whole graph.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from typing import Iterator, List, Optional, Tuple
@@ -39,11 +33,12 @@ from ..graph.subgraph import PrefixView
 from ..graph.weighted_graph import WeightedGraph
 from ..obs.trace import record_phase
 from .community import Community
-from .count import construct_cvs
+from .count import CVSRecord
 from .enumerate import EnumerationState, enumerate_progressive
 from .fastenum import EnumScratch
-from .fastpeel import PeelScratch, resolve_kernel
-from .local_search import SearchStats, TopKResult
+from .local_search import TopKResult
+from .noncontainment import iter_noncontainment_communities
+from .rounds import PrefixRounds, SearchStats
 
 __all__ = [
     "LocalSearchP",
@@ -96,6 +91,28 @@ class LocalSearchP:
         """Line 1: smallest prefix that could hold one community (γ+1)."""
         return min(self.graph.num_vertices, self.gamma + 1)
 
+    def records(self) -> Iterator[CVSRecord]:
+        """The peel record of each round of :meth:`stream`, in order.
+
+        Round i+1 reuses round i's peel buffers and down-cuts, and peels
+        only down to round i's prefix.
+        """
+        gamma = self.gamma
+        rounds = PrefixRounds(
+            self.graph, gamma, self.delta, self.kernel, stats=self.stats
+        )
+
+        def count(view: PrefixView, p_prev: int):
+            record = rounds.peel(
+                view,
+                gamma,
+                stop_rank=p_prev,
+                track_noncontainment=self.noncontainment,
+            )
+            return record.num_communities, record
+
+        return rounds.run(self.initial_prefix(), count)
+
     def stream(self) -> Iterator[Community]:
         """Yield communities in decreasing influence order, progressively.
 
@@ -104,87 +121,32 @@ class LocalSearchP:
         proportional to the largest prefix peeled so far.  It ends by
         itself after the round whose prefix reaches ``core_stop(gamma)``.
         """
-        graph, gamma = self.graph, self.gamma
-        n = graph.num_vertices
-        p_prev = 0
-        p = self.initial_prefix()
-        # One resolved kernel, one reusable scratch pair and one chained
-        # view family per stream: round i+1 reuses round i's buffers and
-        # down-cuts (allocation-free steady state for the fast kernels,
-        # seeded bisects for the python one).  The enumeration state —
-        # the oracle's EnumerationState or the flat kernels' EnumScratch
-        # — is EnumIC-P's shared ``v2key``: it must persist across every
-        # round of this stream (and only this stream).
-        kernel = resolve_kernel(self.kernel)
-        self.stats.kernel = kernel
-        # The round whose prefix reaches ``stop`` holds the γ-core of G
-        # and so every community: it is the last.  ``stop <= n``, so this
-        # also ends the stream at the whole graph; an empty γ-core (or
-        # graph) ends it before the first round.
-        stop = graph.core_stop(gamma)
-        if stop == 0:
-            return
-        scratch = PeelScratch() if kernel != "python" else None
+        graph, phases = self.graph, self.stats.phases
+        records = self.records()
+        # The enumeration state — the oracle's EnumerationState or the
+        # flat kernels' EnumScratch — is EnumIC-P's shared ``v2key``: it
+        # must persist across every round of this stream (and only this
+        # stream).
+        kernel = self.stats.kernel
         state = EnumerationState() if kernel == "python" else None
         enum_scratch = EnumScratch() if kernel != "python" else None
-        view: Optional[PrefixView] = None
-        while True:
-            view = PrefixView(graph, p) if view is None else view.extend(p)
-            record = construct_cvs(
-                view,
-                gamma,
-                stop_rank=p_prev,
-                track_noncontainment=self.noncontainment,
-                kernel=kernel,
-                scratch=scratch,
-                phases=self.stats.phases,
-            )
-            self.stats.prefixes.append(p)
-            self.stats.prefix_sizes.append(view.size)
-            self.stats.counts.append(record.num_communities)
+        for record in records:
             if self.noncontainment:
-                flags = record.noncontainment or []
-                # Yield only NC keynodes; their community is gp(u).
-                for i in range(len(record.keys) - 1, -1, -1):
-                    if not flags[i]:
-                        continue
-                    yield Community(
-                        graph,
-                        keynode=record.keys[i],
-                        gamma=gamma,
-                        own_vertices=record.group(i),
-                        children=[],
-                    )
-            else:
-                # An explicit next() loop (not yield-from) so the timed
-                # window covers only generator-internal enumeration work
-                # — never the consumer's time between pulls.
-                enum = enumerate_progressive(
-                    graph, record, state, kernel=kernel, scratch=enum_scratch
-                )
-                while True:
-                    t0 = time.perf_counter()
-                    try:
-                        community = next(enum)
-                    except StopIteration:
-                        record_phase(
-                            "enumerate",
-                            time.perf_counter() - t0,
-                            self.stats.phases,
-                        )
-                        break
-                    record_phase(
-                        "enumerate",
-                        time.perf_counter() - t0,
-                        self.stats.phases,
-                    )
-                    yield community
-            if p >= stop:
-                return
-            p_prev = p
-            target = int(math.ceil(self.delta * view.size))
-            p = graph.grow_prefix(p, target)
-            p = max(p, min(p_prev + 1, n))
+                yield from iter_noncontainment_communities(graph, record)
+                continue
+            # An explicit next() loop (not yield-from) so the timed
+            # window covers only generator-internal enumeration work
+            # — never the consumer's time between pulls.
+            enum = enumerate_progressive(
+                graph, record, state, kernel=kernel, scratch=enum_scratch
+            )
+            while True:
+                t0 = time.perf_counter()
+                community = next(enum, None)
+                record_phase("enumerate", time.perf_counter() - t0, phases)
+                if community is None:
+                    break
+                yield community
 
     def stream_with_timestamps(
         self,
@@ -293,11 +255,6 @@ class ProgressiveCursor:
         with self._lock:
             self._advance_to(k)
             return tuple(self._seen[:k])
-
-    def peek_all(self) -> List[Community]:
-        """All communities materialised so far (no stream advance)."""
-        with self._lock:
-            return list(self._seen)
 
 
 def progressive_influential_communities(

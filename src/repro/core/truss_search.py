@@ -11,17 +11,19 @@ when every edge participates in at least γ − 2 triangles.
 * :func:`enumerate_truss_top_k` — EnumICC: rebuild communities from the
   edge groups, linking a group to already-built communities through shared
   vertices with the same keyed union-find as EnumIC.
-* :class:`LocalSearchTruss` — Algorithm 6's doubling loop.
+* :class:`LocalSearchTruss` — Algorithm 6's doubling loop, run on the
+  shared prefix-round loop (:class:`~repro.core.rounds.PrefixRounds`).
+  A γ-truss lies in the (γ−1)-core, so the search ends at the first
+  round whose prefix holds that core.
 * :func:`global_search_truss` — the GlobalSearch-Truss baseline of
   Eval-VIII (CountICC + EnumICC on the entire graph).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import QueryParameterError, check_delta
@@ -32,7 +34,8 @@ from ..graph.weighted_graph import WeightedGraph
 from .community import TrussCommunity
 from .fastenum import EnumScratch
 from .fastpeel import resolve_kernel
-from .local_search import SearchStats
+from .local_search import TopKResult
+from .rounds import PrefixRounds, SearchStats
 
 __all__ = [
     "TrussCVSRecord",
@@ -228,23 +231,8 @@ def enumerate_truss_top_k(
     return out
 
 
-@dataclass
-class TrussResult:
-    """Result of a truss top-k query: communities plus instrumentation."""
-
-    communities: List[TrussCommunity]
-    stats: SearchStats
-
-    @property
-    def influences(self) -> List[float]:
-        """Influence values in reported (decreasing) order."""
-        return [c.influence for c in self.communities]
-
-    def __iter__(self):
-        return iter(self.communities)
-
-    def __len__(self) -> int:
-        return len(self.communities)
+#: One result type for every local search: communities plus stats.
+TrussResult = TopKResult
 
 
 class LocalSearchTruss:
@@ -276,27 +264,23 @@ class LocalSearchTruss:
         if k < 1:
             raise QueryParameterError("k must be at least 1")
         graph, gamma = self.graph, self.gamma
-        started = time.perf_counter()
-        kernel = resolve_kernel(self.kernel)
-        stats = SearchStats(
-            gamma=gamma, k=k, delta=self.delta, graph_size=graph.size,
-            kernel=kernel,
+        # A γ-truss lies in the (γ−1)-core: each truss edge closes γ − 2
+        # triangles, so each truss vertex has at least γ − 1 neighbours.
+        rounds = PrefixRounds(
+            graph, gamma, self.delta, self.kernel, k=k, core=gamma - 1
         )
-        n = graph.num_vertices
-        p = min(n, k + gamma)
-        while True:
-            view = PrefixView(graph, p)
+
+        def count(view: PrefixView, _p_prev: int):
             record = construct_cvs_truss(view, gamma)
-            stats.prefixes.append(p)
-            stats.prefix_sizes.append(view.size)
-            stats.counts.append(record.num_communities)
-            if record.num_communities >= k or view.is_whole_graph:
-                break
-            target = int(math.ceil(self.delta * view.size))
-            p = max(graph.grow_prefix(p, target), min(p + 1, n))
-        communities = enumerate_truss_top_k(graph, record, k, kernel=kernel)
-        stats.elapsed_seconds = time.perf_counter() - started
-        return TrussResult(communities=communities, stats=stats)
+            return record.num_communities, record
+
+        record = rounds.last(k + gamma, count)
+        communities: List[TrussCommunity] = []
+        if record is not None:
+            communities = enumerate_truss_top_k(
+                graph, record, k, kernel=rounds.kernel
+            )
+        return TrussResult(communities, rounds.finish())
 
 
 def top_k_truss_communities(

@@ -20,12 +20,7 @@ algorithms (DESIGN.md systems S1–S5 and S15-storage):
 from .builder import GraphBuilder, graph_from_arrays
 from .connectivity import component_of, connected_components, is_connected_subset
 from .csr import CSRAdjacency, PrefixAdjacency
-from .core_decomposition import (
-    core_decomposition,
-    degeneracy,
-    gamma_core,
-    gamma_core_members,
-)
+from .core_decomposition import degeneracy, gamma_core, gamma_core_members
 from .disjoint_set import DisjointSet, KeyedDisjointSet
 from .metrics import GraphStatistics, degree_histogram, graph_statistics
 from .pagerank import pagerank_from_edges, pagerank_weights
@@ -50,7 +45,6 @@ __all__ = [
     "KeyedDisjointSet",
     "gamma_core",
     "gamma_core_members",
-    "core_decomposition",
     "degeneracy",
     "gamma_truss",
     "edge_supports",

@@ -2,9 +2,9 @@
 
 ``WeightedGraph.core_stop(gamma)`` is 1 + the highest rank whose core
 number is >= γ (0 for an empty γ-core).  Every influential γ-community
-lies inside the γ-core of ``G``, so LocalSearch, LocalSearch-P and the
-non-containment search end at the first round whose prefix reaches the
-stop instead of peeling the whole graph.  Covered here:
+lies inside the γ-core of ``G`` (a γ-truss inside the (γ−1)-core), so
+every local search ends at the first round whose prefix reaches the
+stop of its core instead of peeling the whole graph.  Covered here:
 
 * the table itself (:func:`core_stops`) and its generation rules —
   overlays inherit it with an insert ``slack`` (a parent without one
@@ -15,19 +15,19 @@ stop instead of peeling the whole graph.  Covered here:
   (``core_slack``, ``compaction_error`` in ``describe()``);
 * a hypothesis property: on every generation (base, each overlay, one
   compacted mid-chain and the overlays after it, a final compacted one,
-  a ``from_csr`` copy) the exact γ-core lies below the stop and
-  LocalSearch-P answers equal the reference oracle on a fresh rebuild
-  of the same model;
+  a ``from_csr`` copy) the exact γ-core lies below the stop, and
+  LocalSearch-P and truss answers equal the reference oracles on a
+  fresh rebuild of the same model;
 * short answers on every surface: email γ=50 (degeneracy 22) answers
   nothing without a round, and email γ=20 ends at its stop with its
-  4 communities, through the searchers, the engine and the wire — and
-  again after 30 inserts and a compaction.
+  communities, through all five searchers, the engine (which records
+  their kernel phases) and the wire — and again after 30 inserts and a
+  compaction.
 """
 
 from __future__ import annotations
 
 import asyncio
-import importlib
 import json
 import threading
 from itertools import islice
@@ -36,11 +36,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graph.core_decomposition as core_module
 from repro.api.spec import QuerySpec
+from repro.core.general import (
+    EdgeConnectivityMeasure,
+    GeneralLocalSearch,
+    MinDegreeMeasure,
+    TrussMeasure,
+)
 from repro.core.local_search import LocalSearch
 from repro.core.noncontainment import top_k_noncontainment_communities
 from repro.core.progressive import LocalSearchP
-from repro.core.reference import reference_top_k
+from repro.core.reference import reference_top_k, reference_truss_top_k
+from repro.core.truss_search import LocalSearchTruss
 from repro.graph.builder import graph_from_arrays
 from repro.graph.core_decomposition import (
     core_decomposition,
@@ -54,12 +62,9 @@ from repro.server import ReproClient, ReproServer
 from repro.service.cache import CacheKey, ResultCache
 from repro.service.engine import QueryEngine
 from repro.service import registry as registry_module
+from repro.service.metrics import ServiceMetrics, family_label
 from repro.service.registry import GraphRegistry
 from tests.conftest import random_graph
-
-# The module, not the ``repro.graph.core_decomposition`` function that
-# shadows its name on the package: tests patch ``core_stops`` here.
-core_module = importlib.import_module("repro.graph.core_decomposition")
 
 
 def _exact_core(graph: WeightedGraph, gamma: int):
@@ -91,9 +96,18 @@ def _insert_ops(n, edges, count):
 
 def _label_pairs(graph, communities):
     return [
-        (c.influence, frozenset(graph.labels(c.vertex_ranks)))
-        for c in communities
+        (c.influence, frozenset(graph.labels(_ranks(c)))) for c in communities
     ]
+
+
+def _ranks(community):
+    """Member ranks of any searcher's community."""
+    members = getattr(community, "members", None)  # a GeneralCommunity
+    return community.vertex_ranks if members is None else members
+
+
+def _edge_labels(graph, edges):
+    return frozenset(tuple(sorted(graph.labels(edge))) for edge in edges)
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +366,17 @@ def _check_generation(graph, n, model_edges, model_weights):
             for influence, members in reference_top_k(fresh, n, gamma)
         ]
         assert got == want, gamma
+        if gamma == 1:  # truss parameters start at 2
+            continue
+        got = [
+            (c.influence, _edge_labels(graph, c.edge_list))
+            for c in LocalSearchTruss(graph, gamma).search(n).communities
+        ]
+        want = [
+            (influence, _edge_labels(fresh, edges))
+            for influence, edges in reference_truss_top_k(fresh, n, gamma)
+        ]
+        assert got == want, gamma
 
 
 @given(_mutated_models())
@@ -397,40 +422,71 @@ def _ends_at_stop(prefixes, stop):
     )
 
 
+def _general(measure):
+    def search(g, gamma, _kernel):
+        return GeneralLocalSearch(g, gamma, measure).search(10)
+
+    return search
+
+
+#: name -> (search, offset of its core below γ, its number of γ=20
+#: communities on email).  The counts come from core/reference.py:
+#: reference_top_k finds 4, reference_noncontainment_communities 1 and
+#: reference_truss_top_k 1; the 4 γ-core communities have minimum cuts
+#: 20, 20, 21 and 21, so they are the 20-edge-connected ones too.
 _SEARCHES = {
-    "localsearch-p": lambda g, gamma, kern: LocalSearchP(
-        g, gamma, kernel=kern
-    ).run(10),
-    "localsearch": lambda g, gamma, kern: LocalSearch(
-        g, gamma, kernel=kern
-    ).search(10),
-    "noncontainment": lambda g, gamma, kern: (
-        top_k_noncontainment_communities(g, 10, gamma, kernel=kern)
+    "localsearch-p": (
+        lambda g, gamma, kern: LocalSearchP(g, gamma, kernel=kern).run(10),
+        0,
+        4,
     ),
+    "localsearch": (
+        lambda g, gamma, kern: LocalSearch(g, gamma, kernel=kern).search(10),
+        0,
+        4,
+    ),
+    "noncontainment": (
+        lambda g, gamma, kern: (
+            top_k_noncontainment_communities(g, 10, gamma, kernel=kern)
+        ),
+        0,
+        1,
+    ),
+    "truss": (
+        lambda g, gamma, kern: LocalSearchTruss(
+            g, gamma, kernel=kern
+        ).search(10),
+        1,
+        1,
+    ),
+    "general-min-degree": (_general(MinDegreeMeasure()), 0, 4),
+    "general-truss": (_general(TrussMeasure()), 1, 1),
+    "general-edge-connectivity": (_general(EdgeConnectivityMeasure()), 0, 4),
 }
 
 
 class TestShortAnswers:
     @pytest.mark.parametrize("algorithm", sorted(_SEARCHES))
     def test_empty_core_runs_no_round(self, email_graph, algorithm):
-        assert email_graph.core_stop(50) == 0
+        search, offset, _ = _SEARCHES[algorithm]
+        assert email_graph.core_stop(50 - offset) == 0
         for kernel in ("python", "array"):
-            result = _SEARCHES[algorithm](email_graph, 50, kernel)
+            result = search(email_graph, 50, kernel)
             assert result.communities == []
             assert result.stats.prefixes == []
 
     @pytest.mark.parametrize("algorithm", sorted(_SEARCHES))
     def test_short_answer_ends_at_the_stop(self, email_graph, algorithm):
-        stop = email_graph.core_stop(20)
+        search, offset, want = _SEARCHES[algorithm]
+        stop = email_graph.core_stop(20 - offset)
         assert 0 < stop < email_graph.num_vertices
         answers = []
         for kernel in ("python", "array"):
-            result = _SEARCHES[algorithm](email_graph, 20, kernel)
+            result = search(email_graph, 20, kernel)
             assert _ends_at_stop(result.stats.prefixes, stop)
             assert result.stats.prefixes[-1] < email_graph.num_vertices
             answers.append(_label_pairs(email_graph, result.communities))
         assert answers[0] == answers[1]
-        want = 1 if algorithm == "noncontainment" else 4
         assert len(answers[0]) == want
 
     @pytest.mark.parametrize(
@@ -445,7 +501,8 @@ class TestShortAnswers:
             registry = GraphRegistry(preload_datasets=False)
             registry.register("email", lambda: email_graph)
             cache = ResultCache(8)
-            engine = QueryEngine(registry, cache=cache)
+            metrics = ServiceMetrics()
+            engine = QueryEngine(registry, cache=cache, metrics=metrics)
             empty = engine.execute(
                 QuerySpec(graph="email", k=10, gamma=50, **extra)
             )
@@ -458,6 +515,11 @@ class TestShortAnswers:
             served.append(
                 [(v.keynode, v.influence, v.members) for v in short.communities]
             )
+            # Every cold search reports its kernel phases to the engine.
+            phases = metrics.by_family()[
+                family_label(short.query.cache_key())
+            ]["phases_ms"]
+            assert "peel" in phases and "enumerate" in phases
             if not extra:
                 for gamma in (50, 20):
                     spec = QuerySpec(graph="email", gamma=gamma)

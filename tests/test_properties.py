@@ -186,6 +186,33 @@ def test_delta_never_changes_answers(graph, gamma, delta):
     ]
 
 
+@given(
+    weighted_graphs(max_n=30),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([1.5, 2.0, 3.0]),
+)
+@settings(**COMMON)
+def test_local_search_access_within_lemma_38(graph, gamma, k, delta):
+    """Lemma 3.8: a LocalSearch that reaches ``k`` accesses at most
+    ``2δ · size(G>=tau*)``, where ``tau*`` is the influence of the k-th
+    community, plus the one vertex step that ``grow_prefix`` overshoots
+    its target by."""
+    from repro.core.local_search import LocalSearch
+
+    expected = reference_communities(graph, gamma)
+    k = min(k, len(expected))
+    if not k:
+        return
+    stats = LocalSearch(graph, gamma=gamma, delta=delta).search(k).stats
+    assert stats.counts[-1] >= k
+    tau_star = expected[k - 1][0]
+    size_star = graph.prefix_size(graph.prefix_for_threshold(tau_star))
+    p = stats.prefixes[-1]
+    step = graph.prefix_size(p) - graph.prefix_size(p - 1)
+    assert stats.accessed_size <= 2 * delta * size_star + step
+
+
 @given(weighted_graphs(), st.integers(1, 3), st.integers(2, 12))
 @settings(max_examples=40, deadline=None)
 def test_suffix_property(graph, gamma, p_small):
