@@ -39,9 +39,11 @@ __all__ = [
     "COHESIONS",
     "KERNEL_ALGORITHMS",
     "MODES",
+    "QUERY_USAGE",
     "WIRE_VERSION",
     "FamilyKey",
     "QuerySpec",
+    "parse_argument",
     "parse_spec_tokens",
     "parse_wire_query",
 ]
@@ -328,8 +330,9 @@ class QuerySpec:
 # Token / wire request parsing — the shared grammar of every frontend.
 # ----------------------------------------------------------------------
 
-_USAGE = (
-    "usage: query GRAPH [k=N] [gamma=N] [algorithm=A] [delta=F] "
+#: The ``query`` grammar after the verb (the shell's help prints it).
+QUERY_USAGE = (
+    "GRAPH [k=N] [gamma=N] [algorithm=A] [delta=F] "
     "[cohesion=core|truss] [containment=BOOL] [tenant=T] [members] [json]"
 )
 
@@ -379,16 +382,35 @@ def _wire_field(
     return value
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in _TRUE_WORDS:
-        return True
-    if lowered in _FALSE_WORDS:
-        return False
-    raise QueryParameterError(
-        f"bad query argument: {key}={value!r} is not a boolean "
-        "(true/false)"
-    )
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def parse_argument(verb: str, key: str, value: str, kind: type) -> Any:
+    """One text-protocol argument ``key=value`` as a ``kind`` (``str``,
+    ``int``, ``float`` or ``bool``); a value that is not one answers
+    ``bad VERB argument: key='value' is not an integer`` (or a number,
+    or a boolean)."""
+    if kind is bool:
+        lowered = value.lower()
+        if lowered in _TRUE_WORDS:
+            return True
+        if lowered in _FALSE_WORDS:
+            return False
+        raise QueryParameterError(
+            f"bad {verb} argument: {key}={value!r} is not a boolean "
+            "(true/false)"
+        )
+    try:
+        return kind(value)
+    except ValueError:
+        raise QueryParameterError(
+            f"bad {verb} argument: {key}={value!r} is not {_TYPE_NAMES[kind]}"
+        ) from None
+
+
+def _query_argument(kv: Dict[str, str], key: str, kind: type, default: Any):
+    value = kv.get(key)
+    return default if value is None else parse_argument("query", key, value, kind)
 
 
 def parse_spec_tokens(tokens: Sequence[str]) -> Tuple[QuerySpec, bool]:
@@ -401,7 +423,7 @@ def parse_spec_tokens(tokens: Sequence[str]) -> Tuple[QuerySpec, bool]:
     checked and dropped (see :func:`_check_kernel`).
     """
     if not tokens:
-        raise QueryParameterError(_USAGE)
+        raise QueryParameterError(f"usage: query {QUERY_USAGE}")
     graph, rest = tokens[0], list(tokens[1:])
     kv: Dict[str, str] = {}
     flags: List[str] = []
@@ -419,18 +441,17 @@ def parse_spec_tokens(tokens: Sequence[str]) -> Tuple[QuerySpec, bool]:
             f"unknown query argument(s): {', '.join(unknown)}"
         )
     mode = kv.get("mode", "json" if "json" in flags else "text")
-    containment = not ("nc" in flags)
-    if "containment" in kv:
-        containment = _parse_bool("containment", kv["containment"])
     _check_kernel(kv.get("kernel"))
     try:
         spec = QuerySpec(
             graph=graph,
-            k=int(kv.get("k", "10")),
-            gamma=int(kv.get("gamma", "10")),
+            k=_query_argument(kv, "k", int, 10),
+            gamma=_query_argument(kv, "gamma", int, 10),
             algorithm=kv.get("algorithm", AUTO),
-            delta=float(kv.get("delta", "2.0")),
-            containment=containment,
+            delta=_query_argument(kv, "delta", float, 2.0),
+            containment=_query_argument(
+                kv, "containment", bool, "nc" not in flags
+            ),
             cohesion=kv.get("cohesion", "core"),
             mode=mode,
             tenant=kv.get("tenant"),

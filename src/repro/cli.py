@@ -1,13 +1,16 @@
 """Command-line interface: query graphs from the shell.
 
-Four subcommands::
+Seven subcommands::
 
     repro query  --dataset wiki --k 10 --gamma 10
     repro query  --edges g.txt --algorithm forward --k 5
     repro stats  --dataset arabic
     repro stream --dataset wiki --gamma 10 --min-influence 1e-3
+    repro mutate --dataset email insert=100:200 --k 3 --gamma 5
     repro serve  --cache-size 256
     repro serve  --tcp 8642 --shards 4 --warmstart cache.json
+    repro trace  --port 9100 --slow
+    repro metrics --port 9100 --history
 
 (also reachable as ``python -m repro`` / ``python -m repro.cli``.)
 
@@ -17,42 +20,42 @@ registered stand-in dataset or a SNAP-style edge-list file (weights file
 optional; PageRank otherwise).  ``stats`` prints the Table-1 statistics.
 ``stream`` runs the progressive search and prints communities until an
 influence floor or count cap is hit — the "no k needed" workflow of
-Section 4.  ``serve`` starts the long-lived serving loop of
-:mod:`repro.service`: graphs are built once and pinned, answers are
-cached and reused across queries, and progressive sessions stream
-results on demand (type ``help`` at its prompt for the protocol).  With
-``--tcp``/``--socket`` it becomes the concurrent asyncio server of
-:mod:`repro.server` — many clients, batch-coalesced progressive
-execution, sharded workers, and warm-start cache persistence.
+Section 4.  ``mutate`` applies one live edge-mutation batch and, with
+``--k``, queries the mutated graph.  ``serve`` starts the long-lived
+serving loop of :mod:`repro.service`: graphs are built once and pinned,
+answers are cached and reused across queries, and progressive sessions
+stream results on demand (type ``help`` at its prompt for the
+protocol).  With ``--tcp``/``--socket`` it becomes the concurrent
+asyncio server of :mod:`repro.server` — many clients, batch-coalesced
+progressive execution, sharded workers, and warm-start cache
+persistence.  ``trace`` and ``metrics`` read a serving process's
+``--metrics-port`` endpoint.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
 
 from .api.facade import Repro
 from .api.facade import open as api_open
-from .api.spec import QuerySpec
+from .api.spec import ALGORITHMS, AUTO, QuerySpec
 from .core.fastpeel import KERNEL_ENV_VAR, KERNELS
 from .graph.io import load_snap_graph
 from .graph.metrics import GraphStatistics, graph_statistics
+from .service.shell import (
+    ServiceShell,
+    parse_mutation_ops,
+    render_metrics,
+    render_mutation,
+    render_traces,
+)
 from .workloads.datasets import dataset_names, load_dataset
 
 __all__ = ["main", "build_parser"]
-
-ALGORITHMS = (
-    "localsearch",
-    "localsearch-p",
-    "forward",
-    "onlineall",
-    "backward",
-    "truss",
-    "noncontainment",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
@@ -82,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--k", type=int, default=10)
     query.add_argument("--gamma", type=int, default=10)
     query.add_argument(
-        "--algorithm", choices=ALGORITHMS, default="localsearch-p"
+        "--algorithm",
+        choices=[name for name in ALGORITHMS if name != AUTO],
+        default="localsearch-p",
     )
     query.add_argument("--delta", type=float, default=2.0)
     query.add_argument(
@@ -246,17 +251,23 @@ def build_parser() -> argparse.ArgumentParser:
              "/dashboard and /history.json (default 1.0)",
     )
 
+    def add_endpoint(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--port", type=int, required=True,
+            help="the server's --metrics-port",
+        )
+        p.add_argument(
+            "--host", default="127.0.0.1", help="metrics host (default local)"
+        )
+        p.add_argument(
+            "--json", action="store_true", help="raw JSON instead of rendering"
+        )
+
     trace = sub.add_parser(
         "trace",
         help="fetch traces from a serving repro's metrics endpoint",
     )
-    trace.add_argument(
-        "--port", type=int, required=True,
-        help="the server's --metrics-port",
-    )
-    trace.add_argument(
-        "--host", default="127.0.0.1", help="metrics host (default local)"
-    )
+    add_endpoint(trace)
     trace.add_argument(
         "--slow", action="store_true",
         help="list retained slow-query exemplars instead of recent traces",
@@ -264,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--id", default=None, metavar="TRACE_ID",
         help="print one trace as a full span tree",
-    )
-    trace.add_argument(
-        "--json", action="store_true", help="raw JSON instead of rendering"
     )
     trace.add_argument(
         "--limit", type=int, default=20,
@@ -277,16 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="fetch metrics from a serving repro's metrics endpoint",
     )
-    metrics.add_argument(
-        "--port", type=int, required=True,
-        help="the server's --metrics-port",
-    )
-    metrics.add_argument(
-        "--host", default="127.0.0.1", help="metrics host (default local)"
-    )
-    metrics.add_argument(
-        "--json", action="store_true", help="raw JSON instead of rendering"
-    )
+    add_endpoint(metrics)
     metrics.add_argument(
         "--history", action="store_true",
         help="fetch the derived time-series (/history.json) instead of "
@@ -331,16 +330,9 @@ def _build_spec(args: argparse.Namespace, graph: str, **overrides) -> QuerySpec:
     return QuerySpec(**params)
 
 
-def _print_view(i: int, view, show_members: bool, out) -> None:
-    line = (
-        f"top-{i}: influence={view.influence:.8g} "
-        f"keynode={view.keynode} "
-        f"size={view.size}"
-    )
-    print(line, file=out)
-    if show_members:
-        members = ", ".join(str(v) for v in view.members)
-        print(f"       members: {members}", file=out)
+def _print_lines(lines, out) -> None:
+    for line in lines:
+        print(line, file=out)
 
 
 def _parse_tcp(value: str):
@@ -370,51 +362,11 @@ def _parse_replication(values):
     return replication
 
 
-def _run_server_async(args: argparse.Namespace, out) -> int:
-    """The asyncio network server behind ``repro serve --tcp/--socket``."""
+def _run_server_async(server, args: argparse.Namespace, out) -> int:
+    """Run ``server`` as the network server of ``repro serve
+    --tcp/--socket`` until it is shut down."""
     import asyncio
     import signal
-
-    from .server import ReproServer
-
-    if args.script is not None:
-        print(
-            "error: --script drives the stdio loop and is not supported "
-            "with --tcp/--socket (use repro.server.ReproClient instead)",
-            file=out,
-        )
-        return 2
-    try:
-        server = ReproServer(
-            cache_size=args.cache_size,
-            max_cached_k=args.max_cached_k,
-            session_ttl=args.session_ttl,
-            shards=args.shards if args.shards is not None else 4,
-            workers=args.workers,
-            replication=_parse_replication(args.replicate),
-            max_batch=args.max_batch if args.max_batch is not None else 64,
-            batch_window_ms=(
-                args.batch_window_ms
-                if args.batch_window_ms is not None
-                else 0.0
-            ),
-            adaptive=args.adaptive,
-            warmstart_path=args.warmstart,
-            warmstart_interval=args.warmstart_interval,
-            preload_datasets=not args.no_datasets,
-            metrics_port=args.metrics_port,
-            trace_sample=args.trace_sample,
-            slow_ms=args.slow_ms,
-            slo=args.slo,
-            history_interval=(
-                args.history_interval
-                if args.history_interval is not None
-                else 1.0
-            ),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
 
     async def _main() -> None:
         loop = asyncio.get_running_loop()
@@ -471,9 +423,18 @@ def _run_server_async(args: argparse.Namespace, out) -> int:
 
 
 def _run_serve(args: argparse.Namespace, out, in_stream) -> int:
-    if args.tcp is not None or args.socket is not None:
-        return _run_server_async(args, out)
+    """``repro serve``: the network server with ``--tcp``/``--socket``,
+    else the stdio loop over the same :class:`ReproServer` stack."""
+    from .server import ReproServer
 
+    network = args.tcp is not None or args.socket is not None
+    if network and args.script is not None:
+        print(
+            "error: --script drives the stdio loop and is not supported "
+            "with --tcp/--socket (use repro.server.ReproClient instead)",
+            file=out,
+        )
+        return 2
     ignored = [
         flag
         for flag, value in (
@@ -488,7 +449,7 @@ def _run_serve(args: argparse.Namespace, out, in_stream) -> int:
         )
         if value is not None
     ]
-    if ignored:
+    if ignored and not network:
         print(
             f"error: {', '.join(ignored)} only appl"
             f"{'y' if len(ignored) > 1 else 'ies'} to the network server; "
@@ -496,136 +457,73 @@ def _run_serve(args: argparse.Namespace, out, in_stream) -> int:
             file=out,
         )
         return 2
-
-    from .service import (
-        GraphRegistry,
-        QueryEngine,
-        ResultCache,
-        ServiceMetrics,
-        ServiceShell,
-        SessionManager,
-    )
-
-    registry = GraphRegistry(preload_datasets=not args.no_datasets)
-    metrics = ServiceMetrics()
-    # Observability in stdio mode mirrors the network server: any obs
-    # flag builds a sampling tracer (engine-rooted "query" traces) and
-    # --metrics-port additionally serves them over HTTP alongside the
-    # interactive loop.
-    obs_enabled = (
-        args.metrics_port is not None
-        or args.trace_sample is not None
-        or args.slow_ms is not None
-        or args.slo is not None
-    )
-    tracer = None
-    if obs_enabled:
-        from .obs.trace import DEFAULT_SLOW_MS, DEFAULT_TRACE_SAMPLE, Tracer
-
-        tracer = Tracer(
-            sample=(
-                args.trace_sample
-                if args.trace_sample is not None
-                else DEFAULT_TRACE_SAMPLE
-            ),
-            slow_ms=args.slow_ms if args.slow_ms is not None else DEFAULT_SLOW_MS,
-        )
     try:
-        engine = QueryEngine(
-            registry,
-            cache=ResultCache(args.cache_size, max_cached_k=args.max_cached_k),
-            metrics=metrics,
-            tracer=tracer,
-        )
-        sessions = SessionManager(
-            registry, ttl_seconds=args.session_ttl, metrics=metrics
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    history = None
-    metrics_server = None
-    if obs_enabled:
-        # The stdio loop carries the same observability tier as the
-        # network server: history collector + SLO verdicts, an armed
-        # profiler behind the `profile` command, and (with a port) the
-        # HTTP explorer.
-        from .obs.history import MetricsHistory, parse_slo
-        from .obs.profiling import OnDemandProfiler
-
-        try:
-            slo = parse_slo(args.slo) if args.slo is not None else None
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        history = MetricsHistory(
-            metrics,
-            trace_store=tracer.store if tracer is not None else None,
-            interval_s=(
+        server = ReproServer(
+            cache_size=args.cache_size,
+            max_cached_k=args.max_cached_k,
+            session_ttl=args.session_ttl,
+            shards=args.shards if args.shards is not None else 4,
+            workers=args.workers,
+            replication=_parse_replication(args.replicate),
+            max_batch=args.max_batch if args.max_batch is not None else 64,
+            batch_window_ms=(
+                args.batch_window_ms
+                if args.batch_window_ms is not None
+                else 0.0
+            ),
+            adaptive=args.adaptive,
+            warmstart_path=args.warmstart,
+            warmstart_interval=args.warmstart_interval,
+            preload_datasets=not args.no_datasets,
+            metrics_port=args.metrics_port,
+            trace_sample=args.trace_sample,
+            slow_ms=args.slow_ms,
+            slo=args.slo,
+            history_interval=(
                 args.history_interval
                 if args.history_interval is not None
                 else 1.0
             ),
-            slo=slo,
         )
-        history.start()
-        engine.profiler = OnDemandProfiler()
-    if args.metrics_port is not None:
-        from .obs.export import MetricsServer
-
-        metrics_server = MetricsServer(
-            metrics,
-            trace_store=tracer.store if tracer is not None else None,
-            port=args.metrics_port,
-            history=history,
-            readiness=history.readiness,
-            profiler=engine.profiler,
-        )
-        mhost, mport = metrics_server.start()
-        print(f"metrics on http://{mhost}:{mport}/metrics", file=out)
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
+    if network:
+        return _run_server_async(server, args, out)
+    server.start_observability()
     try:
+        if server.metrics_address is not None:
+            mhost, mport = server.metrics_address
+            print(f"metrics on http://{mhost}:{mport}/metrics", file=out)
+        shell = ServiceShell(server.engine, server.open_sessions(), out)
         if args.script is not None:
             with open(args.script, "r", encoding="utf-8") as handle:
-                shell = ServiceShell(engine, sessions, out, tracer=tracer)
                 return shell.run(handle)
-        if in_stream is None:
-            in_stream = sys.stdin
-        prompt = (
-            "repro> " if getattr(in_stream, "isatty", lambda: False)() else ""
-        )
-        shell = ServiceShell(engine, sessions, out, prompt=prompt, tracer=tracer)
+        in_stream = in_stream if in_stream is not None else sys.stdin
+        if getattr(in_stream, "isatty", lambda: False)():
+            shell.prompt = "repro> "
         return shell.run(in_stream)
     finally:
-        if history is not None:
-            history.stop()
-        if metrics_server is not None:
-            metrics_server.stop()
+        server.stop_observability()
+        server.shards.shutdown(wait=False)
 
 
-def _run_trace(args: argparse.Namespace, out) -> int:
-    """``repro trace`` — pull traces off a server's metrics endpoint."""
-    import json as _json
+def _fetch(args: argparse.Namespace, path: str, missing, out):
+    """GET ``path`` off a server's metrics endpoint as JSON.  On failure
+    print the error (``missing`` answers a 404 when given) and return
+    None."""
     import urllib.error
     import urllib.request
 
-    from .obs.trace import format_trace, format_trace_line
-
     base = f"http://{args.host}:{args.port}"
-    if args.id is not None:
-        url = f"{base}/traces/{args.id}"
-    elif args.slow:
-        url = f"{base}/traces/slow?limit={args.limit}"
-    else:
-        url = f"{base}/traces?limit={args.limit}"
     try:
-        with urllib.request.urlopen(url, timeout=10.0) as response:
-            payload = _json.loads(response.read().decode("utf-8"))
+        with urllib.request.urlopen(base + path, timeout=10.0) as response:
+            return json.loads(response.read().decode("utf-8"))
     except urllib.error.HTTPError as exc:
-        if exc.code == 404 and args.id is not None:
-            print(f"error: no trace {args.id!r} retained", file=out)
+        if exc.code == 404 and missing is not None:
+            print(f"error: {missing}", file=out)
         else:
-            print(f"error: {url}: HTTP {exc.code}", file=out)
-        return 1
+            print(f"error: {base}{path}: HTTP {exc.code}", file=out)
     except (urllib.error.URLError, OSError) as exc:
         reason = getattr(exc, "reason", exc)
         print(
@@ -633,57 +531,41 @@ def _run_trace(args: argparse.Namespace, out) -> int:
             "running with --metrics-port?",
             file=out,
         )
-        return 1
-    if args.json:
-        print(_json.dumps(payload, sort_keys=True), file=out)
-        return 0
+    return None
+
+
+def _run_trace(args: argparse.Namespace, out) -> int:
+    """``repro trace`` — pull traces off a server's metrics endpoint."""
     if args.id is not None:
-        print("\n".join(format_trace(payload)), file=out)
-        return 0
-    traces = payload.get("traces", []) if isinstance(payload, dict) else payload
-    if not traces:
-        kind = "slow " if args.slow else ""
-        print(f"(no {kind}traces retained)", file=out)
-        return 0
-    for trace in traces:
-        print(format_trace_line(trace), file=out)
+        path = f"/traces/{args.id}"
+    else:
+        path = f"/traces{'/slow' if args.slow else ''}?limit={args.limit}"
+    missing = None if args.id is None else f"no trace {args.id!r} retained"
+    payload = _fetch(args, path, missing, out)
+    if payload is None:
+        return 1
+    if not (args.json or args.id is not None) and isinstance(payload, dict):
+        payload = payload.get("traces", [])
+    _print_lines(render_traces(payload, args.slow, args.json), out)
     return 0
 
 
 def _run_metrics(args: argparse.Namespace, out) -> int:
     """``repro metrics`` — pull the snapshot / history off a server."""
-    import json as _json
-    import urllib.error
-    import urllib.request
-
-    base = f"http://{args.host}:{args.port}"
     if args.history:
         window = args.window if args.window is not None else 300.0
-        url = f"{base}/history.json?window={window:g}"
-    else:
-        url = f"{base}/metrics.json"
-    try:
-        with urllib.request.urlopen(url, timeout=10.0) as response:
-            payload = _json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        if exc.code == 404 and args.history:
-            print(
-                "error: history collector disabled on this server",
-                file=out,
-            )
-        else:
-            print(f"error: {url}: HTTP {exc.code}", file=out)
-        return 1
-    except (urllib.error.URLError, OSError) as exc:
-        reason = getattr(exc, "reason", exc)
-        print(
-            f"error: cannot reach {base} ({reason}) — is the server "
-            "running with --metrics-port?",
-            file=out,
+        payload = _fetch(
+            args,
+            f"/history.json?window={window:g}",
+            "history collector disabled on this server",
+            out,
         )
+    else:
+        payload = _fetch(args, "/metrics.json", None, out)
+    if payload is None:
         return 1
     if args.json:
-        print(_json.dumps(payload, sort_keys=True), file=out)
+        print(json.dumps(payload, sort_keys=True), file=out)
         return 0
     if args.history:
         points = payload.get("points", [])
@@ -711,10 +593,7 @@ def _run_metrics(args: argparse.Namespace, out) -> int:
             )
             print(f"slo[{verdict}]: {objectives}", file=out)
         return 0
-    from .service.shell import render_metrics
-
-    for line in render_metrics(payload):
-        print(line, file=out)
+    _print_lines(render_metrics(payload), out)
     traces = payload.get("traces")
     if traces:
         print(
@@ -754,34 +633,12 @@ def main(argv: Optional[List[str]] = None, out=None, in_stream=None) -> int:
         return 0
 
     if args.command == "mutate":
-        from .service.shell import parse_mutation_ops
-
         rp, graph_name = _open_facade(args)
-        ops = parse_mutation_ops(args.ops)
-        event = rp.mutate(graph_name, ops)
-        stats = event.stats
-        barrier = (
-            f"{event.barrier:.8g}"
-            if event.barrier != float("-inf")
-            else "none"
-        )
-        print(
-            f"mutated {graph_name!r} "
-            f"v{event.old_version} -> v{event.new_version}: "
-            f"+{stats.inserted} -{stats.deleted} ~{stats.reweighted} "
-            f"(noops={stats.noops}) barrier={barrier}",
-            file=out,
-        )
+        event = rp.mutate(graph_name, parse_mutation_ops(args.ops))
+        print(render_mutation(graph_name, event), file=out)
         if args.k is not None:
-            spec = QuerySpec(
-                graph=graph_name,
-                k=args.k,
-                gamma=args.gamma,
-                delta=args.delta,
-                algorithm="localsearch-p",
-            )
-            for i, view in enumerate(rp.topk(spec).communities, start=1):
-                _print_view(i, view, False, out)
+            views = rp.topk(_build_spec(args, graph_name)).communities
+            _print_lines(ServiceShell.format_views(views, False), out)
         return 0
 
     if args.command == "query":
@@ -795,8 +652,7 @@ def main(argv: Optional[List[str]] = None, out=None, in_stream=None) -> int:
             f"in {result_set.elapsed_ms:.2f} ms",
             file=out,
         )
-        for i, view in enumerate(views, start=1):
-            _print_view(i, view, args.members, out)
+        _print_lines(ServiceShell.format_views(views, args.members), out)
         return 0
 
     if args.command == "stream":
@@ -819,7 +675,9 @@ def main(argv: Optional[List[str]] = None, out=None, in_stream=None) -> int:
                 )
                 break
             printed += 1
-            _print_view(printed, view, False, out)
+            _print_lines(
+                ServiceShell.format_views([view], False, start=printed), out
+            )
             if printed >= args.limit:
                 print(f"(stopped: limit {args.limit} reached)", file=out)
                 break

@@ -14,8 +14,9 @@ over TCP and/or a unix domain socket, many clients per process:
 * **query path** — ``query`` commands go through the
   :class:`~repro.server.scheduler.BatchScheduler` (coalescing) onto the
   :class:`~repro.server.shards.ShardPool` (CPU off the event loop);
-  every other command reuses the ServiceShell dispatch on the default
-  executor, so the two frontends can never drift apart;
+  ``quit`` answers ``bye``; every other command runs the command
+  table of a per-connection :class:`~repro.service.shell.ServiceShell`
+  on the default executor, so the two frontends can never drift apart;
 * **graceful shutdown** — the shell's ``shutdown`` command (or a
   signal/`stop()` call) stops accepting, unblocks connected clients,
   waits for in-flight handlers, snapshots the result cache via
@@ -27,7 +28,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import errno
-import io
 import os
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
@@ -44,7 +44,7 @@ from ..service.engine import QueryEngine
 from ..service.metrics import ServiceMetrics
 from ..service.registry import GraphRegistry
 from ..service.sessions import SessionManager
-from ..service.shell import ServiceShell
+from ..service.shell import ServiceShell, split_verb
 from .scheduler import BatchScheduler
 from .shards import ShardPool, create_pool
 from .warmstart import WarmStart
@@ -67,6 +67,11 @@ def dot_unstuff(line: str) -> str:
 
 class ReproServer:
     """The concurrent serving tier over one shared service stack.
+
+    This is also where the stdio loop of ``repro serve`` gets its
+    stack: it builds a server, never calls :meth:`start`, and runs a
+    :class:`ServiceShell` over :attr:`engine` and :meth:`open_sessions`
+    between :meth:`start_observability` and :meth:`stop_observability`.
 
     Parameters
     ----------
@@ -210,11 +215,8 @@ class ReproServer:
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self.profiler: Optional[OnDemandProfiler] = (
-            OnDemandProfiler() if obs_enabled else None
-        )
-        if self.profiler is not None:
-            self.engine.profiler = self.profiler
+        if obs_enabled:
+            self.engine.profiler = OnDemandProfiler()
         self.shards = create_pool(
             backend,
             shards=shards,
@@ -297,28 +299,9 @@ class ReproServer:
             # across crashes, not just clean shutdowns; the thread is
             # the WarmStart's own and never touches the event loop.
             self.warmstart.start_periodic(self.cache, self.registry)
-        if self.history is not None:
-            self.history.start()
+        self.start_observability()
         if self.controller is not None:
             self.controller.start()
-        if self.metrics_port is not None and self.metrics_server is None:
-            from ..obs.export import MetricsServer
-
-            self.metrics_server = MetricsServer(
-                self.metrics,
-                trace_store=self.tracer.store,
-                host=self.metrics_host,
-                port=self.metrics_port,
-                history=self.history,
-                readiness=self._readiness,
-                profiler=self.profiler,
-                control=(
-                    self.controller.document
-                    if self.controller is not None
-                    else None
-                ),
-            )
-            self.metrics_address = self.metrics_server.start()
         if tcp is not None:
             host, port = tcp
             server = await asyncio.start_server(self._handle, host, port)
@@ -331,6 +314,44 @@ class ReproServer:
             )
             self._servers.append(server)
             self.unix_path = unix_path
+
+    def start_observability(self) -> None:
+        """Start the history collector and, with a ``metrics_port``,
+        bind the HTTP exporter.  :meth:`start` calls it; the stdio loop
+        of ``repro serve`` calls it on a server it never starts."""
+        if self.history is not None:
+            self.history.start()
+        if self.metrics_port is not None and self.metrics_server is None:
+            from ..obs.export import MetricsServer
+
+            self.metrics_server = MetricsServer(
+                self.metrics,
+                trace_store=self.tracer.store,
+                host=self.metrics_host,
+                port=self.metrics_port,
+                history=self.history,
+                readiness=self._readiness,
+                profiler=self.engine.profiler,
+                control=(
+                    self.controller.document
+                    if self.controller is not None
+                    else None
+                ),
+            )
+            self.metrics_address = self.metrics_server.start()
+
+    def stop_observability(self) -> None:
+        """Undo :meth:`start_observability`."""
+        if self.history is not None:
+            self.history.stop()
+        if self.metrics_server is not None:
+            self.metrics_server.stop()
+
+    def open_sessions(self) -> SessionManager:
+        """A fresh session scope: one per connection (or stdio loop)."""
+        return SessionManager(
+            self.registry, ttl_seconds=self.session_ttl, metrics=self.metrics
+        )
 
     @staticmethod
     async def _guard_live_socket(path: str) -> None:
@@ -413,10 +434,7 @@ class ReproServer:
         if self.controller is not None:
             self.controller.stop()
         self.shards.shutdown(wait=False)
-        if self.history is not None:
-            self.history.stop()
-        if self.metrics_server is not None:
-            self.metrics_server.stop()
+        self.stop_observability()
         if self.unix_path is not None:
             with contextlib.suppress(OSError):
                 os.unlink(self.unix_path)
@@ -457,17 +475,9 @@ class ReproServer:
         assert task is not None
         self._connections[task] = writer
         self.metrics.connection_opened()
-        sessions = SessionManager(
-            self.registry, ttl_seconds=self.session_ttl, metrics=self.metrics
-        )
-        buffer = io.StringIO()
+        sessions = self.open_sessions()
         shell = ServiceShell(
-            self.engine,
-            sessions,
-            buffer,
-            metrics=self.metrics,
-            on_shutdown=self.request_shutdown,
-            tracer=self.tracer,
+            self.engine, sessions, None, on_shutdown=self.request_shutdown
         )
         loop = asyncio.get_running_loop()
         try:
@@ -514,21 +524,19 @@ class ReproServer:
                     except UnicodeDecodeError:
                         await self._send(writer, ["error: lines must be utf-8"])
                         continue
-                    head = line.split(maxsplit=1)
-                    command = head[0].lower() if head else ""
-                    if command == "query":
-                        await self._send(writer, await self._serve_query(line))
-                    elif command in ("quit", "exit"):
+                    verb, rest = split_verb(line)
+                    if verb == "query":
+                        await self._send(writer, await self._serve_query(rest))
+                    elif verb == "quit":
                         await self._send(writer, ["bye"])
                         break
                     else:
-                        # Everything else (load/session/metrics/help/
-                        # shutdown) reuses the shell dispatch, off the
-                        # event loop.
-                        keep_going = await loop.run_in_executor(
-                            None, shell.execute_line, line
+                        # Every other verb runs the shell's command
+                        # table, off the event loop.
+                        keep_going, lines = await loop.run_in_executor(
+                            None, shell.respond, line
                         )
-                        await self._send(writer, self._drain(buffer))
+                        await self._send(writer, lines)
                         if not keep_going:
                             break
                 finally:
@@ -547,10 +555,10 @@ class ReproServer:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _serve_query(self, line: str) -> List[str]:
+    async def _serve_query(self, rest: str) -> List[str]:
         """Parse + schedule one ``query`` line; render shell-identical.
 
-        The raw remainder goes straight into
+        The raw remainder after the verb goes straight into
         :meth:`ServiceShell.parse_query_line`, so the transport accepts
         exactly what the stdio shell does: the ``key=value`` token
         grammar *and* the versioned wire-JSON document
@@ -565,8 +573,6 @@ class ReproServer:
         # run_in_executor hops).
         span = self.tracer.maybe_start("transport")
         try:
-            parts = line.strip().split(maxsplit=1)
-            rest = parts[1] if len(parts) > 1 else ""
             spec, members = ServiceShell.parse_query_line(rest)
             if span is not None:
                 span.annotate(graph=spec.graph, k=spec.k, gamma=spec.gamma)
@@ -610,15 +616,6 @@ class ReproServer:
                 return True
             discarded += len(chunk)
         return False
-
-    @staticmethod
-    def _drain(buffer: io.StringIO) -> List[str]:
-        text = buffer.getvalue()
-        buffer.seek(0)
-        buffer.truncate(0)
-        if not text:
-            return []
-        return text.split("\n")[:-1] if text.endswith("\n") else text.split("\n")
 
     @staticmethod
     def _close_sessions(sessions: SessionManager) -> None:

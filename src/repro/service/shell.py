@@ -5,21 +5,12 @@ stream, human-readable responses on an output stream.  The same loop
 serves an interactive REPL (stdin on a TTY), a piped script, or a test
 feeding a ``StringIO`` — no network stack required, while exercising the
 full service stack (registry -> planner -> cache -> sessions -> metrics)
-exactly as a socket server would.
+exactly as a socket server would; the network transport runs every
+command but ``query`` through it as well.
 
-Protocol (one command per line; ``key=value`` arguments in any order)::
-
-    graphs
-    load NAME EDGES_FILE [WEIGHTS_FILE]
-    mutate GRAPH insert=U:V delete=U:V reweight=V:W ...
-    query GRAPH [k=10] [gamma=10] [algorithm=auto] [delta=2.0] [members]
-    session open GRAPH [gamma=10] [delta=2.0]
-    session next SID [N]
-    session close SID
-    sessions
-    metrics
-    help
-    quit
+:attr:`ServiceShell.COMMANDS` is the protocol: one row per verb holds
+its grammar, its help text and its handler.  Type ``help`` for the
+rendered list.
 """
 
 from __future__ import annotations
@@ -27,39 +18,94 @@ from __future__ import annotations
 import json
 import math
 import shlex
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+import textwrap
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple,
+)
 
-from ..api.spec import QuerySpec, parse_spec_tokens, parse_wire_query
+from ..api.spec import (
+    QUERY_USAGE,
+    QuerySpec,
+    parse_argument,
+    parse_spec_tokens,
+    parse_wire_query,
+)
 from ..errors import QueryParameterError, ReproError
-from ..obs.trace import Tracer, format_trace, format_trace_line
+from ..obs.trace import format_trace, format_trace_line
 from .engine import QueryEngine
 from .metrics import ServiceMetrics
 from .model import CommunityView, QueryResult
 from .sessions import SessionManager
 
-__all__ = ["ServiceShell", "render_metrics", "parse_mutation_ops"]
+__all__ = [
+    "ServiceShell",
+    "parse_mutation_ops",
+    "render_metrics",
+    "render_mutation",
+    "render_traces",
+    "split_verb",
+]
 
-_HELP = """\
-commands:
-  graphs                                list registered graphs
-  load NAME EDGES [WEIGHTS]             register an edge-list file
-  mutate GRAPH insert=U:V delete=U:V reweight=V:W ...
-                                        apply a live edge-mutation batch
-  query GRAPH [k=N] [gamma=N] [algorithm=A] [delta=F]
-        [cohesion=core|truss] [containment=BOOL] [members] [json]
-  query {"v": 1, "graph": ...}          versioned wire-JSON query
-  session open GRAPH [gamma=N] [delta=F]
-  session next SID [N]                  stream the next N communities
-  session close SID
-  sessions                              list active sessions
-  metrics [json]                        service counters and latencies
-                                        (one JSON document with 'json')
-  trace [slow] [json] [ID] [limit=N]    recent (or slow / one) traces
-  profile [seconds=N] [top=N]           cProfile the live engine for N s
-  help                                  this text
-  quit                                  close this connection / loop
-  shutdown                              stop the whole server gracefully\
-"""
+
+def split_verb(line: str) -> Tuple[str, str]:
+    """``(verb, remainder)`` of one protocol line, the verb lower-cased
+    (``exit`` reads ``quit``).  Every front end routes lines by it."""
+    parts = line.strip().split(maxsplit=1)
+    verb = parts[0].lower() if parts else ""
+    return ("quit" if verb == "exit" else verb), (
+        parts[1] if len(parts) > 1 else ""
+    )
+
+
+#: Value names with a type; any other value is a string.
+_TYPES = {"N": int, "F": float}
+
+
+def _bind(
+    verb: str, usage: str, tokens: Sequence[str]
+) -> Tuple[List[Any], Dict[str, Any]]:
+    """Check ``tokens`` against ``usage``, the verb's grammar: the
+    handler's positional and keyword arguments, typed.
+
+    In ``usage`` an upper-case word is a positional argument, a
+    lower-case word a flag (passed as ``word=True``), ``key=VALUE`` an
+    option, ``[...]`` marks what may be left out, and a final ``...``
+    repeats the last positional.  A value named ``N`` is an integer,
+    ``F`` a number, any other a string.
+    """
+    group, grammar = verb.split()[0], f"{verb} {usage}".rstrip()
+    terms = usage.split()
+    words = [term.strip("[]") for term in terms]
+    names = [word for word in words if word.isupper()]
+    flags = [word for word in words if word.islower() and "=" not in word]
+    options = dict(word.split("=") for word in words if "=" in word)
+    args: List[Any] = []
+    kwargs: Dict[str, Any] = {}
+    unknown: List[str] = []
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if token in flags:
+            kwargs[token] = True
+        elif sep and options:
+            if key in options:
+                kind = _TYPES.get(options[key], str)
+                kwargs[key] = parse_argument(group, key, value, kind)
+            else:
+                unknown.append(key)
+        elif len(args) < len(names) or terms[-1:] == ["..."]:
+            name = names[min(len(args), len(names) - 1)]
+            kind = _TYPES.get(name, str)
+            args.append(parse_argument(group, name, token, kind))
+        else:
+            unknown.append(token)
+    if unknown:
+        raise QueryParameterError(
+            f"unknown {group} argument(s): {', '.join(unknown)} "
+            f"(usage: {grammar})"
+        )
+    if len(args) < sum(term[0] != "[" and term.isupper() for term in terms):
+        raise QueryParameterError(f"usage: {grammar}")
+    return args, kwargs
 
 
 def render_metrics(snap: Dict) -> List[str]:
@@ -198,17 +244,47 @@ def parse_mutation_ops(tokens: Sequence[str]) -> List[Tuple]:
     return ops
 
 
-def _parse_kv(tokens: List[str]) -> Tuple[Dict[str, str], List[str]]:
-    """Split tokens into ``key=value`` pairs and bare flags."""
-    kv: Dict[str, str] = {}
-    flags: List[str] = []
-    for token in tokens:
-        if "=" in token:
-            key, _, value = token.partition("=")
-            kv[key] = value
-        else:
-            flags.append(token)
-    return kv, flags
+def _dumps(document: Any) -> str:
+    return json.dumps(document, sort_keys=True, default=str)
+
+
+def render_mutation(name: str, event) -> str:
+    """The answer line of one applied mutation batch (a
+    :class:`~repro.service.registry.MutationEvent`), shared by the
+    ``mutate`` command and ``repro mutate``."""
+    stats = event.stats
+    barrier = (
+        f"{event.barrier:.8g}" if event.barrier != float("-inf") else "none"
+    )
+    return (
+        f"mutated {name!r} v{event.old_version} -> v{event.new_version}: "
+        f"+{stats.inserted} -{stats.deleted} ~{stats.reweighted} "
+        f"(noops={stats.noops}) barrier={barrier} "
+        f"invalidated={event.invalidated} preserved={event.preserved} "
+        f"pending_deltas={event.pending_deltas}"
+    )
+
+
+def render_traces(
+    found, slow: bool = False, as_json: bool = False, hint: str = ""
+) -> List[str]:
+    """The ``trace`` answer for one trace (a dict) or a list of traces,
+    shared by the ``trace`` command and ``repro trace``."""
+    if as_json:
+        return [_dumps(found)]
+    if isinstance(found, dict):
+        return format_trace(found)
+    if not found:
+        return [f"(no {'slow ' if slow else ''}traces retained{hint})"]
+    return [format_trace_line(trace) for trace in found]
+
+
+class Command(NamedTuple):
+    """One verb of the protocol: a row of :attr:`ServiceShell.COMMANDS`."""
+
+    handler: Callable[..., List[str]]
+    usage: str
+    summary: str
 
 
 class ServiceShell:
@@ -218,17 +294,19 @@ class ServiceShell:
     asyncio server passes a (thread-safe) callback requesting a graceful
     whole-server stop, so the same command dispatch serves stdio and
     network transports without anyone calling ``sys.exit`` mid-loop.
+    :meth:`run` and :meth:`execute_line` print answers to ``out``; the
+    network transport passes None and sends what :meth:`respond`
+    returns.
     """
 
     def __init__(
         self,
         engine: QueryEngine,
         sessions: SessionManager,
-        out: TextIO,
+        out: Optional[TextIO],
         metrics: Optional[ServiceMetrics] = None,
         prompt: str = "",
         on_shutdown: Optional[Callable[[], None]] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
         self.sessions = sessions
@@ -236,7 +314,6 @@ class ServiceShell:
         self.metrics = metrics if metrics is not None else engine.metrics
         self.prompt = prompt
         self.on_shutdown = on_shutdown
-        self.tracer = tracer if tracer is not None else engine.tracer
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -293,17 +370,10 @@ class ServiceShell:
         return [header] + cls.format_views(list(result.communities), members)
 
     # ------------------------------------------------------------------
-    def _print(self, text: str = "") -> None:
-        print(text, file=self.out)
-
-    def _print_views(
-        self, views: List[CommunityView], members: bool, start: int = 1
-    ) -> None:
-        for line in self.format_views(views, members, start=start):
-            self._print(line)
-
-    # ------------------------------------------------------------------
-    def _cmd_graphs(self, tokens: List[str]) -> None:
+    # Handlers: one per row of COMMANDS, called with the row's checked
+    # arguments; each returns its answer lines.
+    def _cmd_graphs(self) -> List[str]:
+        lines = []
         for row in self.engine.registry.describe():
             status = (
                 f"loaded v{row['version']} "
@@ -311,273 +381,204 @@ class ServiceShell:
                 if row["loaded"]
                 else "not loaded"
             )
-            self._print(f"{row['name']:>14}: {status} — {row['description']}")
+            lines.append(f"{row['name']:>14}: {status} — {row['description']}")
+        return lines
 
-    def _cmd_load(self, tokens: List[str]) -> None:
-        if not 2 <= len(tokens) <= 3:
-            raise QueryParameterError(
-                "usage: load NAME EDGES_FILE [WEIGHTS_FILE]"
-            )
-        name, edges = tokens[0], tokens[1]
-        weights = tokens[2] if len(tokens) == 3 else None
+    def _cmd_load(
+        self, name: str, edges: str, weights: Optional[str] = None
+    ) -> List[str]:
         self.engine.registry.register_edge_list(
             name, edges, weights, replace=True
         )
         handle = self.engine.registry.get(name)
-        self._print(
+        return [
             f"loaded {name!r} v{handle.version}: "
             f"{handle.num_vertices:,} vertices, {handle.num_edges:,} edges"
-        )
+        ]
 
-    def _cmd_mutate(self, tokens: List[str]) -> None:
-        if len(tokens) < 2:
-            raise QueryParameterError(
-                "usage: mutate GRAPH insert=U:V delete=U:V reweight=V:W ..."
-            )
-        name = tokens[0]
-        ops = parse_mutation_ops(tokens[1:])
-        apply_ops = getattr(self.engine.registry, "apply", None)
-        if apply_ops is None:
-            raise QueryParameterError(
-                "this registry does not support live mutations"
-            )
-        event = apply_ops(name, ops)
-        stats = event.stats
-        changed = (
-            f"+{stats.inserted} -{stats.deleted} ~{stats.reweighted}"
-            if stats is not None
-            else "?"
-        )
-        barrier = (
-            f"{event.barrier:.8g}"
-            if event.barrier != float("-inf")
-            else "none"
-        )
-        self._print(
-            f"mutated {name!r} v{event.old_version} -> v{event.new_version}: "
-            f"{changed} (noops={stats.noops if stats else 0}) "
-            f"barrier={barrier} "
-            f"invalidated={event.invalidated} preserved={event.preserved} "
-            f"pending_deltas={event.pending_deltas}"
-        )
+    def _cmd_mutate(self, name: str, *ops: str) -> List[str]:
+        event = self.engine.registry.apply(name, parse_mutation_ops(ops))
+        return [render_mutation(name, event)]
 
-    def _cmd_query(self, rest: str) -> None:
+    def _cmd_query(self, rest: str) -> List[str]:
         spec, members = self.parse_query_line(rest)
         result = self.engine.execute(spec)
-        for line in self.render_result(result, members, spec.mode == "json"):
-            self._print(line)
+        return self.render_result(result, members, spec.mode == "json")
 
-    def _cmd_session(self, tokens: List[str]) -> None:
-        if not tokens:
-            raise QueryParameterError(
-                "usage: session open|next|close|... (see help)"
-            )
-        action, rest = tokens[0], tokens[1:]
-        if action == "open":
-            if not rest:
-                raise QueryParameterError(
-                    "usage: session open GRAPH [gamma=N] [delta=F]"
-                )
-            kv, flags = _parse_kv(rest[1:])
-            unknown = flags + [
-                key for key in kv if key not in ("gamma", "delta")
-            ]
-            if unknown:
-                raise QueryParameterError(
-                    f"unknown session argument(s): {', '.join(unknown)}"
-                )
-            session = self.sessions.create(
-                rest[0],
-                gamma=int(kv.get("gamma", "10")),
-                delta=float(kv.get("delta", "2.0")),
-            )
-            self._print(
-                f"session {session.session_id} open: graph={session.graph} "
-                f"gamma={session.gamma}"
-            )
-        elif action == "next":
-            if not rest:
-                raise QueryParameterError("usage: session next SID [N]")
-            count = int(rest[1]) if len(rest) > 1 else 1
-            session = self.sessions.get(rest[0])
-            start = session.delivered
-            views, done = self.sessions.next(rest[0], count)
-            self._print_views(views, False, start=start + 1)
-            if done:
-                self._print(f"(session {rest[0]} exhausted)")
-        elif action == "close":
-            if not rest:
-                raise QueryParameterError("usage: session close SID")
-            self.sessions.close(rest[0])
-            self._print(f"session {rest[0]} closed")
-        else:
-            raise QueryParameterError(
-                f"unknown session action {action!r} (open/next/close)"
-            )
+    def _cmd_session_open(
+        self, graph: str, gamma: int = 10, delta: float = 2.0
+    ) -> List[str]:
+        session = self.sessions.create(graph, gamma=gamma, delta=delta)
+        return [
+            f"session {session.session_id} open: graph={session.graph} "
+            f"gamma={session.gamma}"
+        ]
 
-    def _cmd_sessions(self, tokens: List[str]) -> None:
-        rows = self.sessions.active()
-        if not rows:
-            self._print("(no active sessions)")
-        for row in rows:
-            self._print(
-                f"{row['session_id']}: graph={row['graph']} "
-                f"gamma={row['gamma']} delivered={row['delivered']} "
-                f"exhausted={row['exhausted']}"
-            )
+    def _cmd_session_next(self, sid: str, count: int = 1) -> List[str]:
+        start = self.sessions.get(sid).delivered
+        views, done = self.sessions.next(sid, count)
+        lines = self.format_views(views, False, start=start + 1)
+        return lines + [f"(session {sid} exhausted)"] if done else lines
 
-    def _cmd_metrics(self, tokens: List[str]) -> None:
+    def _cmd_session_close(self, sid: str) -> List[str]:
+        self.sessions.close(sid)
+        return [f"session {sid} closed"]
+
+    def _cmd_sessions(self) -> List[str]:
+        return [
+            f"{row['session_id']}: graph={row['graph']} "
+            f"gamma={row['gamma']} delivered={row['delivered']} "
+            f"exhausted={row['exhausted']}"
+            for row in self.sessions.active()
+        ] or ["(no active sessions)"]
+
+    def _cmd_metrics(self, json: bool = False) -> List[str]:
         if self.metrics is None:
-            self._print("(metrics disabled)")
-            return
-        unknown = [token for token in tokens if token != "json"]
-        if unknown:
-            raise QueryParameterError(
-                f"unknown metrics argument(s): {', '.join(unknown)} "
-                "(usage: metrics [json])"
-            )
-        snap = self.metrics.snapshot()
-        if "json" in tokens:
+            return ["(metrics disabled)"]
+        if json:
             # One deterministic document — the structured twin of the
-            # text rendering below, for programmatic scrapers.
-            self._print(json.dumps(snap, sort_keys=True, default=str))
-            return
-        for line in render_metrics(snap):
-            self._print(line)
+            # text rendering, for programmatic scrapers.
+            return [_dumps(self.metrics.snapshot())]
+        return render_metrics(self.metrics.snapshot())
 
-    def _cmd_profile(self, tokens: List[str]) -> None:
-        """``profile [seconds=N] [top=N]`` — capture a cProfile window."""
+    def _cmd_profile(self, seconds: float = 5.0, top: int = 25) -> List[str]:
         profiler = getattr(self.engine, "profiler", None)
         if profiler is None:
-            self._print(
+            return [
                 "(profiling disabled — serve with --metrics-port or "
                 "--trace-sample)"
-            )
-            return
-        kv, flags = _parse_kv(tokens)
-        unknown = flags + [key for key in kv if key not in ("seconds", "top")]
-        if unknown:
-            raise QueryParameterError(
-                f"unknown profile argument(s): {', '.join(unknown)} "
-                "(usage: profile [seconds=N] [top=N])"
-            )
-        try:
-            seconds = float(kv.get("seconds", "5"))
-            top = int(kv.get("top", "25"))
-        except ValueError as exc:
-            raise QueryParameterError(str(exc)) from exc
+            ]
         try:
             report = profiler.capture(seconds, top=top)
         except Exception as exc:
             # ProfileBusyError (and bad-window ValueError) both render
             # as protocol errors; the capture slot stays usable.
             raise QueryParameterError(str(exc)) from exc
-        for line in report.rstrip("\n").split("\n"):
-            self._print(line)
+        return report.rstrip("\n").split("\n")
 
-    def _cmd_trace(self, tokens: List[str]) -> None:
-        """``trace [slow] [json] [ID] [limit=N]`` — inspect the trace rings."""
-        tracer = self.tracer
+    def _cmd_trace(
+        self,
+        trace_id: Optional[str] = None,
+        limit: int = 20,
+        slow: bool = False,
+        json: bool = False,
+    ) -> List[str]:
+        tracer = self.engine.tracer
         if tracer is None or tracer.store is None:
-            self._print("(tracing disabled — serve with --trace-sample)")
-            return
-        store = tracer.store
-        kv, flags = _parse_kv(tokens)
-        unknown = [key for key in kv if key != "limit"]
-        if unknown:
-            raise QueryParameterError(
-                f"unknown trace argument(s): {', '.join(unknown)} "
-                "(usage: trace [slow] [json] [ID] [limit=N])"
-            )
-        as_json = "json" in flags
-        slow = "slow" in flags
-        trace_id = next(
-            (f for f in flags if f not in ("json", "slow")), None
-        )
-        try:
-            limit = int(kv.get("limit", "20"))
-        except ValueError as exc:
-            raise QueryParameterError("limit must be an integer") from exc
+            return ["(tracing disabled — serve with --trace-sample)"]
         if trace_id is not None:
-            trace = store.get(trace_id)
-            if trace is None:
+            found = tracer.store.get(trace_id)
+            if found is None:
                 raise QueryParameterError(f"no trace {trace_id!r} retained")
-            if as_json:
-                self._print(json.dumps(trace, sort_keys=True, default=str))
-            else:
-                for rendered in format_trace(trace):
-                    self._print(rendered)
-            return
-        traces = store.slow(limit) if slow else store.recent(limit)
-        if as_json:
-            self._print(json.dumps(traces, sort_keys=True, default=str))
-            return
-        if not traces:
-            hint = (
-                ""
-                if tracer.sampling
-                else " — sampling is off; serve with --trace-sample"
-            )
-            self._print(f"(no {'slow ' if slow else ''}traces retained{hint})")
-            return
-        for trace in traces:
-            self._print(format_trace_line(trace))
+        else:
+            found = (tracer.store.slow if slow else tracer.store.recent)(limit)
+        hint = "" if tracer.sampling else (
+            " — sampling is off; serve with --trace-sample"
+        )
+        return render_traces(found, slow, json, hint)
+
+    def _cmd_help(self) -> List[str]:
+        return [_HELP]
+
+    def _cmd_quit(self) -> List[str]:
+        return []
+
+    def _cmd_shutdown(self) -> List[str]:
+        if self.on_shutdown is not None:
+            self.on_shutdown()
+        return ["shutting down"]
+
+    #: The protocol: every verb, in ``help`` order.  A row holds the
+    #: handler, the verb's grammar (see :func:`_bind`) and its ``help``
+    #: text (a newline continues it).  A two-word verb is an action of
+    #: its first word.  ``query`` takes its raw remainder, parsed by
+    #: :meth:`parse_query_line`.
+    COMMANDS: Dict[str, Command] = {
+        "graphs": Command(_cmd_graphs, "", "list registered graphs"),
+        "load": Command(
+            _cmd_load, "NAME EDGES [WEIGHTS]", "register an edge-list file"
+        ),
+        "mutate": Command(
+            _cmd_mutate,
+            "GRAPH OP ...",
+            "apply a live edge-mutation batch; OP is\n"
+            "insert=U:V, delete=U:V or reweight=V:W",
+        ),
+        "query": Command(
+            _cmd_query,
+            QUERY_USAGE,
+            'top-k query; also query {"v": 1, ...}\n'
+            "(a versioned wire-JSON document)",
+        ),
+        "session open": Command(
+            _cmd_session_open,
+            "GRAPH [gamma=N] [delta=F]",
+            "open a progressive session",
+        ),
+        "session next": Command(
+            _cmd_session_next, "SID [N]", "stream the next N communities"
+        ),
+        "session close": Command(_cmd_session_close, "SID", "close a session"),
+        "sessions": Command(_cmd_sessions, "", "list active sessions"),
+        "metrics": Command(
+            _cmd_metrics,
+            "[json]",
+            "service counters and latencies\n(one JSON document with 'json')",
+        ),
+        "trace": Command(
+            _cmd_trace,
+            "[slow] [json] [ID] [limit=N]",
+            "recent (or slow / one) traces",
+        ),
+        "profile": Command(
+            _cmd_profile,
+            "[seconds=F] [top=N]",
+            "cProfile the live engine for F s",
+        ),
+        "help": Command(_cmd_help, "", "this text"),
+        "quit": Command(_cmd_quit, "", "close this connection / loop"),
+        "shutdown": Command(
+            _cmd_shutdown, "", "stop the whole server gracefully"
+        ),
+    }
 
     # ------------------------------------------------------------------
-    def execute_line(self, line: str) -> bool:
-        """Run one protocol line; returns False when the loop should end."""
-        # ``query`` takes its raw remainder (not pre-tokenized): a wire-
-        # JSON payload contains spaces and quotes that shlex would eat.
-        # split() (not partition) so any whitespace separates the verb.
-        parts = line.strip().split(maxsplit=1)
-        head = parts[0] if parts else ""
-        remainder = parts[1] if len(parts) > 1 else ""
-        if head.lower() == "query":
+    def respond(self, line: str) -> Tuple[bool, List[str]]:
+        """Run one protocol line: ``(keep going, answer lines)``."""
+        verb, rest = split_verb(line)
+        if verb != "query":
             try:
-                self._cmd_query(remainder)
-            except (ReproError, ValueError, OSError) as exc:
-                if self.metrics is not None:
-                    self.metrics.observe_error(kind=type(exc).__name__)
-                self._print(f"error: {exc}")
-            return True
+                tokens = shlex.split(line, comments=True)
+            except ValueError as exc:
+                return True, [f"error: {exc}"]
+            if not tokens:
+                return True, []
+            verb = split_verb(tokens[0])[0]
+            if verb == "query" or (
+                verb not in self.COMMANDS and verb not in _GROUPS
+            ):
+                return True, [f"error: unknown command {verb!r} (try 'help')"]
         try:
-            tokens = shlex.split(line, comments=True)
-        except ValueError as exc:
-            self._print(f"error: {exc}")
-            return True
-        if not tokens:
-            return True
-        command, rest = tokens[0].lower(), tokens[1:]
-        if command in ("quit", "exit"):
-            return False
-        if command == "shutdown":
-            self._print("shutting down")
-            if self.on_shutdown is not None:
-                self.on_shutdown()
-            return False
-        handler = {
-            "graphs": self._cmd_graphs,
-            "load": self._cmd_load,
-            "mutate": self._cmd_mutate,
-            "session": self._cmd_session,
-            "sessions": self._cmd_sessions,
-            "metrics": self._cmd_metrics,
-            "trace": self._cmd_trace,
-            "profile": self._cmd_profile,
-            "help": lambda _tokens: self._print(_HELP),
-        }.get(command)
-        if handler is None:
-            self._print(
-                f"error: unknown command {command!r} (try 'help')"
+            if verb == "query":
+                return True, self._cmd_query(rest)
+            verb, arguments = _resolve(verb, tokens[1:])
+            row = self.COMMANDS[verb]
+            args, kwargs = _bind(verb, row.usage, arguments)
+            return verb not in ("quit", "shutdown"), row.handler(
+                self, *args, **kwargs
             )
-            return True
-        try:
-            handler(rest)
         except (ReproError, ValueError, OSError) as exc:
             if self.metrics is not None:
                 self.metrics.observe_error(kind=type(exc).__name__)
-            self._print(f"error: {exc}")
-        return True
+            return True, [f"error: {exc}"]
+
+    def execute_line(self, line: str) -> bool:
+        """Run one protocol line and print its answer; returns False
+        when the loop should end."""
+        keep_going, lines = self.respond(line)
+        for text in lines:
+            print(text, file=self.out)
+        return keep_going
 
     def run(self, in_stream) -> int:
         """Serve until ``quit``/``shutdown`` or end of input.
@@ -588,9 +589,10 @@ class ServiceShell:
         way for a serving process to stop, not a crash.
         """
         try:
-            self._print(
+            print(
                 f"repro service: {len(self.engine.registry.names())} graphs "
-                "registered; type 'help' for the protocol"
+                "registered; type 'help' for the protocol",
+                file=self.out,
             )
             while True:
                 if self.prompt:
@@ -608,3 +610,45 @@ class ServiceShell:
             # closed mid-loop (e.g. the transport tearing down).
             return 0
         return 0
+
+
+#: First words of the two-word verbs.
+_GROUPS = {verb.split()[0] for verb in ServiceShell.COMMANDS if " " in verb}
+
+
+def _resolve(verb: str, tokens: List[str]) -> Tuple[str, List[str]]:
+    """Join a group word and its action into one verb (``session
+    open``); a missing or unknown action is a usage error."""
+    if verb not in _GROUPS:
+        return verb, tokens
+    actions = [
+        key.split()[1]
+        for key in ServiceShell.COMMANDS
+        if key.startswith(verb + " ")
+    ]
+    if not tokens:
+        raise QueryParameterError(
+            f"usage: {verb} {'|'.join(actions)}|... (see help)"
+        )
+    if tokens[0] not in actions:
+        raise QueryParameterError(
+            f"unknown {verb} action {tokens[0]!r} ({'/'.join(actions)})"
+        )
+    return f"{verb} {tokens[0]}", tokens[1:]
+
+
+def _render_help() -> str:
+    lines = ["commands:"]
+    for verb, row in ServiceShell.COMMANDS.items():
+        usage = textwrap.wrap(
+            f"{verb} {row.usage}", 76, subsequent_indent="      "
+        )
+        summary = row.summary.split("\n")
+        if len(usage[-1]) < 37:
+            usage[-1] = usage[-1].ljust(38) + summary.pop(0)
+        lines += ["  " + line for line in usage]
+        lines += [" " * 40 + line for line in summary]
+    return "\n".join(lines)
+
+
+_HELP = _render_help()
