@@ -19,9 +19,7 @@ import json
 import math
 import shlex
 import textwrap
-from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..api.spec import (
     QUERY_USAGE,
@@ -279,14 +277,6 @@ def render_traces(
     return [format_trace_line(trace) for trace in found]
 
 
-class Command(NamedTuple):
-    """One verb of the protocol: a row of :attr:`ServiceShell.COMMANDS`."""
-
-    handler: Callable[..., List[str]]
-    usage: str
-    summary: str
-
-
 class ServiceShell:
     """Drive a :class:`QueryEngine` + :class:`SessionManager` over text.
 
@@ -488,58 +478,56 @@ class ServiceShell:
             self.on_shutdown()
         return ["shutting down"]
 
-    #: The protocol: every verb, in ``help`` order.  A row holds the
-    #: handler, the verb's grammar (see :func:`_bind`) and its ``help``
-    #: text (a newline continues it).  A two-word verb is an action of
-    #: its first word.  ``query`` takes its raw remainder, parsed by
-    #: :meth:`parse_query_line`.
-    COMMANDS: Dict[str, Command] = {
-        "graphs": Command(_cmd_graphs, "", "list registered graphs"),
-        "load": Command(
+    #: The protocol: every verb, in ``help`` order, as ``(handler,
+    #: usage, help text)``.  The usage is the verb's grammar (see
+    #: :func:`_bind`); a newline continues the help text.  A two-word
+    #: verb is an action of its first word.  ``query`` takes its raw
+    #: remainder, parsed by :meth:`parse_query_line`.
+    COMMANDS: Dict[str, Tuple[Callable[..., List[str]], str, str]] = {
+        "graphs": (_cmd_graphs, "", "list registered graphs"),
+        "load": (
             _cmd_load, "NAME EDGES [WEIGHTS]", "register an edge-list file"
         ),
-        "mutate": Command(
+        "mutate": (
             _cmd_mutate,
             "GRAPH OP ...",
             "apply a live edge-mutation batch; OP is\n"
             "insert=U:V, delete=U:V or reweight=V:W",
         ),
-        "query": Command(
+        "query": (
             _cmd_query,
             QUERY_USAGE,
             'top-k query; also query {"v": 1, ...}\n'
             "(a versioned wire-JSON document)",
         ),
-        "session open": Command(
+        "session open": (
             _cmd_session_open,
             "GRAPH [gamma=N] [delta=F]",
             "open a progressive session",
         ),
-        "session next": Command(
+        "session next": (
             _cmd_session_next, "SID [N]", "stream the next N communities"
         ),
-        "session close": Command(_cmd_session_close, "SID", "close a session"),
-        "sessions": Command(_cmd_sessions, "", "list active sessions"),
-        "metrics": Command(
+        "session close": (_cmd_session_close, "SID", "close a session"),
+        "sessions": (_cmd_sessions, "", "list active sessions"),
+        "metrics": (
             _cmd_metrics,
             "[json]",
             "service counters and latencies\n(one JSON document with 'json')",
         ),
-        "trace": Command(
+        "trace": (
             _cmd_trace,
             "[slow] [json] [ID] [limit=N]",
             "recent (or slow / one) traces",
         ),
-        "profile": Command(
+        "profile": (
             _cmd_profile,
             "[seconds=F] [top=N]",
             "cProfile the live engine for F s",
         ),
-        "help": Command(_cmd_help, "", "this text"),
-        "quit": Command(_cmd_quit, "", "close this connection / loop"),
-        "shutdown": Command(
-            _cmd_shutdown, "", "stop the whole server gracefully"
-        ),
+        "help": (_cmd_help, "", "this text"),
+        "quit": (_cmd_quit, "", "close this connection / loop"),
+        "shutdown": (_cmd_shutdown, "", "stop the whole server gracefully"),
     }
 
     # ------------------------------------------------------------------
@@ -562,9 +550,9 @@ class ServiceShell:
             if verb == "query":
                 return True, self._cmd_query(rest)
             verb, arguments = _resolve(verb, tokens[1:])
-            row = self.COMMANDS[verb]
-            args, kwargs = _bind(verb, row.usage, arguments)
-            return verb not in ("quit", "shutdown"), row.handler(
+            handler, usage, _ = self.COMMANDS[verb]
+            args, kwargs = _bind(verb, usage, arguments)
+            return verb not in ("quit", "shutdown"), handler(
                 self, *args, **kwargs
             )
         except (ReproError, ValueError, OSError) as exc:
@@ -638,12 +626,13 @@ def _resolve(verb: str, tokens: List[str]) -> Tuple[str, List[str]]:
 
 
 def _render_help() -> str:
+    """The ``help`` text: usage from column 2, summary from column 40."""
     lines = ["commands:"]
-    for verb, row in ServiceShell.COMMANDS.items():
+    for verb, (_, grammar, text) in ServiceShell.COMMANDS.items():
         usage = textwrap.wrap(
-            f"{verb} {row.usage}", 76, subsequent_indent="      "
+            f"{verb} {grammar}", 76, subsequent_indent=" " * 6
         )
-        summary = row.summary.split("\n")
+        summary = text.split("\n")
         if len(usage[-1]) < 37:
             usage[-1] = usage[-1].ljust(38) + summary.pop(0)
         lines += ["  " + line for line in usage]
