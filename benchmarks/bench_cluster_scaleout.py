@@ -84,12 +84,11 @@ def build_graph():
         n, edges, num_blocks=24, block_size=60, p_in=0.6, seed=SEED
     )
     graph = build_weighted_graph(n, edges, weights="degree", seed=SEED)
-    graph.csr().lists()  # pre-flatten, as GraphRegistry does
     return graph
 
 
 def fresh_stack(graph):
-    registry = GraphRegistry(preload_datasets=False, prebuild_csr=False)
+    registry = GraphRegistry(preload_datasets=False)
     registry.register(GRAPH, lambda: graph)
     registry.get(GRAPH)  # pin (the loader returns the shared build)
     cache = ResultCache(256)

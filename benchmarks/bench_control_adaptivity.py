@@ -91,7 +91,6 @@ def build_graph(seed: int):
         n, edges, num_blocks=8, block_size=40, p_in=0.6, seed=seed
     )
     graph = build_weighted_graph(n, edges, weights="degree", seed=seed)
-    graph.csr().lists()
     return graph
 
 

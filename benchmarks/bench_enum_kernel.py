@@ -19,8 +19,8 @@ to the peel.  Two scenarios:
 
 Every kernel enumerates its *natural* record: the python oracle walks a
 python-peeled record (materialised list-of-lists adjacency), the array
-kernel walks an array-peeled record (shared
-:class:`~repro.graph.csr.PrefixAdjacency` buffers).  The peels
+kernel walks an array-peeled record (the graph's own rows behind a
+:class:`~repro.graph.subgraph.PrefixAdjacency`).  The peels
 themselves run outside the timed windows.  Each rep times every kernel
 once, in turn, and each kernel keeps its best rep: a slow stretch of
 the host then costs every kernel a rep instead of landing on one
@@ -94,7 +94,6 @@ def build_graph():
         seed=SEED,
     )
     graph = build_weighted_graph(n, edges, weights="degree", seed=SEED)
-    graph.csr().lists()  # pre-flatten, as GraphRegistry does
     return graph
 
 
@@ -178,7 +177,6 @@ def kernel_report() -> dict:
             "vertices": graph.num_vertices,
             "edges": graph.num_edges,
             "generator": "chung_lu+planted_dense_blocks",
-            "csr_bytes": graph.csr().nbytes,
         },
         "gamma": GAMMA,
         "delta": DELTA,
@@ -236,8 +234,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = kernel_report()
     graph = report["graph"]
     print(
-        f"graph: {graph['vertices']:,} vertices, {graph['edges']:,} edges, "
-        f"CSR {graph['csr_bytes'] / 1e6:.1f} MB; gamma={GAMMA}"
+        f"graph: {graph['vertices']:,} vertices, {graph['edges']:,} edges; "
+        f"gamma={GAMMA}"
     )
     for name, rows in report["scenarios"].items():
         for kernel, row in rows.items():

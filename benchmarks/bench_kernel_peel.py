@@ -1,6 +1,6 @@
 """Kernel layer — cold + progressive peel speedups on a 100k-vertex graph.
 
-The performance claims of the flat-array CSR peel kernel (``array``),
+The performance claims of the flat-array peel kernel (``array``),
 measured on a ~100k-vertex Chung-Lu power-law graph with planted dense
 blocks (the stand-in shape for the paper's heavy-tailed web/social
 graphs) at the service-default γ:
@@ -67,7 +67,6 @@ def build_graph():
         n, edges, num_blocks=24, block_size=60, p_in=0.6, seed=SEED
     )
     graph = build_weighted_graph(n, edges, weights="degree", seed=SEED)
-    graph.csr().lists()  # pre-flatten, as GraphRegistry does
     graph.core_stop(GAMMA)  # the core stop table, built by a first search
     return graph
 
@@ -114,7 +113,6 @@ def kernel_report() -> dict:
             "vertices": graph.num_vertices,
             "edges": graph.num_edges,
             "generator": "chung_lu+planted_dense_blocks",
-            "csr_bytes": graph.csr().nbytes,
         },
         "gamma": GAMMA,
         "delta": DELTA,
@@ -163,8 +161,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = kernel_report()
     graph = report["graph"]
     print(
-        f"graph: {graph['vertices']:,} vertices, {graph['edges']:,} edges, "
-        f"CSR {graph['csr_bytes'] / 1e6:.1f} MB; gamma={GAMMA}"
+        f"graph: {graph['vertices']:,} vertices, {graph['edges']:,} edges; "
+        f"gamma={GAMMA}"
     )
     for name, rows in report["scenarios"].items():
         for kernel, row in rows.items():

@@ -1,6 +1,6 @@
 """repro.live acceptance — warm serving under streaming edge mutations.
 
-The claim of the :mod:`repro.live` tier (versioned CSR overlays +
+The claim of the :mod:`repro.live` tier (versioned row-sharing overlays +
 scoped cache invalidation): a serving stack that *mutates in place*
 keeps its result cache warm across graph-version flips, because a
 cached family whose influence watermark clears the mutation's barrier
@@ -190,7 +190,7 @@ class ZipfPicker:
 
 
 def live_stack(edges, weights):
-    registry = GraphRegistry(preload_datasets=False, prebuild_csr=False)
+    registry = GraphRegistry(preload_datasets=False)
     registry.register(GRAPH, lambda: graph_from_arrays(N, edges, weights=weights))
     registry.get(GRAPH)
     cache = ResultCache(256)
@@ -203,7 +203,7 @@ def scratch_engine(model_edges, model_weights) -> QueryEngine:
     """The strawman's world after one mutation: full rebuild, cold cache."""
     edges = sorted(model_edges)
     weights = [model_weights[i] for i in range(N)]
-    registry = GraphRegistry(preload_datasets=False, prebuild_csr=False)
+    registry = GraphRegistry(preload_datasets=False)
     registry.register(GRAPH, lambda: graph_from_arrays(N, edges, weights=weights))
     return QueryEngine(registry, cache=ResultCache(256))
 

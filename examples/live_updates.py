@@ -2,8 +2,9 @@
 """Live graphs: mutate a served graph without restarting or going cold.
 
 ``Graph.mutate(ops)`` applies an edge batch through the registry's
-``repro.live`` path: the new generation is a versioned *overlay* over
-the immutable base CSR (no rebuild), and the result cache migrates
+``repro.live`` path: the new generation is a versioned *overlay* that
+shares every untouched adjacency row with its parent (no rebuild), and
+the result cache migrates
 under **scoped invalidation** — a cached family survives the flip iff
 its influence watermark sits strictly above the batch's *barrier*
 weight (the largest weight whose threshold subgraph the batch could
@@ -102,8 +103,8 @@ def main() -> None:
         show("after deleting inside the top block", g.topk(k=2, gamma=8))
 
         # --------------------------------------------------------------
-        # 3. Compaction: fold the overlay chain into a flat CSR.  Same
-        #    content, new representation — every family stays warm.
+        # 3. Compaction: cut the delta chain and make the core stop
+        #    table exact.  Same content — every family stays warm.
         # --------------------------------------------------------------
         event = registry.compact("demo")
         if event is not None:

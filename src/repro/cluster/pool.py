@@ -345,9 +345,8 @@ class ClusterPool:
             return
         self._started = True
         if not self._hook_registered:
-            # Publish eagerly whenever the registry (re)builds a graph,
-            # right next to its prebuild_csr step: workers attaching
-            # later find the segment already staged.
+            # Publish eagerly whenever the registry (re)builds a graph:
+            # workers attaching later find the segment already staged.
             add_hook = getattr(self.registry, "add_build_hook", None)
             if add_hook is not None:
                 add_hook(self._on_graph_built)

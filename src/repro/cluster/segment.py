@@ -13,10 +13,11 @@ arrays, both target arrays, and the float64 vertex weights) out in one
 segment, 8-byte-aligned region by region, and returns a small picklable
 :class:`SegmentHandle` describing the layout.  :func:`attach_graph`
 (worker side) maps the segment, casts typed ``memoryview`` windows over
-the regions — **no copy** — and rebuilds a
+the regions and rebuilds a
 :class:`~repro.graph.weighted_graph.WeightedGraph` via
-:meth:`~repro.graph.weighted_graph.WeightedGraph.from_csr`, with the
-shared buffers installed as its CSR mirror.
+:meth:`~repro.graph.weighted_graph.WeightedGraph.from_csr`, which
+slices the windows into the graph's own rows: one copy per worker,
+read straight out of the mapping instead of through a pipe.
 
 Lifecycle is refcounted in the parent through :class:`SegmentStore`:
 one publish per ``(graph name, registry version)`` however many pools
@@ -234,16 +235,15 @@ def attach_graph(segment: SegmentHandle):
     """Map ``segment`` and rebuild its graph over the shared buffers.
 
     Returns ``(graph, shm)``; the caller owns ``shm.close()`` (never
-    ``unlink`` — the publisher does that) and must keep ``shm`` alive as
-    long as the graph is in use, since every adjacency byte the graph
-    serves lives in the mapping.
+    ``unlink`` — the publisher does that).  The graph holds its own
+    rows, so it outlives the mapping.
     """
     shm = _attach_untracked(segment.shm_name)
     try:
         up_off, down_off, weights, up_tgt, down_tgt = segment.region_windows(
             shm.buf
         )
-        csr = CSRAdjacency.from_buffers(
+        csr = CSRAdjacency(
             segment.num_vertices, up_off, up_tgt, down_off, down_tgt
         )
         graph = WeightedGraph.from_csr(
@@ -265,9 +265,8 @@ _pinned_attachments: List[object] = []
 def close_attachment(shm) -> None:
     """Close an attach mapping, tolerating still-exported windows.
 
-    An attached graph's CSR holds typed memoryview windows into the
-    mapping; while any of them is referenced (cursor state caches the
-    graph) ``mmap`` refuses to close with ``BufferError``.  That is
+    While a typed memoryview window into the mapping is still
+    referenced, ``mmap`` refuses to close with ``BufferError``.  That is
     fine: the mapping dies with the process, and the segment *file*'s
     lifetime belongs to the publisher's unlink, not to this close.  The
     object is then pinned for the process's remaining lifetime so its

@@ -12,7 +12,7 @@ already peeled its prefix and resumes the cursor — never a re-peel.
 The protocol over the duplex pipe is a tagged tuple per message:
 
 * ``("attach_shm", SegmentHandle)`` — map a published segment and
-  rebuild the graph zero-copy over it (:func:`~repro.cluster.segment.
+  rebuild the graph from it (:func:`~repro.cluster.segment.
   attach_graph`);
 * ``("attach_pickle", name, version, graph)`` — the fallback path for
   platforms without shared memory: the whole graph travels through the
@@ -20,10 +20,9 @@ The protocol over the duplex pipe is a tagged tuple per message:
 * ``("apply_delta", name, target_version, batches)`` — catch an
   attached graph up to ``target_version`` by replaying the registry's
   delta chain over the worker's current generation (``repro.live``):
-  the shared-memory mapping stays open — untouched adjacency rows keep
-  aliasing the segment — and only the touched rows are worker-local,
-  so a mutation batch costs O(touched) per worker instead of a full
-  re-attach;
+  the new generation shares every untouched row with the attached
+  one, so a mutation batch costs O(touched) per worker instead of a
+  full re-attach;
 * ``("query", spec, seed[, trace_ref])`` — execute one spec; ``seed``
   optionally carries parent-cache views to pre-populate a family this
   worker has never seen (the restart re-seed path), and is ignored when
@@ -122,8 +121,8 @@ class _WorkerRegistry:
         """Swap the handle to a delta-derived generation.
 
         Unlike :meth:`install` the shared-memory attachment (if any)
-        stays open: the new graph's untouched rows still alias the
-        mapped segment buffers.
+        stays as it is: the worker still serves that segment generation,
+        caught up by the replayed batches.
         """
         if name not in self._handles:
             raise UnknownGraphError(name, available=self._handles)

@@ -67,8 +67,8 @@ class CVSRecord:
         only keynodes with rank >= ``stop_rank`` were extracted.
     nbrs:
         The prefix adjacency used by the peel — a materialised
-        list-of-lists (python kernel) or a shared-buffer
-        :class:`~repro.graph.csr.PrefixAdjacency` (array kernel);
+        list-of-lists (python kernel) or a graph-row
+        :class:`~repro.graph.subgraph.PrefixAdjacency` (array kernel);
         either way ``nbrs[v]`` is the in-prefix neighbour row EnumIC
         scans ("neighbours of v in g", Line 10 of Algorithm 3).
     noncontainment:
@@ -254,8 +254,7 @@ def construct_cvs(
     progressive query so buffers and down-cuts are reused.  ``phases``
     optionally accumulates per-phase wall time in ms (see
     :func:`repro.obs.trace.record_phase`) — the python kernel reports
-    ``adjacency``/``peel``, the array kernel ``csr_build`` /
-    ``gamma_core`` / ``peel``; :func:`peel_cvs` itself stays untouched
+    ``adjacency``/``peel``, the array kernel ``gamma_core`` / ``peel``; :func:`peel_cvs` itself stays untouched
     (it is the differential-testing oracle).
     """
     from time import perf_counter

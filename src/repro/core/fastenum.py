@@ -6,11 +6,11 @@ line-by-line transcription of Algorithm 3 over the dict-based
 differential-testing oracle.  This module is the enumeration side of
 the ``array`` kernel (:mod:`repro.core.fastpeel` is the peel side): the
 ``v2key`` union-find becomes flat ``parent`` / ``size`` / ``key`` /
-``anchor`` stores addressed by CSR vertex rank, with path-halving find
+``anchor`` stores addressed by vertex rank, with path-halving find
 loops inlined into the group scan.  Working state lives in plain Python
 lists (CPython's fastest scalar substrate); the neighbour scan iterates
-the two row parts of the shared
-:class:`~repro.graph.csr.PrefixAdjacency` buffers directly, so the
+the graph's up-row and the in-prefix part of its down-row behind a
+:class:`~repro.graph.subgraph.PrefixAdjacency` directly, so the
 per-row list concatenation of ``nbrs[v]`` never happens.  The whole
 group lands in ``u``'s set as one star rooted at the keynode — a bulk
 write that is byte-identical to the oracle's per-vertex ``assign``
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..graph.csr import PrefixAdjacency
+from ..graph.subgraph import PrefixAdjacency
 from .community import Community, GroupView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,7 +61,7 @@ class EnumScratch:
     """Reusable working state of the fast enumeration.
 
     The flat mirror of :class:`~repro.graph.disjoint_set.KeyedDisjointSet`,
-    addressed by CSR vertex rank:
+    addressed by vertex rank:
 
     * ``parent[v]`` — union-find parent; ``-1`` marks an untracked
       vertex (``v2key(v) = null``);
@@ -272,33 +272,31 @@ def fast_build_community(
     communities = scratch.communities
     nbrs = record.nbrs
     if type(nbrs) is PrefixAdjacency:
-        up_off, up_tgt, down_off, down_tgt, cuts = nbrs.flat()
+        up, down, cuts = nbrs.flat()
         for i in range(start, stop):
             v = cvs[i]
-            a, b = up_off[v], up_off[v + 1]
-            if a != b:
-                for w in up_tgt[a:b]:
-                    if parent[w] != -1:
-                        while parent[w] != w:  # find(w), path halving
-                            parent[w] = parent[parent[w]]
-                            w = parent[w]
-                        if key_arr[w] != u:
-                            children.append(communities[key_arr[w]])
-                            ka = anchor[u]
-                            while parent[ka] != ka:  # find(anchor[u])
-                                parent[ka] = parent[parent[ka]]
-                                ka = parent[ka]
-                            # ka != w (same root would mean key u); link
-                            # by size, the key root winning ties.
-                            if size[ka] < size[w]:
-                                ka, w = w, ka
-                            parent[w] = ka
-                            size[ka] += size[w]
-                            key_arr[ka] = u
-                            anchor[u] = ka
-            a, b = down_off[v], cuts[v]
-            if a != b:
-                for w in down_tgt[a:b]:
+            for w in up[v]:
+                if parent[w] != -1:
+                    while parent[w] != w:  # find(w), path halving
+                        parent[w] = parent[parent[w]]
+                        w = parent[w]
+                    if key_arr[w] != u:
+                        children.append(communities[key_arr[w]])
+                        ka = anchor[u]
+                        while parent[ka] != ka:  # find(anchor[u])
+                            parent[ka] = parent[parent[ka]]
+                            ka = parent[ka]
+                        # ka != w (same root would mean key u); link
+                        # by size, the key root winning ties.
+                        if size[ka] < size[w]:
+                            ka, w = w, ka
+                        parent[w] = ka
+                        size[ka] += size[w]
+                        key_arr[ka] = u
+                        anchor[u] = ka
+            c = cuts[v]
+            if c:
+                for w in down[v][:c]:
                     if parent[w] != -1:
                         while parent[w] != w:
                             parent[w] = parent[parent[w]]

@@ -5,23 +5,25 @@ line-by-line transcription of Algorithms 2/5 and stays the differential-
 testing oracle.  This module is the ``array`` kernel, a pure-stdlib
 drop-in replacement that produces **identical**
 :class:`~repro.core.count.CVSRecord` outputs while cutting the constant
-factor.  It peels directly over the graph's shared
-:class:`~repro.graph.csr.CSRAdjacency` buffers instead of materialising
-a per-call list-of-lists adjacency, and folds the alive flag into the
-degree array: removed vertices are parked at a large negative sentinel,
-so liveness is one sign test on the value already in hand and dead
-neighbours cost a single comparison.  Its working state lives in a
-reusable :class:`PeelScratch`, so the steady state of a progressive
-query allocates nothing proportional to the prefix beyond its outputs.
+factor.  It peels directly over the graph's own sorted ``N>=`` / ``N<``
+rows (``graph._adj_up`` / ``graph._adj_down``, Section 3.1) instead of
+materialising a per-call list-of-lists adjacency: a prefix ``G_p`` is
+those rows plus one *cut* per vertex, the number of its down-neighbours
+inside the prefix.  It folds the alive flag into the degree array:
+removed vertices are parked at a large negative sentinel, so liveness
+is one sign test on the value already in hand and dead neighbours cost
+a single comparison.  Its working state lives in a reusable
+:class:`PeelScratch`, so the steady state of a progressive query
+allocates nothing proportional to the prefix beyond its outputs.
 
 Across the rounds of a progressive query the scratch also carries the
-previous round's **down-cuts** forward.  The prefix grows monotonically,
-so the next round's cuts are last round's plus one bump per edge into
-the new rank region (enumerated from the new vertices' up-rows — the
-mirror direction), plus fresh cuts for the new ranks themselves: cut
-maintenance in time linear to the *growth*, the flat-array analogue of
-the paper's "extract G>=tau incrementally" arrangement (Section 3.1)
-and of :meth:`~repro.graph.subgraph.PrefixView.extend`.
+previous round's cuts forward.  The prefix grows monotonically, so the
+next round's cuts are last round's plus one bump per edge into the new
+rank region (enumerated from the new vertices' up-rows — the mirror
+direction), plus fresh cuts for the new ranks themselves: cut
+maintenance in time linear to the *growth*, the analogue of the paper's
+"extract G>=tau incrementally" arrangement (Section 3.1) and of
+:meth:`~repro.graph.subgraph.PrefixView.extend`.
 
 Kernel selection (:func:`resolve_kernel`): an explicit argument wins,
 then the ``REPRO_KERNEL`` environment variable, then ``auto``, which is
@@ -46,8 +48,8 @@ from bisect import bisect_left
 from time import perf_counter
 from typing import List, Optional, Tuple
 
-from ..graph.csr import CSRAdjacency, PrefixAdjacency
-from ..graph.subgraph import PrefixView
+from ..graph.subgraph import PrefixAdjacency, PrefixView
+from ..graph.weighted_graph import WeightedGraph
 from ..obs.trace import record_phase
 from .count import CVSRecord
 
@@ -103,18 +105,19 @@ class PeelScratch:
     advances them incrementally instead of re-searching every row.
 
     One scratch belongs to one graph at a time; the carried cuts are
-    keyed on the CSR object identity, so accidentally reusing a scratch
-    across graphs degrades to a cold round instead of corrupting state.
+    keyed on the graph object identity, so accidentally reusing a
+    scratch across graphs degrades to a cold round instead of
+    corrupting state.
     """
 
-    __slots__ = ("deg", "stack", "seed_cuts", "seed_p", "csr")
+    __slots__ = ("deg", "stack", "seed_cuts", "seed_p", "graph")
 
     def __init__(self) -> None:
         self.deg: List[int] = []
         self.stack: List[int] = []
         self.seed_cuts: Optional[List[int]] = None
         self.seed_p = 0
-        self.csr: Optional[CSRAdjacency] = None
+        self.graph: Optional[WeightedGraph] = None
 
     def ensure_degree(self, p: int) -> List[int]:
         """The degree buffer, grown (never shrunk) to at least ``p``."""
@@ -123,9 +126,9 @@ class PeelScratch:
             deg.extend([0] * (p - len(deg)))
         return deg
 
-    def remember(self, csr: CSRAdjacency, p: int, cuts: List[int]) -> None:
+    def remember(self, graph: WeightedGraph, p: int, cuts: List[int]) -> None:
         """Record this round's cuts as the seed for the next round."""
-        self.csr = csr
+        self.graph = graph
         self.seed_cuts = cuts
         self.seed_p = p
 
@@ -133,21 +136,30 @@ class PeelScratch:
         """Drop the warm cut state (buffers are kept)."""
         self.seed_cuts = None
         self.seed_p = 0
-        self.csr = None
+        self.graph = None
 
 
 # ----------------------------------------------------------------------
 # down-cut maintenance
 # ----------------------------------------------------------------------
+def _cut(row: List[int], p: int) -> int:
+    """How many entries of the sorted ``row`` lie below ``p``."""
+    if not row or row[0] >= p:
+        return 0
+    if row[-1] < p:
+        return len(row)
+    return bisect_left(row, p)
+
+
 def _advance_cuts(
-    csr: CSRAdjacency, p: int, scratch: PeelScratch
+    graph: WeightedGraph, p: int, scratch: PeelScratch
 ) -> List[int]:
-    """Absolute end index of each vertex's in-prefix down-row part.
+    """Number of in-prefix down-neighbours of each vertex of ``G_p``.
 
     Three regimes, cheapest first:
 
     * whole graph — every row is fully inside the prefix: the cuts are
-      the row ends, one C-level slice of the offsets;
+      the row lengths;
     * warm (the scratch carries cuts for a smaller prefix of the same
       graph) — copy and advance: an old row's cut moves only when the
       row gained in-prefix targets, i.e. once per edge ``(v, x)`` with
@@ -157,11 +169,11 @@ def _advance_cuts(
       outside the prefix — the vast majority — settle in two
       comparisons).
     """
-    up_off, up_tgt, down_off, down_tgt = csr.lists()
-    if p == csr.num_vertices:
-        return down_off[1:p + 1]
+    down = graph._adj_down
+    if p == graph.num_vertices:
+        return list(map(len, down))
     if (
-        scratch.csr is csr
+        scratch.graph is graph
         and scratch.seed_cuts is not None
         and scratch.seed_p <= p
     ):
@@ -169,39 +181,21 @@ def _advance_cuts(
         if seed_p == p:
             return scratch.seed_cuts  # identical prefix: reuse as-is
         cuts = scratch.seed_cuts[:seed_p]
-        append_cut = cuts.append
-        for x in range(seed_p, p):
-            lo, hi = down_off[x], down_off[x + 1]
-            if lo == hi or down_tgt[lo] >= p:
-                append_cut(lo)
-            elif down_tgt[hi - 1] < p:
-                append_cut(hi)
-            else:
-                append_cut(bisect_left(down_tgt, p, lo, hi))
-        for x in range(seed_p, p):
-            a, b = up_off[x], up_off[x + 1]
-            if a != b:
-                for v in up_tgt[a:b]:
-                    if v < seed_p:
-                        cuts[v] += 1
+        cuts.extend([_cut(row, p) for row in down[seed_p:p]])
+        for row in graph._adj_up[seed_p:p]:
+            for v in row:
+                if v >= seed_p:
+                    break  # rows are sorted: the rest are new ranks
+                cuts[v] += 1
         return cuts
-    cuts = [0] * p
-    for v in range(p):
-        lo, hi = down_off[v], down_off[v + 1]
-        if lo == hi or down_tgt[lo] >= p:
-            cuts[v] = lo
-        elif down_tgt[hi - 1] < p:
-            cuts[v] = hi
-        else:
-            cuts[v] = bisect_left(down_tgt, p, lo, hi)
-    return cuts
+    return [_cut(row, p) for row in down[:p]]
 
 
 # ----------------------------------------------------------------------
 # initial gamma-core reduction
 # ----------------------------------------------------------------------
 def _reduce_array(
-    csr: CSRAdjacency,
+    graph: WeightedGraph,
     p: int,
     gamma: int,
     cuts: List[int],
@@ -213,11 +207,11 @@ def _reduce_array(
     Fills ``deg[:p]`` with the post-reduction state: survivor degrees
     restricted to survivors, removed vertices parked at the sentinel.
     """
-    up_off, up_tgt, down_off, down_tgt = csr.lists()
+    up, down = graph._adj_up, graph._adj_down
     del stack[:]
     push = stack.append
     for v in range(p):
-        d = up_off[v + 1] - up_off[v] + cuts[v] - down_off[v]
+        d = len(up[v]) + cuts[v]
         if d < gamma:
             deg[v] = _LOW
             push(v)
@@ -225,19 +219,17 @@ def _reduce_array(
             deg[v] = d
     while stack:
         v = stack.pop()
-        a, b = up_off[v], up_off[v + 1]
-        if a != b:
-            for w in up_tgt[a:b]:
-                d = deg[w]
-                if d >= 0:  # dead vertices are parked at _LOW
-                    if d == gamma:
-                        deg[w] = _LOW
-                        push(w)
-                    else:
-                        deg[w] = d - 1
-        a, b = down_off[v], cuts[v]
-        if a != b:
-            for w in down_tgt[a:b]:
+        for w in up[v]:
+            d = deg[w]
+            if d >= 0:  # dead vertices are parked at _LOW
+                if d == gamma:
+                    deg[w] = _LOW
+                    push(w)
+                else:
+                    deg[w] = d - 1
+        c = cuts[v]
+        if c:
+            for w in down[v][:c]:
                 d = deg[w]
                 if d >= 0:
                     if d == gamma:
@@ -251,10 +243,8 @@ def _reduce_array(
 # the main keynode peel
 # ----------------------------------------------------------------------
 def _peel_groups(
-    up_off: List[int],
-    up_tgt: List[int],
-    down_off: List[int],
-    down_tgt: List[int],
+    up: List[List[int]],
+    down: List[List[int]],
     cuts: List[int],
     deg: List[int],
     p: int,
@@ -292,19 +282,17 @@ def _peel_groups(
         while head < len(cvs):
             v = cvs[head]
             head += 1
-            a, b = up_off[v], up_off[v + 1]
-            if a != b:
-                for w in up_tgt[a:b]:
-                    d = deg[w]
-                    if d >= 0:  # dead neighbours are parked at _LOW
-                        if d == gamma:
-                            deg[w] = _LOW
-                            cvs_append(w)
-                        else:
-                            deg[w] = d - 1
-            a, b = down_off[v], cuts[v]
-            if a != b:
-                for w in down_tgt[a:b]:
+            for w in up[v]:
+                d = deg[w]
+                if d >= 0:  # dead neighbours are parked at _LOW
+                    if d == gamma:
+                        deg[w] = _LOW
+                        cvs_append(w)
+                    else:
+                        deg[w] = d - 1
+            c = cuts[v]
+            if c:
+                for w in down[v][:c]:
                     d = deg[w]
                     if d >= 0:
                         if d == gamma:
@@ -318,12 +306,12 @@ def _peel_groups(
             # a survivor (alive <=> deg >= 0 under the sentinel scheme).
             is_nc = True
             for v in cvs[group_start:]:
-                for w in up_tgt[up_off[v]:up_off[v + 1]]:
+                for w in up[v]:
                     if deg[w] >= 0:
                         is_nc = False
                         break
                 if is_nc:
-                    for w in down_tgt[down_off[v]:cuts[v]]:
+                    for w in down[v][:cuts[v]]:
                         if deg[w] >= 0:
                             is_nc = False
                             break
@@ -351,35 +339,31 @@ def fast_construct_cvs(
     :func:`repro.core.count.construct_cvs`; ``scratch`` (optional)
     carries buffers and down-cut seeds across the rounds of one
     progressive query.  ``phases`` optionally accumulates per-phase
-    wall time in ms (``csr_build`` = the graph's one-time CSR
-    materialisation, amortised to ~0 on later rounds; ``gamma_core`` =
-    degree/cut maintenance + the γ-core reduction; ``peel`` = the
-    ordered group peel) via :func:`repro.obs.trace.record_phase`.
+    wall time in ms (``gamma_core`` = cut maintenance + the γ-core
+    reduction; ``peel`` = the ordered group peel) via
+    :func:`repro.obs.trace.record_phase`.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
     t0 = perf_counter()
-    csr = view.graph.csr()
-    t1 = perf_counter()
+    graph = view.graph
     p = view.p
     sc = scratch if scratch is not None else PeelScratch()
-    if sc.csr is not csr:
+    if sc.graph is not graph:
         sc.invalidate()
     deg = sc.ensure_degree(p)
-    cuts = _advance_cuts(csr, p, sc)
-    _reduce_array(csr, p, gamma, cuts, deg, sc.stack)
-    sc.remember(csr, p, cuts)
-    t2 = perf_counter()
+    cuts = _advance_cuts(graph, p, sc)
+    _reduce_array(graph, p, gamma, cuts, deg, sc.stack)
+    sc.remember(graph, p, cuts)
+    t1 = perf_counter()
 
-    up_off, up_tgt, down_off, down_tgt = csr.lists()
     keys, cvs, starts, nc_flags = _peel_groups(
-        up_off, up_tgt, down_off, down_tgt,
+        graph._adj_up, graph._adj_down,
         cuts, deg, p, gamma, stop_rank, track_noncontainment,
     )
-    t3 = perf_counter()
-    record_phase("csr_build", t1 - t0, phases)
-    record_phase("gamma_core", t2 - t1, phases)
-    record_phase("peel", t3 - t2, phases)
+    t2 = perf_counter()
+    record_phase("gamma_core", t1 - t0, phases)
+    record_phase("peel", t2 - t1, phases)
     return CVSRecord(
         keys=keys,
         cvs=cvs,
@@ -387,6 +371,6 @@ def fast_construct_cvs(
         p=p,
         gamma=gamma,
         stop_rank=stop_rank,
-        nbrs=PrefixAdjacency(csr, p, cuts),
+        nbrs=PrefixAdjacency(graph, p, cuts),
         noncontainment=nc_flags,
     )

@@ -218,7 +218,7 @@ class ProgressiveCursor:
         if self._exhausted or len(self._seen) >= k:
             return
         # cursor_resume brackets the whole stream advance, so it
-        # *overlaps* the csr_build/gamma_core/peel/enumerate phases the
+        # *overlaps* the gamma_core/peel/enumerate phases the
         # advance triggers — it measures "time spent resuming a cached
         # cursor", not a disjoint slice of the total.
         t0 = time.perf_counter()

@@ -19,13 +19,13 @@ algorithms (DESIGN.md systems S1–S5 and S15-storage):
 
 from .builder import GraphBuilder, graph_from_arrays
 from .connectivity import component_of, connected_components, is_connected_subset
-from .csr import CSRAdjacency, PrefixAdjacency
+from .csr import CSRAdjacency
 from .core_decomposition import degeneracy, gamma_core, gamma_core_members
 from .disjoint_set import DisjointSet, KeyedDisjointSet
 from .metrics import GraphStatistics, degree_histogram, graph_statistics
 from .pagerank import pagerank_from_edges, pagerank_weights
 from .storage import FileEdgeStore, IOCounter, InMemoryEdgeStore
-from .subgraph import PrefixView
+from .subgraph import PrefixAdjacency, PrefixView
 from .truss_decomposition import (
     edge_supports,
     gamma_truss,

@@ -1,7 +1,7 @@
 """Streaming edge mutations over the immutable graph substrate.
 
 :class:`~repro.graph.weighted_graph.WeightedGraph` is immutable by
-design — every serving tier (CSR kernels, shared-memory segments,
+design — every serving tier (peel kernels, shared-memory segments,
 result caches) keys off that promise.  ``repro.live`` therefore models
 a mutation not as an in-place edit but as a **new graph generation**
 derived from the old one:
@@ -15,10 +15,10 @@ derived from the old one:
 * :func:`apply_batch` — produce the next generation.  On the common
   path (no reweight changes the rank order) the new graph **shares
   every untouched adjacency row by reference** with its parent and
-  installs a :class:`~repro.graph.csr.DeltaCSR` overlay, so the cost
-  is O(touched rows), not O(n + m); kernels see base CSR + overlay
-  merged at the adjacency-row boundary and stay byte-identical to a
-  full rebuild.  When a reweight reorders ranks the generation is
+  holds fresh sorted copies of the touched rows only, so building it
+  costs one O(n) list of row references plus O(touched rows), and
+  kernels, which read the rows, stay byte-identical to a full
+  rebuild.  When a reweight reorders ranks the generation is
   rebuilt through :class:`~repro.graph.builder.GraphBuilder` (weights
   are strictly distinct, so the rebuild is deterministic and equal to
   building from scratch).
@@ -217,7 +217,7 @@ def _overlay_graph(
     effective_edges: List[Tuple[int, int, bool]],
     new_weights: List[float],
 ) -> WeightedGraph:
-    """Rank-preserving path: share untouched rows, overlay touched ones."""
+    """Rank-preserving path: share untouched rows, copy touched ones."""
     up_rows: Dict[int, List[int]] = {}
     down_rows: Dict[int, List[int]] = {}
     delta_m = 0
@@ -257,15 +257,6 @@ def _overlay_graph(
     stops, slack = graph._core_table()
     inserted = sum(1 for _, _, want in effective_edges if want)
     new._core_stops = (stops, slack + inserted)
-    base_csr = graph._csr
-    if base_csr is None:
-        new._csr = None  # first csr() call flattens from the rows
-    elif not up_rows and not down_rows:
-        new._csr = base_csr  # reweight-only batch: adjacency unchanged
-    else:
-        from .csr import DeltaCSR
-
-        new._csr = DeltaCSR(base_csr, up_rows, down_rows, new._num_edges)
     return new
 
 

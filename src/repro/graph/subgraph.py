@@ -10,17 +10,18 @@ instance-optimality proof needs).
 
 The peeling algorithms (CountIC, γ-core, γ-truss) take a ``PrefixView`` and
 build their own mutable scratch state (degree arrays, alive flags) in
-O(size(view)).
+O(size(view)).  :class:`PrefixAdjacency` is the array kernel's record of
+the same prefix: the graph's own rows plus one down-cut per vertex.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .weighted_graph import WeightedGraph
 
-__all__ = ["PrefixView"]
+__all__ = ["PrefixAdjacency", "PrefixView"]
 
 
 class PrefixView:
@@ -180,3 +181,47 @@ class PrefixView:
         for u in range(self.p):
             for v in adj_up(u):
                 yield (u, v)
+
+
+class PrefixAdjacency(Sequence):
+    """Read-only neighbour rows of a rank prefix, over the graph's rows.
+
+    ``rows[v]`` is ``up[v] + down[v][:cuts[v]]``: ``v``'s up-row and
+    the in-prefix part of its down-row, where ``cuts[v]`` counts the
+    down-neighbours inside the prefix.  That is the order
+    :meth:`PrefixView.neighbor_lists` produces (up-neighbours ascending,
+    then in-prefix down-neighbours ascending), so
+    :mod:`repro.core.enumerate` consumes either representation.  Rows
+    are assembled on access; nothing is copied up front.
+    """
+
+    __slots__ = ("p", "_up", "_down", "_cuts")
+
+    def __init__(self, graph: WeightedGraph, p: int, cuts: List[int]) -> None:
+        self.p = p
+        self._up = graph._adj_up
+        self._down = graph._adj_down
+        self._cuts = cuts
+
+    def __len__(self) -> int:
+        return self.p
+
+    def __getitem__(self, v: int) -> List[int]:
+        if isinstance(v, slice):  # pragma: no cover - sequence protocol
+            return [self[i] for i in range(*v.indices(self.p))]
+        if v < 0:
+            v += self.p
+        if not 0 <= v < self.p:
+            raise IndexError(f"vertex {v} outside prefix [0, {self.p})")
+        return self._up[v] + self._down[v][:self._cuts[v]]
+
+    def flat(self) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+        """The rows and cuts ``(up, down, cuts)`` behind :meth:`__getitem__`.
+
+        Kernel loops (:mod:`repro.core.fastenum`) iterate the two row
+        parts directly, skipping the per-row concatenation.
+        """
+        return self._up, self._down, self._cuts
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"PrefixAdjacency(p={self.p})"

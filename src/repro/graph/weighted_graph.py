@@ -134,7 +134,6 @@ class WeightedGraph:
         "_rank_of",
         "_num_edges",
         "_prefix_sizes",
-        "_csr",
         "_core_stops",
     )
 
@@ -170,8 +169,6 @@ class WeightedGraph:
         # Lazily-extended cumulative prefix sizes; see prefix_size().
         # _prefix_sizes[p] = size(G_p) = p + |edges among ranks < p|.
         self._prefix_sizes: List[int] = [0]
-        # Lazily-built flat-array mirror of the adjacency; see csr().
-        self._csr = None
         # Lazily-built (stops, slack) pair; see core_stop().
         self._core_stops = None
         if validate:
@@ -217,19 +214,18 @@ class WeightedGraph:
         weights: Sequence[float],
         labels: Optional[Sequence[Hashable]] = None,
     ) -> "WeightedGraph":
-        """Rebuild a graph from its CSR mirror (the cluster attach path).
+        """Rebuild a graph from its CSR form (the cluster attach path).
 
         The CSR rows are exactly the ``N>=`` / ``N<`` partition in the
         canonical sorted order, so the reconstruction is a straight
-        re-slicing — no structural validation pass is needed: the
-        buffers came from a graph that already passed it.  The weights
-        are still checked to be finite, in O(n).  The given ``csr`` is installed
-        as the graph's cached mirror, so the peel kernels run directly
-        on the original buffers (zero-copy when those live in a
-        shared-memory segment); only the Python-level row lists are
-        per-process.
+        re-slicing (``.tolist()`` of each row's window) — no structural
+        validation pass is needed: the buffers came from a graph that
+        already passed it.  The weights are still checked to be finite,
+        in O(n).  The graph keeps no reference to ``csr``, so a
+        shared-memory segment's windows are free once this returns.
         """
-        up_off, up_tgt, down_off, down_tgt = csr.lists()
+        up_off, up_tgt = csr.up_offsets, csr.up_targets
+        down_off, down_tgt = csr.down_offsets, csr.down_targets
         n = csr.num_vertices
         graph = cls.__new__(cls)
         graph._weights = list(weights)
@@ -239,10 +235,10 @@ class WeightedGraph:
             )
         _check_finite(graph._weights)
         graph._adj_up = [
-            up_tgt[up_off[u]:up_off[u + 1]] for u in range(n)
+            up_tgt[up_off[u]:up_off[u + 1]].tolist() for u in range(n)
         ]
         graph._adj_down = [
-            down_tgt[down_off[u]:down_off[u + 1]] for u in range(n)
+            down_tgt[down_off[u]:down_off[u + 1]].tolist() for u in range(n)
         ]
         graph._labels = list(range(n)) if labels is None else list(labels)
         if len(graph._labels) != n:
@@ -255,7 +251,6 @@ class WeightedGraph:
         graph._label_order = LabelOrder(graph._labels)
         graph._num_edges = csr.num_edges
         graph._prefix_sizes = [0]
-        graph._csr = csr
         graph._core_stops = None
         return graph
 
@@ -388,21 +383,15 @@ class WeightedGraph:
         return len(self._adj_up[u]) + len(self._adj_down[u])
 
     def csr(self) -> "CSRAdjacency":
-        """The flat-array CSR mirror of the adjacency, built once and cached.
+        """A fresh flat-array (CSR) copy of the adjacency, O(n + m).
 
-        The peel kernels of :mod:`repro.core.fastpeel` run on this; the
-        service registry pre-builds it at graph registration so the first
-        query pays no flattening cost.  The graph is immutable, so the
-        mirror never invalidates (a benign double-build can occur under
-        concurrent first calls; both results are identical and one wins).
+        The cluster tier publishes this into a shared-memory segment
+        (:mod:`repro.cluster.segment`); the kernels read the rows
+        themselves, so nothing caches it.
         """
-        csr = self._csr
-        if csr is None:
-            from .csr import CSRAdjacency
+        from .csr import CSRAdjacency
 
-            csr = CSRAdjacency.from_graph(self)
-            self._csr = csr
-        return csr
+        return CSRAdjacency.from_graph(self)
 
     def core_stop(self, gamma: int) -> int:
         """A prefix length that holds the whole γ-core of the graph.
@@ -413,8 +402,8 @@ class WeightedGraph:
         community; ``0`` means the γ-core is empty.  The value is 1 +
         the highest rank whose core number is >= γ, read from a
         :func:`~repro.graph.core_decomposition.core_stops` table built
-        once, on first use, and cached like :meth:`csr` (a benign
-        double-build can occur under concurrent first calls).
+        once, on first use, and cached (a benign double-build can occur
+        under concurrent first calls).
 
         An edge-overlay generation keeps its parent's rank space and
         inherits the parent's table with a ``slack``: the number of

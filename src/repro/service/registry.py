@@ -21,13 +21,13 @@ stop being generated.
 generation and atomically flipping the handle (one reference write —
 readers still never see a mixed graph/version pair).  Applied batches
 accumulate as a **delta chain** so cluster workers holding the previous
-generation can catch up by replaying batches over their attached CSR
+generation can catch up by replaying batches over their attached graph
 instead of re-attaching a whole segment; a background **compactor**
-folds the overlay chain into a fresh flat CSR generation (and, via the
-build hooks, a fresh shared-memory segment generation) once the chain
-grows past ``compact_after``, re-tightening the core stop table on the
-way; ``describe()`` reports the table's slack and why the last
-background fold failed, if it did.  Mutation hooks — distinct from build
+cuts the chain once it grows past ``compact_after``: it re-tightens the
+core stop table and, via the build hooks, publishes a fresh
+shared-memory segment generation for the workers; ``describe()``
+reports the table's slack and why the last background compaction
+failed, if it did.  Mutation hooks — distinct from build
 hooks — let the service layer migrate caches scope-invalidated by the
 batch's barrier weight instead of dropping them wholesale.
 """
@@ -78,7 +78,7 @@ class MutationEvent:
     graph: str
     old_version: int
     new_version: int
-    #: ``"mutate"`` for an applied batch, ``"compact"`` for a fold.
+    #: ``"mutate"`` for an applied batch, ``"compact"`` for a compaction.
     kind: str
     #: Largest weight whose threshold subgraph may have changed
     #: (``-inf`` for no-ops and compactions: content is identical).
@@ -103,14 +103,14 @@ class _Entry:
     handle: Optional[GraphHandle] = None
     version: int = 0
     build_seconds: float = 0.0
-    csr_seconds: float = 0.0
     lock: threading.Lock = field(default_factory=threading.Lock)
-    #: Batches applied since the last flat generation, as
+    #: Batches applied since the last build or compaction, as
     #: ``(version_after, batch)`` pairs — the worker catch-up chain.
     deltas: List[Tuple[int, EdgeBatch]] = field(default_factory=list)
     #: Guards against stacking background compaction threads.
     compacting: bool = False
-    #: Why the last background fold failed (``None`` once one succeeds).
+    #: Why the last background compaction failed (``None`` once one
+    #: succeeds).
     compaction_error: Optional[str] = None
 
 
@@ -123,24 +123,20 @@ class GraphRegistry:
         When true (the default) every stand-in dataset of
         :mod:`repro.workloads.datasets` is registered (lazily — nothing
         is built until first use).
-    prebuild_csr:
-        When true (the default) every graph build also flattens the
-        adjacency into its :class:`~repro.graph.csr.CSRAdjacency` mirror
-        (including the kernel-side derived views), so the first query
-        against a freshly-loaded graph pays no flattening cost and
-        every :class:`~repro.server.shards.ShardPool` replica shares the
-        same immutable buffers.
     compact_after:
-        Fold the delta-overlay chain into a fresh flat CSR generation
-        (in a background thread) once this many mutation batches have
-        accumulated on one graph.  ``None`` disables automatic
-        compaction; :meth:`compact` stays available for explicit use.
+        Compact the delta chain (:meth:`compact`, in a background
+        thread) once this many mutation batches have accumulated on one
+        graph.  ``None`` disables automatic compaction; :meth:`compact`
+        stays available for explicit use.
+
+    Every generation is a plain :class:`WeightedGraph` whose rows the
+    kernels read directly: a mutated one shares its parent's untouched
+    rows, so no generation carries a second copy of the adjacency.
     """
 
     def __init__(
         self,
         preload_datasets: bool = True,
-        prebuild_csr: bool = True,
         compact_after: Optional[int] = 8,
     ) -> None:
         self._entries: Dict[str, _Entry] = {}
@@ -148,7 +144,6 @@ class GraphRegistry:
         self._builds = 0
         self._mutations = 0
         self._compactions = 0
-        self._prebuild_csr = prebuild_csr
         self._compact_after = compact_after
         self._build_hooks: List[Callable[[GraphHandle], None]] = []
         self._mutation_hooks: List[Callable[[MutationEvent], None]] = []
@@ -214,23 +209,16 @@ class GraphRegistry:
         started = time.perf_counter()
         graph = entry.loader()
         entry.build_seconds = time.perf_counter() - started
-        if self._prebuild_csr:
-            # Flatten eagerly (CSR + the list mirrors the array kernel
-            # iterates) so first-query latency is flat.
-            started = time.perf_counter()
-            graph.csr().lists()
-            entry.csr_seconds = time.perf_counter() - started
         entry.version += 1
-        entry.deltas.clear()  # a loader build is a fresh flat generation
+        entry.deltas.clear()  # a loader build starts a new chain
         entry.handle = GraphHandle(name, entry.version, graph)
         with self._lock:
             self._builds += 1
             hooks = list(self._build_hooks)
         for hook in hooks:
             # Build hooks are optimisations layered on top (segment
-            # publication for the cluster tier, pre-warming): they run
-            # right next to the prebuild_csr step, but a failing hook
-            # must never fail the build itself.
+            # publication for the cluster tier, pre-warming): a failing
+            # hook must never fail the build itself.
             try:
                 hook(entry.handle)
             except Exception:  # noqa: BLE001 — hooks are best-effort
@@ -243,7 +231,7 @@ class GraphRegistry:
 
         The cluster tier registers its shared-memory segment publication
         here, so a graph's CSR is staged for worker attachment the
-        moment it is built — the same eager spot as ``prebuild_csr``.
+        moment it is built.
         """
         with self._lock:
             self._build_hooks.append(hook)
@@ -263,8 +251,7 @@ class GraphRegistry:
         handle to an overlay generation that workers catch up to by
         replaying the delta chain — publishing a whole shared-memory
         segment per batch would defeat the overlay.  Only compaction
-        (which produces a flat CSR worth sharing) additionally fires
-        the build hooks.  The service layer registers its scoped cache
+        (which cuts the chain) additionally fires the build hooks.  The service layer registers its scoped cache
         migration here.  Hooks are best-effort, like build hooks.
         """
         with self._lock:
@@ -352,62 +339,36 @@ class GraphRegistry:
         return [b for _, b in window]
 
     def pending_deltas(self, name: str) -> int:
-        """Length of the delta chain since the last flat generation."""
+        """Length of the delta chain since the last build or compaction."""
         entry = self._entry(name)
         with entry.lock:
             return len(entry.deltas)
 
     def compact(self, name: str) -> Optional[MutationEvent]:
-        """Fold the overlay chain into a fresh flat CSR generation.
+        """Cut the delta chain and make the core stop table exact.
 
-        Returns ``None`` when there is nothing to fold.  The new
-        generation's content is **identical** to the current one — only
-        the representation changes — so the event carries barrier
-        ``-inf`` and every cached family migrates warm.  The fold also
-        re-tightens the core stop table (``WeightedGraph.core_stop``):
-        the chain's inserts left the inherited table a slack, so one
-        fresh decomposition, run before the flip, gives the new
-        generation an exact table with slack 0.  Build hooks fire
-        afterwards, publishing the new shared-memory segment generation
-        for the cluster tier.
+        Returns ``None`` when the chain is empty.  The chain's inserts
+        left the graph's inherited table (``WeightedGraph.core_stop``) a
+        slack and its deletes left it loose, so one fresh decomposition
+        gives the graph an exact table with slack 0.  The graph itself
+        is unchanged, yet the version bumps: workers can no longer
+        replay the cleared chain and attach the new segment generation
+        that the build hooks publish afterwards.  The event carries
+        barrier ``-inf``, so every cached family migrates warm.
         """
         entry = self._entry(name)
         with entry.lock:
             handle = entry.handle
             if handle is None or not entry.deltas:
                 return None
-            started = time.perf_counter()
             graph = handle.graph
-            # Inserts left the inherited table a slack and deletes left
-            # it loose; one decomposition makes the fold's table exact.
-            table = (core_stops(graph), 0)
-            csr = graph.csr()
-            if hasattr(csr, "materialize"):
-                flat = csr.materialize()
-                new_graph = WeightedGraph.__new__(WeightedGraph)
-                new_graph._weights = graph._weights
-                new_graph._adj_up = graph._adj_up
-                new_graph._adj_down = graph._adj_down
-                new_graph._labels = graph._labels
-                new_graph._label_order = graph._label_order
-                new_graph._rank_of = graph._rank_of
-                new_graph._num_edges = graph._num_edges
-                new_graph._prefix_sizes = graph._prefix_sizes
-                new_graph._csr = flat
-            else:
-                # Already flat (reweight-only chain or a re-rank
-                # rebuild): reuse the graph, just cut the chain over.
-                new_graph = graph
-            new_graph._core_stops = table
-            if self._prebuild_csr:
-                new_graph.csr().lists()
+            graph._core_stops = (core_stops(graph), 0)
             old_version = entry.version
             entry.version += 1
-            new_handle = GraphHandle(name, entry.version, new_graph)
+            new_handle = GraphHandle(name, entry.version, graph)
             entry.handle = new_handle
             entry.deltas.clear()
             entry.compaction_error = None
-            entry.csr_seconds = time.perf_counter() - started
         with self._lock:
             self._compactions += 1
             build_hooks = list(self._build_hooks)
@@ -529,7 +490,7 @@ class GraphRegistry:
 
     @property
     def compactions(self) -> int:
-        """Total number of delta-chain folds performed."""
+        """Total number of delta-chain compactions performed."""
         with self._lock:
             return self._compactions
 
@@ -552,7 +513,6 @@ class GraphRegistry:
                 row["vertices"] = handle.num_vertices
                 row["edges"] = handle.num_edges
                 row["build_seconds"] = entry.build_seconds
-                row["csr_seconds"] = entry.csr_seconds
                 row["pending_deltas"] = len(entry.deltas)
                 table = handle.graph._core_stops
                 if table is not None:

@@ -38,6 +38,8 @@ from hypothesis import strategies as st
 
 import repro.graph.core_decomposition as core_module
 from repro.api.spec import QuerySpec
+from repro.core.count import construct_cvs
+from repro.core.fastpeel import PeelScratch
 from repro.core.general import (
     EdgeConnectivityMeasure,
     GeneralLocalSearch,
@@ -198,7 +200,7 @@ class TestGenerations:
         assert overlay._core_stops[1] == 1
         registry.compact("g")
         compacted = registry.get("g").graph
-        assert compacted is not overlay
+        assert compacted is overlay  # same rows: only the table changes
         assert compacted._core_stops == (core_stops(compacted), 0)
         # Ranks 3-5 are a triangle now, so no core number reaches 3:
         # the exact γ=3 stop is 0 where slack 1 read the γ=2 stop, 3.
@@ -353,10 +355,46 @@ def _mutated_models(draw):
     return n, edges, weights, batches, compact_at
 
 
-def _check_generation(graph, n, model_edges, model_weights):
+def _records(graph, gamma, kernel):
+    """ConstructCVS of every prefix, smallest first; the array kernel's
+    rounds share one scratch, as a progressive query's do."""
+    scratch = PeelScratch() if kernel == "array" else None
+    records = []
+    for p in range(graph.num_vertices + 1):
+        record = construct_cvs(
+            PrefixView(graph, p),
+            gamma,
+            stop_rank=p // 3,
+            track_noncontainment=True,
+            kernel=kernel,
+            scratch=scratch,
+        )
+        records.append(
+            (
+                record.keys,
+                record.cvs,
+                record.starts,
+                record.noncontainment,
+                [list(record.nbrs[v]) for v in range(p)],
+            )
+        )
+    return records
+
+
+def _check_generation(
+    graph, n, model_edges, model_weights, kernels=("array", "python")
+):
+    """One generation against a fresh rebuild of its model: the core
+    stop, LocalSearch-P and truss answers against the reference
+    oracles, and the peel records of each of ``kernels`` against the
+    array kernel's on the rebuild (same weights, so the same ranks)."""
     fresh = graph_from_arrays(
         n, sorted(model_edges), weights=[model_weights[v] for v in range(n)]
     )
+    for gamma in range(1, 4):
+        want = _records(fresh, gamma, "array")
+        for kernel in kernels:
+            assert _records(graph, gamma, kernel) == want, (kernel, gamma)
     for gamma in range(1, 6):
         stop = graph.core_stop(gamma)
         assert all(u < stop for u in _exact_core(graph, gamma)), gamma

@@ -21,8 +21,7 @@ from repro.core.fastpeel import (
     resolve_kernel,
 )
 from repro.core.progressive import LocalSearchP
-from repro.graph.csr import CSRAdjacency, PrefixAdjacency
-from repro.graph.subgraph import PrefixView
+from repro.graph.subgraph import PrefixAdjacency, PrefixView
 from repro.workloads.generators import (
     barabasi_albert,
     build_weighted_graph,
@@ -287,12 +286,15 @@ class TestCSRAdjacency:
     def test_mirrors_graph_adjacency(self):
         graph = random_graph(21)
         csr = graph.csr()
-        assert csr is graph.csr()  # cached on the instance
-        up_off, up_tgt, down_off, down_tgt = csr.lists()
+        up_off, up_tgt = csr.up_offsets, csr.up_targets
+        down_off, down_tgt = csr.down_offsets, csr.down_targets
         for u in range(graph.num_vertices):
-            assert up_tgt[up_off[u]:up_off[u + 1]] == graph.neighbors_up(u)
             assert (
-                down_tgt[down_off[u]:down_off[u + 1]]
+                up_tgt[up_off[u]:up_off[u + 1]].tolist()
+                == graph.neighbors_up(u)
+            )
+            assert (
+                down_tgt[down_off[u]:down_off[u + 1]].tolist()
                 == graph.neighbors_down(u)
             )
         assert csr.num_edges == graph.num_edges
@@ -304,7 +306,9 @@ class TestCSRAdjacency:
         graph = random_graph(22)
         csr = graph.csr()
         clone = pickle.loads(pickle.dumps(csr))
-        assert clone.lists() == csr.lists()
+        for name in ("up_offsets", "up_targets", "down_offsets", "down_targets"):
+            assert getattr(clone, name) == getattr(csr, name)
+        assert clone.num_edges == csr.num_edges
 
     def test_prefix_adjacency_matches_neighbor_lists(self):
         graph = random_graph(23)

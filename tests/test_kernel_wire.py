@@ -1,7 +1,7 @@
 """Serving-tier integration of the kernel layer and the JSON wire mode.
 
 Covers the pieces the flat-array refactor threads through the service
-stack: CSR pre-build at registration, per-query kernel provenance
+stack: the graph build at registration, per-query kernel provenance
 (QueryResult.kernel / ServiceMetrics.by_kernel), the allocation-free
 cache-hit paths (memoised cursor slices and cache-entry answers), and
 the structured ``json`` response mode across the stdio shell, the
@@ -66,21 +66,16 @@ def make_shell(registry=None, cache=True):
 
 
 # ----------------------------------------------------------------------
-class TestRegistryPrebuild:
-    def test_csr_built_at_registration(self):
+class TestRegistryBuild:
+    def test_graph_built_at_registration(self):
         registry = make_registry()
         handle = registry.get("g")
-        # The CSR mirror (and its kernel-side list views) is already
-        # cached on the instance: no flattening on the first query.
-        assert handle.graph._csr is not None
-        assert handle.graph._csr._lists is not None
+        # The kernels read the graph's own rows: the build is the
+        # whole preparation a first query needs.
+        assert handle.graph.num_vertices == 8
         row = registry.describe()[0]
-        assert row["loaded"] and "csr_seconds" in row
-
-    def test_prebuild_can_be_disabled(self):
-        registry = make_registry(prebuild_csr=False)
-        handle = registry.get("g")
-        assert handle.graph._csr is None
+        assert row["loaded"] and row["build_seconds"] >= 0
+        assert "csr_seconds" not in row
 
 
 class TestKernelProvenance:

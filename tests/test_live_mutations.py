@@ -1,12 +1,12 @@
-"""repro.live — streaming edge mutations over versioned CSR overlays.
+"""repro.live — streaming edge mutations over versioned graph generations.
 
 Covers the whole subsystem end to end:
 
 * :class:`EdgeBatch` validation and :func:`apply_batch` semantics
   (effective ops vs no-ops, barrier weights, the overlay fast path vs
   the rank-shuffle rebuild);
-* :class:`DeltaCSR` byte-identity against a scratch rebuild, chaining,
-  pickling (flattens), and materialisation;
+* overlay generations: rows equal to a scratch rebuild, untouched rows
+  shared with the parent by reference, chaining and pickling;
 * the differential property (satellite 1): random mutation streams
   replayed through the overlay path and through scratch rebuilds give
   byte-identical top-k answers across kernels and serving backends;
@@ -33,7 +33,6 @@ from repro.api.spec import QuerySpec
 from repro.cluster import ClusterPool
 from repro.errors import GraphConstructionError, QueryParameterError, SelfLoopError
 from repro.graph.builder import graph_from_arrays
-from repro.graph.csr import CSRAdjacency, DeltaCSR
 from repro.graph.delta import (
     EdgeBatch,
     apply_batch,
@@ -80,9 +79,12 @@ def _scratch(graph, model_edges, model_weights):
     )
 
 
-def _csr_tuple(csr):
-    up_off, up_tgt, down_off, down_tgt = csr.lists()
-    return list(up_off), list(up_tgt), list(down_off), list(down_tgt)
+def _rows(graph):
+    n = graph.num_vertices
+    return (
+        [graph.neighbors_up(u) for u in range(n)],
+        [graph.neighbors_down(u) for u in range(n)],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +159,6 @@ class TestApplyBatch:
 
     def test_reweight_without_rank_shuffle_shares_rows(self):
         graph, _, _ = _small_graph()
-        graph.csr()  # materialise the base CSR so sharing is observable
         # vertex 5: 11.25 -> 11.5 keeps the rank order intact
         new, barrier, stats = apply_batch(
             graph, EdgeBatch(ops=(("reweight", 5, 11.5),))
@@ -165,8 +166,10 @@ class TestApplyBatch:
         assert stats.reweighted == 1 and stats.rank_shuffle == 0
         assert barrier == 11.5
         assert new.weight(new.rank_of(5)) == 11.5
-        # adjacency untouched: the new generation shares the base CSR
-        assert new.csr() is graph.csr()
+        # adjacency untouched: the new generation shares every row
+        for u in range(graph.num_vertices):
+            assert new.neighbors_up(u) is graph.neighbors_up(u)
+            assert new.neighbors_down(u) is graph.neighbors_down(u)
 
     def test_reweight_rank_shuffle_rebuilds(self):
         graph, edges, weights = _small_graph()
@@ -179,7 +182,7 @@ class TestApplyBatch:
         model_w = {i: w for i, w in enumerate(weights)}
         model_w[5] = 99.0
         oracle = _scratch(graph, set(edges), model_w)
-        assert _csr_tuple(new.csr()) == _csr_tuple(oracle.csr())
+        assert _rows(new) == _rows(oracle)
 
     def test_weight_collision_raises(self):
         graph, _, _ = _small_graph()
@@ -197,56 +200,51 @@ class TestApplyBatch:
 
 
 # ----------------------------------------------------------------------
-# DeltaCSR overlay
+# overlay generations
 # ----------------------------------------------------------------------
-class TestDeltaCSR:
+class TestOverlayRows:
+    OPS = (("insert", 0, 4), ("delete", 1, 2))
+
     def _mutated(self):
         graph, edges, weights = _small_graph()
-        graph.csr()  # a base CSR must exist for the overlay to wrap
-        new, _, _ = apply_batch(
-            graph,
-            EdgeBatch(ops=(("insert", 0, 4), ("delete", 1, 2))),
-        )
+        new, _, _ = apply_batch(graph, EdgeBatch(ops=self.OPS))
         model_e = set(edges)
         model_w = {i: w for i, w in enumerate(weights)}
-        apply_ops_to_model(
-            model_e, model_w, (("insert", 0, 4), ("delete", 1, 2))
-        )
-        return new, _scratch(graph, model_e, model_w)
+        apply_ops_to_model(model_e, model_w, self.OPS)
+        return graph, new, _scratch(graph, model_e, model_w)
 
-    def test_overlay_is_delta_csr_and_byte_identical(self):
-        new, oracle = self._mutated()
-        csr = new.csr()
-        assert isinstance(csr, DeltaCSR)
-        assert _csr_tuple(csr) == _csr_tuple(oracle.csr())
-        assert list(csr.up_offsets) == list(oracle.csr().up_offsets)
-        assert list(csr.up_targets) == list(oracle.csr().up_targets)
-        assert list(csr.down_offsets) == list(oracle.csr().down_offsets)
-        assert list(csr.down_targets) == list(oracle.csr().down_targets)
+    def test_rows_match_scratch_rebuild(self):
+        _, new, oracle = self._mutated()
+        assert _rows(new) == _rows(oracle)
+        assert new.num_edges == oracle.num_edges
 
-    def test_overlay_chains_and_depth(self):
+    def test_untouched_rows_are_shared_with_the_parent(self):
+        graph, new, _ = self._mutated()
+        # (0, 4) touches down[0] and up[4]; (1, 2) down[1] and up[2].
+        touched_up, touched_down = {2, 4}, {0, 1}
+        for u in range(graph.num_vertices):
+            assert (new.neighbors_up(u) is graph.neighbors_up(u)) == (
+                u not in touched_up
+            )
+            assert (new.neighbors_down(u) is graph.neighbors_down(u)) == (
+                u not in touched_down
+            )
+
+    def test_overlay_chains_share_rows(self):
         graph, _, _ = _small_graph()
-        graph.csr()
         g1, _, _ = apply_batch(graph, EdgeBatch(ops=(("insert", 0, 4),)))
         g2, _, _ = apply_batch(g1, EdgeBatch(ops=(("insert", 0, 5),)))
-        csr = g2.csr()
-        assert isinstance(csr, DeltaCSR)
-        assert csr.depth == 2
+        assert g2.neighbors_up(4) is g1.neighbors_up(4) == [0, 3]
+        assert g2.neighbors_up(3) is graph.neighbors_up(3)
+        assert g2.neighbors_down(0) == [1, 2, 4, 5]
 
-    def test_pickles_as_flat_csr(self):
+    def test_pickles_with_its_rows(self):
         import pickle
 
-        new, oracle = self._mutated()
-        revived = pickle.loads(pickle.dumps(new.csr()))
-        assert isinstance(revived, CSRAdjacency)
-        assert not isinstance(revived, DeltaCSR)
-        assert _csr_tuple(revived) == _csr_tuple(oracle.csr())
-
-    def test_materialize_matches(self):
-        new, oracle = self._mutated()
-        flat = new.csr().materialize()
-        assert isinstance(flat, CSRAdjacency)
-        assert _csr_tuple(flat) == _csr_tuple(oracle.csr())
+        _, new, oracle = self._mutated()
+        revived = pickle.loads(pickle.dumps(new))
+        assert _rows(revived) == _rows(oracle)
+        assert revived.core_stop(2) == new.core_stop(2)
 
 
 # ----------------------------------------------------------------------
@@ -394,18 +392,14 @@ class TestRegistryLive:
         registry.apply("g", [("insert", 0, 4)])
         registry.apply("g", [("delete", 0, 1)])
         before = registry.get("g")
-        assert isinstance(before.graph.csr(), DeltaCSR)
         event = registry.compact("g")
         assert event is not None and event.kind == "compact"
         after = registry.get("g")
         assert after.version == before.version + 1
         assert registry.pending_deltas("g") == 0
         assert registry.delta_chain("g", before.version, after.version) is None
-        flat = after.graph.csr()
-        assert isinstance(flat, CSRAdjacency) and not isinstance(
-            flat, DeltaCSR
-        )
-        assert _csr_tuple(flat) == _csr_tuple(before.graph.csr())
+        # Same content, same rows: compaction only cuts the chain.
+        assert after.graph is before.graph
         assert registry.compactions == 1
 
     def test_compact_without_deltas_is_none(self):

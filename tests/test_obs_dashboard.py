@@ -49,7 +49,7 @@ def sample_points():
                         "queries": 4, "hit_rate": 0.5, "p95_ms": 3.0 + i,
                         "phases_ms": {
                             "peel": 1.25 + i, "enumerate": 0.5,
-                            "csr_build": 0.1,
+                            "gamma_core": 0.1,
                         },
                     },
                     "wiki|gamma=10": {

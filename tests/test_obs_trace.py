@@ -122,9 +122,9 @@ class TestRecordPhase:
         span = tracer.maybe_start("query")
         phases = {}
         with use_span(span):
-            record_phase("csr_build", 0.004, phases)
-        assert phases["csr_build"] == pytest.approx(4.0)
-        assert span.phases["csr_build"] == pytest.approx(4.0)
+            record_phase("gamma_core", 0.004, phases)
+        assert phases["gamma_core"] == pytest.approx(4.0)
+        assert span.phases["gamma_core"] == pytest.approx(4.0)
 
     def test_no_trace_blocks_span_write(self):
         with use_span(None):

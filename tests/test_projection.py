@@ -260,7 +260,7 @@ def test_label_order_key_is_shared_until_a_rerank():
     assert base.label_order().key() is key
     registry.compact("g")
     compacted = registry.get("g").graph
-    assert compacted is not overlay
+    assert compacted is overlay  # compaction keeps the graph
     assert compacted.label_order().key() is key
     registry.apply("g", [("reweight", 3, 50.0)])  # rank 5 -> rank 0
     reranked = registry.get("g").graph
