@@ -272,67 +272,37 @@ def fast_build_community(
     communities = scratch.communities
     nbrs = record.nbrs
     if type(nbrs) is PrefixAdjacency:
+        # The graph's rows, cut to the prefix: no per-row concatenation.
         up, down, cuts = nbrs.flat()
-        for i in range(start, stop):
-            v = cvs[i]
-            for w in up[v]:
-                if parent[w] != -1:
-                    while parent[w] != w:  # find(w), path halving
-                        parent[w] = parent[parent[w]]
-                        w = parent[w]
-                    if key_arr[w] != u:
-                        children.append(communities[key_arr[w]])
-                        ka = anchor[u]
-                        while parent[ka] != ka:  # find(anchor[u])
-                            parent[ka] = parent[parent[ka]]
-                            ka = parent[ka]
-                        # ka != w (same root would mean key u); link
-                        # by size, the key root winning ties.
-                        if size[ka] < size[w]:
-                            ka, w = w, ka
-                        parent[w] = ka
-                        size[ka] += size[w]
-                        key_arr[ka] = u
-                        anchor[u] = ka
+        rows = []
+        for v in cvs[start:stop]:
+            rows.append(up[v])
             c = cuts[v]
             if c:
-                for w in down[v][:c]:
-                    if parent[w] != -1:
-                        while parent[w] != w:
-                            parent[w] = parent[parent[w]]
-                            w = parent[w]
-                        if key_arr[w] != u:
-                            children.append(communities[key_arr[w]])
-                            ka = anchor[u]
-                            while parent[ka] != ka:
-                                parent[ka] = parent[parent[ka]]
-                                ka = parent[ka]
-                            if size[ka] < size[w]:
-                                ka, w = w, ka
-                            parent[w] = ka
-                            size[ka] += size[w]
-                            key_arr[ka] = u
-                            anchor[u] = ka
+                rows.append(down[v][:c])
     else:
         # Materialised list-of-lists adjacency (python-kernel peel).
-        for i in range(start, stop):
-            for w in nbrs[cvs[i]]:
-                if parent[w] != -1:
-                    while parent[w] != w:
-                        parent[w] = parent[parent[w]]
-                        w = parent[w]
-                    if key_arr[w] != u:
-                        children.append(communities[key_arr[w]])
-                        ka = anchor[u]
-                        while parent[ka] != ka:
-                            parent[ka] = parent[parent[ka]]
-                            ka = parent[ka]
-                        if size[ka] < size[w]:
-                            ka, w = w, ka
-                        parent[w] = ka
-                        size[ka] += size[w]
-                        key_arr[ka] = u
-                        anchor[u] = ka
+        rows = [nbrs[v] for v in cvs[start:stop]]
+    for row in rows:
+        for w in row:
+            if parent[w] != -1:
+                while parent[w] != w:  # find(w), path halving
+                    parent[w] = parent[parent[w]]
+                    w = parent[w]
+                if key_arr[w] != u:
+                    children.append(communities[key_arr[w]])
+                    ka = anchor[u]
+                    while parent[ka] != ka:  # find(anchor[u])
+                        parent[ka] = parent[parent[ka]]
+                        ka = parent[ka]
+                    # ka != w (same root would mean key u); link by
+                    # size, the key root winning ties.
+                    if size[ka] < size[w]:
+                        ka, w = w, ka
+                    parent[w] = ka
+                    size[ka] += size[w]
+                    key_arr[ka] = u
+                    anchor[u] = ka
 
     community = Community(
         graph,
