@@ -44,6 +44,7 @@ from .api.facade import Repro
 from .api.facade import open as api_open
 from .api.spec import ALGORITHMS, AUTO, QuerySpec
 from .core.fastpeel import KERNEL_ENV_VAR, KERNELS
+from .errors import ReproError
 from .graph.io import load_snap_graph
 from .graph.metrics import GraphStatistics, graph_statistics
 from .service.shell import (
@@ -606,10 +607,22 @@ def _run_metrics(args: argparse.Namespace, out) -> int:
 
 
 def main(argv: Optional[List[str]] = None, out=None, in_stream=None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A typed error (:class:`~repro.errors.ReproError`, e.g. an unknown
+    vertex in a ``mutate`` op) prints one ``error:`` line on stderr and
+    exits 1.
+    """
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args, out, in_stream)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run_command(args: argparse.Namespace, out, in_stream) -> int:
     if args.command == "serve":
         return _run_serve(args, out, in_stream)
 

@@ -181,6 +181,26 @@ class GraphRegistry:
                 entry.version = existing.version
             self._entries[name] = entry
 
+    def load(
+        self,
+        name: str,
+        loader: Callable[[], WeightedGraph],
+        description: str = "",
+    ) -> GraphHandle:
+        """Build ``loader()`` now, then register it under ``name``.
+
+        Any existing entry is replaced only once the build succeeds: a
+        loader that raises leaves the old entry, its graph and its
+        version as they were.
+        """
+        started = time.perf_counter()
+        graph = loader()
+        seconds = time.perf_counter() - started
+        self.register(name, loader, description=description, replace=True)
+        entry = self._entry(name)
+        with entry.lock:
+            return self._publish(name, entry, graph, seconds)
+
     def register_edge_list(
         self,
         name: str,
@@ -208,7 +228,15 @@ class GraphRegistry:
         """Run the loader and publish a fresh handle (entry.lock held)."""
         started = time.perf_counter()
         graph = entry.loader()
-        entry.build_seconds = time.perf_counter() - started
+        return self._publish(
+            name, entry, graph, time.perf_counter() - started
+        )
+
+    def _publish(
+        self, name: str, entry: _Entry, graph: WeightedGraph, seconds: float
+    ) -> GraphHandle:
+        """Install a built graph as a new version (entry.lock held)."""
+        entry.build_seconds = seconds
         entry.version += 1
         entry.deltas.clear()  # a loader build starts a new chain
         entry.handle = GraphHandle(name, entry.version, graph)

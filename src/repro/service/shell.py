@@ -29,6 +29,7 @@ from ..api.spec import (
     parse_wire_query,
 )
 from ..errors import QueryParameterError, ReproError
+from ..graph.io import load_snap_graph
 from ..obs.trace import format_trace, format_trace_line
 from .engine import QueryEngine
 from .metrics import ServiceMetrics
@@ -377,10 +378,12 @@ class ServiceShell:
     def _cmd_load(
         self, name: str, edges: str, weights: Optional[str] = None
     ) -> List[str]:
-        self.engine.registry.register_edge_list(
-            name, edges, weights, replace=True
+        # Build before registering: a bad file keeps the old entry.
+        handle = self.engine.registry.load(
+            name,
+            lambda: load_snap_graph(edges, weights),
+            description=f"edge list {edges!r}",
         )
-        handle = self.engine.registry.get(name)
         return [
             f"loaded {name!r} v{handle.version}: "
             f"{handle.num_vertices:,} vertices, {handle.num_edges:,} edges"

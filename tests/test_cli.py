@@ -149,6 +149,16 @@ class TestStream:
         assert len(values) == 2
 
 
+class TestOneShotErrors:
+    def test_typed_error_is_one_line_on_stderr(self, edge_file, capsys):
+        code, text = run_cli(["mutate", "--edges", edge_file, "insert=0:x"])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: vertex 'x' is not in the graph\n"
+        )
+
+
 class TestServe:
     """The stdio serving loop (`repro serve`) and its shell behaviours."""
 
@@ -228,6 +238,29 @@ class TestServe:
         code, text = run_cli(["serve", "--no-datasets", "--script", str(script)])
         assert code == 0
         assert "top-1:" in text
+
+    def test_failed_load_keeps_the_graph(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        out = io.StringIO()
+        code = main(
+            ["serve"],
+            out=out,
+            in_stream=io.StringIO(
+                "query email k=2 gamma=5\n"
+                f"load email {missing}\n"
+                f"load x {missing}\n"
+                "query email k=2 gamma=5\n"
+                "graphs\n"
+            ),
+        )
+        assert code == 0
+        lines = out.getvalue().splitlines()
+        assert sum(line.startswith("error: [Errno 2]") for line in lines) == 2
+        # Same version as before the failed load, so the cache answers.
+        assert sum("localsearch-p[cold]" in line for line in lines) == 1
+        assert sum("localsearch-p[cache]" in line for line in lines) == 1
+        assert any(line.strip().startswith("email: loaded v1") for line in lines)
+        assert not any(line.strip().startswith("x:") for line in lines)
 
     def test_max_cached_k_flag_accepted(self, edge_file):
         code, text = self.run_serve(
