@@ -142,15 +142,6 @@ class PeelScratch:
 # ----------------------------------------------------------------------
 # down-cut maintenance
 # ----------------------------------------------------------------------
-def _cut(row: List[int], p: int) -> int:
-    """How many entries of the sorted ``row`` lie below ``p``."""
-    if not row or row[0] >= p:
-        return 0
-    if row[-1] < p:
-        return len(row)
-    return bisect_left(row, p)
-
-
 def _advance_cuts(
     graph: WeightedGraph, p: int, scratch: PeelScratch
 ) -> List[int]:
@@ -165,9 +156,7 @@ def _advance_cuts(
       row gained in-prefix targets, i.e. once per edge ``(v, x)`` with
       ``x`` in the new region, enumerated from ``x``'s up-row (the
       mirror direction), so the work is linear in the growth;
-    * cold — one guarded C bisect per vertex (rows entirely inside or
-      outside the prefix — the vast majority — settle in two
-      comparisons).
+    * cold — one C bisect per vertex.
     """
     down = graph._adj_down
     if p == graph.num_vertices:
@@ -181,14 +170,14 @@ def _advance_cuts(
         if seed_p == p:
             return scratch.seed_cuts  # identical prefix: reuse as-is
         cuts = scratch.seed_cuts[:seed_p]
-        cuts.extend([_cut(row, p) for row in down[seed_p:p]])
+        cuts.extend([bisect_left(row, p) for row in down[seed_p:p]])
         for row in graph._adj_up[seed_p:p]:
             for v in row:
                 if v >= seed_p:
                     break  # rows are sorted: the rest are new ranks
                 cuts[v] += 1
         return cuts
-    return [_cut(row, p) for row in down[:p]]
+    return [bisect_left(row, p) for row in down[:p]]
 
 
 # ----------------------------------------------------------------------
