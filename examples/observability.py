@@ -42,7 +42,8 @@ with repro.open(metrics=metrics, tracer=tracer) as rp:
         )
 
     # Every trace is a span tree; the engine span carries the kernel
-    # phase breakdown (gamma_core / peel / enumerate / cursor_resume) — algorithmic time, not just queueing.
+    # phase breakdown (gamma_core / peel / enumerate / cursor_resume)
+    # — algorithmic time, not just queueing.
     print("\nrecent traces:")
     for trace in tracer.store.recent(5):
         print("\n".join(format_trace(trace)))

@@ -254,7 +254,8 @@ def construct_cvs(
     progressive query so buffers and down-cuts are reused.  ``phases``
     optionally accumulates per-phase wall time in ms (see
     :func:`repro.obs.trace.record_phase`) — the python kernel reports
-    ``adjacency``/``peel``, the array kernel ``gamma_core`` / ``peel``; :func:`peel_cvs` itself stays untouched
+    ``adjacency``/``peel``, the array kernel ``gamma_core`` / ``peel``;
+    :func:`peel_cvs` itself stays untouched
     (it is the differential-testing oracle).
     """
     from time import perf_counter

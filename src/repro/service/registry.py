@@ -279,8 +279,9 @@ class GraphRegistry:
         handle to an overlay generation that workers catch up to by
         replaying the delta chain — publishing a whole shared-memory
         segment per batch would defeat the overlay.  Only compaction
-        (which cuts the chain) additionally fires the build hooks.  The service layer registers its scoped cache
-        migration here.  Hooks are best-effort, like build hooks.
+        (which cuts the chain) additionally fires the build hooks.  The
+        service layer registers its scoped cache migration here.  Hooks
+        are best-effort, like build hooks.
         """
         with self._lock:
             self._mutation_hooks.append(hook)

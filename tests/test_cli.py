@@ -259,8 +259,9 @@ class TestServe:
         # Same version as before the failed load, so the cache answers.
         assert sum("localsearch-p[cold]" in line for line in lines) == 1
         assert sum("localsearch-p[cache]" in line for line in lines) == 1
-        assert any(line.strip().startswith("email: loaded v1") for line in lines)
-        assert not any(line.strip().startswith("x:") for line in lines)
+        listed = [line.strip() for line in lines]
+        assert any(line.startswith("email: loaded v1") for line in listed)
+        assert not any(line.startswith("x:") for line in listed)
 
     def test_max_cached_k_flag_accepted(self, edge_file):
         code, text = self.run_serve(

@@ -306,8 +306,10 @@ class TestCSRAdjacency:
         graph = random_graph(22)
         csr = graph.csr()
         clone = pickle.loads(pickle.dumps(csr))
-        for name in ("up_offsets", "up_targets", "down_offsets", "down_targets"):
-            assert getattr(clone, name) == getattr(csr, name)
+        assert clone.up_offsets == csr.up_offsets
+        assert clone.up_targets == csr.up_targets
+        assert clone.down_offsets == csr.down_offsets
+        assert clone.down_targets == csr.down_targets
         assert clone.num_edges == csr.num_edges
 
     def test_prefix_adjacency_matches_neighbor_lists(self):
