@@ -32,7 +32,6 @@ from .segment import (
     SegmentHandle,
     SegmentStore,
     attach_graph,
-    close_attachment,
     publish_graph,
     shared_memory_available,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "SegmentStore",
     "WorkerConfig",
     "attach_graph",
-    "close_attachment",
     "publish_graph",
     "shared_memory_available",
     "worker_main",

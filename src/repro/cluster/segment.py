@@ -17,7 +17,8 @@ the regions and rebuilds a
 :class:`~repro.graph.weighted_graph.WeightedGraph` via
 :meth:`~repro.graph.weighted_graph.WeightedGraph.from_csr`, which
 slices the windows into the graph's own rows: one copy per worker,
-read straight out of the mapping instead of through a pipe.
+read straight out of the mapping instead of through a pipe.  The
+worker's mapping is closed as soon as the rows are copied.
 
 Lifecycle is refcounted in the parent through :class:`SegmentStore`:
 one publish per ``(graph name, registry version)`` however many pools
@@ -49,7 +50,6 @@ __all__ = [
     "SegmentHandle",
     "SegmentStore",
     "attach_graph",
-    "close_attachment",
     "publish_graph",
     "shared_memory_available",
     "mp_start_method",
@@ -231,51 +231,31 @@ def _attach_untracked(name: str):
         resource_tracker.register = original
 
 
-def attach_graph(segment: SegmentHandle):
-    """Map ``segment`` and rebuild its graph over the shared buffers.
+def attach_graph(segment: SegmentHandle) -> WeightedGraph:
+    """Map ``segment``, rebuild its graph from the shared buffers, unmap.
 
-    Returns ``(graph, shm)``; the caller owns ``shm.close()`` (never
-    ``unlink`` — the publisher does that).  The graph holds its own
-    rows, so it outlives the mapping.
+    The graph holds its own rows, so the region windows are released
+    and the mapping closed (never unlinked — the publisher does that)
+    before this returns.
     """
     shm = _attach_untracked(segment.shm_name)
     try:
-        up_off, down_off, weights, up_tgt, down_tgt = segment.region_windows(
-            shm.buf
-        )
-        csr = CSRAdjacency(
-            segment.num_vertices, up_off, up_tgt, down_off, down_tgt
-        )
-        graph = WeightedGraph.from_csr(
-            csr,
-            weights,
-            list(segment.labels) if segment.labels is not None else None,
-        )
-    except BaseException:
+        windows = segment.region_windows(shm.buf)
+        try:
+            up_off, down_off, weights, up_tgt, down_tgt = windows
+            graph = WeightedGraph.from_csr(
+                CSRAdjacency(
+                    segment.num_vertices, up_off, up_tgt, down_off, down_tgt
+                ),
+                weights,
+                list(segment.labels) if segment.labels is not None else None,
+            )
+        finally:
+            for window in windows:
+                window.release()
+    finally:
         shm.close()
-        raise
-    return graph, shm
-
-
-#: Attach mappings whose windows are still exported at close time: they
-#: stay pinned until process exit (see :func:`close_attachment`).
-_pinned_attachments: List[object] = []
-
-
-def close_attachment(shm) -> None:
-    """Close an attach mapping, tolerating still-exported windows.
-
-    While a typed memoryview window into the mapping is still
-    referenced, ``mmap`` refuses to close with ``BufferError``.  That is
-    fine: the mapping dies with the process, and the segment *file*'s
-    lifetime belongs to the publisher's unlink, not to this close.  The
-    object is then pinned for the process's remaining lifetime so its
-    finalizer cannot re-raise the same error from the GC.
-    """
-    try:
-        shm.close()
-    except BufferError:
-        _pinned_attachments.append(shm)
+    return graph
 
 
 class SegmentStore:

@@ -59,7 +59,7 @@ from ..obs.trace import Tracer, use_span
 from ..service.cache import CacheKey, ProgressiveEntry, ResultCache, StaticEntry
 from ..service.engine import QueryEngine, progressive_cursor_factory
 from ..service.registry import GraphHandle
-from .segment import SegmentHandle, attach_graph, close_attachment
+from .segment import SegmentHandle, attach_graph
 
 __all__ = ["worker_main", "WorkerConfig"]
 
@@ -109,33 +109,18 @@ class _WorkerRegistry:
 
     def __init__(self) -> None:
         self._handles: Dict[str, GraphHandle] = {}
-        self._attachments: Dict[str, object] = {}  # name -> shm (if any)
 
-    def install(self, name: str, version: int, graph, shm=None) -> None:
-        self._close(self._attachments.pop(name, None))
+    def install(self, name: str, version: int, graph) -> None:
         self._handles[name] = GraphHandle(name, version, graph)
-        if shm is not None:
-            self._attachments[name] = shm
 
     def replace_graph(self, name: str, version: int, graph) -> None:
-        """Swap the handle to a delta-derived generation.
-
-        Unlike :meth:`install` the shared-memory attachment (if any)
-        stays as it is: the worker still serves that segment generation,
-        caught up by the replayed batches.
-        """
+        """Swap the handle to a delta-derived generation."""
         if name not in self._handles:
             raise UnknownGraphError(name, available=self._handles)
         self._handles[name] = GraphHandle(name, version, graph)
 
     def drop(self, name: str) -> None:
         self._handles.pop(name, None)
-        self._close(self._attachments.pop(name, None))
-
-    @staticmethod
-    def _close(shm) -> None:
-        if shm is not None:
-            close_attachment(shm)
 
     def get(self, name: str) -> GraphHandle:
         handle = self._handles.get(name)
@@ -145,11 +130,6 @@ class _WorkerRegistry:
 
     def names(self):
         return list(self._handles)
-
-    def close_all(self) -> None:
-        for name in list(self._attachments):
-            self.drop(name)
-        self._handles.clear()
 
 
 def _install_seed(
@@ -247,9 +227,8 @@ def worker_main(conn, config: WorkerConfig) -> None:
                         conn.send(("result", result, payload))
                 elif tag == "attach_shm":
                     segment: SegmentHandle = message[1]
-                    graph, shm = attach_graph(segment)
                     registry.install(
-                        segment.graph, segment.version, graph, shm
+                        segment.graph, segment.version, attach_graph(segment)
                     )
                     attaches += 1
                     conn.send(("ok", segment.graph))
@@ -304,5 +283,4 @@ def worker_main(conn, config: WorkerConfig) -> None:
             except Exception as exc:  # noqa: BLE001 — keep the worker alive
                 conn.send(("error", type(exc).__name__, str(exc)))
     finally:
-        registry.close_all()
         conn.close()

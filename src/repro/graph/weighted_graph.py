@@ -33,6 +33,7 @@ weights.
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left
 from typing import (
@@ -73,19 +74,22 @@ class LabelOrder:
     in the order and ``by_position[i]`` the label at place ``i``.  The
     positions are a permutation of ``0..n-1``, so any set of ranks
     sorts into member order as a plain int sort of its positions.
+    :meth:`json_tokens` maps a position to its label's JSON text, and
+    fills in one position at a time, on first lookup.
 
     A graph generation that keeps its parent's label list (an edge
     overlay, a compaction) shares the parent's instance, and with it
-    the key; only a new label list (a re-rank rebuild) builds a new
-    one.  Concurrent first calls may both build it; the results are
-    equal and one wins.
+    the key and the tokens; only a new label list (a re-rank rebuild)
+    builds a new one.  Concurrent first calls may both build either;
+    the results are equal and one wins.
     """
 
-    __slots__ = ("_labels", "_key")
+    __slots__ = ("_labels", "_key", "_tokens")
 
     def __init__(self, labels: Sequence[Hashable]) -> None:
         self._labels = labels
         self._key: Optional[Tuple[List[int], List[Hashable]]] = None
+        self._tokens: Optional[_JSONTokens] = None
 
     def key(self) -> Tuple[List[int], List[Hashable]]:
         key = self._key
@@ -100,6 +104,39 @@ class LabelOrder:
                 position[rank] = i
             key = self._key = (position, [labels[r] for r in order])
         return key
+
+    def json_tokens(self) -> Dict[int, str]:
+        """Position -> ``json.dumps(label, sort_keys=True, default=str)``.
+
+        A dict that encodes a position's label on its first lookup
+        (``tokens[i]``; ``get`` and ``in`` see only filled positions),
+        so it holds the labels that answers have listed, not the graph.
+        """
+        tokens = self._tokens
+        if tokens is None:
+            tokens = self._tokens = _JSONTokens(self.key()[1])
+        return tokens
+
+
+#: ``json.dumps(..., sort_keys=True, default=str)`` without building an
+#: encoder per call; ``encode`` keeps no state between calls.
+_LABEL_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
+class _JSONTokens(dict):
+    """The fill-on-lookup dict behind :meth:`LabelOrder.json_tokens`."""
+
+    __slots__ = ("_by_position",)
+
+    def __init__(self, by_position: List[Hashable]) -> None:
+        super().__init__()
+        self._by_position = by_position
+
+    def __missing__(self, position: int) -> str:
+        token = self[position] = _LABEL_ENCODER.encode(
+            self._by_position[position]
+        )
+        return token
 
 
 class WeightedGraph:

@@ -23,9 +23,8 @@ by graph name (stable CRC32 hash), so
   is steered to the idle twin instead (counted in
   ``ServiceMetrics.replica_idle_dispatches``) — a hot family never
   queues behind a busy replica while another idles.  Replicas share the
-  one graph object, and with it the one immutable
-  :class:`~repro.graph.csr.CSRAdjacency` the peel kernels run on —
-  replication adds workers, not memory.
+  one immutable graph object, whose own ``N>=``/``N<`` rows the peel
+  kernels read — replication adds workers, not memory.
 
 Shards are *threads*: they keep the loop responsive but are GIL-bound
 for concurrent CPU-heavy peels.  For true multi-core execution

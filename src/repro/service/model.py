@@ -15,6 +15,7 @@ bytes* as a fresh query.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -28,6 +29,21 @@ __all__ = [
     "ALGORITHMS",
     "AUTO",
 ]
+
+#: The wire encoder: ``json.dumps(..., sort_keys=True, default=str)``
+#: without building a new encoder per call (``encode`` is stateless).
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
+def _json_number(value: Any) -> str:
+    """``_ENCODER.encode(value)``, by json's own writer for a plain
+    finite float (``float.__repr__``) or int (``int.__repr__``)."""
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    return _ENCODER.encode(value)
 
 
 @dataclass(frozen=True)
@@ -81,7 +97,8 @@ class CommunityView:
     # instance ``__dict__`` beside the fields, outside equality, hashing
     # and repr (which read fields only) and outside pickling (see
     # ``__getstate__``).  No lock: renderers racing on a fresh view each
-    # store the same text, and a single dict store is atomic.
+    # store the same text, and a single dict store is atomic.  A view
+    # made by a ForestProjector arrives with its JSON memo filled.
 
     def json_fragment(self, include_members: bool = True) -> str:
         """``json.dumps(self.to_dict(include_members), sort_keys=True,
@@ -89,8 +106,8 @@ class CommunityView:
         slot = _JSON_MEMBERS if include_members else _JSON_BARE
         text = self.__dict__.get(slot)
         if text is None:
-            text = self.__dict__[slot] = json.dumps(
-                self.to_dict(include_members), sort_keys=True, default=str
+            text = self.__dict__[slot] = _ENCODER.encode(
+                self.to_dict(include_members)
             )
         return text
 
@@ -159,6 +176,11 @@ class ForestProjector:
     and merging in its children's lists: timsort merges the
     already-sorted runs.  Nothing is re-walked or re-stringified.
 
+    Each view leaves with its :meth:`CommunityView.json_fragment` memo
+    filled: the member list is the sorted positions' label tokens
+    (:meth:`~repro.graph.weighted_graph.LabelOrder.json_tokens`) joined,
+    so no member is encoded twice while the label order lives.
+
     A child's list is handed to its parent, which is the child's only
     parent, so the memo holds only the roots projected so far: pairwise
     disjoint communities, at most one entry per graph vertex.  A child
@@ -178,7 +200,8 @@ class ForestProjector:
         self._sorted: Dict[Any, List[int]] = {}
 
     def view(self, community: Any) -> CommunityView:
-        position, by_position = community.graph.label_order().key()
+        order = community.graph.label_order()
+        position, by_position = order.key()
         if isinstance(community, Community):
             at = position.__getitem__
             merged = list(map(at, community.own_vertices))
@@ -192,12 +215,21 @@ class ForestProjector:
             memo[community] = merged
         else:
             merged = sorted(map(position.__getitem__, community.vertex_ranks))
-        return CommunityView(
+        view = CommunityView(
             keynode=community.keynode_label,
             influence=community.influence,
             size=community.num_vertices,
             members=tuple(map(by_position.__getitem__, merged)),
         )
+        tokens = order.json_tokens()
+        # json_fragment(True), keys in sorted order.
+        view.__dict__[_JSON_MEMBERS] = (
+            f'{{"influence": {_json_number(view.influence)}, '
+            f'"keynode": {tokens[position[community.keynode]]}, '
+            f'"members": [{", ".join(map(tokens.__getitem__, merged))}], '
+            f'"size": {_json_number(view.size)}}}'
+        )
+        return view
 
 
 @dataclass(frozen=True)
@@ -280,11 +312,11 @@ class QueryResult:
         with ``"algorithm"`` then ``"communities"``; the rest follow.
         """
         scalars = self._scalars()
-        algorithm = json.dumps(scalars.pop("algorithm"), default=str)
+        algorithm = _ENCODER.encode(scalars.pop("algorithm"))
         communities = ", ".join(
             v.json_fragment(include_members) for v in self.communities
         )
-        rest = json.dumps(scalars, sort_keys=True, default=str)
+        rest = _ENCODER.encode(scalars)
         return (
             f'{{"algorithm": {algorithm}, '
             f'"communities": [{communities}], {rest[1:]}'

@@ -15,11 +15,11 @@ import pickle
 import pytest
 
 from repro.api.spec import QuerySpec
+from repro.cluster import segment as segment_module
 from repro.cluster import (
     ClusterPool,
     SegmentStore,
     attach_graph,
-    close_attachment,
     publish_graph,
     shared_memory_available,
 )
@@ -63,34 +63,41 @@ def _registry_with(graph: WeightedGraph, name: str = "g") -> GraphRegistry:
 # publish / attach round trip
 # ----------------------------------------------------------------------
 @needs_shm
-def test_publish_attach_round_trip_is_byte_identical():
+def test_publish_attach_round_trip_is_byte_identical(monkeypatch):
     graph = _seeded_graph(1)
     handle = GraphHandle("g", 1, graph)
     segment, shm = publish_graph(handle)
+    opened = []
+
+    def record(name, _attach=segment_module._attach_untracked):
+        opened.append(_attach(name))
+        return opened[-1]
+
+    monkeypatch.setattr(segment_module, "_attach_untracked", record)
     try:
-        attached, attached_shm = attach_graph(segment)
-        try:
-            assert attached.num_vertices == graph.num_vertices
-            assert attached.num_edges == graph.num_edges
-            csr, acsr = graph.csr(), attached.csr()
-            assert bytes(memoryview(csr.up_targets)) == bytes(
-                memoryview(acsr.up_targets)
-            )
-            assert bytes(memoryview(csr.down_offsets)) == bytes(
-                memoryview(acsr.down_offsets)
-            )
-            for u in range(graph.num_vertices):
-                assert graph.neighbors_up(u) == attached.neighbors_up(u)
-                assert graph.neighbors_down(u) == attached.neighbors_down(u)
-                assert graph.weight(u) == attached.weight(u)
-                assert graph.label(u) == attached.label(u)
-        finally:
-            # The attached graph's CSR windows pin the mapping; the
-            # tolerant close is the supported way to let go of it.
-            close_attachment(attached_shm)
+        attached = attach_graph(segment)
+        # The graph holds its own rows: the worker's mapping is closed
+        # before attach_graph returns.
+        (attached_shm,) = opened
+        assert attached_shm.buf is None
     finally:
         shm.close()
         shm.unlink()
+    # ... and the graph outlives the segment itself.
+    assert attached.num_vertices == graph.num_vertices
+    assert attached.num_edges == graph.num_edges
+    csr, acsr = graph.csr(), attached.csr()
+    assert bytes(memoryview(csr.up_targets)) == bytes(
+        memoryview(acsr.up_targets)
+    )
+    assert bytes(memoryview(csr.down_offsets)) == bytes(
+        memoryview(acsr.down_offsets)
+    )
+    for u in range(graph.num_vertices):
+        assert graph.neighbors_up(u) == attached.neighbors_up(u)
+        assert graph.neighbors_down(u) == attached.neighbors_down(u)
+        assert graph.weight(u) == attached.weight(u)
+        assert graph.label(u) == attached.label(u)
 
 
 @needs_shm

@@ -7,12 +7,16 @@ member lists.  :meth:`CommunityView.from_community` is the reference:
 it walks the whole community and sorts by ``str``.  These tests drive
 every serving path over graphs whose labels sort differently under
 ``str`` than by rank or by value (``9 < 10 < 100`` but
-``"10" < "100" < "9"``; strings; tuples; ``1`` beside ``"1"``) and
-require equal views and byte-identical ``QueryResult.to_json``.
+``"10" < "100" < "9"``; strings, some needing JSON escapes; large and
+negative ints; tuples; ``1`` beside ``"1"``) and require equal views.
+A projected view carries its JSON fragment, joined from per-label
+tokens, so every view's fragment and every ``QueryResult.to_json`` must
+also equal the plain ``json.dumps`` encoding.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -36,6 +40,17 @@ LABELS = st.one_of(
     st.integers(0, 300),
     st.text("ab19", min_size=1, max_size=3),
     st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    # JSON escapes: quote, backslash, control characters, non-ASCII
+    # (escaped as \uXXXX, astral planes as surrogate pairs).
+    st.text(
+        st.sampled_from(
+            ['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", "漢", "\U0001f600", "1"]
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from([-1, -100, 2**31, -(2**63), 10**30, -(10**40)]),
+    st.integers(-(2**70), 2**70),
 )
 
 COMMON = dict(max_examples=40, deadline=None)
@@ -77,8 +92,15 @@ def _reference(graph: WeightedGraph, gamma: int):
     return [CommunityView.from_community(c) for c in communities]
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, default=str)
+
+
 def _assert_served(result, expected) -> None:
     assert list(result.communities) == list(expected)
+    for view in result.communities:
+        assert view.json_fragment(True) == _dumps(view.to_dict(True))
+    assert result.to_json() == _dumps(result.to_dict())
     fresh = replace(result, communities=tuple(expected))
     assert result.to_json() == fresh.to_json()
 
@@ -254,23 +276,74 @@ def test_label_order_key_is_shared_until_a_rerank():
     base = registry.get("g").graph
     registry.apply("g", [("delete", 3, 9)])
     overlay = registry.get("g").graph
-    # Built after the overlay was cut, the key is still one object.
+    # Built after the overlay was cut, the key and the tokens are still
+    # one object each.
     key = overlay.label_order().key()
+    tokens = overlay.label_order().json_tokens()
     assert overlay is not base
     assert base.label_order().key() is key
+    assert base.label_order().json_tokens() is tokens
     registry.compact("g")
     compacted = registry.get("g").graph
     assert compacted is overlay  # compaction keeps the graph
     assert compacted.label_order().key() is key
+    assert compacted.label_order().json_tokens() is tokens
     registry.apply("g", [("reweight", 3, 50.0)])  # rank 5 -> rank 0
     reranked = registry.get("g").graph
     assert reranked.label(0) == 3
     assert reranked.label_order().key() is not key
+    assert reranked.label_order().json_tokens() is not tokens
     position, by_position = reranked.label_order().key()
     assert by_position == sorted(by_position, key=str)
     assert [by_position[position[r]] for r in range(6)] == [
         reranked.label(r) for r in range(6)
     ]
+
+
+def test_label_tokens_fill_one_position_at_a_time():
+    graph = _small_graph()
+    order = graph.label_order()
+    tokens = order.json_tokens()
+    _, by_position = order.key()
+    assert len(tokens) == 0  # nothing is encoded up front
+    # Projecting the top γ=2 community, the triangle {9, 10, 100},
+    # encodes its members and nothing else.
+    view = ForestProjector().view(
+        LocalSearchP(graph, gamma=2).run(1).communities[0]
+    )
+    assert sorted(tokens) == sorted(map(by_position.index, view.members))
+    assert all(tokens[i] == _dumps(by_position[i]) for i in tokens)
+    # Looking a position up fills it; get() and in do not.
+    last = len(by_position) - 1
+    assert last not in tokens and tokens.get(last) is None
+    assert tokens[last] == _dumps(by_position[last]) and last in tokens
+
+
+def test_projected_fragments_match_json_dumps_for_any_scalar_type():
+    """Int, bool and float-subclass weights and labels take the encoder
+    wherever json's writer differs from ``repr``."""
+
+    class Weight(float):
+        def __repr__(self):
+            return "Weight()"
+
+    labels = [True, "é\"", -(2**80), None, 2.5, (1, "\x00")]
+    weight_lists = (
+        [60, 50, 40, 30, 20, 10],
+        [Weight(6 - rank) for rank in range(6)],
+        [6.5, 5.25, 4.0, 1e-300, -2.0, -1e300],
+    )
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (1, 5)]
+    adj_up = [sorted(u for u, v in edges if v == r) for r in range(6)]
+    adj_down = [sorted(v for u, v in edges if u == r) for r in range(6)]
+    for weights in weight_lists:
+        graph = WeightedGraph(weights, adj_up, adj_down, labels)
+        communities = LocalSearchP(graph, gamma=1).run().communities
+        projector = ForestProjector()
+        for community in communities:
+            view = projector.view(community)
+            assert view == CommunityView.from_community(community)
+            assert view.json_fragment(True) == _dumps(view.to_dict(True))
 
 
 def test_projector_memo_holds_only_unparented_communities():

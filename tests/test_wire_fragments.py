@@ -40,7 +40,9 @@ from repro.service import (
     ServiceShell,
     SessionManager,
 )
-from repro.service.model import CommunityView, QueryResult
+from repro.core.progressive import LocalSearchP
+from repro.graph.weighted_graph import WeightedGraph
+from repro.service.model import CommunityView, ForestProjector, QueryResult
 from repro.service.shell import parse_mutation_ops
 
 
@@ -101,6 +103,32 @@ def views(draw):
         size=draw(st.integers(0, 10**6)),
         members=members,
     )
+
+
+@st.composite
+def projected_views(draw):
+    """A view from a :class:`ForestProjector`: its JSON memo is filled."""
+    labels = draw(st.lists(_labels, min_size=2, max_size=6, unique=True))
+    n = len(labels)
+    edges = draw(
+        st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda e: e[0] < e[1]),
+            min_size=1,
+        )
+    )
+    graph = WeightedGraph(
+        [float(n - rank) for rank in range(n)],
+        [sorted(u for u, v in edges if v == r) for r in range(n)],
+        [sorted(v for u, v in edges if u == r) for r in range(n)],
+        labels,
+    )
+    communities = LocalSearchP(graph, gamma=1).run().communities
+    projector = ForestProjector()
+    views_list = [projector.view(c) for c in communities]
+    view = draw(st.sampled_from(views_list))
+    assert "_json_members" in vars(view)
+    return view
 
 
 @st.composite
@@ -211,10 +239,17 @@ def _render_every_way(view):
 
 
 @settings(max_examples=100, deadline=None)
-@given(view=views().filter(lambda v: not math.isnan(v.influence)))
+@given(
+    view=st.one_of(
+        views().filter(lambda v: not math.isnan(v.influence)),
+        projected_views(),
+    )
+)
 def test_rendering_leaves_identity_unchanged(view):
+    # A projected view arrives rendered; its twin is built from fields.
     twin = CommunityView(view.keynode, view.influence, view.size, view.members)
-    before = (hash(view), repr(view), pickle.dumps(view))
+    before = (hash(twin), repr(twin), pickle.dumps(twin))
+    assert (hash(view), repr(view), pickle.dumps(view)) == before
     _render_every_way(view)
     assert view == twin and twin == view
     assert (hash(view), repr(view), pickle.dumps(view)) == before
