@@ -9,8 +9,9 @@ CSR layer (contiguous, immutable, picklable buffers):
 * :mod:`~repro.cluster.segment` — publish a registered graph's CSR
   buffers + weights into one ``multiprocessing.shared_memory`` segment
   (refcounted, version-tagged by the
-  :class:`~repro.service.registry.GraphRegistry`), attach zero-copy in
-  workers, pickle-per-worker fallback where shared memory is missing;
+  :class:`~repro.service.registry.GraphRegistry`), which each worker
+  copies into its graph's rows at attach and then unmaps;
+  pickle-per-worker fallback where shared memory is missing;
 * :mod:`~repro.cluster.worker` — long-lived worker processes owning the
   per-:class:`~repro.api.spec.FamilyKey` progressive cursor state (a
   worker-local engine + result cache), executing QuerySpec jobs

@@ -75,7 +75,6 @@ class _Worker:
         "conn",
         "lock",
         "attached",
-        "segments",
         "families",
         "depth",
         "dispatches",
@@ -88,13 +87,6 @@ class _Worker:
         self.conn = None
         self.lock = threading.Lock()
         self.attached: Dict[str, int] = {}  # graph name -> attached version
-        #: graph name -> version of the *segment* this worker holds a
-        #: store reference under.  Diverges from ``attached`` after a
-        #: delta catch-up (the worker serves a newer logical version
-        #: over the same mapped segment), so releases must key off this
-        #: — releasing ``attached``'s version would leak the mapped
-        #: segment and unlink one that is still in use.
-        self.segments: Dict[str, int] = {}
         #: Families this worker is believed to hold cursor state for,
         #: LRU-ordered.  Bounded by the pool to the worker's own cache
         #: size: once the worker's LRU would have evicted a family, the
@@ -389,7 +381,6 @@ class ClusterPool:
         worker.process = process
         worker.conn = parent_conn
         worker.attached = {}
-        worker.segments = {}
         worker.families = OrderedDict()
 
     def warm(self, graph: str) -> None:
@@ -422,12 +413,6 @@ class ClusterPool:
             if process.is_alive():  # pragma: no cover - stubborn child
                 process.kill()
                 process.join(timeout=2.0)
-        if self.use_shared_memory:
-            # The dead worker's segment references die with it.  Keyed
-            # off ``segments``, not ``attached``: after a delta catch-up
-            # the logical version is newer than the mapped segment's.
-            for name, version in worker.segments.items():
-                self.store.release(name, version)
         worker.restarts += 1
         if self.metrics is not None:
             self.metrics.observe_worker_restart()
@@ -749,8 +734,9 @@ class ClusterPool:
                 return current[1]
             segment = self.store.acquire(handle)
             if current is not None:
-                # A reload superseded the old version; our reference to
-                # it goes, and the store unlinks once workers detach.
+                # A reload superseded the old version: its one reference
+                # goes, so the store unlinks it (workers hold copied
+                # rows, not mappings).
                 self.store.release(handle.name, current[0])
             self._published[handle.name] = (handle.version, segment)
             return segment
@@ -775,18 +761,15 @@ class ClusterPool:
             # a gap) or the worker rejected the replay: fall through to
             # a full re-attach of the flat generation.
         if self.use_shared_memory:
-            segment = self._segment_for(handle)
-            self.store.acquire(handle)  # the worker's own reference
-            try:
-                reply = self._roundtrip(
-                    worker, ("attach_shm", segment), timeout=self.job_timeout
-                )
-            except BaseException:
-                # The attach never registered with the worker, so the
-                # restart path would not release this reference; undo it
-                # here or the refcount can never reach zero.
-                self.store.release(handle.name, handle.version)
-                raise
+            # The worker copies the rows and closes its mapping before
+            # it answers, so it holds no segment reference: the
+            # publisher's own, in ``_published``, keeps the segment
+            # linked through this round trip.
+            reply = self._roundtrip(
+                worker,
+                ("attach_shm", self._segment_for(handle)),
+                timeout=self.job_timeout,
+            )
             mode = "shm"
         else:
             reply = self._roundtrip(
@@ -796,25 +779,14 @@ class ClusterPool:
             )
             mode = "pickle"
         if reply[0] == "error":
-            if self.use_shared_memory:
-                self.store.release(handle.name, handle.version)
             raise ClusterWorkerError(worker.tag, reply[1], reply[2])
         if attached is not None:
-            if self.use_shared_memory:
-                # Release the segment the worker actually held a
-                # reference under — after delta catch-ups that is older
-                # than ``attached`` itself.
-                stale_segment = worker.segments.get(handle.name)
-                if stale_segment is not None:
-                    self.store.release(handle.name, stale_segment)
             # Cursor state for the old version went with the re-attach;
             # the graph's families must be re-seeded on next dispatch.
             worker.families = OrderedDict(
                 (f, True) for f in worker.families if f.graph != handle.name
             )
         worker.attached[handle.name] = handle.version
-        if self.use_shared_memory:
-            worker.segments[handle.name] = handle.version
         if self.metrics is not None:
             self.metrics.observe_segment_attach(mode)
 
@@ -826,9 +798,7 @@ class ClusterPool:
 
         The worker replays the batches over its installed generation —
         O(touched rows) per worker, no segment publication, no full
-        graph pickle — and keeps its shared-memory mapping open (the
-        overlay's untouched rows still alias the segment buffers, which
-        is why ``worker.segments`` is *not* advanced here).
+        graph pickle.
         """
         delta_chain = getattr(self.registry, "delta_chain", None)
         if delta_chain is None:

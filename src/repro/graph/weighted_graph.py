@@ -118,9 +118,11 @@ class LabelOrder:
         return tokens
 
 
-#: ``json.dumps(..., sort_keys=True, default=str)`` without building an
-#: encoder per call; ``encode`` keeps no state between calls.
-_LABEL_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+#: The wire's JSON: ``json.dumps(..., sort_keys=True, default=str)``
+#: without building an encoder per call (``encode`` keeps no state
+#: between calls).  Label tokens and the service's wire text both
+#: encode through this one instance.
+JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
 
 class _JSONTokens(dict):
@@ -133,7 +135,7 @@ class _JSONTokens(dict):
         self._by_position = by_position
 
     def __missing__(self, position: int) -> str:
-        token = self[position] = _LABEL_ENCODER.encode(
+        token = self[position] = JSON_ENCODER.encode(
             self._by_position[position]
         )
         return token

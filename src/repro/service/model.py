@@ -14,13 +14,13 @@ bytes* as a fresh query.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..api.spec import ALGORITHMS, AUTO, QuerySpec
 from ..core.community import Community
+from ..graph.weighted_graph import JSON_ENCODER
 
 __all__ = [
     "CommunityView",
@@ -30,20 +30,16 @@ __all__ = [
     "AUTO",
 ]
 
-#: The wire encoder: ``json.dumps(..., sort_keys=True, default=str)``
-#: without building a new encoder per call (``encode`` is stateless).
-_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
-
 
 def _json_number(value: Any) -> str:
-    """``_ENCODER.encode(value)``, by json's own writer for a plain
+    """``JSON_ENCODER.encode(value)``, by json's own writer for a plain
     finite float (``float.__repr__``) or int (``int.__repr__``)."""
     kind = type(value)
     if kind is float and math.isfinite(value):
         return float.__repr__(value)
     if kind is int:
         return int.__repr__(value)
-    return _ENCODER.encode(value)
+    return JSON_ENCODER.encode(value)
 
 
 @dataclass(frozen=True)
@@ -98,17 +94,33 @@ class CommunityView:
     # and repr (which read fields only) and outside pickling (see
     # ``__getstate__``).  No lock: renderers racing on a fresh view each
     # store the same text, and a single dict store is atomic.  A view
-    # made by a ForestProjector arrives with its JSON memo filled.
+    # made by a ForestProjector also carries its members' label tokens
+    # and sorted positions until its JSON with members is first
+    # rendered, which joins them instead of encoding every member.
 
     def json_fragment(self, include_members: bool = True) -> str:
         """``json.dumps(self.to_dict(include_members), sort_keys=True,
         default=str)``, rendered once per ``include_members`` variant."""
         slot = _JSON_MEMBERS if include_members else _JSON_BARE
-        text = self.__dict__.get(slot)
+        state = self.__dict__
+        text = state.get(slot)
         if text is None:
-            text = self.__dict__[slot] = _ENCODER.encode(
-                self.to_dict(include_members)
-            )
+            joined = state.get(_JSON_TOKENS) if include_members else None
+            if joined is None:
+                text = JSON_ENCODER.encode(self.to_dict(include_members))
+            else:
+                tokens, keynode, merged = joined
+                members = ", ".join(map(tokens.__getitem__, merged))
+                # The to_dict keys in sorted order.
+                text = (
+                    f'{{"influence": {_json_number(self.influence)}, '
+                    f'"keynode": {tokens[keynode]}, '
+                    f'"members": [{members}], '
+                    f'"size": {_json_number(self.size)}}}'
+                )
+            state[slot] = text
+            if joined is not None:
+                state.pop(_JSON_TOKENS, None)
         return text
 
     def text_head(self) -> str:
@@ -160,6 +172,9 @@ _FIELD_NAMES = tuple(f.name for f in fields(CommunityView))
 # Memo keys in a view's ``__dict__``, one per rendering.
 _JSON_MEMBERS = "_json_members"
 _JSON_BARE = "_json_bare"
+# (tokens, keynode position, sorted member positions) of a projected
+# view, until its members JSON is rendered.
+_JSON_TOKENS = "_json_tokens"
 _TEXT_HEAD = "_text_head"
 _TEXT_MEMBERS = "_text_members"
 
@@ -176,10 +191,13 @@ class ForestProjector:
     and merging in its children's lists: timsort merges the
     already-sorted runs.  Nothing is re-walked or re-stringified.
 
-    Each view leaves with its :meth:`CommunityView.json_fragment` memo
-    filled: the member list is the sorted positions' label tokens
-    (:meth:`~repro.graph.weighted_graph.LabelOrder.json_tokens`) joined,
-    so no member is encoded twice while the label order lives.
+    Each view keeps its sorted positions and the label order's
+    :meth:`~repro.graph.weighted_graph.LabelOrder.json_tokens` until its
+    :meth:`CommunityView.json_fragment` with members is first asked
+    for, which joins the positions' tokens: no member is encoded twice
+    while the label order lives, and traffic that never asks for that
+    fragment (text, JSON without members, a cluster worker's pickled
+    result) encodes nothing.
 
     A child's list is handed to its parent, which is the child's only
     parent, so the memo holds only the roots projected so far: pairwise
@@ -221,13 +239,10 @@ class ForestProjector:
             size=community.num_vertices,
             members=tuple(map(by_position.__getitem__, merged)),
         )
-        tokens = order.json_tokens()
-        # json_fragment(True), keys in sorted order.
-        view.__dict__[_JSON_MEMBERS] = (
-            f'{{"influence": {_json_number(view.influence)}, '
-            f'"keynode": {tokens[position[community.keynode]]}, '
-            f'"members": [{", ".join(map(tokens.__getitem__, merged))}], '
-            f'"size": {_json_number(view.size)}}}'
+        view.__dict__[_JSON_TOKENS] = (
+            order.json_tokens(),
+            position[community.keynode],
+            merged,
         )
         return view
 
@@ -312,11 +327,11 @@ class QueryResult:
         with ``"algorithm"`` then ``"communities"``; the rest follow.
         """
         scalars = self._scalars()
-        algorithm = _ENCODER.encode(scalars.pop("algorithm"))
+        algorithm = JSON_ENCODER.encode(scalars.pop("algorithm"))
         communities = ", ".join(
             v.json_fragment(include_members) for v in self.communities
         )
-        rest = _ENCODER.encode(scalars)
+        rest = JSON_ENCODER.encode(scalars)
         return (
             f'{{"algorithm": {algorithm}, '
             f'"communities": [{communities}], {rest[1:]}'

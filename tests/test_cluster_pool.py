@@ -210,6 +210,25 @@ def test_graph_reload_reattaches_new_version():
         pool.shutdown()
 
 
+@needs_mp
+def test_reload_unlinks_the_superseded_segment_at_once():
+    registry, cache, metrics, engine = _stack()
+    pool = ClusterPool(2, registry, cache=cache, metrics=metrics)
+    if not pool.use_shared_memory:
+        pool.shutdown()
+        pytest.skip("shared memory unavailable")
+    try:
+        pool.warm("g")  # both workers attach version 1
+        assert [s.version for s in pool.store.published()] == [1]
+        registry.reload("g")
+        pool.execute(engine, QuerySpec(graph="g", gamma=3, k=4))
+        # One worker re-attached; the other never mapped version 1
+        # past its attach, so nothing keeps it linked.
+        assert [s.version for s in pool.store.published()] == [2]
+    finally:
+        pool.shutdown()
+
+
 # ----------------------------------------------------------------------
 # warm start under the process backend
 # ----------------------------------------------------------------------

@@ -9,9 +9,9 @@ every serving path over graphs whose labels sort differently under
 ``str`` than by rank or by value (``9 < 10 < 100`` but
 ``"10" < "100" < "9"``; strings, some needing JSON escapes; large and
 negative ints; tuples; ``1`` beside ``"1"``) and require equal views.
-A projected view carries its JSON fragment, joined from per-label
-tokens, so every view's fragment and every ``QueryResult.to_json`` must
-also equal the plain ``json.dumps`` encoding.
+A projected view joins its JSON fragment from per-label tokens, so
+every view's fragment and every ``QueryResult.to_json`` must also
+equal the plain ``json.dumps`` encoding.
 """
 
 from __future__ import annotations
@@ -307,10 +307,16 @@ def test_label_tokens_fill_one_position_at_a_time():
     _, by_position = order.key()
     assert len(tokens) == 0  # nothing is encoded up front
     # Projecting the top γ=2 community, the triangle {9, 10, 100},
-    # encodes its members and nothing else.
+    # encodes nothing: text and member-less JSON never need tokens.
     view = ForestProjector().view(
         LocalSearchP(graph, gamma=2).run(1).communities[0]
     )
+    view.text_members()
+    assert view.json_fragment(False) == _dumps(view.to_dict(False))
+    assert len(tokens) == 0
+    # Its JSON with members encodes its members and nothing else, once.
+    assert view.json_fragment(True) == _dumps(view.to_dict(True))
+    assert "_json_tokens" not in vars(view)
     assert sorted(tokens) == sorted(map(by_position.index, view.members))
     assert all(tokens[i] == _dumps(by_position[i]) for i in tokens)
     # Looking a position up fills it; get() and in do not.

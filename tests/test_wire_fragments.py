@@ -107,7 +107,8 @@ def views(draw):
 
 @st.composite
 def projected_views(draw):
-    """A view from a :class:`ForestProjector`: its JSON memo is filled."""
+    """A view from a :class:`ForestProjector`, carrying its label
+    tokens and member positions but no rendered text yet."""
     labels = draw(st.lists(_labels, min_size=2, max_size=6, unique=True))
     n = len(labels)
     edges = draw(
@@ -127,7 +128,8 @@ def projected_views(draw):
     projector = ForestProjector()
     views_list = [projector.view(c) for c in communities]
     view = draw(st.sampled_from(views_list))
-    assert "_json_members" in vars(view)
+    assert "_json_tokens" in vars(view)
+    assert "_json_members" not in vars(view)
     return view
 
 
@@ -246,7 +248,8 @@ def _render_every_way(view):
     )
 )
 def test_rendering_leaves_identity_unchanged(view):
-    # A projected view arrives rendered; its twin is built from fields.
+    # A projected view arrives with its tokens; its twin, built from the
+    # fields, has none.
     twin = CommunityView(view.keynode, view.influence, view.size, view.members)
     before = (hash(twin), repr(twin), pickle.dumps(twin))
     assert (hash(view), repr(view), pickle.dumps(view)) == before
