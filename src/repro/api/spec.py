@@ -138,11 +138,13 @@ class QuerySpec:
         Response rendering over the wire: ``text`` lines or one
         ``json`` document.  Not part of the query identity.
     tenant:
-        Optional caller identity for per-tenant admission control.
-        Absent by default and **never** emitted on the wire when unset,
-        so pre-tenant recorded exchanges stay byte-identical.  Like
-        ``k``/``mode`` it is not part of the query identity: two
-        tenants asking for the same family share one cache entry.
+        Optional caller identity, accepted and validated on the wire
+        for v1 clients that send it; the server attaches no behaviour
+        to it.  Absent by default and **never** emitted on the wire
+        when unset, so pre-tenant recorded exchanges stay
+        byte-identical.  Like ``k``/``mode`` it is not part of the
+        query identity: two tenants asking for the same family share
+        one cache entry.
     """
 
     graph: str

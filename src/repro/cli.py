@@ -187,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--replicate", metavar="GRAPH=COPIES", action="append", default=None,
         help="replicate a hot graph across COPIES shards "
-             "(network mode only; repeatable; with --adaptive this is "
-             "only the INITIAL replication — the controller retunes it)",
+             "(network mode only; repeatable)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=None,
@@ -198,18 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-window-ms", type=float, default=None,
         help="collection pause before flushing a query batch (network "
-             "mode only; default 0: coalesce only under load; with "
-             "--adaptive this is only the INITIAL window — the "
-             "controller retunes it)",
-    )
-    serve.add_argument(
-        "--adaptive", action="store_true",
-        help="run the adaptive control plane: a periodic controller "
-             "retunes the batch window, replication, and family "
-             "placement from windowed metrics, and saturation "
-             "backpressure rejects work (429) when the queue floods "
-             "(network mode only; --batch-window-ms/--replicate become "
-             "initial values)",
+             "mode only; default 0: coalesce only under load)",
     )
     serve.add_argument(
         "--warmstart", metavar="FILE", default=None,
@@ -446,7 +434,6 @@ def _run_serve(args: argparse.Namespace, out, in_stream) -> int:
             ("--replicate", args.replicate),
             ("--max-batch", args.max_batch),
             ("--batch-window-ms", args.batch_window_ms),
-            ("--adaptive", args.adaptive or None),
         )
         if value is not None
     ]
@@ -472,7 +459,6 @@ def _run_serve(args: argparse.Namespace, out, in_stream) -> int:
                 if args.batch_window_ms is not None
                 else 0.0
             ),
-            adaptive=args.adaptive,
             warmstart_path=args.warmstart,
             warmstart_interval=args.warmstart_interval,
             preload_datasets=not args.no_datasets,

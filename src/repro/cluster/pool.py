@@ -57,7 +57,7 @@ from ..service.cache import (
     StaticEntry,
 )
 from ..service.engine import QueryEngine, progressive_cursor_factory
-from ..service.metrics import ServiceMetrics, family_label
+from ..service.metrics import ServiceMetrics
 from ..service.model import QueryResult
 from ..service.registry import GraphHandle, GraphRegistry
 from .segment import SegmentHandle, SegmentStore, mp_start_method, shared_memory_available
@@ -184,13 +184,6 @@ class ClusterPool:
         self._started = False
         self._shut_down = False
         self._hook_registered = False
-        #: Optional callback fired after a dead/wedged worker has been
-        #: replaced, with the worker index.  ``None`` (the default)
-        #: keeps the historical behaviour: placements survive restarts
-        #: and the re-seed sends every family straight back to the same
-        #: index.  The adaptive controller installs a hook that routes
-        #: the restart through its placement policy instead.
-        self.placement_hook = None
         for name, copies in dict(replication or {}).items():
             self.replicate(name, copies)
 
@@ -210,94 +203,6 @@ class ClusterPool:
                 f"replication for {graph!r} must be in [1, {self.num_shards}]"
             )
         self._replication[graph] = copies
-
-    def replication_of(self, graph: str) -> int:
-        return self._replication.get(graph, 1)
-
-    def replication_map(self) -> Dict[str, int]:
-        """The explicit replication table (graphs at 1 copy are elided)."""
-        with self._route_lock:
-            return dict(self._replication)
-
-    def add_replica(self, graph: str) -> int:
-        """Widen ``graph``'s candidate fan-out by one worker.
-
-        Affects *first placements* only: families already stuck to a
-        worker keep their cursor where it lives.  The controller pairs
-        this with :meth:`reassign_family` when existing placements are
-        the problem, not just future ones.
-        """
-        with self._route_lock:
-            copies = min(self._replication.get(graph, 1) + 1, self.num_shards)
-            self._replication[graph] = copies
-            return copies
-
-    def remove_replica(self, graph: str) -> int:
-        """Shrink ``graph``'s candidate fan-out by one worker.
-
-        Drain-before-remove: the worker process itself stays up (it may
-        hold other graphs' cursors), so in-flight jobs finish normally.
-        Families of ``graph`` stuck *outside* the narrowed candidate set
-        are un-stuck here; their next dispatch re-places them among the
-        remaining candidates and the parent-mirror seed resumes the
-        cursor warm instead of re-peeling.
-        """
-        with self._route_lock:
-            copies = max(1, self._replication.get(graph, 1) - 1)
-            self._replication[graph] = copies
-            for family in [
-                f for f in self._family_worker if f.graph == graph
-            ]:
-                base = self.home_worker(family)
-                kept = {
-                    (base + i) % self.num_shards for i in range(copies)
-                }
-                if self._family_worker[family] not in kept:
-                    del self._family_worker[family]
-            return copies
-
-    def placements(self) -> Dict[str, str]:
-        """Current sticky placements: ``{family label: worker tag}``."""
-        with self._route_lock:
-            return {
-                family_label(family): self._workers[index].tag
-                for family, index in self._family_worker.items()
-            }
-
-    def reassign_family(self, label: str) -> Optional[str]:
-        """Un-stick the family with this label; returns its old worker tag.
-
-        The migration actuator: dropping the placement makes the next
-        dispatch re-place the family least-loaded-first among its
-        replica candidates, where the parent-mirror seed message rebuilds
-        the cursor from the already-served views — the cursor *migrates*
-        rather than re-peels.  Returns ``None`` for unknown labels (the
-        placement may have been LRU-evicted since the policy observed it).
-        """
-        with self._route_lock:
-            for family, index in list(self._family_worker.items()):
-                if family_label(family) == label:
-                    del self._family_worker[family]
-                    return self._workers[index].tag
-        return None
-
-    def unstick_worker(self, index: int) -> List[str]:
-        """Drop every placement pinned to worker ``index``; returns labels.
-
-        Used by the controller's restart hook: a restarted worker lost
-        its cursors anyway, so letting its families re-place least-loaded
-        (instead of marching straight back to the same index) costs
-        nothing and un-sticks the dead-worker placement edge.
-        """
-        with self._route_lock:
-            dropped = [
-                family
-                for family, worker_index in self._family_worker.items()
-                if worker_index == index
-            ]
-            for family in dropped:
-                del self._family_worker[family]
-            return [family_label(family) for family in dropped]
 
     def depths(self) -> List[int]:
         """Queued + in-flight jobs per worker (parent view)."""
@@ -417,15 +322,6 @@ class ClusterPool:
         if self.metrics is not None:
             self.metrics.observe_worker_restart()
         self._spawn(worker)
-        hook = self.placement_hook
-        if hook is not None:
-            # After the respawn, so the hook observes a live worker.
-            # Only ``worker.lock`` is held here; hooks may take the
-            # route lock (``unstick_worker`` does) without deadlock.
-            try:
-                hook(worker.index)
-            except Exception:  # noqa: BLE001 — advisory, never fatal
-                pass
 
     def health_check(self) -> Dict[str, object]:
         """Ping every worker; restart the dead.  Returns a status dict."""

@@ -22,7 +22,6 @@ __all__ = [
     "StorageError",
     "DatasetError",
     "ServiceError",
-    "AdmissionRejected",
     "ClusterWorkerError",
     "UnknownGraphError",
     "UnknownSessionError",
@@ -105,28 +104,6 @@ class DatasetError(ReproError):
 
 class ServiceError(ReproError):
     """Base class for errors raised by the query-serving layer."""
-
-
-class AdmissionRejected(ServiceError):
-    """Raised when admission control refuses a query before execution.
-
-    The serving-layer analogue of HTTP 429: the request was well-formed
-    but the server chose not to run it — either the caller's tenant is
-    over its token-bucket quota, or the whole server is saturated past
-    its queue-depth threshold.  Carries ``tenant`` (``None`` for
-    anonymous traffic) and a machine-readable ``reason`` (``"quota"``
-    or ``"saturated"``) so transports and tests can branch without
-    parsing the message.
-    """
-
-    def __init__(self, reason: str, tenant=None, detail: str = "") -> None:
-        self.reason = reason
-        self.tenant = tenant
-        who = f"tenant {tenant!r}" if tenant else "request"
-        tail = f": {detail}" if detail else ""
-        super().__init__(
-            f"admission rejected (429, {reason}): {who} refused{tail}"
-        )
 
 
 class UnknownGraphError(ServiceError):

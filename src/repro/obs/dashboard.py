@@ -333,83 +333,6 @@ def _slo_section(
     return "".join(parts)
 
 
-def _control_section(control: Optional[Dict[str, Any]]) -> str:
-    """The adaptive-controller panel: current actuator settings, the
-    recent decision ring, and per-tenant admission rejects."""
-    if control is None:
-        return ""
-    window_ms = control.get("batch_window_ms")
-    replication = control.get("replication") or {}
-    placements = control.get("placements") or {}
-    replica_txt = (
-        " · ".join(
-            f"{_esc(g)}×{c}" for g, c in sorted(replication.items())
-        )
-        or "–"
-    )
-    tiles = [
-        ("batch window", _num(window_ms, 1, " ms")),
-        ("decisions", str(control.get("decisions_applied", 0))),
-        ("control ticks", str(control.get("ticks", 0))),
-        ("placements", str(len(placements))),
-    ]
-    tile_html = "".join(
-        f'<div class="tile"><div class="v">{value}</div>'
-        f'<div class="l">{label}</div></div>'
-        for label, value in tiles
-    )
-    parts = [
-        '<div class="grid" style="margin-top:16px">',
-        f'<div class="card" id="controller"><h2>adaptive controller</h2>'
-        f'<div class="tiles">{tile_html}</div>'
-        f'<div class="legend">replicas: {replica_txt}</div>',
-    ]
-    decisions = list(control.get("decisions") or [])[-8:]
-    if decisions:
-        parts.append(
-            '<table id="decisions"><tr><th>policy</th><th>action</th>'
-            "<th>target</th><th>reason</th></tr>"
-        )
-        for entry in reversed(decisions):
-            parts.append(
-                f'<tr><td>{_esc(entry.get("policy", ""))}</td>'
-                f'<td>{_esc(entry.get("action", ""))}</td>'
-                f'<td class="fam">{_esc(entry.get("target", ""))}</td>'
-                f'<td class="fam">{_esc(entry.get("reason", ""))}</td>'
-                "</tr>"
-            )
-        parts.append("</table>")
-    else:
-        parts.append('<p class="empty">no decisions yet</p>')
-    parts.append("</div>")
-    admission = control.get("admission")
-    parts.append('<div class="card" id="admission"><h2>admission</h2>')
-    if admission is None:
-        parts.append('<p class="empty">admission control disabled</p>')
-    else:
-        rejected = admission.get("rejected") or {}
-        parts.append(
-            f'<div class="legend">admitted {admission.get("admitted", 0)}'
-            f' · max queue depth '
-            f'{admission.get("max_queue_depth") or "∞"}</div>'
-        )
-        if rejected:
-            parts.append(
-                '<table id="tenant-rejects"><tr><th>tenant</th>'
-                "<th>rejected</th></tr>"
-            )
-            for tenant, count in sorted(rejected.items()):
-                parts.append(
-                    f'<tr><td class="fam">{_esc(tenant)}</td>'
-                    f"<td>{count}</td></tr>"
-                )
-            parts.append("</table>")
-        else:
-            parts.append('<p class="empty">no rejections</p>')
-    parts.append("</div></div>")
-    return "".join(parts)
-
-
 def render_dashboard(
     snapshot: Dict[str, Any],
     points: Optional[Sequence[Dict[str, Any]]] = None,
@@ -419,7 +342,6 @@ def render_dashboard(
     readiness: Optional[Dict[str, Any]] = None,
     refresh_s: int = 5,
     window_s: Optional[float] = None,
-    control: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Render the whole dashboard page from already-collected inputs.
 
@@ -523,6 +445,6 @@ stdlib-rendered, no external assets{ready_chip}</div>
 <div class="card"><h2>slow-trace exemplars</h2>\
 {_slow_traces(slow_traces)}</div>
 </div>
-{_control_section(control)}</body>
+</body>
 </html>
 """

@@ -112,9 +112,9 @@ class _Lines:
         return "\n".join(self._out) + "\n"
 
 
-#: Rows of the cluster, control and live tiers print after the latency
-#: and family blocks, every other exported row before them.
-_LATE_TIERS = ("cluster", "control", "live")
+#: Rows of the cluster and live tiers print after the latency and
+#: family blocks, every other exported row before them.
+_LATE_TIERS = ("cluster", "live")
 _EXPORTED = [metric for metric in METRICS if metric.prom is not None]
 _BEFORE_LATENCY = [m for m in _EXPORTED if m.keys[0] not in _LATE_TIERS]
 _AFTER_LATENCY = [m for m in _EXPORTED if m.keys[0] in _LATE_TIERS]
@@ -333,13 +333,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply_json(doc, status=200 if doc.get("ready") else 503)
         elif path == "/dashboard":
             self._reply(exporter.render_dashboard_page(params), "text/html")
-        elif path == "/control.json":
-            if exporter.control is None:
-                self._reply_json(
-                    {"error": "adaptive control plane disabled"}, status=404
-                )
-            else:
-                self._reply_json(exporter.control())
         elif path == "/history.json":
             if history is None:
                 self._reply_json(
@@ -402,7 +395,6 @@ class MetricsServer:
         history: Optional[MetricsHistory] = None,
         readiness: Optional[Callable[[], Dict[str, Any]]] = None,
         profiler: Optional[OnDemandProfiler] = None,
-        control: Optional[Callable[[], Dict[str, Any]]] = None,
     ) -> None:
         self.metrics = metrics
         self.trace_store = trace_store
@@ -415,10 +407,6 @@ class MetricsServer:
         self.readiness = readiness
         #: Optional :class:`OnDemandProfiler` backing ``/profile``.
         self.profiler = profiler
-        #: Optional zero-arg callable returning the adaptive
-        #: controller's document (``/control.json`` + dashboard panel);
-        #: ``None`` = control plane disabled (the route answers 404).
-        self.control = control
         self._host = host
         self._port = port
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -440,7 +428,6 @@ class MetricsServer:
             if not slow_traces:
                 slow_traces = self.trace_store.summaries(8)
         readiness = self.readiness() if self.readiness is not None else None
-        control = self.control() if self.control is not None else None
         return render_dashboard(
             self.metrics.snapshot(),
             points=points,
@@ -449,7 +436,6 @@ class MetricsServer:
             slow_traces=slow_traces,
             readiness=readiness,
             window_s=window,
-            control=control,
         )
 
     @property

@@ -129,19 +129,6 @@ class BatchScheduler:
     def queue_depth(self) -> int:
         return sum(len(waiters) for waiters in self._pending.values())
 
-    def set_batch_window(self, window_s: float) -> float:
-        """Retune the collection pause at runtime; returns the new value.
-
-        The adaptive controller's actuator: a plain attribute write
-        (atomic under the GIL) that every *subsequent* ``_drain`` reads
-        at its top — in-flight drains finish under the window they
-        started with, so there is no torn state to lock against.
-        """
-        if window_s < 0:
-            raise ValueError("window_s must be non-negative")
-        self.window_s = float(window_s)
-        return self.window_s
-
     def pending_by_family(self) -> Dict[str, int]:
         """Waiters per family label, for the history collector's gauges.
 

@@ -112,35 +112,6 @@ class ShardPool:
             )
         self._replication[graph] = copies
 
-    def replication_of(self, graph: str) -> int:
-        return self._replication.get(graph, 1)
-
-    def replication_map(self) -> Dict[str, int]:
-        """The explicit replication table (graphs at 1 copy are elided)."""
-        return dict(self._replication)
-
-    def add_replica(self, graph: str) -> int:
-        """Widen ``graph``'s rotation by one shard; returns the new count.
-
-        The adaptive controller's grow actuator — a no-op at the
-        ``num_shards`` ceiling, so policies may call it optimistically.
-        """
-        copies = min(self._replication.get(graph, 1) + 1, self.num_shards)
-        self._replication[graph] = copies
-        return copies
-
-    def remove_replica(self, graph: str) -> int:
-        """Shrink ``graph``'s rotation by one shard; returns the new count.
-
-        Drain-before-remove is structural here: shard executors are
-        shared infrastructure that outlive any replication entry, so
-        shrinking only narrows *future* routing — work already queued on
-        the dropped shard runs to completion on its still-live executor.
-        """
-        copies = max(1, self._replication.get(graph, 1) - 1)
-        self._replication[graph] = copies
-        return copies
-
     def home_shard(self, graph: str) -> int:
         """The graph's base shard (stable across processes: CRC32)."""
         return zlib.crc32(graph.encode("utf-8")) % self.num_shards

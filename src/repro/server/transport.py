@@ -120,18 +120,6 @@ class ReproServer:
     history_interval:
         Seconds between history collector samples (default 1.0).  The
         collector starts whenever observability is enabled.
-    adaptive / controller:
-        The adaptive control plane (off by default).  ``adaptive=True``
-        builds a default :class:`~repro.control.AdaptiveController`
-        (all three policies plus saturation-backpressure admission);
-        passing ``controller=`` supplies a pre-configured one (custom
-        policies, tenant quotas, cadence) — either way the server binds
-        it to its own history/scheduler/pool/metrics, starts its loop
-        with the listeners, and gates every ``query`` line through its
-        admission check.  With the control plane on,
-        ``batch_window_ms`` and ``replication`` become *initial* values
-        the controller retunes at runtime.  Enabling it implies
-        observability (the controller reads the history collector).
     """
 
     def __init__(
@@ -158,8 +146,6 @@ class ReproServer:
         tracer: Optional[Tracer] = None,
         slo: Optional[Union[str, SLO]] = None,
         history_interval: float = 1.0,
-        adaptive: bool = False,
-        controller=None,
     ) -> None:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         obs_enabled = (
@@ -168,8 +154,6 @@ class ReproServer:
             or slow_ms is not None
             or slo is not None
             or tracer is not None
-            or adaptive
-            or controller is not None
         )
         if tracer is None:
             # Observability opts in via any of its knobs; the tracer
@@ -235,24 +219,6 @@ class ReproServer:
             window_s=batch_window_ms / 1000.0,
             tracer=self.tracer,
         )
-        self.controller = None
-        if adaptive or controller is not None:
-            from ..control import AdaptiveController, AdmissionController
-
-            if controller is None:
-                controller = AdaptiveController(
-                    admission=AdmissionController(
-                        max_queue_depth=max(64, 4 * max_batch),
-                        metrics=self.metrics,
-                    ),
-                )
-            controller.bind(
-                history=self.history,
-                scheduler=self.scheduler,
-                pool=self.shards,
-                metrics=self.metrics,
-            )
-            self.controller = controller
         self.session_ttl = session_ttl
         if warmstart_interval is not None and warmstart_path is None:
             raise ValueError("warmstart_interval requires warmstart_path")
@@ -300,8 +266,6 @@ class ReproServer:
             # the WarmStart's own and never touches the event loop.
             self.warmstart.start_periodic(self.cache, self.registry)
         self.start_observability()
-        if self.controller is not None:
-            self.controller.start()
         if tcp is not None:
             host, port = tcp
             server = await asyncio.start_server(self._handle, host, port)
@@ -332,11 +296,6 @@ class ReproServer:
                 history=self.history,
                 readiness=self._readiness,
                 profiler=self.engine.profiler,
-                control=(
-                    self.controller.document
-                    if self.controller is not None
-                    else None
-                ),
             )
             self.metrics_address = self.metrics_server.start()
 
@@ -431,8 +390,6 @@ class ReproServer:
             self.saved_entries = await self._loop.run_in_executor(
                 None, self.warmstart.save, self.cache, self.registry
             )
-        if self.controller is not None:
-            self.controller.stop()
         self.shards.shutdown(wait=False)
         self.stop_observability()
         if self.unix_path is not None:
@@ -576,14 +533,6 @@ class ReproServer:
             spec, members = ServiceShell.parse_query_line(rest)
             if span is not None:
                 span.annotate(graph=spec.graph, k=spec.k, gamma=spec.gamma)
-            if self.controller is not None:
-                # Admission runs before the scheduler accepts the work:
-                # a refusal must not consume the queue capacity it
-                # protects.  Raises AdmissionRejected (a ServiceError),
-                # rendered below as the typed 429-style error line.
-                self.controller.admit(
-                    spec.tenant, self.scheduler.queue_depth
-                )
             result = await self.scheduler.submit(spec, span=span)
             # The trace is finalised before the response bytes leave, so
             # a client that queries then immediately scrapes /traces

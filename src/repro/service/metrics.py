@@ -137,9 +137,9 @@ METRICS = (
     # cluster workers.
     Metric("by_backend", COUNTER, "backend",
            "repro_queries_by_backend_total"),
-    # Never evicts (one integer per registered graph), so the control
-    # plane's per-graph demand signal stays exact however many families
-    # churn through the LRU-bounded family table.
+    # Never evicts (one integer per registered graph), so per-graph
+    # demand stays exact however many families churn through the
+    # LRU-bounded family table.
     Metric("by_graph", COUNTER, "graph", tick="graphs"),
     Metric("errors", COUNTER, prom="repro_errors_total",
            help="Errors observed by shell/transport/pool paths.",
@@ -189,14 +189,6 @@ METRICS = (
            "repro_cluster_segment_attaches_total"),
     Metric("cluster.worker_restarts", COUNTER,
            prom="repro_cluster_worker_restarts_total"),
-    # Control tier (repro.control).
-    Metric("control.decisions", COUNTER, "policy",
-           "repro_control_decisions_total",
-           "Adaptive-controller decisions applied, by policy.",
-           attr="control_decisions"),
-    Metric("control.admission_rejected", COUNTER, "tenant",
-           "repro_admission_rejected_total",
-           "Queries refused by admission control, by tenant."),
     # Live tier (repro.live): mutations, scoped invalidation, compaction.
     Metric("live.mutations_applied", COUNTER,
            prom="repro_live_mutations_applied_total",
@@ -401,17 +393,6 @@ class ServiceMetrics:
             self.cluster_depth[worker] = depth
             if depth > self.cluster_depth_peak:
                 self.cluster_depth_peak = depth
-
-    # -- control tier ---------------------------------------------------
-    def observe_control_decision(self, policy: str) -> None:
-        """The adaptive controller applied one decision of ``policy``."""
-        with self._lock:
-            self.control_decisions[policy] += 1
-
-    def observe_admission_rejected(self, tenant: Optional[str]) -> None:
-        """Admission control refused a query (``None`` = anonymous)."""
-        with self._lock:
-            self.admission_rejected[tenant if tenant else "-"] += 1
 
     # -- live tier ------------------------------------------------------
     def observe_mutation(

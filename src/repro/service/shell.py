@@ -191,16 +191,6 @@ def render_metrics(snap: Dict) -> List[str]:
             f"restarts={cluster['worker_restarts']} "
             f"depth_peak={cluster['queue_depth_peak']}"
         )
-    control = snap.get("control") or {}
-    if control.get("decisions") or control.get("admission_rejected"):
-        for policy, count in sorted(
-            (control.get("decisions") or {}).items()
-        ):
-            lines.append(f"control[{policy}]: decisions={count}")
-        for tenant, count in sorted(
-            (control.get("admission_rejected") or {}).items()
-        ):
-            lines.append(f"admission[{tenant}]: rejected={count}")
     return lines
 
 

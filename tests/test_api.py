@@ -441,3 +441,25 @@ class TestReviewRegressions:
         lines = asyncio.run(main())
         assert any(line.startswith("top-1:") for line in lines)
         assert not any(line.startswith("error") for line in lines)
+
+
+# ----------------------------------------------------------------------
+# wire: the optional tenant field (accepted and validated, inert)
+# ----------------------------------------------------------------------
+def test_tenant_is_absent_from_wire_unless_set():
+    spec = QuerySpec(graph="g", gamma=3, k=5)
+    assert "tenant" not in spec.to_wire_dict()
+    tagged = QuerySpec(graph="g", gamma=3, k=5, tenant="acme")
+    wire = tagged.to_wire_dict()
+    assert wire["tenant"] == "acme"
+    assert QuerySpec.from_wire(wire).tenant == "acme"
+    assert QuerySpec.from_wire(spec.to_wire_dict()).tenant is None
+    # Identity is unchanged: tenant never reaches the cache key.
+    assert tagged.cache_key() == spec.cache_key()
+
+
+def test_tenant_parses_from_query_tokens_and_validates():
+    spec, _ = parse_spec_tokens(["g", "k=3", "gamma=3", "tenant=acme"])
+    assert spec.tenant == "acme"
+    with pytest.raises(QueryParameterError):
+        QuerySpec(graph="g", gamma=3, k=5, tenant="")

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.graph.io import write_edge_list, write_weights
 
@@ -361,6 +365,20 @@ class TestServerFlags:
         ])
         assert code == 2
         assert text.startswith("error: replication")
+
+    def test_adaptive_flag_is_a_usage_error(self):
+        # A subprocess, so a flag that were accepted again would time
+        # out instead of serving forever inside the test run.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--adaptive",
+             "--tcp", "127.0.0.1:0"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --adaptive" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_server_only_flags_rejected_in_stdio_mode(self):
         code, text = run_cli([

@@ -98,12 +98,6 @@ def _drive(metrics: ServiceMetrics) -> None:
     metrics.observe_cluster_depth("worker:0", 3)
     metrics.observe_cluster_depth("worker:1", 5)
     metrics.observe_cluster_depth("worker:1", 1)
-    metrics.observe_control_decision("cache_resize")
-    metrics.observe_control_decision("replicate")
-    metrics.observe_control_decision("cache_resize")
-    metrics.observe_admission_rejected(None)
-    metrics.observe_admission_rejected("tenant-a")
-    metrics.observe_admission_rejected('ten"ant\nb')
     metrics.observe_mutation("email", 2, invalidated=3, preserved=5)
     metrics.observe_mutation("email", 3, invalidated=1, preserved=7)
     metrics.observe_mutation("wiki", 4, compaction=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import re
 
 import pytest
 
@@ -205,6 +206,35 @@ def test_metrics_expose_server_section():
         await server.stop()
 
     run(main())
+
+
+def test_tenant_is_inert_on_the_wire():
+    """``tenant=`` is accepted and validated, but changes neither the
+    answer nor the cache entry that serves it."""
+
+    def masked(lines):
+        return [re.sub(r" in [0-9.]+ ms$", " in <MS> ms", x) for x in lines]
+
+    async def main():
+        server = make_server()
+        await server.start(tcp=("127.0.0.1", 0))
+        client = await ReproClient.connect(port=server.tcp_address[1])
+        cold = await client.request("query cliques k=3 gamma=3")
+        plain = await client.request("query cliques k=3 gamma=3")
+        acme = await client.request("query cliques k=3 gamma=3 tenant=acme")
+        other = await client.request(
+            "query cliques k=3 gamma=3 tenant=other"
+        )
+        await client.close()
+        await server.stop()
+        return cold, plain, acme, other
+
+    cold, plain, acme, other = run(main())
+    assert cold[0].startswith("localsearch-p[cold]")
+    assert plain[0].startswith("localsearch-p[cache]")
+    assert masked(acme) == masked(plain)
+    assert masked(other) == masked(plain)
+    assert acme[1:] == cold[1:]
 
 
 def test_start_requires_an_endpoint():
