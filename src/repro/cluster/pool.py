@@ -668,6 +668,9 @@ class ClusterPool:
             )
             mode = "shm"
         else:
+            # The pickled graph carries its core stop table, so build it
+            # here once rather than once per worker.
+            handle.graph.core_table()
             reply = self._roundtrip(
                 worker,
                 ("attach_pickle", handle.name, handle.version, handle.graph),

@@ -108,7 +108,10 @@ class SegmentHandle:
     pipe.  ``labels`` is ``None`` when the graph's labels are the
     identity ``0..n-1`` (the common generated-dataset case) — otherwise
     the label list rides along in the handle, pickled once per attach;
-    the big adjacency never does.
+    the big adjacency never does.  ``core_table`` is the graph's
+    ``(stops, slack)`` core stop table (one integer per core level), so
+    an attached graph answers ``core_stop`` without a decomposition of
+    its own.
     """
 
     graph: str
@@ -118,6 +121,7 @@ class SegmentHandle:
     num_edges: int
     lengths: Tuple[int, ...]
     labels: Optional[Tuple[Hashable, ...]]
+    core_table: Tuple[Tuple[int, ...], int]
 
     @property
     def nbytes(self) -> int:
@@ -162,7 +166,9 @@ def _labels_payload(graph: WeightedGraph) -> Optional[Tuple[Hashable, ...]]:
 def publish_graph(handle: GraphHandle):
     """Copy ``handle``'s CSR + weights into a fresh shared segment.
 
-    Returns ``(segment, shm)``.  The caller owns the creator's mapping:
+    The graph's core stop table rides in the handle; building it here,
+    if the graph has none yet, is one decomposition in the publisher
+    instead of one in every worker.  Returns ``(segment, shm)``.  The caller owns the creator's mapping:
     keep ``shm`` open for the segment's whole life (Windows named
     memory vanishes when its last handle closes) and ``unlink`` it when
     done — :class:`SegmentStore` does both.
@@ -170,6 +176,7 @@ def publish_graph(handle: GraphHandle):
     from multiprocessing import shared_memory
 
     regions = _graph_regions(handle.graph)
+    stops, slack = handle.graph.core_table()
     lengths = tuple(len(region) for region in regions)
     nbytes = sum(
         len(region) * itemsize
@@ -194,6 +201,7 @@ def publish_graph(handle: GraphHandle):
             num_edges=handle.graph.num_edges,
             lengths=lengths,
             labels=_labels_payload(handle.graph),
+            core_table=(tuple(stops), slack),
         )
     except BaseException:
         shm.close()
@@ -249,6 +257,7 @@ def attach_graph(segment: SegmentHandle) -> WeightedGraph:
                 ),
                 weights,
                 list(segment.labels) if segment.labels is not None else None,
+                (list(segment.core_table[0]), segment.core_table[1]),
             )
         finally:
             for window in windows:

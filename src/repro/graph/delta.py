@@ -254,7 +254,7 @@ def _overlay_graph(
     # generation once each insert is counted as slack (see core_stop).
     # A parent without one (a from_csr copy, a re-rank rebuild) builds
     # it here, so the chain pays one decomposition, not one per overlay.
-    stops, slack = graph._core_table()
+    stops, slack = graph.core_table()
     inserted = sum(1 for _, _, want in effective_edges if want)
     new._core_stops = (stops, slack + inserted)
     return new

@@ -252,6 +252,7 @@ class WeightedGraph:
         csr: "CSRAdjacency",
         weights: Sequence[float],
         labels: Optional[Sequence[Hashable]] = None,
+        core_table: Optional[Tuple[List[int], int]] = None,
     ) -> "WeightedGraph":
         """Rebuild a graph from its CSR form (the cluster attach path).
 
@@ -262,6 +263,9 @@ class WeightedGraph:
         already passed it.  The weights are still checked to be finite,
         in O(n).  The graph keeps no reference to ``csr``, so a
         shared-memory segment's windows are free once this returns.
+        ``core_table`` is the source graph's :meth:`core_table`; without
+        it the copy runs its own decomposition on its first
+        :meth:`core_stop`.
         """
         up_off, up_tgt = csr.up_offsets, csr.up_targets
         down_off, down_tgt = csr.down_offsets, csr.down_targets
@@ -290,7 +294,7 @@ class WeightedGraph:
         graph._label_order = LabelOrder(graph._labels)
         graph._num_edges = csr.num_edges
         graph._prefix_sizes = [0]
-        graph._core_stops = None
+        graph._core_stops = core_table
         return graph
 
     def _validate(self) -> None:
@@ -454,13 +458,13 @@ class WeightedGraph:
         the slack to 0 with one fresh decomposition per fold, so the
         slack never exceeds the inserts of one delta chain.
         """
-        stops, slack = self._core_table()
+        stops, slack = self.core_table()
         gamma -= slack
         if gamma <= 0:
             return self.num_vertices
         return stops[gamma] if gamma < len(stops) else 0
 
-    def _core_table(self) -> Tuple[List[int], int]:
+    def core_table(self) -> Tuple[List[int], int]:
         """The ``(stops, slack)`` pair behind :meth:`core_stop`, built
         (slack 0) on first use."""
         table = self._core_stops

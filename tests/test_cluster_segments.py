@@ -23,6 +23,7 @@ from repro.cluster import (
     publish_graph,
     shared_memory_available,
 )
+from repro.graph import core_decomposition as core_module
 from repro.graph.csr import CSRAdjacency
 from repro.graph.weighted_graph import WeightedGraph
 from repro.service.cache import ResultCache
@@ -98,6 +99,51 @@ def test_publish_attach_round_trip_is_byte_identical(monkeypatch):
         assert graph.neighbors_down(u) == attached.neighbors_down(u)
         assert graph.weight(u) == attached.weight(u)
         assert graph.label(u) == attached.label(u)
+
+
+def _forbid_decomposition(monkeypatch):
+    def forbidden(graph):
+        raise AssertionError("core decomposition ran on an attached graph")
+
+    monkeypatch.setattr(core_module, "core_stops", forbidden)
+
+
+def _all_core_stops(graph, reference):
+    return [graph.core_stop(g) for g in range(1, len(reference) + 2)]
+
+
+@needs_shm
+def test_attached_graph_keeps_the_publishers_core_table(monkeypatch):
+    graph = _seeded_graph(7)
+    assert graph._core_stops is None
+    segment, shm = publish_graph(GraphHandle("g", 1, graph))
+    stops, slack = graph._core_stops  # built once, by the publisher
+    _forbid_decomposition(monkeypatch)
+    try:
+        attached = attach_graph(segment)
+    finally:
+        shm.close()
+        shm.unlink()
+    assert attached._core_stops == (stops, slack)
+    assert _all_core_stops(attached, stops) == _all_core_stops(graph, stops)
+
+
+@needs_mp
+def test_pickled_attach_carries_the_core_table(monkeypatch):
+    graph = _seeded_graph(8)
+    registry = _registry_with(graph)
+    pool = ClusterPool(1, registry, use_shared_memory=False)
+    try:
+        pool.warm("g")
+    finally:
+        pool.shutdown()
+    # The parent built the table before the graph went down the pipe,
+    # so the worker's unpickled copy has it too.
+    stops, _ = graph._core_stops
+    _forbid_decomposition(monkeypatch)
+    clone = pickle.loads(pickle.dumps(graph))
+    assert clone._core_stops == graph._core_stops
+    assert _all_core_stops(clone, stops) == _all_core_stops(graph, stops)
 
 
 @needs_shm
