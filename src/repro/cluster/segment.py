@@ -168,7 +168,9 @@ def publish_graph(handle: GraphHandle):
 
     The graph's core stop table rides in the handle; building it here,
     if the graph has none yet, is one decomposition in the publisher
-    instead of one in every worker.  Returns ``(segment, shm)``.  The caller owns the creator's mapping:
+    instead of one in every worker.
+
+    Returns ``(segment, shm)``.  The caller owns the creator's mapping:
     keep ``shm`` open for the segment's whole life (Windows named
     memory vanishes when its last handle closes) and ``unlink`` it when
     done — :class:`SegmentStore` does both.
