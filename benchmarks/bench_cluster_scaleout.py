@@ -4,13 +4,16 @@ The serving claims of the :mod:`repro.cluster` subsystem (ISSUE 5),
 measured on a ~100k-vertex Chung-Lu power-law graph with planted dense
 blocks (the same stand-in shape as ``bench_kernel_peel.py``):
 
-* **scale-out** — a CPU-bound cold workload (16 distinct query
-  families, each a whole-graph peel on the ``array`` kernel) executed
-  through ``--workers 4`` process workers achieves at least **1.8x** the
-  throughput of the 4-thread ShardPool on the *same* workload: the
-  threads serialise on the GIL, the processes do not.  The sweep runs
-  workers = 1 / 2 / 4 so the report shows the scaling curve, not one
-  point.
+* **scale-out** — a cold workload (16 distinct query families on the
+  ``array`` kernel) executed through ``--workers 4`` process workers
+  achieves at least **1.8x** the throughput of the 4-thread ShardPool on
+  the *same* workload: the threads serialise on the GIL, the processes
+  do not.  Each search ends at the prefix that holds the graph's
+  γ-core (``WeightedGraph.core_stop``) rather than peeling the whole
+  graph, so one of these queries takes about 2 ms in process (2-vCPU
+  VM), and the gate weighs a process round trip against that.  The
+  sweep runs workers = 1 / 2 / 4 so the report shows the scaling curve,
+  not one point.
 * **byte identity** — progressive ``extend_to`` continuations return
   byte-identical results (same JSON document, field for field) across
   the threaded in-process path, the pickle-per-worker fallback, and the
@@ -59,9 +62,10 @@ GRAPH = "big"
 #: process by :func:`main` before any engine or pool is built.
 KERNEL = "array"
 
-#: Distinct cold families: every (gamma, delta) pair peels essentially
-#: the whole graph (few or no communities survive these gammas) — heavy
-#: CPU per query, tiny result payloads.
+#: Distinct cold families: few or no communities survive these gammas,
+#: so result payloads are tiny.  Each search stops at the γ-core's
+#: prefix, about 2 ms a query in process (2-vCPU VM), not a whole-graph
+#: peel.
 COLD_GAMMAS = (34, 35, 36, 37, 38, 39, 40, 41)
 COLD_DELTAS = (2.0, 2.5)
 COLD_K = 16

@@ -186,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--replicate", metavar="GRAPH=COPIES", action="append", default=None,
-        help="replicate a hot graph across COPIES shards "
-             "(network mode only; repeatable)",
+        help="replicate a hot graph across COPIES shards, which run "
+             "its graph builds and whole-graph algorithms; progressive "
+             "queries run on the event loop (network mode only; "
+             "repeatable)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=None,

@@ -1,8 +1,8 @@
 """ClusterPool — multi-process shard execution with family affinity.
 
-:class:`~repro.server.shards.ShardPool` keeps CPU work off the event
-loop, but its shards are *threads*: under CPython's GIL, N shards
-peeling N graphs still progress one bytecode at a time.  ClusterPool
+:class:`~repro.server.shards.ShardPool` runs progressive queries on
+the event loop and the rest on shard *threads*: under CPython's GIL,
+N queries peeling N graphs still progress one bytecode at a time.  ClusterPool
 promotes the same routing surface to worker **processes**:
 
 * **family-affine dispatch** — work is routed by the spec's canonical

@@ -464,6 +464,11 @@ class WeightedGraph:
             return self.num_vertices
         return stops[gamma] if gamma < len(stops) else 0
 
+    @property
+    def core_table_built(self) -> bool:
+        """True once :meth:`core_table` answers without a decomposition."""
+        return self._core_stops is not None
+
     def core_table(self) -> Tuple[List[int], int]:
         """The ``(stops, slack)`` pair behind :meth:`core_stop`, built
         (slack 0) on first use."""

@@ -11,8 +11,9 @@ stack into a real network server:
   sharing ``(graph, gamma, algorithm, delta)`` ride one engine pass (at
   most one cursor advance) and are sliced to their own ``k`` — correct
   because the progressive order is independent of ``k``;
-* :mod:`~repro.server.shards` — per-graph worker threads keeping
-  CPU-bound peeling off the event loop, with replication for hot graphs;
+* :mod:`~repro.server.shards` — the thread pool: progressive queries
+  on the event loop, graph builds and whole-graph algorithms on
+  per-graph worker threads, with replication for hot graphs;
 * :mod:`~repro.server.warmstart` — result-cache snapshots (frozen,
   JSON-stable CommunityViews) saved on shutdown and restored on boot,
   keyed by graph version so stale snapshots boot cold;

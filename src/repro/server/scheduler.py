@@ -9,11 +9,12 @@ byte identical to what a serial execution would have returned.
 
 Batching strategy is *batch-while-busy* (no artificial latency by
 default): the first arrival for an idle family dispatches immediately;
-queries arriving while that pass runs on the shard accumulate and are
-flushed together the moment it finishes.  Under serial traffic every
-batch has width 1 and nothing is delayed; under concurrent load batch
-width grows with pressure and each engine pass (= at most one cursor
-advance) amortises across the whole batch.  An optional ``window_s``
+queries arriving before that pass completes (in the same loop turn,
+or while it waits on a shard) accumulate and are flushed together the
+moment it finishes.  Under serial traffic every batch has width 1 and
+nothing is delayed; under concurrent load batch width grows with
+pressure and each engine pass (= at most one cursor advance) amortises
+across the whole batch.  An optional ``window_s``
 adds a deliberate collection pause for throughput-tuned deployments.
 """
 
@@ -63,7 +64,7 @@ class BatchScheduler:
     Parameters
     ----------
     engine:
-        The (thread-safe) query engine; executions run on ``shards``.
+        The (thread-safe) query engine; ``shards`` runs each pass.
     shards:
         Worker pool routing by graph name.
     metrics:
@@ -219,9 +220,10 @@ class BatchScheduler:
                     )
         started = time.perf_counter()
         try:
-            # The backend-neutral pool surface: thread shards run the
-            # engine in-process, the cluster pool routes the spec to the
-            # worker process holding the family's cursor.
+            # The backend-neutral pool surface: the thread pool runs
+            # the engine in-process (on the loop or a shard), the
+            # cluster pool routes the spec to the worker process
+            # holding the family's cursor.
             result = await self.shards.execute_spec(
                 self.engine, lead, span=bspan if bspan is not None else lead_span
             )

@@ -1,38 +1,42 @@
-"""ShardPool — per-graph worker executors keeping the event loop free.
+"""ShardPool — per-graph worker threads for the work the loop must not run.
 
-A pure cache hit is a tuple slice: :meth:`ShardPool.execute_spec`
-serves it on the event loop itself (via
-:meth:`~repro.service.engine.QueryEngine.execute_cached`, which never
-builds, resumes or blocks), because a thread round trip would cost
-more than the hit.  Everything else — cold peels, cursor extensions,
-graph builds, and hits whose entry lock is busy — is CPU-bound Python
-that would stall *every* connection if it ran on the loop.  For that
-work the pool gives each shard a single-threaded executor and routes
-by graph name (stable CRC32 hash), so
+A progressive query — a LocalSearch-P cold fill, a cursor extension or
+a cache hit — is served on the event loop itself
+(:meth:`ShardPool.execute_spec` calls
+:meth:`~repro.service.engine.QueryEngine.execute` with
+``on_loop=True``).  Its cost is linear in the prefix it touches
+(Theorem 3.3), a millisecond or two on the served graphs, far below
+the interpreter's 5 ms GIL switch interval: a shard thread would give
+the loop no turn during such a query, yet the thread hop costs more
+than a hit.  The loop takes the cache and entry locks only
+non-blocking, so it never waits on a mutation, compaction or snapshot
+holding them.  What goes to a shard is the work that is unbounded or
+must wait: graph builds (and a fresh build's core decomposition),
+the non-progressive algorithms (onlineall, forward, truss, ...), and
+any query whose cache or entry lock is busy.  For that work the pool
+gives each shard a single-threaded executor and routes by graph name
+(stable CRC32 hash), so
 
-* queries against one graph serialise on that graph's shard — the
-  natural unit of contention, since a ``(graph, gamma)`` family shares
-  one :class:`~repro.core.progressive.ProgressiveCursor` and its lock;
-* queries against *different* graphs land on different shards and never
-  block each other;
+* work against one graph serialises on that graph's shard;
+* work against *different* graphs lands on different shards and never
+  blocks each other;
 * **hot graphs** can be replicated onto several consecutive shards
-  (:meth:`ShardPool.replicate`) so the shard-bound work of a hot graph
-  — cold families and extensions — spreads across replicas.  Dispatch
-  **prefers an idle replica**: the base rotation is round-robin, but
-  when the rotation's choice is mid-job and a twin sits idle, the work
-  is steered to the idle twin instead (counted in
-  ``ServiceMetrics.replica_idle_dispatches``) — a hot family never
-  queues behind a busy replica while another idles.  Replicas share the
-  one immutable graph object, whose own ``N>=``/``N<`` rows the peel
+  (:meth:`ShardPool.replicate`) so a hot graph's shard-bound work —
+  builds and whole-graph algorithms — spreads across replicas.
+  Dispatch **prefers an idle replica**: the base rotation is
+  round-robin, but when the rotation's choice is mid-job and a twin
+  sits idle, the work is steered to the idle twin instead (counted in
+  ``ServiceMetrics.replica_idle_dispatches``).  Replicas share the one
+  immutable graph object, whose own ``N>=``/``N<`` rows the peel
   kernels read — replication adds workers, not memory.
 
-Shards are *threads*: they keep the loop responsive but are GIL-bound
-for concurrent CPU-heavy peels.  For true multi-core execution
-:func:`create_pool` swaps in the process-backed
-:class:`~repro.cluster.pool.ClusterPool` behind the same
-:meth:`execute_spec` surface (``repro serve --workers N``); threads
-remain the default and the fallback when multiprocessing is
-unavailable.
+Shards are *threads*: they keep the loop responsive but are GIL-bound.
+For multi-core execution :func:`create_pool` swaps in the
+process-backed :class:`~repro.cluster.pool.ClusterPool` behind the same
+:meth:`execute_spec` surface (``repro serve --workers N``); it serves
+only pure cache hits on the loop and sends cold and extending work to
+the worker process holding the family's cursor.  Threads remain the
+default and the fallback when multiprocessing is unavailable.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ T = TypeVar("T")
 
 
 class ShardPool:
-    """Route CPU-bound graph work onto per-shard worker threads.
+    """Route unbounded graph work onto per-shard worker threads.
 
     Parameters
     ----------
@@ -166,23 +170,26 @@ class ShardPool:
         spec: "QuerySpec",
         span: Optional["Span"] = None,
     ) -> "QueryResult":
-        """Serve one spec: on the loop if cached, else on its shard.
+        """Serve one spec: on the loop when it can be, else on its shard.
 
         The backend-neutral execution surface shared with
         :class:`~repro.cluster.pool.ClusterPool` — the scheduler only
-        ever calls this.  A pure slice of a cached entry is served right
-        here by :meth:`~repro.service.engine.QueryEngine.execute_cached`
-        (no thread hop); everything else — cold, extending, or a hit
-        whose lock is busy — runs on the spec graph's shard.  The
-        upstream span is entered explicitly on both paths
-        (``run_in_executor`` does not copy contextvars); a ``None`` span
-        still maps to :data:`~repro.obs.trace.NO_TRACE` so an untraced
-        server query never mints a second root inside the engine.
+        ever calls this.  One engine pass runs right here
+        (``engine.execute(spec, on_loop=True)``, no thread hop): it
+        serves every progressive query of a built graph, cold,
+        extending or hit, and a static query whose answer is cached.
+        It answers ``None`` for a graph build, an uncached static
+        algorithm or a busy cache or entry lock, and that query then
+        runs on the spec graph's shard.  The upstream span is entered
+        explicitly on both paths (``run_in_executor`` does not copy
+        contextvars); a ``None`` span still maps to
+        :data:`~repro.obs.trace.NO_TRACE` so an untraced server query
+        never mints a second root inside the engine.
         """
         if self._shut_down:
             raise RuntimeError("shard pool is shut down")
         with use_span(span):
-            result = engine.execute_cached(spec)
+            result = engine.execute(spec, on_loop=True)
         if result is not None:
             return result
 

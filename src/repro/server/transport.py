@@ -13,7 +13,8 @@ over TCP and/or a unix domain socket, many clients per process:
   its sessions;
 * **query path** — ``query`` commands go through the
   :class:`~repro.server.scheduler.BatchScheduler` (coalescing) onto the
-  :class:`~repro.server.shards.ShardPool` (CPU off the event loop);
+  :class:`~repro.server.shards.ShardPool` (progressive queries on the
+  event loop, builds and whole-graph algorithms on shard threads);
   ``quit`` answers ``bye``; every other command runs the command
   table of a per-connection :class:`~repro.service.shell.ServiceShell`
   on the default executor, so the two frontends can never drift apart;

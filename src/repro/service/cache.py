@@ -35,7 +35,12 @@ __all__ = [
     "ProgressiveEntry",
     "StaticEntry",
     "ResultCache",
+    "BUSY",
 ]
+
+#: What a non-blocking :meth:`ResultCache.get` answers when another
+#: thread holds the cache lock (``None`` means "no entry").
+BUSY = object()
 
 
 @dataclass(frozen=True)
@@ -229,24 +234,9 @@ class ProgressiveEntry:
             return self._answer(k), "cache", complete
         return None
 
-    def try_serve(
-        self, k: int
+    def serve(
+        self, k: int, *, blocking: bool = True, resume: bool = True
     ) -> Optional[Tuple[Tuple[CommunityView, ...], str, bool]]:
-        """:meth:`serve` for a pure prefix hit only, without blocking.
-
-        Returns ``None`` when the entry lock is busy (another thread is
-        resuming the cursor) or when ``k`` is not yet materialised; it
-        never resumes or rebuilds a cursor, so it is safe to call from
-        an event loop.
-        """
-        if not self._lock.acquire(blocking=False):
-            return None
-        try:
-            return self._hit(k)
-        finally:
-            self._lock.release()
-
-    def serve(self, k: int) -> Tuple[Tuple[CommunityView, ...], str, bool]:
         """Serve top-``k``, resuming (or rebuilding) the cursor as needed.
 
         Returns ``(views, source, complete)``: source is ``"cold"`` on
@@ -254,10 +244,17 @@ class ProgressiveEntry:
         when the stream had to be resumed; ``complete`` is True when the
         served views are the *entire* answer (computed before any
         ``max_cached_k`` truncation, which may forget exhaustion).
+
+        With ``blocking=False`` it returns ``None`` instead of waiting
+        when another thread holds the entry lock, so an event loop can
+        call it; with ``resume=False`` it returns ``None`` instead of
+        resuming or rebuilding the cursor (a pure prefix hit only).
         """
-        with self._lock:
+        if not self._lock.acquire(blocking):
+            return None
+        try:
             hit = self._hit(k)
-            if hit is not None:
+            if hit is not None or not resume:
                 return hit
             had = len(self._views)
             cursor = self._cursor
@@ -284,6 +281,8 @@ class ProgressiveEntry:
             complete = self._exhausted and k >= len(self._views)
             self._trim()
             return out, source, complete
+        finally:
+            self._lock.release()
 
 
 class StaticEntry:
@@ -360,27 +359,33 @@ class ResultCache:
             self._data.move_to_end(key)
         return entry
 
-    def get(self, key: CacheKey):
-        """The entry for ``key`` (refreshing its LRU slot), or ``None``."""
-        with self._lock:
-            return self._lookup(key)
+    def get(self, key: CacheKey, blocking: bool = True):
+        """The entry for ``key`` (refreshing its LRU slot), or ``None``.
 
-    def peek(self, key: CacheKey):
-        """:meth:`get` without blocking: ``None`` when the lock is busy."""
-        if not self._lock.acquire(blocking=False):
-            return None
+        With ``blocking=False`` a busy lock answers :data:`BUSY` instead
+        of waiting (the event loop's lookup).
+        """
+        if not self._lock.acquire(blocking):
+            return BUSY
         try:
             return self._lookup(key)
         finally:
             self._lock.release()
 
-    def put(self, key: CacheKey, entry) -> None:
-        with self._lock:
+    def put(self, key: CacheKey, entry, blocking: bool = True) -> bool:
+        """Store ``entry`` under ``key``; with ``blocking=False`` a busy
+        lock stores nothing and answers ``False``."""
+        if not self._lock.acquire(blocking):
+            return False
+        try:
             self._data[key] = entry
             self._data.move_to_end(key)
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self.stats.evictions += 1
+            return True
+        finally:
+            self._lock.release()
 
     def record(self, source: str) -> None:
         """Count one served query by its source tag."""

@@ -28,7 +28,7 @@ from ..core.progressive import LocalSearchP, ProgressiveCursor
 from ..core.truss_search import top_k_truss_communities
 from ..graph.weighted_graph import WeightedGraph
 from ..obs.trace import NO_TRACE, Tracer, current_span, use_span
-from .cache import CacheKey, ProgressiveEntry, ResultCache, StaticEntry
+from .cache import BUSY, CacheKey, ProgressiveEntry, ResultCache, StaticEntry
 from .metrics import ServiceMetrics
 from .model import CommunityView, ForestProjector, QueryResult
 from .registry import GraphHandle, GraphRegistry
@@ -220,30 +220,47 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
     def _serve_progressive(
-        self, handle: GraphHandle, query: QuerySpec, key: CacheKey
-    ) -> _Served:
-        entry = self.cache.get(key) if self.cache is not None else None
+        self,
+        handle: GraphHandle,
+        query: QuerySpec,
+        key: CacheKey,
+        blocking: bool,
+        resume: bool,
+    ) -> Optional[_Served]:
+        cache = self.cache
+        entry = cache.get(key, blocking) if cache is not None else None
+        if entry is BUSY:
+            return None
         if not isinstance(entry, ProgressiveEntry):
+            if not resume:
+                return None
             cursor_factory = progressive_cursor_factory(
                 handle.graph, query.gamma, query.delta, kernel=self.kernel
             )
             entry = ProgressiveEntry(
                 cursor_factory(),
                 cursor_factory=cursor_factory,
-                max_cached_k=(
-                    self.cache.max_cached_k if self.cache is not None else None
-                ),
+                max_cached_k=cache.max_cached_k if cache is not None else None,
             )
-            if self.cache is not None:
-                self.cache.put(key, entry)
-        return entry.serve(query.k) + (_cursor_phases(entry),)
+            if cache is not None and not cache.put(key, entry, blocking):
+                return None
+        served = entry.serve(query.k, blocking=blocking, resume=resume)
+        if served is None:
+            return None
+        return served + (_cursor_phases(entry),)
 
     def _serve_static(
-        self, handle: GraphHandle, query: QuerySpec, key: CacheKey, algorithm: str
-    ) -> _Served:
-        entry = self.cache.get(key) if self.cache is not None else None
+        self,
+        handle: GraphHandle,
+        query: QuerySpec,
+        key: CacheKey,
+        algorithm: str,
+        blocking: bool,
+    ) -> Optional[_Served]:
+        cache = self.cache
+        entry = cache.get(key, blocking) if cache is not None else None
         hit = _static_hit(entry, query.k)
-        if hit is not None:
+        if hit is not None or not blocking:
             return hit
         result = _STATIC_RUNNERS[algorithm](handle.graph, query, self.kernel)
         views = tuple(map(ForestProjector().view, result.communities))
@@ -251,54 +268,63 @@ class QueryEngine:
         stats_phases = getattr(stats, "phases", None)
         phases = dict(stats_phases) if stats_phases else None
         complete = len(views) < query.k
-        if self.cache is not None:
-            self.cache.put(
-                key,
-                StaticEntry.capped(views, complete, self.cache.max_cached_k),
+        if cache is not None:
+            cache.put(
+                key, StaticEntry.capped(views, complete, cache.max_cached_k)
             )
         return views[: query.k], "cold", complete, phases
 
-    def _serve_cached(self, query: QuerySpec, key: CacheKey) -> Optional[_Served]:
-        """A pure slice of ``key``'s entry, or ``None``; never blocks."""
-        entry = self.cache.peek(key)
-        if isinstance(entry, ProgressiveEntry):
-            served = entry.try_serve(query.k)
-            return None if served is None else served + (_cursor_phases(entry),)
-        return _static_hit(entry, query.k)
-
     # ------------------------------------------------------------------
-    def execute(self, query: QuerySpec) -> QueryResult:
-        """Serve one query end to end."""
-        return self._run(query, cached_only=False)
+    def execute(
+        self, query: QuerySpec, *, on_loop: bool = False
+    ) -> Optional[QueryResult]:
+        """Serve one query end to end.
+
+        With ``on_loop=True`` this is the event loop's entry point.  It
+        never builds a graph, never waits on a lock another thread can
+        hold and never runs a whole-graph pass: it serves a progressive
+        query in full (hit, cursor extension or cold fill, each bounded
+        by the prefix LocalSearch-P touches) and a static query only if
+        its cached entry covers ``k``.  It returns ``None`` — having
+        recorded nothing — when the graph is not built, its core table
+        is not built yet (a cache hit is still served), a static answer
+        is not cached, or a cache or entry lock is busy; the caller then
+        runs the plain :meth:`execute` off the loop.  A query served
+        here is recorded exactly like one served by the plain call
+        (cache and metrics counters, family phases, the ``engine`` span,
+        the profiler), except that with no upstream span it mints no
+        trace root: the plain call makes the sampling decision.
+        """
+        return self._run(query, blocking=not on_loop, resume=True)
 
     def execute_cached(self, query: QuerySpec) -> Optional[QueryResult]:
         """Serve ``query`` only if it is a pure slice of a cached entry.
 
-        The event-loop entry point of the serving tier: it never builds
-        a graph, never resumes a cursor and never waits on a lock held
-        by another thread.  It returns ``None`` — having recorded
-        nothing — when the graph is not built yet, the family has no
-        entry, the entry does not cover ``k``, or a cache or entry lock
-        is busy; the caller then runs :meth:`execute` off the loop.  A
-        hit is recorded exactly like one served by :meth:`execute`
-        (cache and metrics counters, family phases, the ``engine``
-        span, the profiler), except that with no upstream span it mints
-        no trace root: the full path makes the sampling decision.
+        The process pool's event-loop entry point: like
+        ``execute(on_loop=True)``, but it never resumes or fills a
+        cursor either, since cold and extending work belongs to the
+        worker process that holds the family's cursor.  It returns
+        ``None`` — having recorded nothing — when the graph is not built
+        yet, the family has no entry, the entry does not cover ``k``, or
+        a cache or entry lock is busy.
         """
-        return self._run(query, cached_only=True)
+        return self._run(query, blocking=False, resume=False)
 
-    def _run(self, query: QuerySpec, cached_only: bool) -> Optional[QueryResult]:
+    def _run(
+        self, query: QuerySpec, blocking: bool, resume: bool
+    ) -> Optional[QueryResult]:
         """Trace one execution: an ``engine`` child span under an
-        upstream span, else (full path only) a sampled ``query`` root."""
+        upstream span, else (blocking path only) a sampled ``query``
+        root."""
         tracer = self.tracer
         if tracer is None:
-            return self._execute(query, cached_only)
+            return self._execute(query, blocking, resume)
         parent = current_span()
         if parent is NO_TRACE:
             span = None  # upstream sampled this query out
         elif parent is not None:
             span = tracer.start_span("engine", parent)
-        elif cached_only:
+        elif not blocking:
             span = None
         else:
             # No serving layer above us: the engine is the edge, and
@@ -309,16 +335,17 @@ class QueryEngine:
             if span is not None:
                 span.annotate(graph=query.graph)
         if span is None:
-            return self._execute(query, cached_only)
+            return self._execute(query, blocking, resume)
         with use_span(span):
             try:
-                result = self._execute(query, cached_only)
+                result = self._execute(query, blocking, resume)
             except Exception as exc:
                 tracer.end(span, error=type(exc).__name__)
                 raise
         if result is None:
-            # A miss: the child span is dropped unrecorded (spans only
-            # reach their trace when ended) and the full path retries.
+            # Not served here: the child span is dropped unrecorded
+            # (spans only reach their trace when ended) and the
+            # blocking path retries.
             return None
         tracer.end(
             span,
@@ -333,21 +360,24 @@ class QueryEngine:
         return result
 
     def _execute(
-        self, query: QuerySpec, cached_only: bool = False
+        self, query: QuerySpec, blocking: bool, resume: bool
     ) -> Optional[QueryResult]:
         """Dispatch to the execution body, via the profiler when armed."""
         profiler = self.profiler
         if profiler is not None:
-            return profiler.profile_call(self._execute_impl, query, cached_only)
-        return self._execute_impl(query, cached_only)
+            return profiler.profile_call(
+                self._execute_impl, query, blocking, resume
+            )
+        return self._execute_impl(query, blocking, resume)
 
     def _execute_impl(
-        self, query: QuerySpec, cached_only: bool = False
+        self, query: QuerySpec, blocking: bool, resume: bool
     ) -> Optional[QueryResult]:
         """The untraced execution body (plan → cache → run → record).
 
-        With ``cached_only`` the graph handle and the cache entry are
-        only peeked, and anything but a pure slice returns ``None``.
+        Without ``blocking`` the graph handle is only peeked and the
+        cache and entry locks are only tried; with ``resume`` off
+        anything but a pure slice returns ``None``.
         """
         started = time.perf_counter()
         # ONE handle read per query: graph, version, cache key and the
@@ -355,28 +385,31 @@ class QueryEngine:
         # reference, so a concurrent mutation/compaction flip can never
         # produce a mixed-version answer (the flip only swaps the
         # entry's handle reference; this one stays pinned).
-        if cached_only:
-            if self.cache is None:
-                return None
+        if blocking:
+            handle = self.registry.get(query.graph)
+        else:
             handle = self.registry.peek(query.graph)
             if handle is None:  # unknown or unbuilt: never build here
                 return None
-        else:
-            handle = self.registry.get(query.graph)
+            # A first search of a fresh build decomposes the whole
+            # graph for its core stop; that pass stays off the loop.
+            resume = resume and handle.graph.core_table_built
         # ONE spec resolution per query: the canonical family keys the
         # cache, plans the dispatch and labels the metrics row.
         family = query.cache_key()
         key = CacheKey.for_family(family, handle.version)
         plan = self._plan(query, family.algorithm)
         kernel = self.kernel if plan.algorithm in KERNEL_ALGORITHMS else None
-        if cached_only:
-            served = self._serve_cached(query, key)
-            if served is None:
-                return None
-        elif plan.progressive:
-            served = self._serve_progressive(handle, query, key)
+        if plan.progressive:
+            served = self._serve_progressive(
+                handle, query, key, blocking, resume
+            )
         else:
-            served = self._serve_static(handle, query, key, plan.algorithm)
+            served = self._serve_static(
+                handle, query, key, plan.algorithm, blocking
+            )
+        if served is None:
+            return None
         views, source, complete, phases = served
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if self.cache is not None:
@@ -418,7 +451,9 @@ def _cursor_phases(entry: ProgressiveEntry) -> Optional[Dict[str, float]]:
 
 
 def _static_hit(entry, k: int) -> Optional[_Served]:
-    """A static entry's answer for ``k`` if it covers it (lock-free)."""
+    """A static entry's answer for ``k`` if it covers it (lock-free;
+    ``None`` for anything else, :data:`~repro.service.cache.BUSY`
+    included)."""
     if not isinstance(entry, StaticEntry):
         return None
     served = entry.serve(k)

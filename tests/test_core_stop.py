@@ -561,7 +561,7 @@ class TestShortAnswers:
             if not extra:
                 for gamma in (50, 20):
                     spec = QuerySpec(graph="email", gamma=gamma)
-                    entry = cache.peek(CacheKey.for_spec(spec, version=1))
+                    entry = cache.get(CacheKey.for_spec(spec, version=1))
                     stats = entry.cursor.searcher.stats
                     stop = email_graph.core_stop(gamma)
                     assert (
