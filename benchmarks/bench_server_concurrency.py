@@ -9,9 +9,13 @@ The serving claims of the :mod:`repro.server` subsystem (ISSUE 2):
   classic dynamic-batching trade: a lone serial client pays the window
   per query, concurrent clients share it per *batch* — so this gate
   measures the throughput config's concurrency payoff, not raw
-  event-loop speed; for transparency the report also includes a serial
-  baseline against a window-free server, where on a single CPU the
-  amortization gain is necessarily smaller);
+  event-loop speed).  As a sanity floor, concurrent traffic must also
+  reach **0.75x** a serial client of a window-free server, where on a
+  single CPU the amortization gain is necessarily smaller.  The
+  windowed serial, concurrent and window-free serial bursts alternate
+  in ``ROUNDS`` rounds against two servers running side by side, and
+  the gates compare per-arm medians, so host speed drifting during the
+  run moves every arm alike;
 * **coalescing** — the batch scheduler performs *strictly fewer* engine
   passes (= cursor advances) than queries served: concurrent queries of
   one ``(graph, gamma, algorithm, delta)`` family ride a shared pass and
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -49,6 +54,7 @@ SERIAL_QUERIES = 64
 SHARDS = 2
 BATCH_WINDOW_MS = 2.0
 SPEEDUP_FLOOR = 5.0
+ROUNDS = 5
 
 
 async def _run_client(host: str, port: int, queries: int) -> None:
@@ -64,6 +70,12 @@ async def _run_client(host: str, port: int, queries: int) -> None:
         await client.close()
 
 
+async def _qps(burst, queries: int) -> float:
+    started = time.perf_counter()
+    await burst
+    return queries / (time.perf_counter() - started)
+
+
 async def concurrency_report(warmstart_path: str) -> dict:
     """Run all three phases against in-process servers over real TCP."""
     server = ReproServer(
@@ -74,32 +86,52 @@ async def concurrency_report(warmstart_path: str) -> dict:
     await server.start(tcp=("127.0.0.1", 0))
     assert server.tcp_address is not None
     host, port = server.tcp_address
+    # The window-free baseline shares the graph, not the cache.
+    no_window = ReproServer(server.registry, shards=1, batch_window_ms=0.0)
+    await no_window.start(tcp=("127.0.0.1", 0))
+    assert no_window.tcp_address is not None
+    host0, port0 = no_window.tcp_address
 
-    # Warm the graph + cursor once so both phases serve a hot graph.
+    # Warm the graph + cursor once so every burst serves a hot graph.
     await _run_client(host, port, len(KS))
+    await _run_client(host0, port0, len(KS))
 
-    # Phase 1: serial — one connection, one query in flight at a time.
-    started = time.perf_counter()
-    await _run_client(host, port, SERIAL_QUERIES)
-    serial_seconds = time.perf_counter() - started
-    serial_qps = SERIAL_QUERIES / serial_seconds
-
-    # Phase 2: concurrent — CLIENTS connections hammering the same graph.
-    batches_before = server.scheduler.stats.batches
-    queries_before = server.scheduler.stats.queries
-    started = time.perf_counter()
-    await asyncio.gather(
-        *(
-            _run_client(host, port, QUERIES_PER_CLIENT)
-            for _ in range(CLIENTS)
-        )
-    )
-    concurrent_seconds = time.perf_counter() - started
+    # Phases 1 and 2, alternating: serial (one connection, one query in
+    # flight at a time), concurrent (CLIENTS connections hammering the
+    # same graph) and serial against the window-free server.
+    stats = server.scheduler.stats
     total = CLIENTS * QUERIES_PER_CLIENT
-    concurrent_qps = total / concurrent_seconds
-    advances = server.scheduler.stats.batches - batches_before
-    served = server.scheduler.stats.queries - queries_before
-    max_width = server.scheduler.stats.max_width
+    serial, concurrent, serial_no_window = [], [], []
+    advances = served = 0
+    for _ in range(ROUNDS):
+        serial.append(
+            await _qps(_run_client(host, port, SERIAL_QUERIES), SERIAL_QUERIES)
+        )
+        advances -= stats.batches
+        served -= stats.queries
+        concurrent.append(
+            await _qps(
+                asyncio.gather(
+                    *(
+                        _run_client(host, port, QUERIES_PER_CLIENT)
+                        for _ in range(CLIENTS)
+                    )
+                ),
+                total,
+            )
+        )
+        advances += stats.batches
+        served += stats.queries
+        serial_no_window.append(
+            await _qps(
+                _run_client(host0, port0, SERIAL_QUERIES), SERIAL_QUERIES
+            )
+        )
+    await no_window.stop()
+    serial_qps = statistics.median(serial)
+    concurrent_qps = statistics.median(concurrent)
+    serial_qps_no_window = statistics.median(serial_no_window)
+    max_width = stats.max_width
 
     # Phase 3: kill/restart — stop() snapshots the cache; a fresh server
     # (fresh registry, fresh cache) restores it and serves warm.
@@ -116,18 +148,16 @@ async def concurrency_report(warmstart_path: str) -> dict:
     snap = restarted.metrics.snapshot()
     warm_hit_rate = snap["cache_hit_rate"]
     cold_after_restart = snap["by_source"].get("cold", 0)
-
-    # Transparency: the serial baseline without the batching window
-    # (the restarted server runs window=0), for the report only.
-    started = time.perf_counter()
-    await _run_client(host2, port2, SERIAL_QUERIES)
-    serial_qps_no_window = SERIAL_QUERIES / (time.perf_counter() - started)
     await restarted.stop()
 
     return {
         "dataset": DATASET,
         "gamma": GAMMA,
         "clients": CLIENTS,
+        "rounds": ROUNDS,
+        "serial_qps_rounds": serial,
+        "concurrent_qps_rounds": concurrent,
+        "serial_qps_no_window_rounds": serial_no_window,
         "serial_qps": serial_qps,
         "serial_qps_no_window": serial_qps_no_window,
         "concurrent_qps": concurrent_qps,
@@ -197,10 +227,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             concurrency_report(str(Path(tmp) / "warmstart.json"))
         )
 
+    print(f"medians of {ROUNDS} alternating rounds:")
     print(f"serial (1 connection):     {report['serial_qps']:10,.0f} q/s")
     print(
         f"serial (no batch window):  "
-        f"{report['serial_qps_no_window']:10,.0f} q/s  [reported only]"
+        f"{report['serial_qps_no_window']:10,.0f} q/s"
     )
     print(
         f"concurrent ({CLIENTS} clients):  "

@@ -8,10 +8,11 @@ hot substrate exactly the shape such a segment wants: the
 :class:`~repro.graph.csr.CSRAdjacency` buffers are contiguous, immutable
 and typed (int32 ``N>=``/``N<`` neighbour targets, int64 row offsets).
 
-:func:`publish_graph` lays the five canonical buffers (both offset
-arrays, both target arrays, and the float64 vertex weights) out in one
-segment, 8-byte-aligned region by region, and returns a small picklable
-:class:`SegmentHandle` describing the layout.  :func:`attach_graph`
+:func:`publish_graph` lays the six canonical buffers (both offset
+arrays, both target arrays, the float64 vertex weights and the int32
+per-rank core numbers) out in one segment, 8-byte-aligned region by
+region, and returns a small picklable :class:`SegmentHandle`
+describing the layout.  :func:`attach_graph`
 (worker side) maps the segment, casts typed ``memoryview`` windows over
 the regions and rebuilds a
 :class:`~repro.graph.weighted_graph.WeightedGraph` via
@@ -75,6 +76,7 @@ _REGIONS: Tuple[Tuple[str, str, int], ...] = (
     ("weights", "d", 8),
     ("up_targets", "i", 4),
     ("down_targets", "i", 4),
+    ("core_numbers", "i", 4),
 )
 
 
@@ -108,10 +110,10 @@ class SegmentHandle:
     pipe.  ``labels`` is ``None`` when the graph's labels are the
     identity ``0..n-1`` (the common generated-dataset case) — otherwise
     the label list rides along in the handle, pickled once per attach;
-    the big adjacency never does.  ``core_table`` is the graph's
-    ``(stops, slack)`` core stop table (one integer per core level), so
-    an attached graph answers ``core_stop`` without a decomposition of
-    its own.
+    the big adjacency never does.  ``core_slack`` is the slack of the
+    graph's core stop table, whose per-rank core numbers ride in the
+    segment, so an attached graph answers ``core_stop``, and re-ranks,
+    without a decomposition of its own.
     """
 
     graph: str
@@ -121,7 +123,7 @@ class SegmentHandle:
     num_edges: int
     lengths: Tuple[int, ...]
     labels: Optional[Tuple[Hashable, ...]]
-    core_table: Tuple[Tuple[int, ...], int]
+    core_slack: int
 
     @property
     def nbytes(self) -> int:
@@ -142,7 +144,7 @@ class SegmentHandle:
 
 
 def _graph_regions(graph: WeightedGraph):
-    """The five canonical buffers of ``graph`` in :data:`_REGIONS` order."""
+    """The six canonical buffers of ``graph`` in :data:`_REGIONS` order."""
     from array import array
 
     csr = graph.csr()
@@ -153,6 +155,7 @@ def _graph_regions(graph: WeightedGraph):
         weights,
         csr.up_targets,
         csr.down_targets,
+        array("i", graph.core_numbers()),
     )
 
 
@@ -166,9 +169,10 @@ def _labels_payload(graph: WeightedGraph) -> Optional[Tuple[Hashable, ...]]:
 def publish_graph(handle: GraphHandle):
     """Copy ``handle``'s CSR + weights into a fresh shared segment.
 
-    The graph's core stop table rides in the handle; building it here,
-    if the graph has none yet, is one decomposition in the publisher
-    instead of one in every worker.
+    The graph's core stop table rides along (its core numbers in the
+    segment, its slack in the handle); building it here, if the graph
+    has none yet, is one decomposition in the publisher instead of one
+    in every worker.
 
     Returns ``(segment, shm)``.  The caller owns the creator's mapping:
     keep ``shm`` open for the segment's whole life (Windows named
@@ -177,8 +181,8 @@ def publish_graph(handle: GraphHandle):
     """
     from multiprocessing import shared_memory
 
+    slack = handle.graph.core_table()[1]
     regions = _graph_regions(handle.graph)
-    stops, slack = handle.graph.core_table()
     lengths = tuple(len(region) for region in regions)
     nbytes = sum(
         len(region) * itemsize
@@ -203,7 +207,7 @@ def publish_graph(handle: GraphHandle):
             num_edges=handle.graph.num_edges,
             lengths=lengths,
             labels=_labels_payload(handle.graph),
-            core_table=(tuple(stops), slack),
+            core_slack=slack,
         )
     except BaseException:
         shm.close()
@@ -252,14 +256,15 @@ def attach_graph(segment: SegmentHandle) -> WeightedGraph:
     try:
         windows = segment.region_windows(shm.buf)
         try:
-            up_off, down_off, weights, up_tgt, down_tgt = windows
+            up_off, down_off, weights, up_tgt, down_tgt, cores = windows
             graph = WeightedGraph.from_csr(
                 CSRAdjacency(
                     segment.num_vertices, up_off, up_tgt, down_off, down_tgt
                 ),
                 weights,
                 list(segment.labels) if segment.labels is not None else None,
-                (list(segment.core_table[0]), segment.core_table[1]),
+                cores.tolist(),
+                segment.core_slack,
             )
         finally:
             for window in windows:

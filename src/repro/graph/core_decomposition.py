@@ -13,14 +13,17 @@ This module provides:
 * :func:`degeneracy` — the maximum core number; this is the ``γmax``
   statistic of Table 1 in the paper (largest γ with a non-empty γ-core);
 * :func:`core_stops` — the same decomposition folded into one stop rank
-  per γ, the bound that ends a search once its prefix holds the γ-core.
+  per γ (:func:`fold_core_stops`), the bound that ends a search once
+  its prefix holds the γ-core.
 
-Core numbers do not depend on vertex weights, so one decomposition per
-graph generation serves every γ and survives any rank-preserving
-reweight.  :meth:`~repro.graph.weighted_graph.WeightedGraph.core_stop`
-caches the table and carries it across edge-overlay generations: an
-edge insertion raises any core number by at most 1 (Li, Yu & Mao,
-TKDE 2014; Sariyüce et al., VLDB 2013) and a deletion raises none.
+Core numbers do not depend on vertex weights, so one decomposition
+serves every γ and every reweight.
+:meth:`~repro.graph.weighted_graph.WeightedGraph.core_table` keeps the
+per-rank core numbers with the folded stops and carries both across
+generations.  A reweight that reorders ranks permutes the numbers
+inside the moved window and refolds the stops (:func:`fold_core_stops`,
+O(n)); an edge insertion raises any core number by at most 1 (Li, Yu &
+Mao, TKDE 2014; Sariyüce et al., VLDB 2013) and a deletion raises none.
 The inserts add up to a slack that loosens the bound, so each
 compaction (:meth:`~repro.service.registry.GraphRegistry.compact`)
 runs one fresh decomposition and publishes an exact table.
@@ -39,6 +42,7 @@ __all__ = [
     "core_decomposition",
     "degeneracy",
     "core_stops",
+    "fold_core_stops",
 ]
 
 
@@ -155,10 +159,20 @@ def core_stops(graph: WeightedGraph) -> List[int]:
     ``stops[γ]`` it holds the whole γ-core and with it every
     influential γ-community.  O(n + m), one :func:`core_decomposition`.
     """
-    cores = core_decomposition(graph)
-    stops = [0] * (max(cores, default=-1) + 1)
-    for rank, core in enumerate(cores):
-        stops[core] = rank + 1  # ranks ascend: the last write is the highest
+    return fold_core_stops(core_decomposition(graph))
+
+
+def fold_core_stops(cores: List[int]) -> List[int]:
+    """The :func:`core_stops` table of per-rank core numbers ``cores``.
+
+    >>> fold_core_stops([3, 3, 3, 3, 1, 1, 1])
+    [7, 7, 4, 4]
+    """
+    # A dict keeps the last write per key: core -> 1 + its highest rank.
+    last = dict(zip(cores, range(1, len(cores) + 1)))
+    stops = [0] * (max(last, default=-1) + 1)
+    for core, stop in last.items():
+        stops[core] = stop
     for gamma in range(len(stops) - 2, -1, -1):
         stops[gamma] = max(stops[gamma], stops[gamma + 1])
     return stops

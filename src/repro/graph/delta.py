@@ -12,16 +12,21 @@ derived from the old one:
   batch replays identically in the parent process and inside cluster
   workers (rank spaces may differ after a re-rank; label spaces never
   do).
-* :func:`apply_batch` — produce the next generation.  On the common
-  path (no reweight changes the rank order) the new graph **shares
-  every untouched adjacency row by reference** with its parent and
-  holds fresh sorted copies of the touched rows only, so building it
-  costs one O(n) list of row references plus O(touched rows), and
-  kernels, which read the rows, stay byte-identical to a full
-  rebuild.  When a reweight reorders ranks the generation is
-  rebuilt through :class:`~repro.graph.builder.GraphBuilder` (weights
-  are strictly distinct, so the rebuild is deterministic and equal to
-  building from scratch).
+* :func:`apply_batch` — produce the next generation.  The new graph
+  **shares every untouched adjacency row by reference** with its
+  parent and holds fresh sorted rows only where the batch changed
+  them, so kernels, which read the rows, stay byte-identical to a
+  build from scratch of the mutated model.  A batch's reweights move
+  ranks only inside one window, between each moved vertex's old and
+  new rank, and the permutation is monotone on the vertices that did
+  not move; so they apply as a **relabel** (:func:`_relabel`): a row
+  with no entry in the window is shared, any other row is mapped
+  through the permutation at C level, and only the rows of the moved
+  vertices and of their neighbours are re-sorted and split at the new
+  rank.  Weights, labels, ranks, the label order and the per-rank core
+  numbers change only inside the window.  The batch's edge flips then
+  apply as an overlay in the new rank space (:func:`_overlay_graph`):
+  O(n) row references plus the touched rows.
 
 Every application also reports a **barrier weight**: the largest
 vertex weight whose threshold subgraph could have changed.  For any
@@ -113,8 +118,8 @@ class MutationStats:
     #: Ops that were already satisfied (inserting a present edge,
     #: deleting an absent one, reweighting to the current weight).
     noops: int = 0
-    #: Whether a reweight reordered ranks (forcing a full re-rank
-    #: rebuild instead of the shared-row overlay).
+    #: Whether a reweight reordered ranks (applied as a relabel of the
+    #: rows inside the moved window).
     rank_shuffle: bool = False
 
 
@@ -182,42 +187,154 @@ def apply_batch(
     stats.reweighted = len(effective_rw)
 
     if effective_rw:
-        new_weights = list(old_w)
-        for rank, w in effective_rw.items():
-            new_weights[rank] = w
-        seen = set(new_weights)
-        if len(seen) != len(new_weights):
-            raise GraphConstructionError(
-                "reweight would collide with an existing vertex weight; "
-                "weights must stay strictly distinct"
-            )
-        ordered = all(
-            new_weights[i - 1] > new_weights[i]
-            for i in range(1, len(new_weights))
-        )
-        if not ordered:
-            stats.rank_shuffle = True
-            return (
-                _rerank_rebuild(graph, effective_edges, new_weights),
-                barrier,
-                stats,
-            )
-    else:
-        new_weights = old_w  # shared: nothing changed
+        new = _relabel(graph, effective_rw)
+        # Only a relabel that keeps every rank's vertex keeps the labels.
+        stats.rank_shuffle = new._labels is not graph._labels
+        # Same label, new rank: the flips move into the new rank space.
+        rank_of, labels = new._rank_of, graph._labels
+        effective_edges = [
+            (*sorted((rank_of[labels[u]], rank_of[labels[v]])), want)
+            for u, v, want in effective_edges
+        ]
+        graph = new
+    if effective_edges:
+        graph = _overlay_graph(graph, effective_edges)
+    return graph, barrier, stats
 
-    return (
-        _overlay_graph(graph, effective_edges, new_weights),
-        barrier,
-        stats,
+
+def _rerank(
+    graph: WeightedGraph, reweights: Dict[int, float]
+) -> Tuple[int, List[int], List[float]]:
+    """The window of ranks that ``reweights`` reorder, and its new order.
+
+    Returns ``(lo, order, window_weights)``: new rank ``lo + i`` holds
+    old rank ``lo + order[i]``, with weight ``window_weights[i]``, and
+    every rank outside the window keeps its vertex.  A vertex moved to
+    weight ``w`` lands just below the ``at`` vertices heavier than
+    ``w``, so the window spans its old rank and ``at`` (moving up) or
+    ``at - 1`` (moving down).  One bisect per reweight and one sort of
+    the window; raises :class:`GraphConstructionError` when a new
+    weight equals another vertex's final weight.
+    """
+    weights = graph._weights
+    lo, hi = len(weights), 0
+    for rank, w in reweights.items():
+        at = graph.prefix_for_threshold(w)  # ranks at least as heavy
+        if at and weights[at - 1] == w:
+            if at - 1 not in reweights:  # that vertex keeps weight w
+                _collision()
+            at -= 1
+        lo = min(lo, rank, at)
+        hi = max(hi, rank + 1, at)
+    if len(set(reweights.values())) != len(reweights):
+        _collision()
+    window = weights[lo:hi]
+    for rank, w in reweights.items():
+        window[rank - lo] = w
+    order = sorted(range(len(window)), key=window.__getitem__, reverse=True)
+    return lo, order, [window[i] for i in order]
+
+
+def _collision() -> None:
+    raise GraphConstructionError(
+        "reweight would collide with an existing vertex weight; "
+        "weights must stay strictly distinct"
     )
 
 
+def _relabel(graph: WeightedGraph, reweights: Dict[int, float]) -> WeightedGraph:
+    """Reweight ``graph`` by moving :func:`_rerank`'s window.
+
+    The permutation ``pi`` is monotone on the vertices ``reweights``
+    leaves alone, so the row of such a vertex with no reweighted
+    neighbour stays sorted and split at the same place under ``pi``:
+    shared when it holds no window rank, mapped otherwise.  The rows of
+    the reweighted vertices and of their neighbours in the window are
+    re-sorted and split at the new rank; a neighbour outside the window
+    only re-sorts its mapped row.  The parent's core numbers move with
+    the ranks (they do not depend on weights) and keep its slack; the
+    prefix-size memo is kept below the window.
+    """
+    lo, order, window_weights = _rerank(graph, reweights)
+    hi = lo + len(order)
+    new = WeightedGraph.__new__(WeightedGraph)
+    new._weights = list(graph._weights)
+    new._weights[lo:hi] = window_weights
+    new._num_edges = graph._num_edges
+    slack = graph.core_table()[1]
+    cores = graph._core_numbers
+    if order == list(range(len(order))):  # every rank keeps its vertex
+        new._adj_up, new._adj_down = graph._adj_up, graph._adj_down
+        new._labels = graph._labels
+        new._label_order = graph._label_order
+        new._rank_of = graph._rank_of
+        new._prefix_sizes = list(graph._prefix_sizes)
+        new._core_numbers, new._core_stops = cores, graph._core_stops
+        return new
+
+    old_ranks = [lo + old for old in order]  # by new rank
+    pi = list(range(len(new._weights)))
+    for i, old in enumerate(old_ranks, lo):
+        pi[old] = i
+    remap = pi.__getitem__
+    up, down = graph._adj_up, graph._adj_down
+    new_up, new_down = list(up), list(down)
+    # A row that holds a reweighted vertex is out of order under pi.
+    resort = set(reweights)
+    for rank in reweights:
+        resort.update(up[rank])
+        resort.update(down[rank])
+    neighbours = set()
+    for u in range(lo, hi):
+        nu = pi[u]
+        row, other = up[u], down[u]
+        neighbours.update(row)
+        neighbours.update(other)
+        if u in resort:
+            row = sorted(map(remap, row + other))
+            cut = bisect_left(row, nu)
+            new_up[nu], new_down[nu] = row[:cut], row[cut:]
+            continue
+        # Ranks below u in the up-row, above it in the down-row: each
+        # holds a window rank when its end nearest u does.
+        new_up[nu] = list(map(remap, row)) if row and row[-1] >= lo else row
+        new_down[nu] = (
+            list(map(remap, other)) if other and other[0] < hi else other
+        )
+    # A neighbour outside the window keeps its rank and its split (the
+    # whole window lies on one side of it); the row facing the window
+    # is mapped.
+    for u in neighbours:
+        if u < lo:
+            rows, new_rows = down, new_down
+        elif u >= hi:
+            rows, new_rows = up, new_up
+        else:
+            continue
+        row = list(map(remap, rows[u]))
+        if u in resort:
+            row.sort()
+        new_rows[u] = row
+    new._adj_up, new._adj_down = new_up, new_down
+
+    labels = graph._labels
+    new._labels = list(labels)
+    new._labels[lo:hi] = map(labels.__getitem__, old_ranks)
+    new._rank_of = dict(graph._rank_of)
+    new._rank_of.update(zip(new._labels[lo:hi], range(lo, hi)))
+    new._label_order = graph._label_order.relabelled(new._labels, lo, order)
+    new._prefix_sizes = graph._prefix_sizes[:lo + 1]
+    cores = list(cores)
+    cores[lo:hi] = [cores[old] for old in old_ranks]
+    new.set_core_numbers(cores, slack)
+    return new
+
+
 def _overlay_graph(
-    graph: WeightedGraph,
-    effective_edges: List[Tuple[int, int, bool]],
-    new_weights: List[float],
+    graph: WeightedGraph, effective_edges: List[Tuple[int, int, bool]]
 ) -> WeightedGraph:
-    """Rank-preserving path: share untouched rows, copy touched ones."""
+    """Flip edges in ``graph``'s rank space: share untouched rows, copy
+    touched ones."""
     up_rows: Dict[int, List[int]] = {}
     down_rows: Dict[int, List[int]] = {}
     delta_m = 0
@@ -238,7 +355,7 @@ def _overlay_graph(
             delta_m -= 1
 
     new = WeightedGraph.__new__(WeightedGraph)
-    new._weights = new_weights
+    new._weights = graph._weights
     new._adj_up = list(graph._adj_up)
     for v, row in up_rows.items():
         new._adj_up[v] = row
@@ -249,42 +366,19 @@ def _overlay_graph(
     new._label_order = graph._label_order
     new._rank_of = graph._rank_of
     new._num_edges = graph._num_edges + delta_m
-    new._prefix_sizes = [0]
+    # A flip (u, v) with u < v changes size(G_p) only for p > v.
+    new._prefix_sizes = graph._prefix_sizes[
+        :min(v for _, v, _ in effective_edges) + 1
+    ]
     # Same rank space, so the parent's core stop table still bounds this
     # generation once each insert is counted as slack (see core_stop).
-    # A parent without one (a from_csr copy, a re-rank rebuild) builds
-    # it here, so the chain pays one decomposition, not one per overlay.
+    # A parent without one (a from_csr copy) builds it here, so the
+    # chain pays one decomposition, not one per overlay.
     stops, slack = graph.core_table()
+    new._core_numbers = graph._core_numbers
     inserted = sum(1 for _, _, want in effective_edges if want)
     new._core_stops = (stops, slack + inserted)
     return new
-
-
-def _rerank_rebuild(
-    graph: WeightedGraph,
-    effective_edges: List[Tuple[int, int, bool]],
-    new_weights: List[float],
-) -> WeightedGraph:
-    """Reweight reordered ranks: rebuild deterministically from scratch.
-
-    Weights are strictly distinct, so the builder's rank assignment
-    depends only on the weight values — the result is byte-identical
-    to building the mutated edge/weight model from nothing (the
-    differential-test oracle).
-    """
-    from .builder import GraphBuilder
-
-    flips = {(u, v): want for u, v, want in effective_edges}
-    builder = GraphBuilder()
-    for rank in range(graph.num_vertices):
-        builder.add_vertex(graph.label(rank), new_weights[rank])
-    for u, v in graph.iter_edges():  # (u, v) with u > v
-        if flips.pop((v, u), True):
-            builder.add_edge(graph.label(u), graph.label(v))
-    for (u, v), want in flips.items():
-        if want:
-            builder.add_edge(graph.label(u), graph.label(v))
-    return builder.build()
 
 
 def apply_ops_to_model(

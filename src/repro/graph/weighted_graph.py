@@ -79,31 +79,54 @@ class LabelOrder:
 
     A graph generation that keeps its parent's label list (an edge
     overlay, a compaction) shares the parent's instance, and with it
-    the key and the tokens; only a new label list (a re-rank rebuild)
-    builds a new one.  Concurrent first calls may both build either;
-    the results are equal and one wins.
+    the key and the tokens.  A re-rank permutes the labels inside a
+    window of ranks (:meth:`relabelled`): when no two labels share a
+    ``str`` the order does not depend on ranks, so the new instance
+    shares ``by_position`` and the tokens and permutes ``position``;
+    otherwise it builds its own.  Concurrent first calls may both build
+    either; the results are equal and one wins.
     """
 
-    __slots__ = ("_labels", "_key", "_tokens")
+    __slots__ = ("_labels", "_key", "_tokens", "_str_unique")
 
     def __init__(self, labels: Sequence[Hashable]) -> None:
         self._labels = labels
         self._key: Optional[Tuple[List[int], List[Hashable]]] = None
         self._tokens: Optional[_JSONTokens] = None
+        #: Whether no two labels share a ``str``; known once the key is.
+        self._str_unique = False
 
     def key(self) -> Tuple[List[int], List[Hashable]]:
         key = self._key
         if key is None:
             labels = self._labels
+            strs = list(map(str, labels))
             # A stable sort of ranks by str breaks str ties by rank.
-            order = sorted(
-                range(len(labels)), key=list(map(str, labels)).__getitem__
-            )
+            order = sorted(range(len(labels)), key=strs.__getitem__)
             position = [0] * len(order)
             for i, rank in enumerate(order):
                 position[rank] = i
+            self._str_unique = len(set(strs)) == len(strs)
             key = self._key = (position, [labels[r] for r in order])
         return key
+
+    def relabelled(
+        self, labels: Sequence[Hashable], lo: int, order: List[int]
+    ) -> "LabelOrder":
+        """The order of ``labels``: this instance's labels with the
+        window ``[lo, lo + len(order))`` permuted so that new rank
+        ``lo + i`` holds old rank ``lo + order[i]``."""
+        new = LabelOrder(labels)
+        key = self._key
+        if key is not None and self._str_unique:
+            position, by_position = key
+            window = position[lo:lo + len(order)]
+            position = list(position)
+            position[lo:lo + len(order)] = [window[i] for i in order]
+            new._str_unique = True
+            new._tokens = self.json_tokens()
+            new._key = (position, by_position)
+        return new
 
     def json_tokens(self) -> Dict[int, str]:
         """Position -> ``json.dumps(label, sort_keys=True, default=str)``.
@@ -174,6 +197,7 @@ class WeightedGraph:
         "_num_edges",
         "_prefix_sizes",
         "_core_stops",
+        "_core_numbers",
     )
 
     def __init__(
@@ -208,8 +232,10 @@ class WeightedGraph:
         # Lazily-extended cumulative prefix sizes; see prefix_size().
         # _prefix_sizes[p] = size(G_p) = p + |edges among ranks < p|.
         self._prefix_sizes: List[int] = [0]
-        # Lazily-built (stops, slack) pair; see core_stop().
+        # Lazily-built (stops, slack) pair and the per-rank core numbers
+        # it was folded from; see core_table().
         self._core_stops = None
+        self._core_numbers: Optional[List[int]] = None
         if validate:
             self._validate()
 
@@ -252,7 +278,8 @@ class WeightedGraph:
         csr: "CSRAdjacency",
         weights: Sequence[float],
         labels: Optional[Sequence[Hashable]] = None,
-        core_table: Optional[Tuple[List[int], int]] = None,
+        core_numbers: Optional[List[int]] = None,
+        core_slack: int = 0,
     ) -> "WeightedGraph":
         """Rebuild a graph from its CSR form (the cluster attach path).
 
@@ -263,9 +290,9 @@ class WeightedGraph:
         already passed it.  The weights are still checked to be finite,
         in O(n).  The graph keeps no reference to ``csr``, so a
         shared-memory segment's windows are free once this returns.
-        ``core_table`` is the source graph's :meth:`core_table`; without
-        it the copy runs its own decomposition on its first
-        :meth:`core_stop`.
+        ``core_numbers`` and ``core_slack`` are the source graph's
+        :meth:`core_numbers` and its table's slack; without them the
+        copy runs its own decomposition on its first :meth:`core_stop`.
         """
         up_off, up_tgt = csr.up_offsets, csr.up_targets
         down_off, down_tgt = csr.down_offsets, csr.down_targets
@@ -294,7 +321,9 @@ class WeightedGraph:
         graph._label_order = LabelOrder(graph._labels)
         graph._num_edges = csr.num_edges
         graph._prefix_sizes = [0]
-        graph._core_stops = core_table
+        graph._core_numbers = graph._core_stops = None
+        if core_numbers is not None:
+            graph.set_core_numbers(core_numbers, core_slack)
         return graph
 
     def _validate(self) -> None:
@@ -448,12 +477,14 @@ class WeightedGraph:
         once, on first use, and cached (a benign double-build can occur
         under concurrent first calls).
 
-        An edge-overlay generation keeps its parent's rank space and
-        inherits the parent's table with a ``slack``: the number of
-        edges inserted since the table was built.  Each insertion raises
-        a core number by at most 1, so the bound reads the table at
-        ``gamma - slack``; when that is not positive the bound is off
-        and the stop is ``n``.  Compaction
+        Every later generation inherits the parent's table with a
+        ``slack``: the number of edges inserted since the table was
+        built.  An edge overlay keeps the rank space and the table; a
+        re-rank permutes the core numbers with the ranks and refolds
+        the stops (core numbers do not depend on weights).  Each
+        insertion raises a core number by at most 1, so the bound reads
+        the table at ``gamma - slack``; when that is not positive the
+        bound is off and the stop is ``n``.  Compaction
         (:meth:`~repro.service.registry.GraphRegistry.compact`) resets
         the slack to 0 with one fresh decomposition per fold, so the
         slack never exceeds the inserts of one delta chain.
@@ -471,13 +502,32 @@ class WeightedGraph:
 
     def core_table(self) -> Tuple[List[int], int]:
         """The ``(stops, slack)`` pair behind :meth:`core_stop`, built
-        (slack 0) on first use."""
+        (slack 0) by one decomposition on first use."""
         table = self._core_stops
         if table is None:
-            from .core_decomposition import core_stops
+            from .core_decomposition import core_decomposition
 
-            table = self._core_stops = (core_stops(self), 0)
+            self.set_core_numbers(core_decomposition(self), 0)
+            table = self._core_stops
         return table
+
+    def core_numbers(self) -> List[int]:
+        """The per-rank core numbers the :meth:`core_table` stops were
+        folded from: exact at slack 0, and otherwise exact for the
+        generation that last decomposed, moved with the ranks since."""
+        self.core_table()
+        return self._core_numbers
+
+    def set_core_numbers(self, cores: List[int], slack: int) -> None:
+        """Install the table folded from per-rank ``cores`` with ``slack``.
+
+        The numbers are written before the table, so a reader that
+        finds the table finds numbers at least as tight.
+        """
+        from .core_decomposition import fold_core_stops
+
+        self._core_numbers = cores
+        self._core_stops = (fold_core_stops(cores), slack)
 
     def iter_neighbors(self, u: int) -> Iterator[int]:
         """All neighbours of rank ``u`` (up-part first)."""

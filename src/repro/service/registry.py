@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import UnknownGraphError
-from ..graph.core_decomposition import core_stops
+from ..graph.core_decomposition import core_decomposition
 from ..graph.delta import EdgeBatch, MutationStats, apply_batch
 from ..graph.io import load_snap_graph
 from ..graph.weighted_graph import WeightedGraph
@@ -391,7 +391,7 @@ class GraphRegistry:
             if handle is None or not entry.deltas:
                 return None
             graph = handle.graph
-            graph._core_stops = (core_stops(graph), 0)
+            graph.set_core_numbers(core_decomposition(graph), 0)
             old_version = entry.version
             entry.version += 1
             new_handle = GraphHandle(name, entry.version, graph)

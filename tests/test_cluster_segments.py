@@ -105,7 +105,7 @@ def _forbid_decomposition(monkeypatch):
     def forbidden(graph):
         raise AssertionError("core decomposition ran on an attached graph")
 
-    monkeypatch.setattr(core_module, "core_stops", forbidden)
+    monkeypatch.setattr(core_module, "core_decomposition", forbidden)
 
 
 def _all_core_stops(graph, reference):

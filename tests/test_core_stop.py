@@ -8,9 +8,10 @@ stop of its core instead of peeling the whole graph.  Covered here:
 
 * the table itself (:func:`core_stops`) and its generation rules —
   overlays inherit it with an insert ``slack`` (a parent without one
-  builds it first, once per chain), compaction re-tightens it to an
-  exact table with slack 0, a re-rank rebuild and ``from_csr`` start
-  without one;
+  builds it first, once per chain), a re-rank carries it with the core
+  numbers moved to the new ranks, compaction re-tightens it to an
+  exact table with slack 0, and ``from_csr`` starts without one unless
+  given the source's;
 * the registry's report of the table and of a failed background fold
   (``core_slack``, ``compaction_error`` in ``describe()``);
 * a hypothesis property: on every generation (base, each overlay, one
@@ -176,19 +177,38 @@ class TestGenerations:
         assert not stats.rank_shuffle
         assert [overlay.core_stop(g) for g in range(1, 4)] == stops
 
-    def test_rerank_rebuild_starts_fresh(self):
-        # Vertex 5 is isolated and lightest; the reweight moves vertex 0
-        # below vertex 4, so ranks reorder but 5 stays last.
+    def _rerank_batch(self):
+        # A triangle on 0-2, a path 2-3-4 and an isolated, lightest 5.
+        # The reweight moves vertex 0 below vertex 4 (5 stays last) and
+        # the insert closes the cycle 0-2-3-4: every vertex but 5 now
+        # has core number 2.
         base = graph_from_arrays(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+        return base, EdgeBatch((("insert", 0, 4), ("reweight", 0, 1.5)))
+
+    def test_rerank_carries_the_table_with_its_slack(self, monkeypatch):
+        base, batch = self._rerank_batch()
         assert base.core_stop(1) == 5
-        rebuilt, _, stats = apply_batch(
-            base, EdgeBatch((("insert", 0, 4), ("reweight", 0, 1.5)))
-        )
+        assert base._core_numbers == [2, 2, 2, 1, 1, 0]
+
+        def forbidden(graph):
+            raise AssertionError("a re-rank ran a core decomposition")
+
+        monkeypatch.setattr(core_module, "core_decomposition", forbidden)
+        reranked, _, stats = apply_batch(base, batch)
         assert stats.rank_shuffle
-        # An inherited table with slack 1 would answer n for γ=1; the
-        # rebuild decomposes afresh and stops before the isolated vertex.
-        assert rebuilt.core_stop(1) == rebuilt.core_stop(2) == 5
-        assert rebuilt.core_stop(3) == 0
+        assert reranked.labels(range(6)) == [1, 2, 3, 4, 0, 5]
+        # Vertex 0 takes its core number 2 to rank 4, the stops are
+        # refolded, and the insert is slack 1.
+        assert reranked._core_numbers == [2, 2, 1, 1, 2, 0]
+        assert reranked._core_stops == ([6, 5, 5], 1)
+        # Slack 1 turns γ=1 into γ=0 (the bound is off) and reads the
+        # γ=3 stop at γ=2: loose, yet every exact γ-core lies below it.
+        assert [reranked.core_stop(g) for g in (1, 2, 3)] == [6, 5, 5]
+        for gamma in (1, 2, 3):
+            assert all(
+                u < reranked.core_stop(gamma)
+                for u in _exact_core(reranked, gamma)
+            )
 
     def test_compaction_retightens_the_table(self):
         registry = GraphRegistry(preload_datasets=False, compact_after=None)
@@ -206,22 +226,22 @@ class TestGenerations:
         # the exact γ=3 stop is 0 where slack 1 read the γ=2 stop, 3.
         assert [compacted.core_stop(g) for g in range(1, 4)] == [6, 6, 0]
 
-    def test_compaction_of_a_flat_chain_builds_the_table(self):
-        # A re-rank rebuild is already flat and starts without a table:
-        # the fold reuses the graph and gives it an exact one.
+    def test_compaction_of_a_rerank_makes_the_table_exact(self):
+        # The re-rank carried the base's table with slack 1; the fold
+        # reuses the graph and gives it an exact one.
         registry = GraphRegistry(preload_datasets=False, compact_after=None)
-        base = graph_from_arrays(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+        base, batch = self._rerank_batch()
         registry.register("g", lambda: base)
-        event = registry.apply(
-            "g", (("insert", 0, 4), ("reweight", 0, 1.5))
-        )
+        event = registry.apply("g", batch)
         assert event.stats.rank_shuffle
-        rebuilt = registry.get("g").graph
-        assert rebuilt._core_stops is None
+        reranked = registry.get("g").graph
+        assert reranked._core_stops == ([6, 5, 5], 1)
         registry.compact("g")
         compacted = registry.get("g").graph
-        assert compacted is rebuilt
+        assert compacted is reranked
         assert compacted._core_stops == (core_stops(compacted), 0)
+        assert compacted._core_numbers == core_decomposition(compacted)
+        assert [compacted.core_stop(g) for g in (1, 2, 3)] == [5, 5, 0]
 
     def test_from_csr_chain_decomposes_once(self, monkeypatch):
         n = 24
@@ -233,10 +253,10 @@ class TestGenerations:
             base.labels(range(n)),
         )
         calls = []
-        real = core_module.core_stops
+        real = core_module.core_decomposition
         monkeypatch.setattr(
             core_module,
-            "core_stops",
+            "core_decomposition",
             lambda graph: calls.append(graph) or real(graph),
         )
         inserts = _insert_ops(n, edges, 10)
@@ -274,7 +294,7 @@ class TestGenerations:
         def broken(graph):
             raise RuntimeError("decomposition failed")
 
-        monkeypatch.setattr(registry_module, "core_stops", broken)
+        monkeypatch.setattr(registry_module, "core_decomposition", broken)
         registry.apply("g", [("insert", 0, 5)])
         join_compactor()
         failed = row()

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.api.spec import QuerySpec
 from repro.core.progressive import LocalSearchP
+from repro.graph.delta import EdgeBatch, apply_batch
 from repro.graph.weighted_graph import WeightedGraph
 from repro.service.cache import CacheKey, ProgressiveEntry, ResultCache
 from repro.service.engine import (
@@ -271,7 +272,7 @@ def _small_graph() -> WeightedGraph:
     return WeightedGraph.from_edges(edges, weights)
 
 
-def test_label_order_key_is_shared_until_a_rerank():
+def test_label_order_key_is_shared_across_a_rerank():
     registry = _registry(_small_graph())
     base = registry.get("g").graph
     registry.apply("g", [("delete", 3, 9)])
@@ -291,12 +292,32 @@ def test_label_order_key_is_shared_until_a_rerank():
     registry.apply("g", [("reweight", 3, 50.0)])  # rank 5 -> rank 0
     reranked = registry.get("g").graph
     assert reranked.label(0) == 3
-    assert reranked.label_order().key() is not key
-    assert reranked.label_order().json_tokens() is not tokens
+    # No two labels share a str, so the member order does not depend
+    # on ranks: the re-rank shares the labels in member order and the
+    # tokens, and only moves the positions with the ranks.
     position, by_position = reranked.label_order().key()
+    assert by_position is key[1]
+    assert reranked.label_order().json_tokens() is tokens
+    assert position == [key[0][5]] + key[0][:5]
     assert by_position == sorted(by_position, key=str)
     assert [by_position[position[r]] for r in range(6)] == [
         reranked.label(r) for r in range(6)
+    ]
+
+
+def test_label_order_of_a_rerank_with_str_ties_is_rebuilt():
+    # 1 and "1" tie on str, so their member order follows their ranks.
+    labels = [1, "1", 2, 3]
+    weights = {label: float(10 - rank) for rank, label in enumerate(labels)}
+    graph = WeightedGraph.from_edges([(1, "1"), ("1", 2), (2, 3)], weights)
+    key = graph.label_order().key()
+    reranked, _, _ = apply_batch(graph, EdgeBatch((("reweight", 1, 5.0),)))
+    assert reranked.labels(range(4)) == ["1", 2, 3, 1]
+    position, by_position = reranked.label_order().key()
+    assert by_position is not key[1]
+    assert by_position == ["1", 1, 2, 3]
+    assert [by_position[position[r]] for r in range(4)] == [
+        reranked.label(r) for r in range(4)
     ]
 
 
