@@ -110,10 +110,9 @@ class SegmentHandle:
     pipe.  ``labels`` is ``None`` when the graph's labels are the
     identity ``0..n-1`` (the common generated-dataset case) — otherwise
     the label list rides along in the handle, pickled once per attach;
-    the big adjacency never does.  ``core_slack`` is the slack of the
-    graph's core stop table, whose per-rank core numbers ride in the
-    segment, so an attached graph answers ``core_stop``, and re-ranks,
-    without a decomposition of its own.
+    the big adjacency never does.  The graph's exact per-rank core
+    numbers ride in the segment, so an attached graph answers
+    ``core_stop``, and re-ranks, without a decomposition of its own.
     """
 
     graph: str
@@ -123,7 +122,6 @@ class SegmentHandle:
     num_edges: int
     lengths: Tuple[int, ...]
     labels: Optional[Tuple[Hashable, ...]]
-    core_slack: int
 
     @property
     def nbytes(self) -> int:
@@ -169,10 +167,9 @@ def _labels_payload(graph: WeightedGraph) -> Optional[Tuple[Hashable, ...]]:
 def publish_graph(handle: GraphHandle):
     """Copy ``handle``'s CSR + weights into a fresh shared segment.
 
-    The graph's core stop table rides along (its core numbers in the
-    segment, its slack in the handle); building it here, if the graph
-    has none yet, is one decomposition in the publisher instead of one
-    in every worker.
+    The graph's core numbers ride along in the segment; building them
+    here, if the graph has none yet, is one decomposition in the
+    publisher instead of one in every worker.
 
     Returns ``(segment, shm)``.  The caller owns the creator's mapping:
     keep ``shm`` open for the segment's whole life (Windows named
@@ -181,7 +178,6 @@ def publish_graph(handle: GraphHandle):
     """
     from multiprocessing import shared_memory
 
-    slack = handle.graph.core_table()[1]
     regions = _graph_regions(handle.graph)
     lengths = tuple(len(region) for region in regions)
     nbytes = sum(
@@ -207,7 +203,6 @@ def publish_graph(handle: GraphHandle):
             num_edges=handle.graph.num_edges,
             lengths=lengths,
             labels=_labels_payload(handle.graph),
-            core_slack=slack,
         )
     except BaseException:
         shm.close()
@@ -264,7 +259,6 @@ def attach_graph(segment: SegmentHandle) -> WeightedGraph:
                 weights,
                 list(segment.labels) if segment.labels is not None else None,
                 cores.tolist(),
-                segment.core_slack,
             )
         finally:
             for window in windows:

@@ -22,7 +22,9 @@ The protocol over the duplex pipe is a tagged tuple per message:
   delta chain over the worker's current generation (``repro.live``):
   the new generation shares every untouched row with the attached
   one, so a mutation batch costs O(touched) per worker instead of a
-  full re-attach;
+  full re-attach; the first replay builds the worker's own core order
+  from one decomposition, and every generation after it has exact
+  core numbers (:mod:`repro.graph.delta`);
 * ``("query", spec, seed[, trace_ref])`` — execute one spec; ``seed``
   optionally carries parent-cache views to pre-populate a family this
   worker has never seen (the restart re-seed path), and is ignored when

@@ -28,6 +28,18 @@ derived from the old one:
   apply as an overlay in the new rank space (:func:`_overlay_graph`):
   O(n) row references plus the touched rows.
 
+Every generation's core numbers are exact.  The flips run one at a
+time through a :class:`~repro.graph.core_decomposition.KOrder`, the
+order-based core maintenance of Zhang, Yu, Zhang & Qin (ICDE 2017),
+each seen against the rows that hold exactly the flips before it; the
+new generation keeps the numbers (its parent's, when no flip changed
+one).  The order lives on the generation it describes, the **tip**:
+the next batch applied to the tip takes it over (:func:`_take_order`)
+and a re-rank moves it with the ranks.  A batch applied to any other
+generation — a second batch on one parent, a worker's attached copy —
+builds a fresh order from one decomposition, so branches stay exact
+and graphs that are never mutated never build one.
+
 Every application also reports a **barrier weight**: the largest
 vertex weight whose threshold subgraph could have changed.  For any
 ``tau > barrier`` the prefix ``G>=tau`` is identical before and after
@@ -43,11 +55,13 @@ the scoped cache invalidation in
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..errors import GraphConstructionError, QueryParameterError, SelfLoopError
+from .core_decomposition import KOrder, refold_core_stops
 from .weighted_graph import WeightedGraph
 
 __all__ = [
@@ -121,6 +135,21 @@ class MutationStats:
     #: Whether a reweight reordered ranks (applied as a relabel of the
     #: rows inside the moved window).
     rank_shuffle: bool = False
+    #: Vertices the core maintenance visited over the batch's flips
+    #: (:meth:`KOrder.insert` / :meth:`KOrder.remove`).
+    core_visited: int = 0
+
+
+#: Guards the hand-over of a generation's KOrder to its child.
+_ORDER_LOCK = threading.Lock()
+
+
+def _take_order(graph: WeightedGraph) -> Optional[KOrder]:
+    """Detach ``graph``'s KOrder for its child (``None`` when ``graph``
+    is not the tip of one); at most one child gets it."""
+    with _ORDER_LOCK:
+        order, graph._core_order = graph._core_order, None
+    return order
 
 
 def _resolve(graph: WeightedGraph, batch: EdgeBatch):
@@ -186,8 +215,11 @@ def apply_batch(
     stats.deleted = len(effective_edges) - stats.inserted
     stats.reweighted = len(effective_rw)
 
-    if effective_rw:
-        new = _relabel(graph, effective_rw)
+    # A weight collision raises here, before the order is taken.
+    window = _rerank(graph, effective_rw) if effective_rw else None
+    order = _take_order(graph)
+    if window is not None:
+        new = _relabel(graph, effective_rw, window, order)
         # Only a relabel that keeps every rank's vertex keeps the labels.
         stats.rank_shuffle = new._labels is not graph._labels
         # Same label, new rank: the flips move into the new rank space.
@@ -198,7 +230,10 @@ def apply_batch(
         ]
         graph = new
     if effective_edges:
-        graph = _overlay_graph(graph, effective_edges)
+        if order is None:
+            order = KOrder.of(graph)
+        graph = _overlay_graph(graph, effective_edges, order, stats)
+    graph._core_order = order
     return graph, barrier, stats
 
 
@@ -242,8 +277,14 @@ def _collision() -> None:
     )
 
 
-def _relabel(graph: WeightedGraph, reweights: Dict[int, float]) -> WeightedGraph:
-    """Reweight ``graph`` by moving :func:`_rerank`'s window.
+def _relabel(
+    graph: WeightedGraph,
+    reweights: Dict[int, float],
+    window: Tuple[int, List[int], List[float]],
+    korder: Optional[KOrder],
+) -> WeightedGraph:
+    """Reweight ``graph`` by moving ``window``, :func:`_rerank`'s
+    window for ``reweights``.
 
     The permutation ``pi`` is monotone on the vertices ``reweights``
     leaves alone, so the row of such a vertex with no reweighted
@@ -251,17 +292,18 @@ def _relabel(graph: WeightedGraph, reweights: Dict[int, float]) -> WeightedGraph
     shared when it holds no window rank, mapped otherwise.  The rows of
     the reweighted vertices and of their neighbours in the window are
     re-sorted and split at the new rank; a neighbour outside the window
-    only re-sorts its mapped row.  The parent's core numbers move with
-    the ranks (they do not depend on weights) and keep its slack; the
+    only re-sorts its mapped row.  The parent's core numbers, when it
+    has them, and ``korder``, the parent's KOrder if it was the tip,
+    move with the ranks (core numbers do not depend on weights); the
     prefix-size memo is kept below the window.
     """
-    lo, order, window_weights = _rerank(graph, reweights)
+    lo, order, window_weights = window
     hi = lo + len(order)
     new = WeightedGraph.__new__(WeightedGraph)
     new._weights = list(graph._weights)
     new._weights[lo:hi] = window_weights
     new._num_edges = graph._num_edges
-    slack = graph.core_table()[1]
+    new._core_order = None
     cores = graph._core_numbers
     if order == list(range(len(order))):  # every rank keeps its vertex
         new._adj_up, new._adj_down = graph._adj_up, graph._adj_down
@@ -324,44 +366,50 @@ def _relabel(graph: WeightedGraph, reweights: Dict[int, float]) -> WeightedGraph
     new._rank_of.update(zip(new._labels[lo:hi], range(lo, hi)))
     new._label_order = graph._label_order.relabelled(new._labels, lo, order)
     new._prefix_sizes = graph._prefix_sizes[:lo + 1]
-    cores = list(cores)
-    cores[lo:hi] = [cores[old] for old in old_ranks]
-    new.set_core_numbers(cores, slack)
+    if korder is not None:
+        korder.relabel(lo, old_ranks, pi)
+    if cores is None:
+        new._core_numbers = new._core_stops = None
+    else:
+        cores = list(cores)
+        cores[lo:hi] = [cores[old] for old in old_ranks]
+        new.set_core_numbers(cores)
     return new
 
 
 def _overlay_graph(
-    graph: WeightedGraph, effective_edges: List[Tuple[int, int, bool]]
+    graph: WeightedGraph,
+    effective_edges: List[Tuple[int, int, bool]],
+    order: KOrder,
+    stats: MutationStats,
 ) -> WeightedGraph:
     """Flip edges in ``graph``'s rank space: share untouched rows, copy
-    touched ones."""
-    up_rows: Dict[int, List[int]] = {}
-    down_rows: Dict[int, List[int]] = {}
+    touched ones, and run each flip through ``order`` (``graph``'s
+    KOrder) against the rows as they stand after it."""
+    up = list(graph._adj_up)
+    down = list(graph._adj_down)
+    order.moved = {}
     delta_m = 0
     for u, v, want in effective_edges:  # u < v: up-row of v, down-row of u
-        up = up_rows.get(v)
-        if up is None:
-            up = up_rows[v] = list(graph._adj_up[v])
-        down = down_rows.get(u)
-        if down is None:
-            down = down_rows[u] = list(graph._adj_down[u])
+        if up[v] is graph._adj_up[v]:  # copy a row on its first flip
+            up[v] = list(up[v])
+        if down[u] is graph._adj_down[u]:
+            down[u] = list(down[u])
         if want:
-            insort(up, u)
-            insort(down, v)
+            insort(up[v], u)
+            insort(down[u], v)
             delta_m += 1
+            stats.core_visited += order.insert(u, v, up, down)
         else:
-            up.pop(bisect_left(up, u))
-            down.pop(bisect_left(down, v))
+            up[v].pop(bisect_left(up[v], u))
+            down[u].pop(bisect_left(down[u], v))
             delta_m -= 1
+            stats.core_visited += order.remove(u, v, up, down)
 
     new = WeightedGraph.__new__(WeightedGraph)
     new._weights = graph._weights
-    new._adj_up = list(graph._adj_up)
-    for v, row in up_rows.items():
-        new._adj_up[v] = row
-    new._adj_down = list(graph._adj_down)
-    for u, row in down_rows.items():
-        new._adj_down[u] = row
+    new._adj_up = up
+    new._adj_down = down
     new._labels = graph._labels
     new._label_order = graph._label_order
     new._rank_of = graph._rank_of
@@ -370,14 +418,18 @@ def _overlay_graph(
     new._prefix_sizes = graph._prefix_sizes[
         :min(v for _, v, _ in effective_edges) + 1
     ]
-    # Same rank space, so the parent's core stop table still bounds this
-    # generation once each insert is counted as slack (see core_stop).
-    # A parent without one (a from_csr copy) builds it here, so the
-    # chain pays one decomposition, not one per overlay.
-    stops, slack = graph.core_table()
-    new._core_numbers = graph._core_numbers
-    inserted = sum(1 for _, _, want in effective_edges if want)
-    new._core_stops = (stops, slack + inserted)
+    new._core_order = None
+    cores, moved = graph._core_numbers, order.moved
+    if cores is None:
+        new.set_core_numbers(order.core.tolist())
+    elif not moved:
+        new._core_numbers, new._core_stops = cores, graph._core_stops
+    else:
+        cores = list(cores)
+        for rank in moved:
+            cores[rank] = order.core[rank]
+        new._core_numbers = cores
+        new._core_stops = refold_core_stops(graph._core_stops, cores, moved)
     return new
 
 

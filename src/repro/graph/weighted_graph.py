@@ -198,6 +198,7 @@ class WeightedGraph:
         "_prefix_sizes",
         "_core_stops",
         "_core_numbers",
+        "_core_order",
     )
 
     def __init__(
@@ -232,10 +233,13 @@ class WeightedGraph:
         # Lazily-extended cumulative prefix sizes; see prefix_size().
         # _prefix_sizes[p] = size(G_p) = p + |edges among ranks < p|.
         self._prefix_sizes: List[int] = [0]
-        # Lazily-built (stops, slack) pair and the per-rank core numbers
-        # it was folded from; see core_table().
-        self._core_stops = None
+        # Lazily-built core stops and the per-rank core numbers they
+        # were folded from; see core_table().
+        self._core_stops: Optional[List[int]] = None
         self._core_numbers: Optional[List[int]] = None
+        # The KOrder that apply_batch maintains, on the generation it
+        # describes (the tip); see repro.graph.delta.
+        self._core_order = None
         if validate:
             self._validate()
 
@@ -279,7 +283,6 @@ class WeightedGraph:
         weights: Sequence[float],
         labels: Optional[Sequence[Hashable]] = None,
         core_numbers: Optional[List[int]] = None,
-        core_slack: int = 0,
     ) -> "WeightedGraph":
         """Rebuild a graph from its CSR form (the cluster attach path).
 
@@ -290,9 +293,9 @@ class WeightedGraph:
         already passed it.  The weights are still checked to be finite,
         in O(n).  The graph keeps no reference to ``csr``, so a
         shared-memory segment's windows are free once this returns.
-        ``core_numbers`` and ``core_slack`` are the source graph's
-        :meth:`core_numbers` and its table's slack; without them the
-        copy runs its own decomposition on its first :meth:`core_stop`.
+        ``core_numbers`` are the source graph's :meth:`core_numbers`;
+        without them the copy runs its own decomposition on its first
+        :meth:`core_stop`.
         """
         up_off, up_tgt = csr.up_offsets, csr.up_targets
         down_off, down_tgt = csr.down_offsets, csr.down_targets
@@ -321,10 +324,24 @@ class WeightedGraph:
         graph._label_order = LabelOrder(graph._labels)
         graph._num_edges = csr.num_edges
         graph._prefix_sizes = [0]
-        graph._core_numbers = graph._core_stops = None
+        graph._core_numbers = graph._core_stops = graph._core_order = None
         if core_numbers is not None:
-            graph.set_core_numbers(core_numbers, core_slack)
+            graph.set_core_numbers(core_numbers)
         return graph
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The core order is live maintenance state of one process; a
+        # copy keeps the exact numbers and builds its own on demand.
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name != "_core_order"
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._core_order = None
 
     def _validate(self) -> None:
         _check_finite(self._weights)
@@ -472,25 +489,17 @@ class WeightedGraph:
         the γ-core of any prefix ``G_p`` lies in it too, so a search
         whose prefix reaches ``core_stop(gamma)`` has seen every
         community; ``0`` means the γ-core is empty.  The value is 1 +
-        the highest rank whose core number is >= γ, read from a
-        :func:`~repro.graph.core_decomposition.core_stops` table built
-        once, on first use, and cached (a benign double-build can occur
-        under concurrent first calls).
+        the highest rank whose core number is >= γ, read from the
+        :meth:`core_table`; for ``gamma <= 0`` it is ``n``.
 
-        Every later generation inherits the parent's table with a
-        ``slack``: the number of edges inserted since the table was
-        built.  An edge overlay keeps the rank space and the table; a
-        re-rank permutes the core numbers with the ranks and refolds
-        the stops (core numbers do not depend on weights).  Each
-        insertion raises a core number by at most 1, so the bound reads
-        the table at ``gamma - slack``; when that is not positive the
-        bound is off and the stop is ``n``.  Compaction
-        (:meth:`~repro.service.registry.GraphRegistry.compact`) resets
-        the slack to 0 with one fresh decomposition per fold, so the
-        slack never exceeds the inserts of one delta chain.
+        The table is exact on every generation: a mutated generation
+        gets the numbers that :func:`~repro.graph.delta.apply_batch`
+        keeps with the order-based core maintenance of
+        :class:`~repro.graph.core_decomposition.KOrder`, and a re-rank
+        permutes them with the ranks (core numbers do not depend on
+        weights).
         """
-        stops, slack = self.core_table()
-        gamma -= slack
+        stops = self.core_table()
         if gamma <= 0:
             return self.num_vertices
         return stops[gamma] if gamma < len(stops) else 0
@@ -500,34 +509,36 @@ class WeightedGraph:
         """True once :meth:`core_table` answers without a decomposition."""
         return self._core_stops is not None
 
-    def core_table(self) -> Tuple[List[int], int]:
-        """The ``(stops, slack)`` pair behind :meth:`core_stop`, built
-        (slack 0) by one decomposition on first use."""
+    def core_table(self) -> List[int]:
+        """The :func:`~repro.graph.core_decomposition.core_stops` table
+        behind :meth:`core_stop`, built by one decomposition on first
+        use unless the generation came with its numbers (a benign
+        double build can occur under concurrent first calls)."""
         table = self._core_stops
         if table is None:
             from .core_decomposition import core_decomposition
 
-            self.set_core_numbers(core_decomposition(self), 0)
+            self.set_core_numbers(core_decomposition(self))
             table = self._core_stops
         return table
 
     def core_numbers(self) -> List[int]:
-        """The per-rank core numbers the :meth:`core_table` stops were
-        folded from: exact at slack 0, and otherwise exact for the
-        generation that last decomposed, moved with the ranks since."""
+        """The exact per-rank core numbers the :meth:`core_table` was
+        folded from."""
         self.core_table()
         return self._core_numbers
 
-    def set_core_numbers(self, cores: List[int], slack: int) -> None:
-        """Install the table folded from per-rank ``cores`` with ``slack``.
+    def set_core_numbers(self, cores: List[int]) -> None:
+        """Install the exact per-rank core numbers ``cores`` and the
+        table folded from them.
 
         The numbers are written before the table, so a reader that
-        finds the table finds numbers at least as tight.
+        finds the table finds its numbers.
         """
         from .core_decomposition import fold_core_stops
 
         self._core_numbers = cores
-        self._core_stops = (fold_core_stops(cores), slack)
+        self._core_stops = fold_core_stops(cores)
 
     def iter_neighbors(self, u: int) -> Iterator[int]:
         """All neighbours of rank ``u`` (up-part first)."""

@@ -23,13 +23,16 @@ readers still never see a mixed graph/version pair).  Applied batches
 accumulate as a **delta chain** so cluster workers holding the previous
 generation can catch up by replaying batches over their attached graph
 instead of re-attaching a whole segment; a background **compactor**
-cuts the chain once it grows past ``compact_after``: it re-tightens the
-core stop table and, via the build hooks, publishes a fresh
-shared-memory segment generation for the workers; ``describe()``
-reports the table's slack and why the last background compaction
-failed, if it did.  Mutation hooks — distinct from build
-hooks — let the service layer migrate caches scope-invalidated by the
-batch's barrier weight instead of dropping them wholesale.
+cuts the chain once it grows past ``compact_after``: it bumps the
+version and, via the build hooks, publishes a fresh shared-memory
+segment generation for the workers.  It runs no core decomposition:
+every generation's core numbers are already exact, kept by the
+order-based core maintenance (Zhang, Yu, Zhang & Qin, ICDE 2017) that
+:func:`~repro.graph.delta.apply_batch` runs per flip.  ``describe()``
+reports why the last background compaction failed, if it did.
+Mutation hooks — distinct from build hooks — let the service layer
+migrate caches scope-invalidated by the batch's barrier weight instead
+of dropping them wholesale.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import UnknownGraphError
-from ..graph.core_decomposition import core_decomposition
 from ..graph.delta import EdgeBatch, MutationStats, apply_batch
 from ..graph.io import load_snap_graph
 from ..graph.weighted_graph import WeightedGraph
@@ -374,27 +376,23 @@ class GraphRegistry:
             return len(entry.deltas)
 
     def compact(self, name: str) -> Optional[MutationEvent]:
-        """Cut the delta chain and make the core stop table exact.
+        """Cut the delta chain.
 
-        Returns ``None`` when the chain is empty.  The chain's inserts
-        left the graph's inherited table (``WeightedGraph.core_stop``) a
-        slack and its deletes left it loose, so one fresh decomposition
-        gives the graph an exact table with slack 0.  The graph itself
-        is unchanged, yet the version bumps: workers can no longer
-        replay the cleared chain and attach the new segment generation
-        that the build hooks publish afterwards.  The event carries
-        barrier ``-inf``, so every cached family migrates warm.
+        Returns ``None`` when the chain is empty.  The graph and its
+        exact core table are unchanged, yet the version bumps: workers
+        can no longer replay the cleared chain and attach the new
+        segment generation that the build hooks publish afterwards.
+        The event carries barrier ``-inf``, so every cached family
+        migrates warm.
         """
         entry = self._entry(name)
         with entry.lock:
             handle = entry.handle
             if handle is None or not entry.deltas:
                 return None
-            graph = handle.graph
-            graph.set_core_numbers(core_decomposition(graph), 0)
             old_version = entry.version
             entry.version += 1
-            new_handle = GraphHandle(name, entry.version, graph)
+            new_handle = GraphHandle(name, entry.version, handle.graph)
             entry.handle = new_handle
             entry.deltas.clear()
             entry.compaction_error = None
@@ -536,15 +534,11 @@ class GraphRegistry:
                 "loaded": handle is not None,
                 "version": entry.version,
                 "compaction_error": entry.compaction_error,
-                "core_slack": None,
             }
             if handle is not None:
                 row["vertices"] = handle.num_vertices
                 row["edges"] = handle.num_edges
                 row["build_seconds"] = entry.build_seconds
                 row["pending_deltas"] = len(entry.deltas)
-                table = handle.graph._core_stops
-                if table is not None:
-                    row["core_slack"] = table[1]
             rows.append(row)
         return rows

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import random
 
 import pytest
 
@@ -24,6 +25,8 @@ from repro.cluster import (
     shared_memory_available,
 )
 from repro.graph import core_decomposition as core_module
+from repro.graph.core_decomposition import core_decomposition, core_stops
+from repro.graph.delta import apply_batch
 from repro.graph.csr import CSRAdjacency
 from repro.graph.weighted_graph import WeightedGraph
 from repro.service.cache import ResultCache
@@ -105,7 +108,7 @@ def _forbid_decomposition(monkeypatch):
     def forbidden(graph):
         raise AssertionError("core decomposition ran on an attached graph")
 
-    monkeypatch.setattr(core_module, "core_decomposition", forbidden)
+    monkeypatch.setattr(core_module, "peel_order", forbidden)
 
 
 def _all_core_stops(graph, reference):
@@ -117,15 +120,58 @@ def test_attached_graph_keeps_the_publishers_core_table(monkeypatch):
     graph = _seeded_graph(7)
     assert graph._core_stops is None
     segment, shm = publish_graph(GraphHandle("g", 1, graph))
-    stops, slack = graph._core_stops  # built once, by the publisher
+    stops = graph._core_stops  # built once, by the publisher
     _forbid_decomposition(monkeypatch)
     try:
         attached = attach_graph(segment)
     finally:
         shm.close()
         shm.unlink()
-    assert attached._core_stops == (stops, slack)
+    assert attached._core_stops == stops
+    assert attached._core_numbers == graph._core_numbers
     assert _all_core_stops(attached, stops) == _all_core_stops(graph, stops)
+
+
+@needs_shm
+def test_a_replayed_delta_chain_ends_with_exact_cores(monkeypatch):
+    # A worker catches up by replaying the registry's delta chain over
+    # its attached graph with apply_batch: the first batch builds the
+    # worker's own core order from one decomposition, and every
+    # generation of the replay has exact core numbers.
+    graph = _seeded_graph(9)
+    registry = GraphRegistry(preload_datasets=False, compact_after=None)
+    registry.register("g", lambda: graph)
+    segment, shm = publish_graph(registry.get("g"))
+    try:
+        attached = attach_graph(segment)
+    finally:
+        shm.close()
+        shm.unlink()
+    rng = random.Random(9)
+    n = graph.num_vertices
+    for _ in range(12):
+        present = sorted(registry.get("g").graph.edges_as_labels())
+        ops = [("insert", *rng.sample(range(n), 2)) for _ in range(3)]
+        ops += [("delete", u, v) for u, v in rng.sample(present, 2)]
+        registry.apply("g", ops)
+    chain = registry.delta_chain("g", 1, registry.version("g"))
+    assert len(chain) == 12
+    calls = []
+    real = core_module.peel_order
+    monkeypatch.setattr(
+        core_module, "peel_order", lambda g: calls.append(g) or real(g)
+    )
+    replayed = [attached]
+    for batch in chain:
+        replayed.append(apply_batch(replayed[-1], batch)[0])
+    assert calls == [attached]
+    monkeypatch.undo()
+    for generation in replayed[1:]:
+        assert generation._core_numbers == core_decomposition(generation)
+        assert generation._core_stops == core_stops(generation)
+    parent = registry.get("g").graph
+    assert replayed[-1]._core_numbers == parent._core_numbers
+    assert replayed[-1]._core_stops == parent._core_stops
 
 
 @needs_mp
@@ -139,7 +185,7 @@ def test_pickled_attach_carries_the_core_table(monkeypatch):
         pool.shutdown()
     # The parent built the table before the graph went down the pipe,
     # so the worker's unpickled copy has it too.
-    stops, _ = graph._core_stops
+    stops = graph._core_stops
     _forbid_decomposition(monkeypatch)
     clone = pickle.loads(pickle.dumps(graph))
     assert clone._core_stops == graph._core_stops

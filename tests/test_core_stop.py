@@ -6,19 +6,21 @@ lies inside the γ-core of ``G`` (a γ-truss inside the (γ−1)-core), so
 every local search ends at the first round whose prefix reaches the
 stop of its core instead of peeling the whole graph.  Covered here:
 
-* the table itself (:func:`core_stops`) and its generation rules —
-  overlays inherit it with an insert ``slack`` (a parent without one
-  builds it first, once per chain), a re-rank carries it with the core
-  numbers moved to the new ranks, compaction re-tightens it to an
-  exact table with slack 0, and ``from_csr`` starts without one unless
-  given the source's;
-* the registry's report of the table and of a failed background fold
-  (``core_slack``, ``compaction_error`` in ``describe()``);
+* the table itself (:func:`core_stops`) and its generation rules — it
+  is exact on every generation: an overlay's inserts and deletes go
+  through the order-based core maintenance (a chain whose first graph
+  is not the tip of an order builds one from a single decomposition),
+  a re-rank carries the core numbers moved to the new ranks, compaction
+  leaves the table as it is, and ``from_csr`` starts without one
+  unless given the source's numbers;
+* the registry's report of a failed background compaction
+  (``compaction_error`` in ``describe()``);
 * a hypothesis property: on every generation (base, each overlay, one
   compacted mid-chain and the overlays after it, a final compacted one,
-  a ``from_csr`` copy) the exact γ-core lies below the stop, and
-  LocalSearch-P and truss answers equal the reference oracles on a
-  fresh rebuild of the same model;
+  a ``from_csr`` copy) the core numbers equal a fresh decomposition's,
+  every γ's stop equals :func:`core_stops`, and LocalSearch-P and
+  truss answers equal the reference oracles on a fresh rebuild of the
+  same model;
 * short answers on every surface: email γ=50 (degeneracy 22) answers
   nothing without a round, and email γ=20 ends at its stop with its
   communities, through all five searchers, the engine (which records
@@ -64,7 +66,6 @@ from repro.graph.weighted_graph import WeightedGraph
 from repro.server import ReproClient, ReproServer
 from repro.service.cache import CacheKey, ResultCache
 from repro.service.engine import QueryEngine
-from repro.service import registry as registry_module
 from repro.service.metrics import ServiceMetrics, family_label
 from repro.service.registry import GraphRegistry
 from tests.conftest import random_graph
@@ -153,29 +154,32 @@ class TestGenerations:
             6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)]
         )
 
-    def test_overlay_inherits_with_insert_slack(self):
+    def test_overlay_cores_are_exact_after_inserts(self):
         base = self._base()
         assert base.core_stop(2) == 3
-        # Two inserts make ranks 3-5 a triangle: their cores rise to 2.
+        # Two inserts make ranks 3-5 a triangle: their cores rise to 2,
+        # and no vertex reaches 3 (ranks 1 and 4 keep degree 2).
         overlay, _, stats = apply_batch(
             base, EdgeBatch((("insert", 3, 5), ("insert", 0, 5)))
         )
         assert stats.inserted == 2 and not stats.rank_shuffle
-        # slack 2 turns the γ=2 lookup into γ=0: the bound is off.
-        assert overlay.core_stop(2) == overlay.num_vertices
-        assert overlay.core_stop(3) == base.core_stop(1)
-        assert overlay.core_stop(5) == 0 == base.core_stop(3)
-        assert max(_exact_core(overlay, 2)) < overlay.core_stop(2)
+        assert overlay.core_numbers() == [2] * 6
+        assert overlay.core_numbers() == core_decomposition(overlay)
+        assert overlay.core_table() == core_stops(overlay) == [6, 6, 6]
+        assert [overlay.core_stop(g) for g in (1, 2, 3)] == [6, 6, 0]
 
-    def test_deletes_and_rank_preserving_reweights_add_no_slack(self):
+    def test_deletes_and_rank_preserving_reweights_stay_exact(self):
         base = self._base()
-        stops = [base.core_stop(g) for g in range(1, 4)]
+        assert [base.core_stop(g) for g in range(1, 4)] == [6, 3, 0]
         overlay, _, stats = apply_batch(
             base, EdgeBatch((("delete", 0, 1), ("reweight", 4, 1.5)))
         )
         assert stats.deleted == 1 and stats.reweighted == 1
         assert not stats.rank_shuffle
-        assert [overlay.core_stop(g) for g in range(1, 4)] == stops
+        # The triangle is gone: every core number falls to 1.
+        assert overlay.core_numbers() == [1] * 6
+        assert overlay.core_table() == core_stops(overlay)
+        assert [overlay.core_stop(g) for g in range(1, 4)] == [6, 0, 0]
 
     def _rerank_batch(self):
         # A triangle on 0-2, a path 2-3-4 and an isolated, lightest 5.
@@ -185,61 +189,71 @@ class TestGenerations:
         base = graph_from_arrays(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
         return base, EdgeBatch((("insert", 0, 4), ("reweight", 0, 1.5)))
 
-    def test_rerank_carries_the_table_with_its_slack(self, monkeypatch):
+    def test_rerank_carries_exact_cores(self, monkeypatch):
         base, batch = self._rerank_batch()
-        assert base.core_stop(1) == 5
-        assert base._core_numbers == [2, 2, 2, 1, 1, 0]
+        insert, reweight = (EdgeBatch((op,)) for op in batch.ops)
+        # A first batch builds the order that later batches maintain.
+        tip, _, _ = apply_batch(base, EdgeBatch((("insert", 4, 5),)))
+        assert tip._core_numbers == [2, 2, 2, 1, 1, 1]
 
         def forbidden(graph):
             raise AssertionError("a re-rank ran a core decomposition")
 
-        monkeypatch.setattr(core_module, "core_decomposition", forbidden)
-        reranked, _, stats = apply_batch(base, batch)
+        monkeypatch.setattr(core_module, "peel_order", forbidden)
+        reranked, _, stats = apply_batch(tip, reweight)
         assert stats.rank_shuffle
         assert reranked.labels(range(6)) == [1, 2, 3, 4, 0, 5]
-        # Vertex 0 takes its core number 2 to rank 4, the stops are
-        # refolded, and the insert is slack 1.
-        assert reranked._core_numbers == [2, 2, 1, 1, 2, 0]
-        assert reranked._core_stops == ([6, 5, 5], 1)
-        # Slack 1 turns γ=1 into γ=0 (the bound is off) and reads the
-        # γ=3 stop at γ=2: loose, yet every exact γ-core lies below it.
-        assert [reranked.core_stop(g) for g in (1, 2, 3)] == [6, 5, 5]
-        for gamma in (1, 2, 3):
-            assert all(
-                u < reranked.core_stop(gamma)
-                for u in _exact_core(reranked, gamma)
-            )
+        # Vertex 0 takes its core number 2 to rank 4 and the stops are
+        # refolded.
+        assert reranked._core_numbers == [2, 2, 1, 1, 2, 1]
+        assert reranked._core_stops == [6, 6, 5]
+        # The insert closes the cycle 0-2-3-4 in the new rank space:
+        # every vertex but 5 now has core number 2.
+        closed, _, stats = apply_batch(reranked, insert)
+        assert stats.inserted == 1 and not stats.rank_shuffle
+        assert closed._core_numbers == [2, 2, 2, 2, 2, 1]
+        assert closed._core_stops == [6, 6, 5]
+        monkeypatch.undo()
+        for graph in (reranked, closed):
+            assert graph._core_numbers == core_decomposition(graph)
+            assert graph._core_stops == core_stops(graph)
 
-    def test_compaction_retightens_the_table(self):
+    def test_compaction_retightens_the_table(self, monkeypatch):
+        # Every generation's table is already tight: a compaction runs
+        # no decomposition and writes no new table.
         registry = GraphRegistry(preload_datasets=False, compact_after=None)
         base = self._base()
         registry.register("g", lambda: base)
         base.core_stop(1)
         registry.apply("g", [("insert", 3, 5)])
         overlay = registry.get("g").graph
-        assert overlay._core_stops[1] == 1
+        table = overlay._core_stops
+        # Ranks 3-5 are a triangle now, so no core number reaches 3.
+        assert table == core_stops(overlay) == [6, 6, 6]
+
+        def forbidden(graph):
+            raise AssertionError("a compaction ran a core decomposition")
+
+        monkeypatch.setattr(core_module, "peel_order", forbidden)
         registry.compact("g")
         compacted = registry.get("g").graph
-        assert compacted is overlay  # same rows: only the table changes
-        assert compacted._core_stops == (core_stops(compacted), 0)
-        # Ranks 3-5 are a triangle now, so no core number reaches 3:
-        # the exact γ=3 stop is 0 where slack 1 read the γ=2 stop, 3.
+        assert compacted is overlay and compacted._core_stops is table
         assert [compacted.core_stop(g) for g in range(1, 4)] == [6, 6, 0]
 
     def test_compaction_of_a_rerank_makes_the_table_exact(self):
-        # The re-rank carried the base's table with slack 1; the fold
-        # reuses the graph and gives it an exact one.
+        # The re-rank and its insert leave an exact table; the
+        # compaction keeps the graph and the table.
         registry = GraphRegistry(preload_datasets=False, compact_after=None)
         base, batch = self._rerank_batch()
         registry.register("g", lambda: base)
         event = registry.apply("g", batch)
         assert event.stats.rank_shuffle
         reranked = registry.get("g").graph
-        assert reranked._core_stops == ([6, 5, 5], 1)
+        assert reranked._core_stops == core_stops(reranked) == [6, 5, 5]
         registry.compact("g")
         compacted = registry.get("g").graph
         assert compacted is reranked
-        assert compacted._core_stops == (core_stops(compacted), 0)
+        assert compacted._core_stops == core_stops(compacted)
         assert compacted._core_numbers == core_decomposition(compacted)
         assert [compacted.core_stop(g) for g in (1, 2, 3)] == [5, 5, 0]
 
@@ -253,24 +267,26 @@ class TestGenerations:
             base.labels(range(n)),
         )
         calls = []
-        real = core_module.core_decomposition
+        real = core_module.peel_order
         monkeypatch.setattr(
             core_module,
-            "core_decomposition",
+            "peel_order",
             lambda graph: calls.append(graph) or real(graph),
         )
         inserts = _insert_ops(n, edges, 10)
-        graph = copy
+        graph, chain = copy, [copy]
         for step in range(5):
             ops = inserts[2 * step:2 * step + 2]
             graph, _, stats = apply_batch(graph, EdgeBatch(tuple(ops)))
             assert stats.inserted == 2 and not stats.rank_shuffle
+            chain.append(graph)
             apply_ops_to_model(edges, weights, ops)
-            assert graph._core_stops[1] == 2 * (step + 1)
             _check_generation(graph, n, edges, weights)
-        assert len(calls) == 1 and calls[0] is copy
+        # The other calls decompose _check_generation's fresh rebuilds.
+        on_chain = [c for c in calls if any(c is g for g in chain)]
+        assert on_chain == [copy]
 
-    def test_describe_reports_slack_and_a_failed_fold(self, monkeypatch):
+    def test_describe_reports_a_failed_fold(self, monkeypatch):
         registry = GraphRegistry(preload_datasets=False, compact_after=2)
         registry.register("g", self._base)
 
@@ -284,26 +300,25 @@ class TestGenerations:
                     thread.join(10.0)
                     assert not thread.is_alive()
 
-        assert row()["core_slack"] is None
         assert row()["compaction_error"] is None
+        assert "core_slack" not in row()
         registry.get("g")
-        assert row()["core_slack"] is None  # no search, no table yet
         registry.apply("g", [("insert", 3, 5)])
-        assert row()["core_slack"] == 1
+        assert registry.get("g").graph.core_table() == [6, 6, 6]
 
-        def broken(graph):
-            raise RuntimeError("decomposition failed")
+        def broken(name):
+            raise RuntimeError("compaction failed")
 
-        monkeypatch.setattr(registry_module, "core_decomposition", broken)
+        monkeypatch.setattr(registry, "compact", broken)
         registry.apply("g", [("insert", 0, 5)])
         join_compactor()
         failed = row()
-        assert failed["compaction_error"] == (
-            "RuntimeError: decomposition failed"
-        )
+        assert failed["compaction_error"] == "RuntimeError: compaction failed"
         assert failed["pending_deltas"] == 2
-        assert failed["core_slack"] == 2
         assert registry.compactions == 0
+        # The table stays exact whether or not the chain is cut.
+        graph = registry.get("g").graph
+        assert graph.core_table() == core_stops(graph) == [6, 6, 6]
 
         monkeypatch.undo()
         registry.apply("g", [("delete", 0, 1)])  # the next apply retries
@@ -311,8 +326,9 @@ class TestGenerations:
         healed = row()
         assert healed["compaction_error"] is None
         assert healed["pending_deltas"] == 0
-        assert healed["core_slack"] == 0
         assert registry.compactions == 1
+        graph = registry.get("g").graph
+        assert graph.core_table() == core_stops(graph) == [6, 6, 6]
 
     def test_from_csr_copy_builds_its_own(self):
         base = self._base()
@@ -415,9 +431,12 @@ def _check_generation(
         want = _records(fresh, gamma, "array")
         for kernel in kernels:
             assert _records(graph, gamma, kernel) == want, (kernel, gamma)
+    assert graph.core_numbers() == core_decomposition(fresh)
+    stops = core_stops(fresh)
+    assert [graph.core_stop(g) for g in range(1, len(stops) + 1)] == (
+        stops[1:] + [0]
+    )
     for gamma in range(1, 6):
-        stop = graph.core_stop(gamma)
-        assert all(u < stop for u in _exact_core(graph, gamma)), gamma
         got = _label_pairs(graph, LocalSearchP(graph, gamma).run().communities)
         want = [
             (influence, frozenset(fresh.labels(members)))
@@ -440,27 +459,28 @@ def _check_generation(
 @given(_mutated_models())
 @settings(max_examples=100, deadline=None)
 def test_core_stop_bound_is_sound_on_every_generation(case):
+    """The bound is exact: every generation's core numbers equal a
+    fresh decomposition's and every stop equals ``core_stops``."""
     n, edges, weights, batches, compact_at = case
     base = graph_from_arrays(n, edges, weights=[weights[v] for v in range(n)])
     registry = GraphRegistry(preload_datasets=False, compact_after=None)
     registry.register("g", lambda: base)
     model_edges, model_weights = set(edges), dict(weights)
-    # The base builds its table here, so overlays inherit it with slack.
     _check_generation(base, n, model_edges, model_weights)
     for index, batch in enumerate(batches, 1):
         registry.apply("g", batch)
         apply_ops_to_model(model_edges, model_weights, batch.ops)
         _check_generation(registry.get("g").graph, n, model_edges, model_weights)
         if index == compact_at:
-            # Mid-chain fold: the table is exact again, and the
-            # overlays after it inherit it with a fresh slack.
+            # Mid-chain compaction: the chain is cut, and the overlays
+            # after it go on from the same order.
             registry.compact("g")
             graph = registry.get("g").graph
-            assert graph._core_stops == (core_stops(graph), 0)
+            assert graph._core_stops == core_stops(graph)
             _check_generation(graph, n, model_edges, model_weights)
     registry.compact("g")
     graph = registry.get("g").graph
-    assert graph._core_stops == (core_stops(graph), 0)
+    assert graph._core_stops == core_stops(graph)
     _check_generation(graph, n, model_edges, model_weights)
     copy = WeightedGraph.from_csr(
         graph.csr(),
@@ -627,7 +647,7 @@ class TestShortAnswers:
 
 
 class TestChurnedStop:
-    """Inserts loosen the stop; a compaction makes it exact again."""
+    """Inserts keep the stop exact, and so does a compaction."""
 
     def test_compaction_restores_the_empty_core_answer(self, email_graph):
         n = email_graph.num_vertices
@@ -641,13 +661,14 @@ class TestChurnedStop:
             assert event.stats.inserted == 1
             apply_ops_to_model(edges, weights, [op])
         churned = registry.get("email").graph
-        # Slack 30 exceeds the degeneracy of 22: the γ=50 stop is loose.
-        assert churned._core_stops[1] == 30
-        assert churned.core_stop(50) > 0
+        # 30 inserts cannot lift the degeneracy of 22 to 50.
+        assert churned._core_stops == core_stops(churned)
+        assert churned.core_stop(50) == 0
 
         registry.compact("email")
         graph = registry.get("email").graph
-        assert graph._core_stops == (core_stops(graph), 0)
+        assert graph is churned
+        assert graph._core_stops == core_stops(graph)
         assert graph.core_stop(50) == 0
         assert LocalSearchP(graph, gamma=50).run(10).stats.prefixes == []
         assert engine.execute(

@@ -10,9 +10,8 @@ in the new rank space.  Covered here:
   flips, some on a reweighted vertex; labels ``1`` and ``"1"``, which
   tie on ``str``): every generation equals a scratch build of the
   ``apply_ops_to_model`` model in weights, rows, labels, ranks, edge
-  count, label order and prefix sizes; its core stops never fall
-  below the fresh ones, its core numbers are exact after reweight-only
-  batches over an exact table, and a compaction makes the table exact;
+  count, label order and prefix sizes, and its core numbers and core
+  stops equal a fresh decomposition's, before and after a compaction;
 * the work a relabel does: no ``GraphBuilder`` build and no core
   decomposition, and every row outside the window is shared;
 * the prefix-size memo kept across overlay and relabel generations.
@@ -122,10 +121,9 @@ def test_every_relabelled_generation_equals_a_scratch_build(case):
         base.label_order().json_tokens()
     registry = GraphRegistry(preload_datasets=False, compact_after=None)
     registry.register("g", lambda: base)
-    exact = True  # the current table equals a fresh decomposition
     for index, (ops, warm) in enumerate(batches, 1):
         registry.get("g").graph.prefix_size(warm)
-        event = registry.apply(
+        registry.apply(
             "g",
             [
                 (op[0], labels[op[1]], op[2])
@@ -138,19 +136,13 @@ def test_every_relabelled_generation_equals_a_scratch_build(case):
         graph = registry.get("g").graph
         fresh = _fresh(labels, edges, weights)
         _assert_same_graph(graph, fresh)
-        stats = event.stats
-        exact = exact and not (stats.inserted or stats.deleted)
-        if exact:
-            assert graph.core_numbers() == core_decomposition(fresh)
-            assert graph.core_table() == (core_stops(fresh), 0)
-        for gamma in range(1, 8):
-            assert graph.core_stop(gamma) >= fresh.core_stop(gamma)
+        assert graph.core_numbers() == core_decomposition(fresh)
+        assert graph.core_table() == core_stops(fresh)
         if index == compact_at:
             registry.compact("g")
             graph = registry.get("g").graph
             assert graph._core_numbers == core_decomposition(fresh)
-            assert graph._core_stops == (core_stops(fresh), 0)
-            exact = True
+            assert graph._core_stops == core_stops(fresh)
 
 
 def _forbid_rebuilds(monkeypatch):
@@ -158,7 +150,7 @@ def _forbid_rebuilds(monkeypatch):
         raise AssertionError("a re-rank rebuilt or decomposed the graph")
 
     monkeypatch.setattr(GraphBuilder, "build", forbidden)
-    monkeypatch.setattr(core_module, "core_decomposition", forbidden)
+    monkeypatch.setattr(core_module, "peel_order", forbidden)
 
 
 def test_a_rerank_builds_nothing_and_shares_rows_outside_the_window(
@@ -179,7 +171,6 @@ def test_a_rerank_builds_nothing_and_shares_rows_outside_the_window(
     assert reranked.rank_of(mover) == 80
     assert reranked.labels(range(80)) == base.labels(range(80))
     assert reranked.labels(range(121, n)) == base.labels(range(121, n))
-    assert reranked._core_stops[1] == 0
     monkeypatch.undo()
 
     shared = 0
@@ -202,7 +193,8 @@ def test_a_rerank_builds_nothing_and_shares_rows_outside_the_window(
         n, sorted(edges), weights=[weights[v] for v in range(n)]
     )
     _assert_same_graph(reranked, fresh)
-    assert reranked._core_stops == (core_stops(fresh), 0)
+    assert reranked._core_numbers == core_decomposition(fresh)
+    assert reranked._core_stops == core_stops(fresh)
 
 
 def test_a_cluster_copy_reranks_without_a_decomposition(monkeypatch):
@@ -219,7 +211,9 @@ def test_a_cluster_copy_reranks_without_a_decomposition(monkeypatch):
         copy, EdgeBatch((("reweight", copy.label(39), 100.0),))
     )
     assert stats.rank_shuffle and reranked.rank_of(copy.label(39)) == 0
-    assert reranked._core_stops[1] == 0
+    monkeypatch.undo()
+    assert reranked._core_numbers == core_decomposition(reranked)
+    assert reranked._core_stops == core_stops(reranked)
 
 
 class TestPrefixSizeMemo:
