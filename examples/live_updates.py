@@ -5,21 +5,27 @@
 ``repro.live`` path: the new generation is a versioned *overlay* that
 shares every untouched adjacency row with its parent (no rebuild), and
 the result cache migrates
-under **scoped invalidation** — a cached family survives the flip iff
-its influence watermark sits strictly above the batch's *barrier*
-weight (the largest weight whose threshold subgraph the batch could
-have touched).  Everything above the barrier is provably unchanged, so
-preserved answers are byte-identical to what a full recompute would
-return.
+under **scoped invalidation** — a cached γ-family survives the flip iff
+its influence watermark sits strictly above the family's *barrier*
+weight: the largest weight whose threshold subgraph an op of the batch
+could have touched, counting only the ops whose core level (an edge's
+smaller endpoint core, a reweighted vertex's core) reaches γ.  Every
+γ-community lies in the γ-core, so ops below it change no γ-answer,
+and everything above the barrier is provably unchanged: preserved
+answers are byte-identical to what a full recompute would return.
 
 This script builds a graph with two dense high-weight communities and
 a low-weight tail, then shows:
 
 1. tail churn — barriers below the communities' influence — keeps the
    cache warm (``source="cache"`` after the mutation);
-2. deleting an edge *inside* the top community raises the barrier past
-   the watermark, so the family recomputes (and the answer changes);
-3. compaction folds the overlay chain into a fresh flat generation
+2. a tail vertex made the heaviest and wired to the top block: the
+   batch barrier is above the watermark, but both ops sit below the
+   8-core, so the family stays warm too;
+3. deleting an edge *inside* the top community reaches its core and
+   raises its barrier past the watermark, so the family recomputes
+   (and the answer changes);
+4. compaction folds the overlay chain into a fresh flat generation
    with nothing invalidated.
 
 Run:  python examples/live_updates.py
@@ -91,10 +97,25 @@ def main() -> None:
         #    family migrates warm across the version flip.
         # --------------------------------------------------------------
         report(g.mutate([("insert", 390, 395), ("reweight", 398, 1.25)]))
-        show("same query after tail churn (still warm)", g.topk(k=2, gamma=8))
+        rs = g.topk(k=2, gamma=8)
+        show("same query after tail churn (still warm)", rs)
+        assert rs.source == "cache"
 
         # --------------------------------------------------------------
-        # 2. Structural hit: deleting inside the top block raises the
+        # 2. Below the core: vertex 397 (core 2) becomes the heaviest
+        #    and gains an edge to vertex 0.  Both ops weigh more than
+        #    the watermark, yet neither touches the 8-core.
+        # --------------------------------------------------------------
+        watermark = rs[-1].influence
+        event = g.mutate([("reweight", 397, 500.0), ("insert", 0, 397)])
+        report(event)
+        assert event.barrier > watermark and event.invalidated == 0
+        rs = g.topk(k=2, gamma=8)
+        show("after churn above the watermark, below the 8-core", rs)
+        assert rs.source == "cache"
+
+        # --------------------------------------------------------------
+        # 3. Structural hit: deleting inside the top block raises the
         #    barrier above the watermark — the family recomputes, and
         #    the weakened block drops out of the gamma=8 answer.
         # --------------------------------------------------------------
@@ -103,8 +124,8 @@ def main() -> None:
         show("after deleting inside the top block", g.topk(k=2, gamma=8))
 
         # --------------------------------------------------------------
-        # 3. Compaction: cut the delta chain and make the core stop
-        #    table exact.  Same content — every family stays warm.
+        # 4. Compaction: cut the delta chain.  Same content — every
+        #    family stays warm.
         # --------------------------------------------------------------
         event = registry.compact("demo")
         if event is not None:

@@ -47,8 +47,31 @@ the batch — an edge only exists in ``G>=tau`` when *both* endpoints
 weigh at least ``tau``, and a reweighted vertex only enters or leaves
 ``G>=tau`` when ``max(old, new) >= tau``.  Communities are determined
 by their threshold subgraph, so every community with influence above
-the barrier survives verbatim.  That is the soundness argument behind
-the scoped cache invalidation in
+the barrier survives verbatim.
+
+The barrier ignores γ; each effective op's **core level** scopes it.
+Every γ-community lies in the γ-core C of G (the γ-core is monotone
+under subgraphs), so a γ-answer depends only on G[C] and the weights
+on C.  :attr:`MutationStats.levels` holds one ``(level, weight)`` pair
+per effective op, ``weight`` being the op's share of the barrier:
+
+* an edge flip's level is ``min(core(u), core(v))`` on the rows that
+  hold the edge — after an insert, before a delete.  An insert raises
+  core numbers only from K = the smaller endpoint core to K + 1, and
+  then both endpoints rise; a delete lowers them only from K to K - 1.
+  So a flip whose level is below γ leaves C and G[C] alone;
+* a reweight's level is the parent's ``core(v)`` (core numbers do not
+  depend on weights), or ``inf`` — every γ — when the parent has no
+  core table.  A vertex with core below γ is not in C.
+
+The ops apply one after another (reweights, then each flip against the
+graph that holds the flips before it), and each step either leaves
+every γ-answer alone (level below γ) or every community with influence
+above its weight.  So the **γ barrier** — the largest weight among the
+ops whose level is at least γ, ``-inf`` when there is none — bounds
+the γ-answers exactly as the batch barrier bounds all of them.  A truss
+family uses γ - 1: a γ-truss lies in the (γ-1)-core.  That is the
+soundness argument behind the scoped cache invalidation in
 :meth:`repro.service.cache.ResultCache.migrate_graph`.
 """
 
@@ -138,6 +161,12 @@ class MutationStats:
     #: Vertices the core maintenance visited over the batch's flips
     #: (:meth:`KOrder.insert` / :meth:`KOrder.remove`).
     core_visited: int = 0
+    #: One ``(core level, barrier weight)`` pair per effective op: a
+    #: flip's smaller endpoint core on the rows that hold the edge, a
+    #: reweight's parent core (``inf`` without a core table), and the
+    #: weight the op adds to the barrier.  An op reaches the γ-answers
+    #: iff its level is at least γ (see the module docstring).
+    levels: List[Tuple[float, float]] = field(default_factory=list)
 
 
 #: Guards the hand-over of a generation's KOrder to its child.
@@ -182,36 +211,42 @@ def apply_batch(
     largest weight whose threshold subgraph may differ between the two
     generations (``-inf`` when the batch was a pure no-op): every
     community with influence strictly above it is unchanged.
+    ``stats.levels`` scopes it per γ.
     """
     stats = MutationStats()
     edge_state, reweights = _resolve(graph, batch)
 
     old_w = graph._weights
     barrier = float("-inf")
-    effective_edges: List[Tuple[int, int, bool]] = []
+    effective_edges: List[Tuple[int, int, bool, float]] = []
     for (u, v), want in edge_state.items():
         if graph.has_edge_ranks(u, v) == want:
             stats.noops += 1
             continue
-        effective_edges.append((u, v, want))
         # The endpoint may also be reweighted in this batch; cover both
         # the old and new membership threshold of each endpoint.
         wu = max(old_w[u], reweights.get(u, old_w[u]))
         wv = max(old_w[v], reweights.get(v, old_w[v]))
+        effective_edges.append((u, v, want, min(wu, wv)))
         barrier = max(barrier, min(wu, wv))
 
+    cores = graph._core_numbers
     effective_rw: Dict[int, float] = {}
     for rank, w in reweights.items():
         if w == old_w[rank]:
             stats.noops += 1
             continue
         effective_rw[rank] = w
-        barrier = max(barrier, old_w[rank], w)
+        weight = max(old_w[rank], w)
+        barrier = max(barrier, weight)
+        stats.levels.append(
+            (cores[rank] if cores is not None else math.inf, weight)
+        )
 
     if not effective_edges and not effective_rw:
         return graph, barrier, stats
 
-    stats.inserted = sum(1 for _, _, want in effective_edges if want)
+    stats.inserted = sum(1 for _, _, want, _ in effective_edges if want)
     stats.deleted = len(effective_edges) - stats.inserted
     stats.reweighted = len(effective_rw)
 
@@ -225,8 +260,8 @@ def apply_batch(
         # Same label, new rank: the flips move into the new rank space.
         rank_of, labels = new._rank_of, graph._labels
         effective_edges = [
-            (*sorted((rank_of[labels[u]], rank_of[labels[v]])), want)
-            for u, v, want in effective_edges
+            (*sorted((rank_of[labels[u]], rank_of[labels[v]])), want, weight)
+            for u, v, want, weight in effective_edges
         ]
         graph = new
     if effective_edges:
@@ -379,18 +414,21 @@ def _relabel(
 
 def _overlay_graph(
     graph: WeightedGraph,
-    effective_edges: List[Tuple[int, int, bool]],
+    effective_edges: List[Tuple[int, int, bool, float]],
     order: KOrder,
     stats: MutationStats,
 ) -> WeightedGraph:
     """Flip edges in ``graph``'s rank space: share untouched rows, copy
     touched ones, and run each flip through ``order`` (``graph``'s
-    KOrder) against the rows as they stand after it."""
+    KOrder) against the rows as they stand after it, recording the
+    flip's core level on ``stats.levels``."""
     up = list(graph._adj_up)
     down = list(graph._adj_down)
     order.moved = {}
+    core = order.core
     delta_m = 0
-    for u, v, want in effective_edges:  # u < v: up-row of v, down-row of u
+    # u < v: up-row of v, down-row of u
+    for u, v, want, weight in effective_edges:
         if up[v] is graph._adj_up[v]:  # copy a row on its first flip
             up[v] = list(up[v])
         if down[u] is graph._adj_down[u]:
@@ -400,11 +438,14 @@ def _overlay_graph(
             insort(down[u], v)
             delta_m += 1
             stats.core_visited += order.insert(u, v, up, down)
+            level = min(core[u], core[v])
         else:
+            level = min(core[u], core[v])
             up[v].pop(bisect_left(up[v], u))
             down[u].pop(bisect_left(down[u], v))
             delta_m -= 1
             stats.core_visited += order.remove(u, v, up, down)
+        stats.levels.append((level, weight))
 
     new = WeightedGraph.__new__(WeightedGraph)
     new._weights = graph._weights
@@ -416,7 +457,7 @@ def _overlay_graph(
     new._num_edges = graph._num_edges + delta_m
     # A flip (u, v) with u < v changes size(G_p) only for p > v.
     new._prefix_sizes = graph._prefix_sizes[
-        :min(v for _, v, _ in effective_edges) + 1
+        :min(v for _, v, _, _ in effective_edges) + 1
     ]
     new._core_order = None
     cores, moved = graph._core_numbers, order.moved

@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.progressive import ProgressiveCursor
 from ..errors import ServiceError
@@ -320,6 +320,19 @@ class StaticEntry:
         return None
 
 
+def _family_barrier(
+    levels: Sequence[Tuple[float, float]], key: CacheKey
+) -> float:
+    """The largest weight among the ``(level, weight)`` ops that reach
+    ``key``'s family: level at least its γ, or γ - 1 for truss (a
+    γ-truss lies in the (γ-1)-core); ``-inf`` when none does."""
+    floor = key.gamma - 1 if key.algorithm == "truss" else key.gamma
+    return max(
+        (weight for level, weight in levels if level >= floor),
+        default=float("-inf"),
+    )
+
+
 class ResultCache:
     """Thread-safe LRU over progressive/static entries.
 
@@ -405,6 +418,7 @@ class ResultCache:
         barrier: float,
         *,
         identical: bool = False,
+        levels: Optional[Sequence[Tuple[float, float]]] = None,
         progressive_factory: Optional[
             Callable[[CacheKey], Callable[[], ProgressiveCursor]]
         ] = None,
@@ -414,7 +428,7 @@ class ResultCache:
         Re-keys entries from ``old_version`` to ``new_version``,
         keeping a family warm **iff its answer provably survived the
         mutation**: every cached view's influence must sit strictly
-        above the batch's ``barrier`` weight.  The cached view sequence
+        above the family's barrier weight.  The cached view sequence
         is an influence-descending prefix, so the watermark is simply
         the *last* view's influence — the family's current influence
         frontier.  Communities with influence above the barrier live
@@ -422,15 +436,28 @@ class ResultCache:
         (see :mod:`repro.graph.delta`), so the preserved prefix is
         byte-identical to what the new generation would recompute.
 
+        ``levels`` are the batch's ``(core level, weight)`` pairs
+        (:attr:`~repro.graph.delta.MutationStats.levels`).  With them,
+        each family gets its own barrier: the largest weight among the
+        ops whose level is at least its γ (γ - 1 for truss), since an op
+        below that level leaves the family's γ-core, and so its answer,
+        alone.  A family no op reaches is unchanged as a whole: it keeps
+        its exhaustion, completeness and an empty answer.  Without
+        ``levels`` every family takes ``barrier``.
+
         Preserved progressive entries are re-seeded from their frozen
         views with a cursor factory bound to the **new** graph (via
         ``progressive_factory(new_key)``) — the old cursor still walks
-        the old generation and is retired here; exhaustion/completeness
-        is forgotten because the stream *below* the watermark may have
-        changed.  With ``identical=True`` (compaction: same content,
-        new representation) everything migrates and completeness
-        survives.  Families that cannot be preserved — or progressive
-        families when no factory is supplied — are dropped.
+        the old generation and is retired here, so no old cursor stays
+        alive.  A reached family forgets exhaustion/completeness
+        because the stream *below* the watermark may have changed.
+        With ``identical=True`` (compaction: same content, new
+        representation) everything migrates and completeness survives.
+        Families that cannot be preserved — or reached progressive
+        families when no factory is supplied — are dropped.  An entry
+        already under the new key (a query of the new generation that
+        ran between the handle flip and this migration) is newer and
+        stays; the old one is dropped and counts as preserved.
 
         Returns ``(preserved, invalidated)``.
         """
@@ -443,18 +470,27 @@ class ResultCache:
             preserved = invalidated = 0
             for key, entry in moved:
                 del self._data[key]
-                views = getattr(entry, "views", ())
-                keep = identical or (
-                    len(views) > 0 and views[-1].influence > barrier
-                )
                 new_key = replace(key, version=new_version)
+                if new_key in self._data:
+                    preserved += 1
+                    continue
+                scope = barrier if levels is None else _family_barrier(
+                    levels, key
+                )
+                unchanged = identical or (
+                    levels is not None and scope == float("-inf")
+                )
+                views = getattr(entry, "views", ())
+                keep = unchanged or (
+                    len(views) > 0 and views[-1].influence > scope
+                )
                 if keep and isinstance(entry, ProgressiveEntry):
                     factory = (
                         progressive_factory(new_key)
                         if progressive_factory is not None
                         else None
                     )
-                    exhausted = entry.exhausted if identical else False
+                    exhausted = entry.exhausted if unchanged else False
                     if factory is None and not exhausted:
                         keep = False  # inextensible without a factory
                     else:
@@ -470,10 +506,10 @@ class ResultCache:
                         )
                 elif keep and isinstance(entry, StaticEntry):
                     self._data[new_key] = StaticEntry(
-                        views, entry.complete if identical else False
+                        views, entry.complete if unchanged else False
                     )
-                elif keep:  # unknown entry type: only safe when identical
-                    if identical:
+                elif keep:  # unknown entry type: only safe when unchanged
+                    if unchanged:
                         self._data[new_key] = entry
                     else:
                         keep = False

@@ -159,11 +159,14 @@ class QueryEngine:
         """Mutation hook: scoped cache migration + live metrics.
 
         Runs inside :meth:`GraphRegistry.apply` / ``compact`` right
-        after the atomic handle flip.  Families whose influence
-        frontier sits above the batch's barrier weight are re-keyed to
-        the new version with a cursor factory bound to the new graph;
-        the rest are dropped (their progressive cursors retire with
-        them).  Counts are attached to the event for the caller.
+        after the atomic handle flip.  Each family's barrier is the
+        largest weight among the batch's ops whose core level reaches
+        its γ (``event.stats.levels``); families no op reaches, and
+        those whose influence frontier sits above their barrier, are
+        re-keyed to the new version with a cursor factory bound to the
+        new graph; the rest are dropped (their progressive cursors
+        retire with them).  Counts are attached to the event for the
+        caller.
         """
         identical = event.kind == "compact"
         preserved = invalidated = 0
@@ -181,6 +184,9 @@ class QueryEngine:
                 event.new_version,
                 event.barrier,
                 identical=identical,
+                levels=(
+                    event.stats.levels if event.stats is not None else None
+                ),
                 progressive_factory=factory_for,
             )
             event.preserved += preserved

@@ -31,8 +31,8 @@ order-based core maintenance (Zhang, Yu, Zhang & Qin, ICDE 2017) that
 :func:`~repro.graph.delta.apply_batch` runs per flip.  ``describe()``
 reports why the last background compaction failed, if it did.
 Mutation hooks — distinct from build hooks — let the service layer
-migrate caches scope-invalidated by the batch's barrier weight instead
-of dropping them wholesale.
+migrate caches scope-invalidated by the batch's barrier weight, scoped
+per γ by each op's core level, instead of dropping them wholesale.
 """
 
 from __future__ import annotations

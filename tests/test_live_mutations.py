@@ -14,7 +14,10 @@ Covers the whole subsystem end to end:
   compaction (explicit and background), mutation hooks;
 * scoped cache invalidation: families whose influence watermark clears
   the mutation barrier survive verbatim, the rest recompute — and both
-  always match a scratch-rebuilt oracle;
+  always match a scratch-rebuilt oracle; a family's barrier counts only
+  the ops whose core level reaches its γ, checked by a hypothesis
+  differential against ``core/reference.py`` and pinned on a seeded
+  email stream;
 * the cluster tier: worker delta catch-up without re-attach, the
   no-downgrade regression (a dispatcher racing a version flip must not
   force a worker back to a stale generation), the mixed-version mirror
@@ -25,8 +28,11 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.api.spec import QuerySpec
@@ -38,8 +44,10 @@ from repro.graph.delta import (
     apply_batch,
     apply_ops_to_model,
 )
-from repro.service.cache import CacheKey, ResultCache
-from repro.service.engine import QueryEngine
+from repro.core.reference import reference_communities, reference_truss_communities
+from repro.service.cache import CacheKey, ProgressiveEntry, ResultCache, StaticEntry
+from repro.service.engine import QueryEngine, progressive_cursor_factory
+from repro.service.model import CommunityView
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import GraphRegistry
 from repro.workloads.generators import (
@@ -188,6 +196,32 @@ class TestApplyBatch:
         graph, _, _ = _small_graph()
         with pytest.raises(GraphConstructionError):
             apply_batch(graph, EdgeBatch(ops=(("reweight", 5, 17.5),)))
+
+    def test_levels_scope_each_op_by_its_core(self):
+        # A K4 (core 3) with a pendant path 3-4-5 (core 1).
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]
+        weights = [10.0, 9.0, 8.0, 7.0, 6.0, 5.0]
+        graph = graph_from_arrays(6, edges, weights=weights)
+        graph.core_table()
+        batch = EdgeBatch(
+            ops=(
+                ("insert", 0, 4),  # 4 rises to core 2: level min(3, 2)
+                ("insert", 1, 4),  # 4 rises to core 3: level 3
+                ("delete", 4, 5),  # read before the delete: core(5) = 1
+                ("reweight", 5, 5.5),  # parent core(5) = 1
+            )
+        )
+        _, barrier, stats = apply_batch(graph, batch)
+        assert stats.levels == [(1, 5.5), (2, 6.0), (3, 6.0), (1, 5.5)]
+        assert barrier == max(weight for _, weight in stats.levels)
+        # Without a parent core table a reweight reaches every gamma.
+        fresh = graph_from_arrays(6, edges, weights=weights)
+        assert not fresh.core_table_built
+        _, _, stats = apply_batch(fresh, EdgeBatch(ops=(("reweight", 5, 5.5),)))
+        assert stats.levels == [(float("inf"), 5.5)]
+        # A no-op records nothing.
+        _, _, stats = apply_batch(graph, EdgeBatch(ops=(("insert", 0, 1),)))
+        assert stats.levels == []
 
     def test_last_op_wins_per_edge(self):
         graph, _, _ = _small_graph()
@@ -517,11 +551,91 @@ class TestScopedInvalidation:
         assert live["families_invalidated"] >= 1
         assert live["graph_generation"]["g"] == registry.get("g").version
 
+    def test_empty_family_survives_a_batch_below_its_core(self):
+        registry, cache, metrics, engine = self._stack()
+        # Every vertex has core 2, so no 3-community exists.
+        spec = QuerySpec(graph="g", gamma=3, k=5)
+        assert engine.execute(spec).communities == ()
+        event = registry.apply("g", [("insert", 3, 5)])  # level 2 < 3
+        assert event.preserved == 1 and event.invalidated == 0
+        result = engine.execute(spec)
+        assert result.source == "cache" and result.complete
+        assert result.communities == ()
+
+    def test_flip_below_the_core_keeps_a_family_above_the_barrier(self):
+        # A K4 of core 3 (influence 7) and a heavier tail 3-4-5.
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]
+        weights = [10.0, 9.0, 8.0, 7.0, 9.5, 9.25]
+        graph = graph_from_arrays(6, edges, weights=weights)
+        registry = GraphRegistry(preload_datasets=False, compact_after=None)
+        registry.register("g", lambda: graph)
+        engine = QueryEngine(registry, cache=ResultCache(8))
+        three, two = (QuerySpec(graph="g", gamma=g, k=1) for g in (3, 2))
+        before = engine.execute(three).communities
+        assert before[0].influence == 7.0
+        engine.execute(two)
+        # The cycle 0-3-4-5 lifts 4 and 5 to core 2: level 2.
+        event = registry.apply("g", [("insert", 0, 5)])
+        assert event.barrier == 9.25 > before[-1].influence
+        assert event.preserved == 1 and event.invalidated == 1
+        result = engine.execute(three)
+        assert result.source == "cache" and result.communities == before
+        assert engine.execute(two).source == "cold"
+
+    def test_a_newer_entry_survives_migration_as_the_same_object(self):
+        # A loop-served cold query of v2 that ran between the handle
+        # flip and the hook owns a live cursor; the migration keeps it.
+        cache = ResultCache(8)
+        views = (
+            CommunityView(keynode=1, influence=9.0, size=2, members=(0, 1)),
+        )
+        old, new = (
+            CacheKey(
+                graph="g", version=v, gamma=1, algorithm="forward",
+                delta=None,
+            )
+            for v in (1, 2)
+        )
+        stale, fresh = StaticEntry(views, True), StaticEntry(views, True)
+        cache.put(old, stale)
+        cache.put(new, fresh)
+        for levels in (None, ()):
+            assert cache.migrate_graph(
+                "g", 1, 2, barrier=float("-inf"), levels=levels
+            ) == (1, 0)
+            assert cache.get(new) is fresh and cache.get(old) is None
+            cache.put(old, stale)
+
+    def test_migrate_scopes_each_family_by_its_levels(self):
+        def key(gamma, algorithm="forward", version=1):
+            return CacheKey(
+                graph="g", version=version, gamma=gamma,
+                algorithm=algorithm, delta=None,
+            )
+
+        high = (
+            CommunityView(keynode=1, influence=4.0, size=2, members=(0, 1)),
+        )
+        low = (
+            CommunityView(keynode=3, influence=2.0, size=2, members=(2, 3)),
+        )
+        cache = ResultCache(8)
+        cache.put(key(2), StaticEntry(high, True))  # barrier 5: dropped
+        cache.put(key(3), StaticEntry(high, True))  # barrier 3: kept
+        cache.put(key(4), StaticEntry(low, True))  # reached by no op
+        cache.put(key(4, "truss"), StaticEntry(low, True))  # level 3 >= 4 - 1
+        cache.put(key(9, "localsearch-p"), ProgressiveEntry(exhausted=True))
+        levels = [(3, 3.0), (2, 5.0)]
+        assert cache.migrate_graph("g", 1, 2, 5.0, levels=levels) == (3, 2)
+        kept = {k.gamma: cache.get(k) for k in cache.keys()}
+        assert set(kept) == {3, 4, 9}
+        assert kept[3].complete is False  # reached: the tail may differ
+        assert kept[4].complete is True  # untouched: still the whole answer
+        assert kept[9].exhausted and kept[9].views == ()
+        assert cache.get(key(4, "truss", version=2)) is None
+
     def test_migrate_unit_semantics(self):
         # Direct migrate_graph exercise, no engine: watermark vs barrier.
-        from repro.service.cache import StaticEntry
-        from repro.service.model import CommunityView
-
         cache = ResultCache(8)
         views = (
             CommunityView(
@@ -557,6 +671,181 @@ class TestScopedInvalidation:
         # non-identical migration can never claim completeness
         assert migrated.complete is False
         assert cache.get(keep) is None
+
+
+# ----------------------------------------------------------------------
+# gamma-aware scoping: a differential property and a pinned stream
+# ----------------------------------------------------------------------
+#: Families of the differential: core progressive entries, core and
+#: truss static entries, at gammas that leave some answers empty.
+_FAMILIES = [(g, "localsearch-p") for g in (1, 2, 3, 4)] + [
+    (g, algorithm) for g in (2, 3, 4) for algorithm in ("forward", "truss")
+]
+
+
+@st.composite
+def _scoped_streams(draw):
+    """A random weighted graph, per-family k (100 = the whole answer)
+    and 1-4 batches of inserts, deletes and reweights, each applied to
+    the previous generation or to a fresh build of its model (no core
+    table)."""
+    n = draw(st.integers(5, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=3 * n)))
+    weights = [float(w) for w in draw(st.permutations(range(1, n + 1)))]
+    ks = [draw(st.sampled_from((1, 2, 100))) for _ in _FAMILIES]
+    op = st.one_of(
+        st.tuples(st.sampled_from(("insert", "delete")), st.sampled_from(pairs)),
+        st.tuples(
+            st.just("reweight"),
+            st.tuples(st.integers(0, n - 1), st.integers(0, 3 * n)),
+        ),
+    )
+    batches = draw(
+        st.lists(
+            st.tuples(st.lists(op, min_size=1, max_size=4), st.booleans()),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return n, edges, weights, ks, batches
+
+
+def _reference_views(graph, gamma, algorithm):
+    """Every community of ``graph`` by the reference derivation, as
+    views in decreasing influence."""
+    if algorithm == "truss":
+        found = [
+            (w, {x for edge in edge_set for x in edge})
+            for w, edge_set in reference_truss_communities(graph, gamma)
+        ]
+    else:
+        found = reference_communities(graph, gamma)
+    return [
+        CommunityView(
+            keynode=graph.label(max(ranks)),
+            influence=w,
+            size=len(ranks),
+            members=tuple(sorted(graph.labels(sorted(ranks)), key=str)),
+        )
+        for w, ranks in found
+    ]
+
+
+def _entry(graph, gamma, algorithm, k):
+    views = _reference_views(graph, gamma, algorithm)
+    head, complete = tuple(views[:k]), k >= len(views)
+    if algorithm == "localsearch-p":
+        return ProgressiveEntry(
+            cursor_factory=progressive_cursor_factory(graph, gamma, 2.0),
+            views=head,
+            exhausted=complete,
+        )
+    return StaticEntry(head, complete)
+
+
+@given(_scoped_streams())
+@settings(max_examples=100, deadline=None)
+def test_every_family_the_levels_keep_equals_the_reference(case):
+    n, edges, weights, ks, batches = case
+    model_e, model_w = set(edges), dict(enumerate(weights))
+    graph = graph_from_arrays(n, edges, weights=weights)
+    cache = ResultCache(64)
+    keys = [
+        CacheKey(graph="g", version=0, gamma=g, algorithm=a, delta=2.0)
+        for g, a in _FAMILIES
+    ]
+    for key, k in zip(keys, ks):
+        cache.put(key, _entry(graph, key.gamma, key.algorithm, k))
+    for version, (raw, fresh) in enumerate(batches, start=1):
+        ops, taken = [], set(model_w.values())
+        for kind, arg in raw:
+            if kind == "reweight":  # weights stay distinct
+                vertex, value = arg
+                if value + 0.5 in taken:
+                    continue
+                taken.add(value + 0.5)
+                ops.append((kind, vertex, value + 0.5))
+            else:
+                ops.append((kind, *arg))
+        if fresh:  # a parent with no core table
+            graph = _scratch(graph, model_e, model_w)
+        child, barrier, stats = apply_batch(graph, EdgeBatch(tuple(ops)))
+        apply_ops_to_model(model_e, model_w, ops)
+        assert barrier == max(
+            (w for _, w in stats.levels), default=float("-inf")
+        )
+        cache.migrate_graph(
+            "g", version - 1, version, barrier,
+            levels=stats.levels,
+            progressive_factory=lambda key: progressive_cursor_factory(
+                child, key.gamma, key.delta
+            ),
+        )
+        for old, k in zip(keys, ks):
+            key = replace(old, version=version)
+            want = _reference_views(child, key.gamma, key.algorithm)
+            entry = cache.get(key)
+            if entry is None:  # dropped: refill from the new generation
+                cache.put(key, _entry(child, key.gamma, key.algorithm, k))
+                continue
+            views = entry.views
+            assert list(views) == want[: len(views)]
+            if isinstance(entry, ProgressiveEntry):
+                complete = entry.exhausted
+            else:
+                complete = entry.complete
+            if complete:
+                assert len(views) == len(want)
+        graph = child
+
+
+#: The email families of live-churn's gamma sweep, k=100, over 150
+#: ``delta_stream(random.Random(4242), ...)`` batches of 2 ops with
+#: live-churn's email mix: kept and dropped family-batches per gamma
+#: under the core-level rule.  The barrier rule alone drops
+#: 69, 72, 61 and 150 (352 in all; 150 for the empty gamma=50 answer).
+EMAIL_KEPT = {5: 102, 10: 121, 20: 147, 50: 150}
+EMAIL_DROPPED = {5: 48, 10: 29, 20: 3, 50: 0}
+
+
+def test_scoped_drops_are_pinned_on_an_email_stream():
+    registry = GraphRegistry(compact_after=None)
+    cache = ResultCache(64)
+    engine = QueryEngine(registry, cache=cache)
+    graph = registry.get("email").graph
+    edges = [tuple(sorted(graph.labels(edge))) for edge in graph.iter_edges()]
+    weights = [graph.weight_of_label(v) for v in range(graph.num_vertices)]
+    stream = delta_stream(
+        random.Random(4242),
+        graph.num_vertices,
+        edges,
+        weights,
+        ops_per_batch=2,
+        mix=(0.4, 0.4, 0.2),
+    )
+    specs = {g: QuerySpec(graph="email", gamma=g, k=100) for g in EMAIL_KEPT}
+    for spec in specs.values():
+        engine.execute(spec)
+    kept = dict.fromkeys(specs, 0)
+    dropped = dict.fromkeys(specs, 0)
+    for _ in range(150):
+        version = registry.version("email")
+        frontier = {
+            g: cache.get(CacheKey.for_spec(spec, version)).views
+            for g, spec in specs.items()
+        }
+        event = registry.apply("email", next(stream))
+        for g, spec in specs.items():
+            if cache.get(CacheKey.for_spec(spec, event.new_version)) is None:
+                # No family drops where the barrier rule would keep it.
+                views = frontier[g]
+                assert not views or views[-1].influence <= event.barrier
+                dropped[g] += 1
+                engine.execute(spec)
+            else:
+                kept[g] += 1
+    assert (kept, dropped) == (EMAIL_KEPT, EMAIL_DROPPED)
 
 
 # ----------------------------------------------------------------------
