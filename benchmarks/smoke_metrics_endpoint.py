@@ -1,29 +1,23 @@
 """End-to-end observability smoke: serve, query, scrape, trace.
 
-Boots a real :class:`~repro.server.transport.ReproServer` with two
-cluster workers, the metrics exporter on an ephemeral port, and
-``trace_sample=1.0``; runs one query over TCP; then asserts the whole
-PR-6 acceptance path:
+Boots a real :class:`~repro.server.transport.ReproServer` with the
+metrics exporter on an ephemeral port and ``trace_sample=1.0``; runs
+one query over TCP; then asserts the whole observability path:
 
 * ``/metrics`` (Prometheus text) exposes the serving counters —
   ``repro_queries_served_total``, per-family latency quantiles,
-  coalesce rate, scheduler queue depth, and (process backend only)
-  per-worker queue depths;
+  coalesce rate and scheduler queue depth;
 * ``/traces`` returns the query's stitched trace: transport →
-  scheduler → (cluster_dispatch → worker, process backend) → engine,
-  with the engine span carrying >= 3 kernel phase timings;
+  scheduler → engine, with the engine span carrying >= 3 kernel phase
+  timings;
 * the shell ``trace`` command over the *same* TCP connection lists
   that trace and renders it by id.
 
-The PR-7 surface rides the same boot: ``/readyz`` reports ready with
-per-worker liveness, ``/history.json`` returns collector points with
-the configured SLO attached, and ``/dashboard`` renders the full
-stdlib-only page (no scripts, no external fetches) — asserted under
-both start methods.  ``--history-output FILE`` saves the history
-document as a CI artifact.
-
-Honours ``REPRO_MP_START`` (`""`/`fork`/`spawn`) like the cluster
-benchmarks, so CI exercises both start methods.  Exit code 0 on PASS.
+The same boot also checks that ``/readyz`` reports ready,
+``/history.json`` returns collector points with the configured SLO
+attached, and ``/dashboard`` renders the full stdlib-only page (no
+scripts, no external fetches).  ``--history-output FILE`` saves the
+history document as a CI artifact.  Exit code 0 on PASS.
 """
 
 from __future__ import annotations
@@ -39,9 +33,8 @@ from repro.api import QuerySpec
 from repro.server.client import ReproClient
 from repro.server.transport import ReproServer
 
-#: Span names every stitched trace must contain, per backend.
-THREAD_SPANS = {"transport", "scheduler", "engine"}
-PROCESS_SPANS = THREAD_SPANS | {"cluster_dispatch", "worker"}
+#: Span names every stitched trace must contain.
+TRACE_SPANS = {"transport", "scheduler", "engine"}
 MIN_PHASES = 3
 
 
@@ -55,7 +48,7 @@ def _http_text(base: str, path: str) -> str:
         return response.read().decode("utf-8")
 
 
-def check_prometheus(text: str, process_backend: bool) -> None:
+def check_prometheus(text: str) -> None:
     required = [
         "repro_queries_served_total",
         "repro_family_latency_ms",
@@ -63,8 +56,6 @@ def check_prometheus(text: str, process_backend: bool) -> None:
         "repro_server_queue_depth",
         "repro_traces_recorded_total",
     ]
-    if process_backend:
-        required.append("repro_cluster_worker_queue_depth")
     missing = [name for name in required if name not in text]
     assert not missing, f"/metrics missing series: {missing}"
     # Quantile labels on the family summary, not just the series name.
@@ -92,7 +83,7 @@ def check_dashboard(html: str) -> None:
     assert not present, f"/dashboard has external/script markup: {present}"
 
 
-def check_history(doc: dict, process_backend: bool) -> None:
+def check_history(doc: dict) -> None:
     points = doc.get("points", [])
     assert points, f"history document has no points: {doc}"
     newest = points[-1]
@@ -102,28 +93,19 @@ def check_history(doc: dict, process_backend: bool) -> None:
     status = doc.get("slo_status")
     assert status and status["ok"], f"lenient smoke SLO breached: {status}"
     assert doc.get("breach_count") == 0, doc
-    if process_backend:
-        # Dispatch meters depth per worker actually used; one query
-        # touches at least one of them.
-        ticked = [p for p in points if p.get("workers")]
-        assert ticked, "no per-worker queue depths in any history point"
 
 
-def check_readyz(doc: dict, workers: int, process_backend: bool) -> None:
+def check_readyz(doc: dict) -> None:
     assert doc.get("ready") is True, f"/readyz not ready: {doc}"
     assert doc.get("reasons") == [], doc
-    if process_backend:
-        liveness = doc.get("workers", {})
-        assert len(liveness) == workers and all(liveness.values()), doc
 
 
-def check_trace(trace: dict, process_backend: bool) -> None:
+def check_trace(trace: dict) -> None:
     spans = trace.get("spans", [])
     names = {span["name"] for span in spans}
-    expected = PROCESS_SPANS if process_backend else THREAD_SPANS
-    assert expected <= names, (
+    assert TRACE_SPANS <= names, (
         f"stitched trace spans {sorted(names)} missing "
-        f"{sorted(expected - names)}"
+        f"{sorted(TRACE_SPANS - names)}"
     )
     engine_spans = [span for span in spans if span["name"] == "engine"]
     phases = {
@@ -136,9 +118,7 @@ def check_trace(trace: dict, process_backend: bool) -> None:
 
 
 async def main(history_output: str = "") -> int:
-    workers = 2
     server = ReproServer(
-        workers=workers,
         metrics_port=0,
         trace_sample=1.0,
         batch_window_ms=0.0,
@@ -148,8 +128,6 @@ async def main(history_output: str = "") -> int:
         history_interval=0.2,
     )
     await server.start(tcp=("127.0.0.1", 0))
-    backend = getattr(server.shards, "backend", "thread")
-    process_backend = backend == "process"
     try:
         assert server.metrics_address is not None
         mhost, mport = server.metrics_address
@@ -169,10 +147,10 @@ async def main(history_output: str = "") -> int:
             listing = _http_json(base, "/traces?limit=5")["traces"]
             assert listing, "no traces retained after a traced query"
             trace = _http_json(base, f"/traces/{listing[0]['trace_id']}")
-            check_trace(trace, process_backend)
+            check_trace(trace)
 
             assert _http_text(base, "/healthz").strip() == "ok"
-            check_prometheus(_http_text(base, "/metrics"), process_backend)
+            check_prometheus(_http_text(base, "/metrics"))
             snapshot = _http_json(base, "/metrics.json")
             assert snapshot["queries_served"] >= 1, snapshot
             assert snapshot["traces"]["traces_recorded"] >= 1, snapshot
@@ -185,12 +163,10 @@ async def main(history_output: str = "") -> int:
             rendered = await client.request(f"trace {trace['trace_id']}")
             assert any("engine" in line for line in rendered), rendered
 
-            # PR-7 surface: readiness, collector history, dashboard.
-            check_readyz(
-                _http_json(base, "/readyz"), workers, process_backend
-            )
+            # Readiness, collector history, dashboard.
+            check_readyz(_http_json(base, "/readyz"))
             history = _wait_for_history(base, after=queried_at)
-            check_history(history, process_backend)
+            check_history(history)
             check_dashboard(_http_text(base, "/dashboard?window=60"))
             assert "repro_slo_ok{" in _http_text(base, "/metrics"), (
                 "/metrics lacks repro_slo_* with an SLO configured"
@@ -205,8 +181,8 @@ async def main(history_output: str = "") -> int:
         await server.stop()
 
     print(
-        f"smoke_metrics_endpoint: PASS (backend={backend}, "
-        "trace spans stitched, /metrics + /traces + /readyz + "
+        "smoke_metrics_endpoint: PASS (trace spans stitched, "
+        "/metrics + /traces + /readyz + "
         "/history.json + /dashboard live)"
     )
     return 0

@@ -7,7 +7,7 @@ engine mints one trace per sampled query, down to the peel kernel's
 per-phase timings; a :class:`~repro.obs.export.MetricsServer` then
 serves the standard endpoints from the same process.
 
-Part two boots a real 2-worker :class:`~repro.server.transport.ReproServer`
+Part two boots a real :class:`~repro.server.transport.ReproServer`
 with the history collector and an SLO, runs traffic, and pulls the
 server-rendered ``/dashboard`` plus ``/history.json`` and ``/readyz``
 — the full live-ops surface, all stdlib.
@@ -73,14 +73,13 @@ with repro.open(metrics=metrics, tracer=tracer) as rp:
 
 
 # ----------------------------------------------------------------------
-# Part two: the live dashboard against a real 2-worker server.
+# Part two: the live dashboard against a real server.
 # ----------------------------------------------------------------------
 async def live_dashboard() -> None:
     from repro.server.client import ReproClient
     from repro.server.transport import ReproServer
 
     server = ReproServer(
-        workers=2,
         metrics_port=0,          # ephemeral exporter port
         trace_sample=1.0,
         slo="p95_ms=500,err_rate=0.05,window_s=60",
@@ -115,11 +114,10 @@ async def live_dashboard() -> None:
         print(f"\nlive server on {host}:{port}, dashboard at {base}/dashboard")
         print(
             f"history: {len(doc['points'])} point(s), newest "
-            f"qps={newest['qps']:.2f} queue={newest['queue_depth']} "
-            f"workers={newest['workers']}"
+            f"qps={newest['qps']:.2f} queue={newest['queue_depth']}"
         )
         ready = json.loads(urllib.request.urlopen(base + "/readyz").read())
-        print(f"readyz: ready={ready['ready']} workers={ready.get('workers')}")
+        print(f"readyz: ready={ready['ready']} reasons={ready['reasons']}")
         slo = doc.get("slo_status") or {}
         print(f"slo: ok={slo.get('ok')} over {slo.get('window_s'):g}s window")
 

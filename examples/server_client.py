@@ -37,13 +37,15 @@ async def one_shot_queries(host: str, port: int) -> None:
 async def concurrent_burst(host: str, port: int, clients: int = 8) -> None:
     print(f"== {clients} concurrent clients, one query family ==")
 
-    async def worker(index: int) -> str:
+    async def one_client(index: int) -> str:
         client = await ReproClient.connect(host, port=port)
         lines = await client.query(DATASET, k=2 + index, gamma=GAMMA)
         await client.close()
         return lines[0]
 
-    for header in await asyncio.gather(*(worker(i) for i in range(clients))):
+    for header in await asyncio.gather(
+        *(one_client(i) for i in range(clients))
+    ):
         print(f"  {header}")
 
 
@@ -67,35 +69,6 @@ async def show_metrics(host: str, port: int) -> None:
     await client.close()
 
 
-async def worker_backed_server() -> None:
-    """The cluster tier: the same server over worker *processes*.
-
-    ``workers=2`` promotes the execution pool to two long-lived worker
-    processes attached to shared-memory CSR segments (``repro serve
-    --tcp 8642 --workers 2`` from the CLI).  Watch the ``worker:<id>``
-    provenance on the JSON responses and the ``cluster`` metrics
-    section; on platforms without multiprocessing the server falls back
-    to threads and everything still works.
-    """
-    print("== worker-backed server (multi-process cluster tier) ==")
-    server = ReproServer(workers=2)
-    await server.start(tcp=("127.0.0.1", 0))
-    assert server.tcp_address is not None
-    host, port = server.tcp_address
-    print(f"  backend: {server.shards.backend} x{server.shards.num_shards}")
-    try:
-        client = await ReproClient.connect(host, port=port)
-        for k in (6, 12):  # cold, then a cursor resume in the worker
-            payload = await client.query(DATASET, k=k, gamma=GAMMA, mode="json")
-            print(
-                f"  k={k:<3} source={payload['source']:<9} "
-                f"worker={payload.get('worker')}"
-            )
-        await client.close()
-    finally:
-        await server.stop()
-
-
 async def main() -> None:
     server = ReproServer(shards=2, batch_window_ms=1.0)
     await server.start(tcp=("127.0.0.1", 0))
@@ -114,8 +87,6 @@ async def main() -> None:
         f"\ncoalescing: {stats.queries} queries in {stats.batches} engine "
         f"passes (max batch width {stats.max_width})"
     )
-    print()
-    await worker_backed_server()
 
 
 if __name__ == "__main__":

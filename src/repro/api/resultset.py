@@ -216,12 +216,6 @@ class ResultSet:
         return self._provenance().kernel
 
     @property
-    def worker(self) -> Optional[str]:
-        """Cluster worker that served the backing result
-        (``"worker:<id>"``), or ``None`` for in-process execution."""
-        return self._provenance().worker
-
-    @property
     def complete(self) -> bool:
         """True when the answer is the graph's *entire* community list."""
         return self._provenance().complete
@@ -242,7 +236,6 @@ class ResultSet:
             "served": len(result.communities),
             "source": result.source,
             "kernel": result.kernel,
-            "worker": result.worker,
             "complete": result.complete,
             "elapsed_ms": result.elapsed_ms,
             "plan_reason": result.plan_reason,

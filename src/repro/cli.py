@@ -27,7 +27,7 @@ answers are cached and reused across queries, and progressive sessions
 stream results on demand (type ``help`` at its prompt for the
 protocol).  With ``--tcp``/``--socket`` it becomes the concurrent
 asyncio server of :mod:`repro.server` — many clients, batch-coalesced
-progressive execution, sharded workers, and warm-start cache
+progressive execution, per-graph shard threads, and warm-start cache
 persistence.  ``trace`` and ``metrics`` read a serving process's
 ``--metrics-port`` endpoint.
 """
@@ -174,15 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards", type=int, default=None,
-        help="worker threads routing CPU-bound cursor work by graph "
-             "(network mode only; default 4)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="promote the pool to this many worker PROCESSES over "
-             "shared-memory CSR segments — true multi-core execution "
-             "(network mode only; default: threads; falls back to "
-             "threads when multiprocessing is unavailable)",
+        help="shard threads, routed by graph, running graph builds and "
+             "whole-graph algorithms (network mode only; default 4)",
     )
     serve.add_argument(
         "--replicate", metavar="GRAPH=COPIES", action="append", default=None,
@@ -327,13 +320,18 @@ def _print_lines(lines, out) -> None:
 
 
 def _parse_tcp(value: str):
-    """``[HOST:]PORT`` -> ``(host, port)`` (default host 127.0.0.1)."""
+    """``[HOST:]PORT`` -> ``(host, port)`` (default host 127.0.0.1);
+    a ``ValueError`` for anything else."""
+    from .server.transport import check_port
+
     host, _, port_text = value.rpartition(":")
     try:
         port = int(port_text)
     except ValueError:
-        raise SystemExit(f"error: bad --tcp value {value!r} (want [HOST:]PORT)")
-    return (host or "127.0.0.1", port)
+        raise ValueError(
+            f"bad --tcp value {value!r} (want [HOST:]PORT)"
+        ) from None
+    return (host or "127.0.0.1", check_port(port, "--tcp port"))
 
 
 def _parse_replication(values):
@@ -353,7 +351,7 @@ def _parse_replication(values):
     return replication
 
 
-def _run_server_async(server, args: argparse.Namespace, out) -> int:
+def _run_server_async(server, tcp, args: argparse.Namespace, out) -> int:
     """Run ``server`` as the network server of ``repro serve
     --tcp/--socket`` until it is shut down."""
     import asyncio
@@ -367,25 +365,12 @@ def _run_server_async(server, args: argparse.Namespace, out) -> int:
             except (NotImplementedError, RuntimeError, ValueError):
                 # Unsupported platform, or not the main thread (tests).
                 pass
-        tcp = _parse_tcp(args.tcp) if args.tcp is not None else None
         await server.start(tcp=tcp, unix_path=args.socket)
         if server.tcp_address is not None:
             host, port = server.tcp_address
             print(f"listening on tcp://{host}:{port}", file=out)
         if server.unix_path is not None:
             print(f"listening on unix://{server.unix_path}", file=out)
-        if args.workers is not None:
-            backend = getattr(server.shards, "backend", "thread")
-            print(
-                f"execution: {server.shards.num_shards} "
-                f"{backend} worker{'s' if server.shards.num_shards != 1 else ''}"
-                + (
-                    ""
-                    if backend == "process"
-                    else " (multiprocessing unavailable: thread fallback)"
-                ),
-                file=out,
-            )
         if server.metrics_address is not None:
             mhost, mport = server.metrics_address
             print(f"metrics on http://{mhost}:{mport}/metrics", file=out)
@@ -432,7 +417,6 @@ def _run_serve(args: argparse.Namespace, out, in_stream) -> int:
             ("--warmstart", args.warmstart),
             ("--warmstart-interval", args.warmstart_interval),
             ("--shards", args.shards),
-            ("--workers", args.workers),
             ("--replicate", args.replicate),
             ("--max-batch", args.max_batch),
             ("--batch-window-ms", args.batch_window_ms),
@@ -448,12 +432,12 @@ def _run_serve(args: argparse.Namespace, out, in_stream) -> int:
         )
         return 2
     try:
+        tcp = _parse_tcp(args.tcp) if args.tcp is not None else None
         server = ReproServer(
             cache_size=args.cache_size,
             max_cached_k=args.max_cached_k,
             session_ttl=args.session_ttl,
             shards=args.shards if args.shards is not None else 4,
-            workers=args.workers,
             replication=_parse_replication(args.replicate),
             max_batch=args.max_batch if args.max_batch is not None else 64,
             batch_window_ms=(
@@ -478,7 +462,7 @@ def _run_serve(args: argparse.Namespace, out, in_stream) -> int:
         print(f"error: {exc}", file=out)
         return 2
     if network:
-        return _run_server_async(server, args, out)
+        return _run_server_async(server, tcp, args, out)
     server.start_observability()
     try:
         if server.metrics_address is not None:

@@ -22,7 +22,6 @@ __all__ = [
     "StorageError",
     "DatasetError",
     "ServiceError",
-    "ClusterWorkerError",
     "UnknownGraphError",
     "UnknownSessionError",
 ]
@@ -113,20 +112,6 @@ class UnknownGraphError(ServiceError):
         self.name = name
         hint = f"; registered: {', '.join(sorted(map(str, available)))}" if available else ""
         super().__init__(f"graph {name!r} is not registered{hint}")
-
-
-class ClusterWorkerError(ServiceError):
-    """Raised when a cluster worker process fails to serve a job.
-
-    Carries the worker-side error flattened to ``kind`` (the original
-    exception class name) and message — exception *objects* with custom
-    constructors do not round-trip a pickle pipe reliably, strings do.
-    """
-
-    def __init__(self, worker: str, kind: str, message: str) -> None:
-        self.worker = worker
-        self.kind = kind
-        super().__init__(f"{worker}: {kind}: {message}")
 
 
 class UnknownSessionError(ServiceError):

@@ -19,7 +19,6 @@ algorithms (DESIGN.md systems S1–S5 and S15-storage):
 
 from .builder import GraphBuilder, graph_from_arrays
 from .connectivity import component_of, connected_components, is_connected_subset
-from .csr import CSRAdjacency
 from .core_decomposition import degeneracy, gamma_core, gamma_core_members
 from .disjoint_set import DisjointSet, KeyedDisjointSet
 from .metrics import GraphStatistics, degree_histogram, graph_statistics
@@ -39,7 +38,6 @@ __all__ = [
     "GraphBuilder",
     "graph_from_arrays",
     "PrefixView",
-    "CSRAdjacency",
     "PrefixAdjacency",
     "DisjointSet",
     "KeyedDisjointSet",

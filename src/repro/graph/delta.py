@@ -1,17 +1,16 @@
 """Streaming edge mutations over the immutable graph substrate.
 
 :class:`~repro.graph.weighted_graph.WeightedGraph` is immutable by
-design — every serving tier (peel kernels, shared-memory segments,
-result caches) keys off that promise.  ``repro.live`` therefore models
+design — every serving tier (peel kernels, result caches) keys off
+that promise.  ``repro.live`` therefore models
 a mutation not as an in-place edit but as a **new graph generation**
 derived from the old one:
 
-* :class:`EdgeBatch` — a validated, picklable list of operations
+* :class:`EdgeBatch` — a validated list of operations
   (``insert``/``delete`` an edge between existing vertices,
   ``reweight`` a vertex) expressed in user-facing labels, so the same
-  batch replays identically in the parent process and inside cluster
-  workers (rank spaces may differ after a re-rank; label spaces never
-  do).
+  batch applies to any generation of the graph (rank spaces may
+  differ after a re-rank; label spaces never do).
 * :func:`apply_batch` — produce the next generation.  The new graph
   **shares every untouched adjacency row by reference** with its
   parent and holds fresh sorted rows only where the batch changed
@@ -36,7 +35,7 @@ new generation keeps the numbers (its parent's, when no flip changed
 one).  The order lives on the generation it describes, the **tip**:
 the next batch applied to the tip takes it over (:func:`_take_order`)
 and a re-rank moves it with the ranks.  A batch applied to any other
-generation — a second batch on one parent, a worker's attached copy —
+generation — a second batch on one parent, an unpickled copy —
 builds a fresh order from one decomposition, so branches stay exact
 and graphs that are never mutated never build one.
 
@@ -106,9 +105,7 @@ class EdgeBatch:
     add or remove the undirected edge between existing vertices ``u``
     and ``v``; ``("reweight", v, w)`` sets vertex ``v``'s weight to
     ``w``.  Vertex additions/removals are out of scope — they go
-    through a full re-register.  Batches are plain data (picklable),
-    so the cluster tier ships them over the existing tagged-tuple pipe
-    protocol.
+    through a full re-register.
     """
 
     ops: Tuple[Tuple, ...] = field(default_factory=tuple)

@@ -37,7 +37,6 @@ import json
 import math
 from bisect import bisect_left
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Hashable,
     Iterable,
@@ -48,9 +47,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .csr import CSRAdjacency
 
 from ..errors import GraphConstructionError, UnknownVertexError
 
@@ -276,59 +272,6 @@ class WeightedGraph:
             builder.add_edge(u, v)
         return builder.build()
 
-    @classmethod
-    def from_csr(
-        cls,
-        csr: "CSRAdjacency",
-        weights: Sequence[float],
-        labels: Optional[Sequence[Hashable]] = None,
-        core_numbers: Optional[List[int]] = None,
-    ) -> "WeightedGraph":
-        """Rebuild a graph from its CSR form (the cluster attach path).
-
-        The CSR rows are exactly the ``N>=`` / ``N<`` partition in the
-        canonical sorted order, so the reconstruction is a straight
-        re-slicing (``.tolist()`` of each row's window) — no structural
-        validation pass is needed: the buffers came from a graph that
-        already passed it.  The weights are still checked to be finite,
-        in O(n).  The graph keeps no reference to ``csr``, so a
-        shared-memory segment's windows are free once this returns.
-        ``core_numbers`` are the source graph's :meth:`core_numbers`;
-        without them the copy runs its own decomposition on its first
-        :meth:`core_stop`.
-        """
-        up_off, up_tgt = csr.up_offsets, csr.up_targets
-        down_off, down_tgt = csr.down_offsets, csr.down_targets
-        n = csr.num_vertices
-        graph = cls.__new__(cls)
-        graph._weights = list(weights)
-        if len(graph._weights) != n:
-            raise GraphConstructionError(
-                f"{len(graph._weights)} weights for {n} CSR vertices"
-            )
-        _check_finite(graph._weights)
-        graph._adj_up = [
-            up_tgt[up_off[u]:up_off[u + 1]].tolist() for u in range(n)
-        ]
-        graph._adj_down = [
-            down_tgt[down_off[u]:down_off[u + 1]].tolist() for u in range(n)
-        ]
-        graph._labels = list(range(n)) if labels is None else list(labels)
-        if len(graph._labels) != n:
-            raise GraphConstructionError("labels must have one entry per vertex")
-        graph._rank_of = {
-            label: rank for rank, label in enumerate(graph._labels)
-        }
-        if len(graph._rank_of) != n:
-            raise GraphConstructionError("vertex labels must be unique")
-        graph._label_order = LabelOrder(graph._labels)
-        graph._num_edges = csr.num_edges
-        graph._prefix_sizes = [0]
-        graph._core_numbers = graph._core_stops = graph._core_order = None
-        if core_numbers is not None:
-            graph.set_core_numbers(core_numbers)
-        return graph
-
     def __getstate__(self) -> Dict[str, object]:
         # The core order is live maintenance state of one process; a
         # copy keeps the exact numbers and builds its own on demand.
@@ -470,17 +413,6 @@ class WeightedGraph:
     def degree(self, u: int) -> int:
         """Degree of rank ``u`` in the full graph."""
         return len(self._adj_up[u]) + len(self._adj_down[u])
-
-    def csr(self) -> "CSRAdjacency":
-        """A fresh flat-array (CSR) copy of the adjacency, O(n + m).
-
-        The cluster tier publishes this into a shared-memory segment
-        (:mod:`repro.cluster.segment`); the kernels read the rows
-        themselves, so nothing caches it.
-        """
-        from .csr import CSRAdjacency
-
-        return CSRAdjacency.from_graph(self)
 
     def core_stop(self, gamma: int) -> int:
         """A prefix length that holds the whole γ-core of the graph.

@@ -1,8 +1,8 @@
 """repro.obs — end-to-end query tracing and zero-dep metrics export.
 
 :mod:`repro.obs.trace` provides the span/tracer primitives threaded
-through every serving layer (transport → scheduler → shard/cluster pool
-→ worker → engine → peel kernels); :mod:`repro.obs.export` serves the
+through every serving layer (transport → scheduler → shard pool →
+engine → peel kernels); :mod:`repro.obs.export` serves the
 metrics snapshot and the trace rings over HTTP in Prometheus-text and
 JSON form.  Both are standard-library only.  The export tier (which
 pulls in ``http.server``) loads lazily so the kernel hot path's

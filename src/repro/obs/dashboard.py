@@ -5,7 +5,7 @@
 self-contained HTML document: stat tiles, inline-SVG sparklines (qps /
 hit rate / coalesce rate), a per-family latency heatmap over time with
 a peel-vs-enumerate kernel-phase breakdown column, the
-worker queue-depth bars, SLO status with the breach-event ring, and a
+scheduler queue-depth bar, SLO status with the breach-event ring, and a
 slow-trace exemplar table whose ids link to the ``/traces/<id>``
 waterfalls.  Design constraints:
 
@@ -252,24 +252,15 @@ def _heatmap(points: Sequence[Dict[str, Any]], max_cols: int = 40) -> str:
     return "".join(parts)
 
 
-def _queue_bars(
-    workers: Dict[str, int], server_depth: int
-) -> str:
-    """Horizontal queue-depth bars (value labels beside every bar)."""
-    rows = [("scheduler", server_depth)]
-    rows.extend(sorted(workers.items()))
-    peak = max((depth for _, depth in rows), default=0) or 1
-    parts = ['<table id="queues"><tr><th>queue</th><th>depth</th>'
-             "<th></th></tr>"]
-    for name, depth in rows:
-        pct = depth / peak * 100.0
-        parts.append(
-            f"<tr><td class=\"fam\">{_esc(name)}</td><td>{depth}</td>"
-            f'<td><span class="bar"><i style="width:{pct:.0f}%"></i>'
-            "</span></td></tr>"
-        )
-    parts.append("</table>")
-    return "".join(parts)
+def _queue_bars(server_depth: int) -> str:
+    """The scheduler's queue-depth bar (value label beside it)."""
+    pct = 100.0 if server_depth else 0.0
+    return (
+        '<table id="queues"><tr><th>queue</th><th>depth</th><th></th></tr>'
+        f'<tr><td class="fam">scheduler</td><td>{server_depth}</td>'
+        f'<td><span class="bar"><i style="width:{pct:.0f}%"></i>'
+        "</span></td></tr></table>"
+    )
 
 
 def _slow_traces(summaries: Sequence[Dict[str, Any]]) -> str:
@@ -406,9 +397,6 @@ def render_dashboard(
             f'<div class="card"><h2>invalidation rate</h2>'
             f"{spark_invalidation}</div>"
         )
-    workers = dict(latest["workers"]) if latest else dict(
-        (snapshot.get("cluster") or {}).get("queue_depth") or {}
-    )
     server_depth = (
         latest["queue_depth"]
         if latest
@@ -437,7 +425,7 @@ stdlib-rendered, no external assets{ready_chip}</div>
 <div class="grid" style="margin-top:16px">
 <div class="card"><h2>per-family p95 latency</h2>{_heatmap(points)}</div>
 <div class="card"><h2>queue depths</h2>\
-{_queue_bars(workers, server_depth)}</div>
+{_queue_bars(server_depth)}</div>
 </div>
 <div class="grid" style="margin-top:16px">
 <div class="card"><h2>service objectives</h2>\

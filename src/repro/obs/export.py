@@ -16,10 +16,9 @@ the raw snapshot and the trace rings:
 * ``GET /traces/slow``    — slow-query exemplars (``?limit=N``)
 * ``GET /traces/<id>``    — one trace by id (404 when unknown)
 * ``GET /healthz``        — bare liveness probe (``ok``; answers iff
-  the process serves HTTP — never consults workers or SLOs)
+  the process serves HTTP — never consults SLOs)
 * ``GET /readyz``         — readiness: 200 when the server should
-  receive traffic, 503 with a JSON reason when cluster workers are
-  dead or an SLO is breached
+  receive traffic, 503 with a JSON reason when an SLO is breached
 * ``GET /dashboard``      — the server-rendered HTML explorer
   (:mod:`repro.obs.dashboard`; ``?window=S`` bounds the series)
 * ``GET /history.json``   — derived time-series points (``?window=S``)
@@ -112,12 +111,11 @@ class _Lines:
         return "\n".join(self._out) + "\n"
 
 
-#: Rows of the cluster and live tiers print after the latency and
-#: family blocks, every other exported row before them.
-_LATE_TIERS = ("cluster", "live")
+#: Rows of the live tier print after the latency and family blocks,
+#: every other exported row before them.
 _EXPORTED = [metric for metric in METRICS if metric.prom is not None]
-_BEFORE_LATENCY = [m for m in _EXPORTED if m.keys[0] not in _LATE_TIERS]
-_AFTER_LATENCY = [m for m in _EXPORTED if m.keys[0] in _LATE_TIERS]
+_BEFORE_LATENCY = [m for m in _EXPORTED if m.keys[0] != "live"]
+_AFTER_LATENCY = [m for m in _EXPORTED if m.keys[0] == "live"]
 
 
 def _sample_rows(

@@ -389,18 +389,15 @@ class MetricsHistory:
                 return self.slo.evaluate(self._window_locked(self.slo.window_s))
             return self._slo_status
 
-    def readiness(
-        self, reasons: Optional[List[str]] = None, **extra: Any
-    ) -> Dict[str, Any]:
-        """The ``/readyz`` document with this collector's SLO verdict.
+    def readiness(self) -> Dict[str, Any]:
+        """The ``/readyz`` document: this collector's SLO verdict.
 
-        ``reasons`` are the caller's own not-ready reasons (dead
-        workers, say) and ``extra`` its own fields.  The verdict rides
-        along as ``"slo"`` whenever one exists, and a breach adds a
-        reason; ``ready`` holds iff no reason remains.  Both frontends
-        build ``/readyz`` here, so they answer the same document.
+        The verdict rides along as ``"slo"`` whenever one exists, and a
+        breach adds a reason; ``ready`` holds iff no reason remains.
+        Both frontends build ``/readyz`` here, so they answer the same
+        document.
         """
-        doc: Dict[str, Any] = dict(extra, reasons=list(reasons or ()))
+        doc: Dict[str, Any] = {"reasons": []}
         status = self.slo_status()
         if status is not None:
             doc["slo"] = status
@@ -461,7 +458,6 @@ def _derive_pair(prev: Dict[str, Any], cur: Dict[str, Any]) -> Optional[Dict[str
         # no mutation touched any cached family).
         "invalidation_rate": d_inv / touched if touched else None,
         "queue_depth": cur["queue_depth"],
-        "workers": dict(cur["workers"]),
         "families": {
             # One level of nesting (the phases_ms breakdown) — copy it
             # too, so mutating a derived point never writes through to

@@ -2,9 +2,9 @@
 
 ``cProfile.Profile.enable()`` instruments *the calling thread only*, so
 "profile the serving loop" cannot be a process-wide switch: engine
-executions run on shard executor threads, cluster dispatch threads, and
+executions run on the event loop, on shard executor threads, and on
 the stdio shell's thread.  :class:`OnDemandProfiler` therefore hooks the
-one chokepoint every backend shares — :meth:`QueryEngine._execute` —
+one chokepoint they all share — :meth:`QueryEngine._execute` —
 and *arms* for a bounded window:
 
 * :meth:`capture` arms a fresh profile, sleeps for the window, then

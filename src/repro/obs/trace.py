@@ -3,8 +3,8 @@
 One query produces one **trace**: a tree of :class:`Span` timings whose
 root is minted at the serving edge (the network transport, or the engine
 itself for stdio/facade callers) and whose children follow the query
-through the scheduler, the shard/cluster pool, a worker process, and the
-engine — down to the peel kernel's per-phase timings.  The design
+through the scheduler, the shard pool and the engine — down to the peel
+kernel's per-phase timings.  The design
 constraints, in order:
 
 * **hot-path first** — tracing is sampled (off by default); an
@@ -19,12 +19,6 @@ constraints, in order:
   decision was already made upstream: do not trace", which stops the
   engine from minting a second root for a query the transport chose
   not to sample.
-* **process-crossing by value** — a cluster worker receives
-  ``(trace_id, parent_span_id)`` over the pipe, records its own spans
-  via :meth:`Tracer.start_remote`/:meth:`Tracer.finish_remote`, and
-  ships them back as plain dicts; the parent stitches them into the
-  live trace with :meth:`Tracer.attach`.  Dicts-of-primitives survive
-  both ``fork`` and ``spawn`` pickling trivially.
 * **bounded retention** — finished traces land in a
   :class:`TraceStore` ring; traces slower than ``slow_ms`` are
   *additionally* kept in their own ring, so slow exemplars survive any
@@ -152,7 +146,6 @@ class Span:
         "duration_ms",
         "_t0",
         "_root",
-        "_remote",
     )
 
     def __init__(
@@ -163,7 +156,6 @@ class Span:
         name: str,
         tags: Optional[Dict[str, Any]] = None,
         root: bool = False,
-        remote: bool = False,
     ) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
@@ -175,14 +167,13 @@ class Span:
         self.duration_ms = 0.0
         self._t0 = time.perf_counter()
         self._root = root
-        self._remote = remote
 
     def annotate(self, **tags: Any) -> None:
         """Attach key/value tags (last write wins)."""
         self.tags.update(tags)
 
     def to_dict(self) -> Dict[str, Any]:
-        """A plain-dict projection (pipe- and JSON-safe)."""
+        """A plain-dict projection (JSON-safe)."""
         out: Dict[str, Any] = {
             "span_id": self.span_id,
             "parent_id": self.parent_id,
@@ -291,8 +282,7 @@ class Tracer:
     RNG on the unsampled path); the counter starts at zero so the very
     first query is always traced.  ``sample=0`` disables root minting
     entirely — child spans for an explicitly propagated parent still
-    record, which is exactly what a cluster worker (remote spans only)
-    needs.
+    record.
     """
 
     #: Backstop against a runaway trace accumulating unbounded spans.
@@ -310,10 +300,10 @@ class Tracer:
         self.slow_ms = float(slow_ms)
         self.set_sample(sample)
         self._tick = itertools.count()
-        # Span ids start from a per-tracer random 48-bit base: a trace
-        # crosses process edges (parent tracer + worker tracers all
-        # contribute spans), and counters that each start at 1 would
-        # collide — turning the rendered parent->child tree cyclic.
+        # Span ids start from a per-tracer random 48-bit base, so spans
+        # of two tracers never share an id: counters that each start
+        # at 1 would collide, and a tree rendered from both would turn
+        # cyclic.
         self._span_ids = itertools.count(
             int.from_bytes(os.urandom(6), "big") << 16
         )
@@ -361,31 +351,12 @@ class Tracer:
             parent.trace_id, next(self._span_ids), parent.span_id, name, tags
         )
 
-    def start_remote(
-        self, trace_id: str, parent_id: Optional[int], name: str, **tags: Any
-    ) -> Span:
-        """The receiving half of a process crossing: a local root whose
-        finished spans are *returned* (to ship back) instead of stored."""
-        span = Span(
-            trace_id,
-            next(self._span_ids),
-            parent_id,
-            name,
-            tags,
-            root=True,
-            remote=True,
-        )
-        with self._lock:
-            self._active.setdefault(trace_id, [])
-        return span
-
     def end(self, span: Optional[Span], **tags: Any):
         """Finish a span.
 
         Child spans accumulate into their trace; ending a **root** span
-        assembles the whole trace — into the store for a local root, or
-        returned as a list of span dicts for a remote one (the worker
-        ships that list back over the pipe).  ``None`` in, no-op out.
+        assembles the whole trace into the store and returns it.
+        ``None`` in, no-op out.
         """
         if span is None or span is NO_TRACE:
             return None
@@ -409,8 +380,6 @@ class Tracer:
             self._active.pop(span.trace_id, None)
         # Spans ship in completion order; format_trace() sorts children
         # by start_ms at render time, so no sort on the recording path.
-        if span._remote:
-            return spans
         trace = {
             "trace_id": span.trace_id,
             "name": span.name,
@@ -420,29 +389,6 @@ class Tracer:
         }
         self.store.add(trace)
         return trace
-
-    def finish_remote(
-        self, span: Span, **tags: Any
-    ) -> List[Dict[str, Any]]:
-        """End a remote root; always returns the span-dict payload."""
-        return self.end(span, **tags) or []
-
-    def attach(self, span_or_trace_id, span_dicts) -> None:
-        """Stitch remotely recorded span dicts into a live local trace."""
-        if not span_dicts:
-            return
-        trace_id = (
-            span_or_trace_id
-            if isinstance(span_or_trace_id, str)
-            else span_or_trace_id.trace_id
-        )
-        with self._lock:
-            spans = self._active.get(trace_id)
-            if spans is None:  # trace already closed: drop, don't leak
-                return
-            spans.extend(dict(d) for d in span_dicts)
-            if len(spans) > self.MAX_SPANS:
-                del spans[: len(spans) - self.MAX_SPANS]
 
 
 # ----------------------------------------------------------------------
@@ -490,8 +436,8 @@ def format_trace(trace: Dict[str, Any]) -> List[str]:
         + (" [SLOW]" if trace.get("slow") else "")
     ]
 
-    # Guard against malformed id graphs (e.g. colliding remote span
-    # ids): each span renders at most once, so a cycle cannot recurse.
+    # Guard against malformed id graphs (e.g. colliding span ids): each
+    # span renders at most once, so a cycle cannot recurse.
     visited: set = set()
 
     def walk(parent: Optional[int], depth: int) -> None:

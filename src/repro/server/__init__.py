@@ -11,9 +11,9 @@ stack into a real network server:
   sharing ``(graph, gamma, algorithm, delta)`` ride one engine pass (at
   most one cursor advance) and are sliced to their own ``k`` — correct
   because the progressive order is independent of ``k``;
-* :mod:`~repro.server.shards` — the thread pool: progressive queries
-  on the event loop, graph builds and whole-graph algorithms on
-  per-graph worker threads, with replication for hot graphs;
+* :mod:`~repro.server.shards` — the one execution path: progressive
+  queries on the event loop, graph builds and whole-graph algorithms
+  on per-graph shard threads, with replication for hot graphs;
 * :mod:`~repro.server.warmstart` — result-cache snapshots (frozen,
   JSON-stable CommunityViews) saved on shutdown and restored on boot,
   keyed by graph version so stale snapshots boot cold;
@@ -39,7 +39,7 @@ Quickstart (in-process; see ``repro serve --tcp`` for the CLI)::
 
 from .client import ReproClient
 from .scheduler import BatchScheduler, CoalesceStats
-from .shards import ShardPool, create_pool
+from .shards import ShardPool
 from .transport import ReproServer
 from .warmstart import WarmStart
 
@@ -50,5 +50,4 @@ __all__ = [
     "ReproServer",
     "ShardPool",
     "WarmStart",
-    "create_pool",
 ]

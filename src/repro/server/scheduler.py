@@ -220,10 +220,8 @@ class BatchScheduler:
                     )
         started = time.perf_counter()
         try:
-            # The backend-neutral pool surface: the thread pool runs
-            # the engine in-process (on the loop or a shard), the
-            # cluster pool routes the spec to the worker process
-            # holding the family's cursor.
+            # The pool runs the engine on the loop when it can, else
+            # on the spec graph's shard.
             result = await self.shards.execute_spec(
                 self.engine, lead, span=bspan if bspan is not None else lead_span
             )
@@ -260,10 +258,6 @@ class BatchScheduler:
                         COALESCED,
                         kernel=result.kernel,
                         family=key,
-                        backend=(
-                            "process" if result.worker is not None else None
-                        ),
-                        worker=result.worker,
                     )
 
     @staticmethod
@@ -283,5 +277,4 @@ class BatchScheduler:
                 "(graph, gamma, algorithm, delta)"
             ),
             kernel=result.kernel,
-            worker=result.worker,
         )

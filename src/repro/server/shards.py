@@ -31,12 +31,9 @@ gives each shard a single-threaded executor and routes by graph name
   kernels read — replication adds workers, not memory.
 
 Shards are *threads*: they keep the loop responsive but are GIL-bound.
-For multi-core execution :func:`create_pool` swaps in the
-process-backed :class:`~repro.cluster.pool.ClusterPool` behind the same
-:meth:`execute_spec` surface (``repro serve --workers N``); it serves
-only pure cache hits on the loop and sends cold and extending work to
-the worker process holding the family's cursor.  Threads remain the
-default and the fallback when multiprocessing is unavailable.
+This pool is the server's one execution path.  Worker processes would
+not pay: a cold LocalSearch-P query costs less in process than one
+pipe round trip to another process would.
 """
 
 from __future__ import annotations
@@ -51,14 +48,12 @@ from ..obs.trace import use_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.spec import QuerySpec
-    from ..obs.trace import Span, Tracer
-    from ..service.cache import ResultCache
+    from ..obs.trace import Span
     from ..service.engine import QueryEngine
     from ..service.metrics import ServiceMetrics
     from ..service.model import QueryResult
-    from ..service.registry import GraphRegistry
 
-__all__ = ["ShardPool", "create_pool"]
+__all__ = ["ShardPool"]
 
 T = TypeVar("T")
 
@@ -77,8 +72,6 @@ class ShardPool:
     metrics:
         Optional sink for routing counters (idle-replica steals).
     """
-
-    backend = "thread"
 
     def __init__(
         self,
@@ -172,17 +165,15 @@ class ShardPool:
     ) -> "QueryResult":
         """Serve one spec: on the loop when it can be, else on its shard.
 
-        The backend-neutral execution surface shared with
-        :class:`~repro.cluster.pool.ClusterPool` — the scheduler only
-        ever calls this.  One engine pass runs right here
-        (``engine.execute(spec, on_loop=True)``, no thread hop): it
-        serves every progressive query of a built graph, cold,
-        extending or hit, and a static query whose answer is cached.
-        It answers ``None`` for a graph build, an uncached static
-        algorithm or a busy cache or entry lock, and that query then
-        runs on the spec graph's shard.  The upstream span is entered
-        explicitly on both paths (``run_in_executor`` does not copy
-        contextvars); a ``None`` span still maps to
+        The scheduler's one execution call.  One engine pass runs
+        right here (``engine.execute(spec, on_loop=True)``, no thread
+        hop): it serves every progressive query of a built graph,
+        cold, extending or hit, and a static query whose answer is
+        cached.  It answers ``None`` for a graph build, an uncached
+        static algorithm or a busy cache or entry lock, and that query
+        then runs on the spec graph's shard.  The upstream span is
+        entered explicitly on both paths (``run_in_executor`` does not
+        copy contextvars); a ``None`` span still maps to
         :data:`~repro.obs.trace.NO_TRACE` so an untraced server query
         never mints a second root inside the engine.
         """
@@ -209,48 +200,3 @@ class ShardPool:
         for executor in self._executors:
             executor.shutdown(wait=wait)
 
-
-def create_pool(
-    backend: str = "auto",
-    *,
-    shards: int = 1,
-    workers: Optional[int] = None,
-    replication: Optional[Mapping[str, int]] = None,
-    registry: Optional["GraphRegistry"] = None,
-    cache: Optional["ResultCache"] = None,
-    metrics: Optional["ServiceMetrics"] = None,
-    tracer: Optional["Tracer"] = None,
-):
-    """Build the execution pool for a server: threads or processes.
-
-    ``backend="auto"`` (the default) selects the process-backed
-    :class:`~repro.cluster.pool.ClusterPool` exactly when ``workers``
-    was requested *and* this platform can actually run it — otherwise
-    threads.  ``backend="process"`` insists (still falling back to
-    threads, with the worker count as the shard count, when
-    multiprocessing is unavailable — a degraded server beats no
-    server); ``backend="thread"`` never promotes.
-    """
-    if backend not in ("auto", "thread", "process"):
-        raise ValueError(
-            f"unknown pool backend {backend!r} (auto/thread/process)"
-        )
-    want_process = backend == "process" or (
-        backend == "auto" and workers is not None
-    )
-    if want_process:
-        from ..cluster.pool import ClusterPool
-
-        count = workers if workers is not None else max(shards, 1)
-        if registry is not None and ClusterPool.available():
-            return ClusterPool(
-                count,
-                registry,
-                cache=cache,
-                metrics=metrics,
-                replication=replication,
-                tracer=tracer,
-            )
-        # Fallback: same worker count, thread-backed.
-        return ShardPool(count, replication=replication, metrics=metrics)
-    return ShardPool(shards, replication=replication, metrics=metrics)

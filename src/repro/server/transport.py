@@ -47,13 +47,21 @@ from ..service.registry import GraphRegistry
 from ..service.sessions import SessionManager
 from ..service.shell import ServiceShell, split_verb
 from .scheduler import BatchScheduler
-from .shards import ShardPool, create_pool
+from .shards import ShardPool
 from .warmstart import WarmStart
 
-__all__ = ["ReproServer", "dot_stuff", "dot_unstuff"]
+__all__ = ["ReproServer", "check_port", "dot_stuff", "dot_unstuff"]
 
 #: End-of-response sentinel line.
 TERMINATOR = "."
+
+
+def check_port(port: int, what: str) -> int:
+    """``port`` if it is a TCP port number (0 = ephemeral), else a
+    ``ValueError`` naming ``what``."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"{what} {port} is out of range (0-65535)")
+    return port
 
 
 def dot_stuff(line: str) -> str:
@@ -82,16 +90,9 @@ class ReproServer:
     cache_size / max_cached_k:
         Result cache geometry (see :class:`ResultCache`).
     session_ttl:
-        Idle seconds before a progressive session expires.
+        Idle seconds before a progressive session expires (positive).
     shards / replication:
-        Worker pool geometry (see :class:`ShardPool`).
-    workers / backend:
-        Execution backend selection (see
-        :func:`~repro.server.shards.create_pool`): ``workers=N``
-        promotes the pool to N worker *processes* over shared-memory
-        CSR segments (:class:`~repro.cluster.pool.ClusterPool`);
-        threads remain the default and the fallback when
-        multiprocessing is unavailable.
+        Shard pool geometry (see :class:`ShardPool`).
     max_batch / batch_window_ms:
         Coalescing knobs (see :class:`BatchScheduler`).
     warmstart_path:
@@ -131,8 +132,6 @@ class ReproServer:
         max_cached_k: Optional[int] = None,
         session_ttl: float = 300.0,
         shards: int = 1,
-        workers: Optional[int] = None,
-        backend: str = "auto",
         replication: Optional[Mapping[str, int]] = None,
         max_batch: int = 64,
         batch_window_ms: float = 0.0,
@@ -148,6 +147,13 @@ class ReproServer:
         slo: Optional[Union[str, SLO]] = None,
         history_interval: float = 1.0,
     ) -> None:
+        if not session_ttl > 0:  # NaN fails this too
+            raise ValueError(
+                f"session_ttl must be a positive number of seconds, "
+                f"not {session_ttl!r}"
+            )
+        if metrics_port is not None:
+            check_port(metrics_port, "metrics port")
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         obs_enabled = (
             metrics_port is not None
@@ -202,15 +208,8 @@ class ReproServer:
         )
         if obs_enabled:
             self.engine.profiler = OnDemandProfiler()
-        self.shards = create_pool(
-            backend,
-            shards=shards,
-            workers=workers,
-            replication=replication,
-            registry=self.registry,
-            cache=self.cache,
-            metrics=self.metrics,
-            tracer=self.tracer,
+        self.shards = ShardPool(
+            shards, replication=replication, metrics=self.metrics
         )
         self.scheduler = BatchScheduler(
             self.engine,
@@ -249,14 +248,10 @@ class ReproServer:
         and/or a unix socket path) and restore the warm-start snapshot."""
         if tcp is None and unix_path is None:
             raise ValueError("need at least one of tcp=(host, port), unix_path")
+        if tcp is not None:
+            check_port(tcp[1], "tcp port")
         self._loop = asyncio.get_running_loop()
         self._shutdown_requested = asyncio.Event()
-        start_workers = getattr(self.shards, "start_workers", None)
-        if start_workers is not None:
-            # Worker process spawns block (especially under the spawn
-            # start method): pay them at boot, off the event loop, not
-            # on the first query.
-            await self._loop.run_in_executor(None, start_workers)
         if self.warmstart is not None:
             # Graph builds during restore are CPU-bound: off the loop.
             self.restored_entries = await self._loop.run_in_executor(
@@ -295,7 +290,7 @@ class ReproServer:
                 host=self.metrics_host,
                 port=self.metrics_port,
                 history=self.history,
-                readiness=self._readiness,
+                readiness=self.history.readiness,
                 profiler=self.engine.profiler,
             )
             self.metrics_address = self.metrics_server.start()
@@ -401,29 +396,6 @@ class ReproServer:
     def _history_gauges(self) -> Dict[str, Any]:
         """Server-side gauges sampled into each history tick."""
         return {"pending_families": self.scheduler.pending_by_family()}
-
-    def _readiness(self) -> Dict[str, Any]:
-        """The ``/readyz`` document: worker liveness + SLO verdict.
-
-        Liveness uses the cluster pool's non-mutating probe (thread
-        pools have no processes to die and always read ready); dead
-        workers and breached objectives each contribute a reason, and
-        :meth:`~repro.cluster.pool.ClusterPool.health_check` (the
-        mutating recovery path) flips the answer back once the worker
-        is restarted.
-        """
-        reasons: List[str] = []
-        extra: Dict[str, Any] = {}
-        liveness = getattr(self.shards, "liveness", None)
-        if liveness is not None:
-            workers = extra["workers"] = liveness()
-            dead = sorted(tag for tag, alive in workers.items() if not alive)
-            if dead:
-                reasons.append(f"dead workers: {', '.join(dead)}")
-        # The metrics server (the only caller) implies observability,
-        # and with it the history collector.
-        assert self.history is not None
-        return self.history.readiness(reasons, **extra)
 
     # ------------------------------------------------------------------
     async def _handle(

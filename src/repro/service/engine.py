@@ -50,13 +50,12 @@ def progressive_cursor_factory(
     """The one recipe for (re)building a progressive cursor.
 
     Shared by the engine's hot path, the warm-start restore and the
-    cluster workers' per-FamilyKey state, so a rebuilt cursor always
-    re-peels with semantics identical to the one whose views it is
-    extending.  ``kernel=None`` defers to ``$REPRO_KERNEL``.  Each
-    cursor's stream owns one :class:`~repro.core.fastpeel.PeelScratch` /
-    :class:`~repro.core.fastenum.EnumScratch` pair, so every resume —
-    local or inside a worker process — reuses the family's peel buffers
-    and its EnumIC-P union-find.
+    live-mutation cache migration, so a rebuilt cursor always re-peels
+    with semantics identical to the one whose views it is extending.
+    ``kernel=None`` defers to ``$REPRO_KERNEL``.  Each cursor's stream
+    owns one :class:`~repro.core.fastpeel.PeelScratch` /
+    :class:`~repro.core.fastenum.EnumScratch` pair, so every resume
+    reuses the family's peel buffers and its EnumIC-P union-find.
     """
 
     def factory():
@@ -147,12 +146,8 @@ class QueryEngine:
         #: attribute load per query.
         self.profiler = None
         # repro.live: migrate (don't drop) cached families across
-        # mutation version flips.  The worker-side registry has no
-        # mutation hooks — workers catch up via the apply_delta pipe
-        # message instead.
-        add_mutation_hook = getattr(registry, "add_mutation_hook", None)
-        if add_mutation_hook is not None:
-            add_mutation_hook(self._on_graph_mutated)
+        # mutation version flips.
+        registry.add_mutation_hook(self._on_graph_mutated)
 
     # ------------------------------------------------------------------
     def _on_graph_mutated(self, event) -> None:
@@ -301,30 +296,15 @@ class QueryEngine:
         the profiler), except that with no upstream span it mints no
         trace root: the plain call makes the sampling decision.
         """
-        return self._run(query, blocking=not on_loop, resume=True)
+        return self._run(query, blocking=not on_loop)
 
-    def execute_cached(self, query: QuerySpec) -> Optional[QueryResult]:
-        """Serve ``query`` only if it is a pure slice of a cached entry.
-
-        The process pool's event-loop entry point: like
-        ``execute(on_loop=True)``, but it never resumes or fills a
-        cursor either, since cold and extending work belongs to the
-        worker process that holds the family's cursor.  It returns
-        ``None`` — having recorded nothing — when the graph is not built
-        yet, the family has no entry, the entry does not cover ``k``, or
-        a cache or entry lock is busy.
-        """
-        return self._run(query, blocking=False, resume=False)
-
-    def _run(
-        self, query: QuerySpec, blocking: bool, resume: bool
-    ) -> Optional[QueryResult]:
+    def _run(self, query: QuerySpec, blocking: bool) -> Optional[QueryResult]:
         """Trace one execution: an ``engine`` child span under an
         upstream span, else (blocking path only) a sampled ``query``
         root."""
         tracer = self.tracer
         if tracer is None:
-            return self._execute(query, blocking, resume)
+            return self._execute(query, blocking)
         parent = current_span()
         if parent is NO_TRACE:
             span = None  # upstream sampled this query out
@@ -341,10 +321,10 @@ class QueryEngine:
             if span is not None:
                 span.annotate(graph=query.graph)
         if span is None:
-            return self._execute(query, blocking, resume)
+            return self._execute(query, blocking)
         with use_span(span):
             try:
-                result = self._execute(query, blocking, resume)
+                result = self._execute(query, blocking)
             except Exception as exc:
                 tracer.end(span, error=type(exc).__name__)
                 raise
@@ -366,24 +346,21 @@ class QueryEngine:
         return result
 
     def _execute(
-        self, query: QuerySpec, blocking: bool, resume: bool
+        self, query: QuerySpec, blocking: bool
     ) -> Optional[QueryResult]:
         """Dispatch to the execution body, via the profiler when armed."""
         profiler = self.profiler
         if profiler is not None:
-            return profiler.profile_call(
-                self._execute_impl, query, blocking, resume
-            )
-        return self._execute_impl(query, blocking, resume)
+            return profiler.profile_call(self._execute_impl, query, blocking)
+        return self._execute_impl(query, blocking)
 
     def _execute_impl(
-        self, query: QuerySpec, blocking: bool, resume: bool
+        self, query: QuerySpec, blocking: bool
     ) -> Optional[QueryResult]:
         """The untraced execution body (plan → cache → run → record).
 
         Without ``blocking`` the graph handle is only peeked and the
-        cache and entry locks are only tried; with ``resume`` off
-        anything but a pure slice returns ``None``.
+        cache and entry locks are only tried.
         """
         started = time.perf_counter()
         # ONE handle read per query: graph, version, cache key and the
@@ -393,13 +370,14 @@ class QueryEngine:
         # entry's handle reference; this one stays pinned).
         if blocking:
             handle = self.registry.get(query.graph)
+            resume = True
         else:
             handle = self.registry.peek(query.graph)
             if handle is None:  # unknown or unbuilt: never build here
                 return None
             # A first search of a fresh build decomposes the whole
             # graph for its core stop; that pass stays off the loop.
-            resume = resume and handle.graph.core_table_built
+            resume = handle.graph.core_table_built
         # ONE spec resolution per query: the canonical family keys the
         # cache, plans the dispatch and labels the metrics row.
         family = query.cache_key()

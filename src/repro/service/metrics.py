@@ -82,10 +82,10 @@ def _coalesce_rate(values: Dict[str, Any]) -> float:
 class Metric:
     """One declared counter or gauge.
 
-    ``path`` is the dotted position in the snapshot document and
-    ``attr`` the :class:`ServiceMetrics` attribute holding the state
-    (default: the path's last part).  A row with a ``label`` holds one
-    value per label value.  ``prom`` is the Prometheus series name
+    ``path`` is the dotted position in the snapshot document; its last
+    part, ``attr``, names the :class:`ServiceMetrics` attribute holding
+    the state, so no two rows may share it.  A row with a ``label``
+    holds one value per label value.  ``prom`` is the Prometheus series name
     (``None`` = not exported), ``tick`` the key the history collector
     copies the value to (``None`` = not sampled), and ``derive``
     computes a ``rate`` row from the other rows' values.
@@ -103,14 +103,13 @@ class Metric:
         label: Optional[str] = None,
         prom: Optional[str] = None,
         help: str = "",
-        attr: Optional[str] = None,
         tick: Optional[str] = None,
         derive: Optional[Callable[[Dict[str, Any]], float]] = None,
     ) -> None:
         self.path, self.kind, self.label = path, kind, label
         self.prom, self.help, self.tick, self.derive = prom, help, tick, derive
         self.keys = tuple(path.split("."))
-        self.attr = attr or self.keys[-1]
+        self.attr = self.keys[-1]
 
     def read(self, snapshot: Dict[str, Any]) -> Any:
         """This row's value in a snapshot document; a missing row (a
@@ -132,11 +131,6 @@ METRICS = (
     Metric("by_algorithm", COUNTER, "algorithm",
            "repro_queries_by_algorithm_total"),
     Metric("by_kernel", COUNTER, "kernel", "repro_queries_by_kernel_total"),
-    # thread = the in-process engine (stdio shell, thread shards,
-    # parent-side cache hits under the cluster backend); process =
-    # cluster workers.
-    Metric("by_backend", COUNTER, "backend",
-           "repro_queries_by_backend_total"),
     # Never evicts (one integer per registered graph), so per-graph
     # demand stays exact however many families churn through the
     # LRU-bounded family table.
@@ -176,19 +170,6 @@ METRICS = (
            tick="queue_depth"),
     Metric("server.queue_depth_peak", PEAK,
            prom="repro_server_queue_depth_peak"),
-    # Cluster tier (repro.cluster): placement and segment lifecycle.
-    Metric("cluster.by_worker", COUNTER, "worker",
-           "repro_cluster_worker_dispatches_total"),
-    Metric("cluster.queue_depth", GAUGE, "worker",
-           "repro_cluster_worker_queue_depth",
-           "Queued + in-flight jobs per cluster worker.",
-           attr="cluster_depth", tick="workers"),
-    Metric("cluster.queue_depth_peak", PEAK,
-           prom="repro_cluster_queue_depth_peak", attr="cluster_depth_peak"),
-    Metric("cluster.segment_attaches", COUNTER, "mode",
-           "repro_cluster_segment_attaches_total"),
-    Metric("cluster.worker_restarts", COUNTER,
-           prom="repro_cluster_worker_restarts_total"),
     # Live tier (repro.live): mutations, scoped invalidation, compaction.
     Metric("live.mutations_applied", COUNTER,
            prom="repro_live_mutations_applied_total",
@@ -291,17 +272,13 @@ class ServiceMetrics:
         source: str,
         kernel: Optional[str] = None,
         family=None,
-        backend: Optional[str] = None,
-        worker: Optional[str] = None,
         phases: Optional[Dict[str, float]] = None,
     ) -> None:
         """Record one served query.
 
         ``kernel`` is the peel kernel used, ``family`` the spec's
-        canonical :class:`~repro.api.spec.FamilyKey`, ``backend`` the
-        execution backend (``None`` counts as ``thread``), ``worker``
-        the serving cluster worker tag, if any; ``phases`` the query's
-        kernel-phase timing accumulator (``{phase: ms}``, the
+        canonical :class:`~repro.api.spec.FamilyKey`; ``phases`` the
+        query's kernel-phase timing accumulator (``{phase: ms}``, the
         ``SearchStats.phases`` dict) — ``None`` leaves the family's
         previous breakdown in place (pure cache hits do no kernel work).
         """
@@ -309,11 +286,8 @@ class ServiceMetrics:
             self.queries_served += 1
             self.by_source[source] += 1
             self.by_algorithm[algorithm] += 1
-            self.by_backend[backend if backend is not None else "thread"] += 1
             if kernel is not None:
                 self.by_kernel[kernel] += 1
-            if worker is not None:
-                self.by_worker[worker] += 1
             reservoir = self._latency_ms.get(algorithm)
             if reservoir is None:
                 reservoir = deque(maxlen=self._max_samples)
@@ -376,23 +350,6 @@ class ServiceMetrics:
         """A replicated dispatch was steered to an idle replica."""
         with self._lock:
             self.replica_idle_dispatches += 1
-
-    # -- cluster tier ---------------------------------------------------
-    def observe_segment_attach(self, mode: str) -> None:
-        """A worker attached a graph (``mode`` = ``shm`` / ``pickle``)."""
-        with self._lock:
-            self.segment_attaches[mode] += 1
-
-    def observe_worker_restart(self) -> None:
-        with self._lock:
-            self.worker_restarts += 1
-
-    def observe_cluster_depth(self, worker: str, depth: int) -> None:
-        """Record one worker's queued + in-flight job count."""
-        with self._lock:
-            self.cluster_depth[worker] = depth
-            if depth > self.cluster_depth_peak:
-                self.cluster_depth_peak = depth
 
     # -- live tier ------------------------------------------------------
     def observe_mutation(

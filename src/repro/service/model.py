@@ -144,7 +144,7 @@ class CommunityView:
 
     def __getstate__(self) -> Dict[str, Any]:
         # Pickle the fields only: a rendered view pickles to the same
-        # bytes as a fresh one (the cluster pipe and warm-start payloads).
+        # bytes as a fresh one.
         state = self.__dict__
         if len(state) > len(_FIELD_NAMES):
             state = {key: state[key] for key in _FIELD_NAMES}
@@ -196,8 +196,7 @@ class ForestProjector:
     :meth:`CommunityView.json_fragment` with members is first asked
     for, which joins the positions' tokens: no member is encoded twice
     while the label order lives, and traffic that never asks for that
-    fragment (text, JSON without members, a cluster worker's pickled
-    result) encodes nothing.
+    fragment (text, JSON without members) encodes nothing.
 
     A child's list is handed to its parent, which is the child's only
     parent, so the memo holds only the roots projected so far: pairwise
@@ -272,12 +271,6 @@ class QueryResult:
     #: any fresh work would have used.  Excluded from equality so cached
     #: answers compare identical across kernel reconfigurations.
     kernel: Optional[str] = field(default=None, compare=False)
-    #: Execution-placement provenance: ``"worker:<id>"`` when a cluster
-    #: worker process served the query, ``None`` for in-process
-    #: execution.  Orthogonal to ``source`` (a worker can serve from its
-    #: own cache) and excluded from equality — *where* a byte-identical
-    #: answer was computed must never make two results unequal.
-    worker: Optional[str] = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.communities)
@@ -291,7 +284,7 @@ class QueryResult:
 
     def _scalars(self) -> Dict[str, Any]:
         """Every top-level key of :meth:`to_dict` but the community list."""
-        out = {
+        return {
             "graph": self.query.graph,
             "graph_version": self.graph_version,
             "gamma": self.query.gamma,
@@ -303,12 +296,6 @@ class QueryResult:
             "complete": self.complete,
             "kernel": self.kernel,
         }
-        if self.worker is not None:
-            # Emitted only for worker-served results: in-process serving
-            # keeps the exact pre-cluster wire shape (the record/replay
-            # compatibility fixtures are byte-for-byte).
-            out["worker"] = self.worker
-        return out
 
     def to_dict(self, include_members: bool = True) -> Dict[str, Any]:
         out = self._scalars()
@@ -358,5 +345,4 @@ class QueryResult:
             elapsed_ms=float(payload.get("elapsed_ms", 0.0)),
             complete=bool(payload.get("complete", False)),
             kernel=payload.get("kernel"),
-            worker=payload.get("worker"),
         )

@@ -19,20 +19,18 @@ stop being generated.
 :class:`~repro.graph.delta.EdgeBatch` through
 :func:`~repro.graph.delta.apply_batch`, producing a new overlay
 generation and atomically flipping the handle (one reference write —
-readers still never see a mixed graph/version pair).  Applied batches
-accumulate as a **delta chain** so cluster workers holding the previous
-generation can catch up by replaying batches over their attached graph
-instead of re-attaching a whole segment; a background **compactor**
-cuts the chain once it grows past ``compact_after``: it bumps the
-version and, via the build hooks, publishes a fresh shared-memory
-segment generation for the workers.  It runs no core decomposition:
-every generation's core numbers are already exact, kept by the
-order-based core maintenance (Zhang, Yu, Zhang & Qin, ICDE 2017) that
-:func:`~repro.graph.delta.apply_batch` runs per flip.  ``describe()``
-reports why the last background compaction failed, if it did.
-Mutation hooks — distinct from build hooks — let the service layer
-migrate caches scope-invalidated by the batch's barrier weight, scoped
-per γ by each op's core level, instead of dropping them wholesale.
+readers still never see a mixed graph/version pair).  The registry
+counts the batches applied since the last build or compaction; a
+background **compactor** resets that count once it reaches
+``compact_after`` and bumps the version, so every cached family
+migrates warm onto a fresh generation number.  It runs no core
+decomposition: every generation's core numbers are already exact, kept
+by the order-based core maintenance (Zhang, Yu, Zhang & Qin, ICDE
+2017) that :func:`~repro.graph.delta.apply_batch` runs per flip.
+``describe()`` reports why the last background compaction failed, if
+it did.  Mutation hooks let the service layer migrate caches
+scope-invalidated by the batch's barrier weight, scoped per γ by each
+op's core level, instead of dropping them wholesale.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..errors import UnknownGraphError
 from ..graph.delta import EdgeBatch, MutationStats, apply_batch
@@ -86,9 +84,9 @@ class MutationEvent:
     #: (``-inf`` for no-ops and compactions: content is identical).
     barrier: float
     handle: GraphHandle
-    batch: Optional[EdgeBatch] = None
     stats: Optional[MutationStats] = None
-    #: Length of the delta chain after this event.
+    #: Batches applied since the last build or compaction, after this
+    #: event.
     pending_deltas: int = 0
     #: Filled in by the cache-migration mutation hook.
     invalidated: int = 0
@@ -106,9 +104,8 @@ class _Entry:
     version: int = 0
     build_seconds: float = 0.0
     lock: threading.Lock = field(default_factory=threading.Lock)
-    #: Batches applied since the last build or compaction, as
-    #: ``(version_after, batch)`` pairs — the worker catch-up chain.
-    deltas: List[Tuple[int, EdgeBatch]] = field(default_factory=list)
+    #: Batches applied since the last build or compaction.
+    pending: int = 0
     #: Guards against stacking background compaction threads.
     compacting: bool = False
     #: Why the last background compaction failed (``None`` once one
@@ -126,10 +123,10 @@ class GraphRegistry:
         :mod:`repro.workloads.datasets` is registered (lazily — nothing
         is built until first use).
     compact_after:
-        Compact the delta chain (:meth:`compact`, in a background
-        thread) once this many mutation batches have accumulated on one
-        graph.  ``None`` disables automatic compaction; :meth:`compact`
-        stays available for explicit use.
+        Compact (:meth:`compact`, in a background thread) once this
+        many mutation batches have accumulated on one graph.  ``None``
+        disables automatic compaction; :meth:`compact` stays available
+        for explicit use.
 
     Every generation is a plain :class:`WeightedGraph` whose rows the
     kernels read directly: a mutated one shares its parent's untouched
@@ -147,7 +144,6 @@ class GraphRegistry:
         self._mutations = 0
         self._compactions = 0
         self._compact_after = compact_after
-        self._build_hooks: List[Callable[[GraphHandle], None]] = []
         self._mutation_hooks: List[Callable[[MutationEvent], None]] = []
         if preload_datasets:
             for name in dataset_names():
@@ -240,50 +236,20 @@ class GraphRegistry:
         """Install a built graph as a new version (entry.lock held)."""
         entry.build_seconds = seconds
         entry.version += 1
-        entry.deltas.clear()  # a loader build starts a new chain
+        entry.pending = 0  # a loader build starts the count afresh
         entry.handle = GraphHandle(name, entry.version, graph)
         with self._lock:
             self._builds += 1
-            hooks = list(self._build_hooks)
-        for hook in hooks:
-            # Build hooks are optimisations layered on top (segment
-            # publication for the cluster tier, pre-warming): a failing
-            # hook must never fail the build itself.
-            try:
-                hook(entry.handle)
-            except Exception:  # noqa: BLE001 — hooks are best-effort
-                pass
         return entry.handle
 
     # ------------------------------------------------------------------
-    def add_build_hook(self, hook: Callable[[GraphHandle], None]) -> None:
-        """Call ``hook(handle)`` after every (re)build, best-effort.
-
-        The cluster tier registers its shared-memory segment publication
-        here, so a graph's CSR is staged for worker attachment the
-        moment it is built.
-        """
-        with self._lock:
-            self._build_hooks.append(hook)
-
-    def remove_build_hook(self, hook: Callable[[GraphHandle], None]) -> None:
-        """Deregister a build hook (no-op when absent)."""
-        with self._lock:
-            if hook in self._build_hooks:
-                self._build_hooks.remove(hook)
-
     def add_mutation_hook(
         self, hook: Callable[[MutationEvent], None]
     ) -> None:
         """Call ``hook(event)`` after every mutation *and* compaction.
 
-        Distinct from build hooks on purpose: a mutation flips the
-        handle to an overlay generation that workers catch up to by
-        replaying the delta chain — publishing a whole shared-memory
-        segment per batch would defeat the overlay.  Only compaction
-        (which cuts the chain) additionally fires the build hooks.  The
-        service layer registers its scoped cache migration here.  Hooks
-        are best-effort, like build hooks.
+        The service layer registers its scoped cache migration here.
+        Hooks are best-effort: a failing hook never fails the flip.
         """
         with self._lock:
             self._mutation_hooks.append(hook)
@@ -313,8 +279,8 @@ class GraphRegistry:
 
         ``batch`` is an :class:`~repro.graph.delta.EdgeBatch` (or a
         plain iterable of op tuples).  The version bumps even for a
-        no-op batch — version monotonicity is what downstream cache /
-        worker state keys on, and a no-op flip migrates everything
+        no-op batch — version monotonicity is what the result cache
+        keys on, and a no-op flip migrates everything
         (barrier ``-inf``) so it costs nothing warm.
         """
         if not isinstance(batch, EdgeBatch):
@@ -330,8 +296,8 @@ class GraphRegistry:
             new_handle = GraphHandle(name, entry.version, new_graph)
             # The atomic flip: one reference write, same as a rebuild.
             entry.handle = new_handle
-            entry.deltas.append((entry.version, batch))
-            pending = len(entry.deltas)
+            entry.pending += 1
+            pending = entry.pending
         with self._lock:
             self._mutations += 1
         event = MutationEvent(
@@ -341,7 +307,6 @@ class GraphRegistry:
             kind="mutate",
             barrier=barrier,
             handle=new_handle,
-            batch=batch,
             stats=stats,
             pending_deltas=pending,
         )
@@ -349,56 +314,32 @@ class GraphRegistry:
         self._maybe_compact(name, entry)
         return event
 
-    def delta_chain(
-        self, name: str, from_version: int, to_version: int
-    ) -> Optional[List[EdgeBatch]]:
-        """The batches that turn generation ``from_version`` into
-        ``to_version``, or ``None`` when the chain does not cover the
-        gap (a compaction or rebuild happened in between — the caller
-        must fall back to a full attach).
-        """
-        entry = self._entry(name)
-        with entry.lock:
-            window = [
-                (v, b)
-                for v, b in entry.deltas
-                if from_version < v <= to_version
-            ]
-        versions = [v for v, _ in window]
-        if versions != list(range(from_version + 1, to_version + 1)):
-            return None
-        return [b for _, b in window]
-
     def pending_deltas(self, name: str) -> int:
-        """Length of the delta chain since the last build or compaction."""
+        """Batches applied since the last build or compaction."""
         entry = self._entry(name)
         with entry.lock:
-            return len(entry.deltas)
+            return entry.pending
 
     def compact(self, name: str) -> Optional[MutationEvent]:
-        """Cut the delta chain.
+        """Reset the pending-batch count and bump the version.
 
-        Returns ``None`` when the chain is empty.  The graph and its
-        exact core table are unchanged, yet the version bumps: workers
-        can no longer replay the cleared chain and attach the new
-        segment generation that the build hooks publish afterwards.
-        The event carries barrier ``-inf``, so every cached family
-        migrates warm.
+        Returns ``None`` when no batch is pending.  The graph and its
+        exact core table are unchanged.  The event carries barrier
+        ``-inf``, so every cached family migrates warm.
         """
         entry = self._entry(name)
         with entry.lock:
             handle = entry.handle
-            if handle is None or not entry.deltas:
+            if handle is None or not entry.pending:
                 return None
             old_version = entry.version
             entry.version += 1
             new_handle = GraphHandle(name, entry.version, handle.graph)
             entry.handle = new_handle
-            entry.deltas.clear()
+            entry.pending = 0
             entry.compaction_error = None
         with self._lock:
             self._compactions += 1
-            build_hooks = list(self._build_hooks)
         event = MutationEvent(
             graph=name,
             old_version=old_version,
@@ -408,11 +349,6 @@ class GraphRegistry:
             handle=new_handle,
         )
         self._fire_mutation_hooks(event)
-        for hook in build_hooks:
-            try:
-                hook(new_handle)
-            except Exception:  # noqa: BLE001 — hooks are best-effort
-                pass
         return event
 
     def _maybe_compact(self, name: str, entry: _Entry) -> None:
@@ -420,7 +356,7 @@ class GraphRegistry:
         if threshold is None:
             return
         with entry.lock:
-            if entry.compacting or len(entry.deltas) < threshold:
+            if entry.compacting or entry.pending < threshold:
                 return
             entry.compacting = True
         thread = threading.Thread(
@@ -517,7 +453,7 @@ class GraphRegistry:
 
     @property
     def compactions(self) -> int:
-        """Total number of delta-chain compactions performed."""
+        """Total number of compactions performed."""
         with self._lock:
             return self._compactions
 
@@ -539,6 +475,6 @@ class GraphRegistry:
                 row["vertices"] = handle.num_vertices
                 row["edges"] = handle.num_edges
                 row["build_seconds"] = entry.build_seconds
-                row["pending_deltas"] = len(entry.deltas)
+                row["pending_deltas"] = entry.pending
             rows.append(row)
         return rows

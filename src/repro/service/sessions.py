@@ -82,7 +82,7 @@ class SessionManager:
         clock: Callable[[], float] = time.monotonic,
         metrics: Optional[ServiceMetrics] = None,
     ) -> None:
-        if ttl_seconds <= 0:
+        if not ttl_seconds > 0:  # NaN fails this too
             raise ValueError("ttl_seconds must be positive")
         self.registry = registry
         self.ttl_seconds = ttl_seconds

@@ -121,8 +121,6 @@ def render_metrics(snap: Dict) -> List[str]:
         lines.append(f"source[{source}]: {count}")
     for kernel, count in sorted(snap.get("by_kernel", {}).items()):
         lines.append(f"kernel[{kernel}]: {count}")
-    for backend, count in sorted(snap.get("by_backend", {}).items()):
-        lines.append(f"backend[{backend}]: {count}")
     for algo, pcts in sorted(snap["latency_ms"].items()):
         rendered = ", ".join(
             f"{name}={value:.3f}ms" if value is not None else f"{name}=–"
@@ -175,22 +173,6 @@ def render_metrics(snap: Dict) -> List[str]:
             (live.get("graph_generation") or {}).items()
         ):
             lines.append(f"generation[{graph}]: v{generation}")
-    cluster = snap.get("cluster") or {}
-    if cluster.get("by_worker") or cluster.get("worker_restarts"):
-        for worker, count in sorted(cluster["by_worker"].items()):
-            depth = cluster.get("queue_depth", {}).get(worker, 0)
-            lines.append(
-                f"cluster[{worker}]: dispatches={count} depth={depth}"
-            )
-        attaches = ", ".join(
-            f"{mode}={count}"
-            for mode, count in sorted(cluster["segment_attaches"].items())
-        )
-        lines.append(
-            f"cluster: attaches=({attaches or 'none'}) "
-            f"restarts={cluster['worker_restarts']} "
-            f"depth_peak={cluster['queue_depth_peak']}"
-        )
     return lines
 
 

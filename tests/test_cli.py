@@ -296,8 +296,39 @@ class TestServerFlags:
 
         assert _parse_tcp("8642") == ("127.0.0.1", 8642)
         assert _parse_tcp("0.0.0.0:9000") == ("0.0.0.0", 9000)
-        with pytest.raises(SystemExit):
-            _parse_tcp("not-a-port")
+        assert _parse_tcp("127.0.0.1:65535") == ("127.0.0.1", 65535)
+        for bad in ("not-a-port", "127.0.0.1:70000", "127.0.0.1:-1", "65536"):
+            with pytest.raises(ValueError):
+                _parse_tcp(bad)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tcp", "127.0.0.1:70000"],
+            ["--tcp", "127.0.0.1:-1"],
+            ["--tcp", "not-a-port"],
+            ["--metrics-port", "70000"],
+            ["--metrics-port", "-1"],
+            ["--tcp", "127.0.0.1:0", "--metrics-port", "65536"],
+        ],
+    )
+    def test_out_of_range_ports_fail_cleanly(self, flags):
+        code, text = run_cli(["serve", "--no-datasets", *flags])
+        assert code == 2
+        assert text.startswith("error: ")
+        assert "out of range (0-65535)" in text or "bad --tcp" in text
+
+    @pytest.mark.parametrize("ttl", ["0", "-5", "nan"])
+    @pytest.mark.parametrize(
+        "front_end", [[], ["--tcp", "127.0.0.1:0"], ["--socket", "unused"]],
+        ids=["stdio", "tcp", "socket"],
+    )
+    def test_non_positive_session_ttl_fails_cleanly(self, front_end, ttl):
+        code, text = run_cli(
+            ["serve", "--no-datasets", "--session-ttl", ttl, *front_end]
+        )
+        assert code == 2
+        assert text.startswith("error: session_ttl must be a positive")
 
     def test_parse_replication(self):
         from repro.cli import _parse_replication

@@ -10,14 +10,13 @@ stop of its core instead of peeling the whole graph.  Covered here:
   is exact on every generation: an overlay's inserts and deletes go
   through the order-based core maintenance (a chain whose first graph
   is not the tip of an order builds one from a single decomposition),
-  a re-rank carries the core numbers moved to the new ranks, compaction
-  leaves the table as it is, and ``from_csr`` starts without one
-  unless given the source's numbers;
+  a re-rank carries the core numbers moved to the new ranks, and
+  compaction leaves the table as it is;
 * the registry's report of a failed background compaction
   (``compaction_error`` in ``describe()``);
 * a hypothesis property: on every generation (base, each overlay, one
-  compacted mid-chain and the overlays after it, a final compacted one,
-  a ``from_csr`` copy) the core numbers equal a fresh decomposition's,
+  compacted mid-chain and the overlays after it, a final compacted one)
+  the core numbers equal a fresh decomposition's,
   every γ's stop equals :func:`core_stops`, and LocalSearch-P and
   truss answers equal the reference oracles on a fresh rebuild of the
   same model;
@@ -257,35 +256,6 @@ class TestGenerations:
         assert compacted._core_numbers == core_decomposition(compacted)
         assert [compacted.core_stop(g) for g in (1, 2, 3)] == [5, 5, 0]
 
-    def test_from_csr_chain_decomposes_once(self, monkeypatch):
-        n = 24
-        base = random_graph(n, 0.25, 3, weights="shuffled")
-        edges, weights = _model(base)
-        copy = WeightedGraph.from_csr(
-            base.csr(),
-            [base.weight(r) for r in range(n)],
-            base.labels(range(n)),
-        )
-        calls = []
-        real = core_module.peel_order
-        monkeypatch.setattr(
-            core_module,
-            "peel_order",
-            lambda graph: calls.append(graph) or real(graph),
-        )
-        inserts = _insert_ops(n, edges, 10)
-        graph, chain = copy, [copy]
-        for step in range(5):
-            ops = inserts[2 * step:2 * step + 2]
-            graph, _, stats = apply_batch(graph, EdgeBatch(tuple(ops)))
-            assert stats.inserted == 2 and not stats.rank_shuffle
-            chain.append(graph)
-            apply_ops_to_model(edges, weights, ops)
-            _check_generation(graph, n, edges, weights)
-        # The other calls decompose _check_generation's fresh rebuilds.
-        on_chain = [c for c in calls if any(c is g for g in chain)]
-        assert on_chain == [copy]
-
     def test_describe_reports_a_failed_fold(self, monkeypatch):
         registry = GraphRegistry(preload_datasets=False, compact_after=2)
         registry.register("g", self._base)
@@ -329,17 +299,6 @@ class TestGenerations:
         assert registry.compactions == 1
         graph = registry.get("g").graph
         assert graph.core_table() == core_stops(graph) == [6, 6, 6]
-
-    def test_from_csr_copy_builds_its_own(self):
-        base = self._base()
-        copy = WeightedGraph.from_csr(
-            base.csr(),
-            [base.weight(r) for r in range(base.num_vertices)],
-            base.labels(range(base.num_vertices)),
-        )
-        assert [copy.core_stop(g) for g in range(1, 5)] == [
-            base.core_stop(g) for g in range(1, 5)
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -482,12 +441,6 @@ def test_core_stop_bound_is_sound_on_every_generation(case):
     graph = registry.get("g").graph
     assert graph._core_stops == core_stops(graph)
     _check_generation(graph, n, model_edges, model_weights)
-    copy = WeightedGraph.from_csr(
-        graph.csr(),
-        [graph.weight(r) for r in range(n)],
-        graph.labels(range(n)),
-    )
-    _check_generation(copy, n, model_edges, model_weights)
 
 
 # ----------------------------------------------------------------------

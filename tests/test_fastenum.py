@@ -6,8 +6,7 @@ The python kernel (:mod:`repro.core.enumerate` over the dict-based
 community forests — keynode, influence, own vertices, and children, in
 the identical order — for every graph, γ, prefix and ``k``, cold and
 across warm (scratch- and state-carrying) progressive rounds, for
-vertex, non-containment and truss enumeration, in-process and across
-cluster worker processes under both multiprocessing start methods.
+vertex, non-containment and truss enumeration.
 """
 
 import random
@@ -15,8 +14,6 @@ import sys
 
 import pytest
 
-from repro.api.spec import QuerySpec
-from repro.cluster import ClusterPool
 from repro.core import fastpeel
 from repro.core.count import construct_cvs
 from repro.core.enumerate import (
@@ -35,13 +32,9 @@ from repro.core.truss_search import (
 )
 from repro.graph.disjoint_set import KeyedDisjointSet
 from repro.graph.subgraph import PrefixView
-from repro.service.cache import ResultCache
-from repro.service.engine import QueryEngine
-from repro.service.registry import GraphRegistry
 from repro.workloads.generators import (
     barabasi_albert,
     build_weighted_graph,
-    chung_lu,
     erdos_renyi,
     planted_partition,
 )
@@ -49,10 +42,6 @@ from repro.workloads.generators import (
 #: Every name that selects the array kernel: ``numpy`` is the old name
 #: of a retired vectorised kernel and must still reach it everywhere.
 FAST_KERNELS = ("array", "numpy")
-
-needs_mp = pytest.mark.skipif(
-    not ClusterPool.available(), reason="multiprocessing unavailable"
-)
 
 
 def random_graph(seed: int):
@@ -426,43 +415,3 @@ class TestModelLockstep:
                     ), f"seed={seed} vertex={w}"
             scratch.reset()
             assert all(scratch.key_of(w) == -1 for w in range(N))
-
-
-# ----------------------------------------------------------------------
-# cluster workers: fork and spawn
-# ----------------------------------------------------------------------
-@needs_mp
-class TestClusterStreams:
-    @pytest.mark.parametrize("start", ["fork", "spawn"])
-    def test_worker_streams_byte_identical(self, start):
-        import multiprocessing as mp
-
-        if start not in mp.get_all_start_methods():
-            pytest.skip(f"start method {start!r} unavailable")
-        n, edges = chung_lu(160, avg_degree=6.0, seed=41)
-        graph = build_weighted_graph(n, edges, weights="degree", seed=41)
-
-        def registry_with():
-            registry = GraphRegistry(preload_datasets=False)
-            registry.register("g", lambda: graph)
-            return registry
-
-        inproc = QueryEngine(registry_with(), cache=ResultCache(8))
-        inproc.execute(QuerySpec(graph="g", gamma=3, k=4))
-        oracle = inproc.execute(QuerySpec(graph="g", gamma=3, k=10))
-
-        registry = registry_with()
-        cache = ResultCache(8)
-        engine = QueryEngine(registry, cache=cache)
-        pool = ClusterPool(
-            1, registry, cache=cache, start_method=start
-        )
-        try:
-            pool.execute(engine, QuerySpec(graph="g", gamma=3, k=4))
-            extended = pool.execute(
-                engine, QuerySpec(graph="g", gamma=3, k=10)
-            )
-        finally:
-            pool.shutdown()
-        assert extended.source == "extended"  # worker cursor resumed
-        assert extended.communities == oracle.communities

@@ -282,36 +282,7 @@ class TestKernelResolution:
         assert searcher.stats.kernel == "array"
 
 
-class TestCSRAdjacency:
-    def test_mirrors_graph_adjacency(self):
-        graph = random_graph(21)
-        csr = graph.csr()
-        up_off, up_tgt = csr.up_offsets, csr.up_targets
-        down_off, down_tgt = csr.down_offsets, csr.down_targets
-        for u in range(graph.num_vertices):
-            assert (
-                up_tgt[up_off[u]:up_off[u + 1]].tolist()
-                == graph.neighbors_up(u)
-            )
-            assert (
-                down_tgt[down_off[u]:down_off[u + 1]].tolist()
-                == graph.neighbors_down(u)
-            )
-        assert csr.num_edges == graph.num_edges
-        assert csr.nbytes > 0
-
-    def test_pickle_roundtrip(self):
-        import pickle
-
-        graph = random_graph(22)
-        csr = graph.csr()
-        clone = pickle.loads(pickle.dumps(csr))
-        assert clone.up_offsets == csr.up_offsets
-        assert clone.up_targets == csr.up_targets
-        assert clone.down_offsets == csr.down_offsets
-        assert clone.down_targets == csr.down_targets
-        assert clone.num_edges == csr.num_edges
-
+class TestPrefixAdjacency:
     def test_prefix_adjacency_matches_neighbor_lists(self):
         graph = random_graph(23)
         n = graph.num_vertices

@@ -9,19 +9,15 @@ Covers the whole subsystem end to end:
   shared with the parent by reference, chaining and pickling;
 * the differential property (satellite 1): random mutation streams
   replayed through the overlay path and through scratch rebuilds give
-  byte-identical top-k answers across kernels and serving backends;
-* :class:`GraphRegistry` mutation surface — versioning, delta chains,
-  compaction (explicit and background), mutation hooks;
+  byte-identical top-k answers across kernels and through the service;
+* :class:`GraphRegistry` mutation surface — versioning, pending-batch
+  counts, compaction (explicit and background), mutation hooks;
 * scoped cache invalidation: families whose influence watermark clears
   the mutation barrier survive verbatim, the rest recompute — and both
   always match a scratch-rebuilt oracle; a family's barrier counts only
   the ops whose core level reaches its γ, checked by a hypothesis
   differential against ``core/reference.py`` and pinned on a seeded
-  email stream;
-* the cluster tier: worker delta catch-up without re-attach, the
-  no-downgrade regression (a dispatcher racing a version flip must not
-  force a worker back to a stale generation), the mixed-version mirror
-  guard, and shared-memory segment hygiene.
+  email stream.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api.spec import QuerySpec
-from repro.cluster import ClusterPool
 from repro.errors import GraphConstructionError, QueryParameterError, SelfLoopError
 from repro.graph.builder import graph_from_arrays
 from repro.graph.delta import (
@@ -50,16 +45,7 @@ from repro.service.engine import QueryEngine, progressive_cursor_factory
 from repro.service.model import CommunityView
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import GraphRegistry
-from repro.workloads.generators import (
-    build_weighted_graph,
-    chung_lu,
-    delta_stream,
-    erdos_renyi,
-)
-
-needs_mp = pytest.mark.skipif(
-    not ClusterPool.available(), reason="multiprocessing unavailable"
-)
+from repro.workloads.generators import delta_stream, erdos_renyi
 
 KERNELS = ["python", "array"]
 
@@ -347,52 +333,9 @@ class TestDifferentialProperty:
                 (v.keynode, v.influence, v.members) for v in want.communities
             ]
 
-    @needs_mp
-    @pytest.mark.parametrize("start", ["fork", "spawn"])
-    def test_cluster_backends_match_scratch(self, start):
-        import multiprocessing as mp
-
-        if start not in mp.get_all_start_methods():
-            pytest.skip(f"start method {start!r} unavailable")
-        batches = 4 if start == "fork" else 2
-        n, edges = erdos_renyi(50, 120, seed=31)
-        weights = _distinct_weights(n, seed=31)
-        base = graph_from_arrays(n, edges, weights=weights)
-        model_e, model_w = set(edges), {i: w for i, w in enumerate(weights)}
-        registry = GraphRegistry(preload_datasets=False, compact_after=None)
-        registry.register("g", lambda: base)
-        cache = ResultCache(32)
-        engine = QueryEngine(registry, cache=cache)
-        pool = ClusterPool(
-            1, registry, cache=cache, start_method=start
-        )
-        spec = QuerySpec(graph="g", gamma=2, k=5)
-        rng = random.Random(31)
-        try:
-            pool.warm("g")
-            for batch in delta_stream(
-                rng, n, edges, weights, batches=batches, ops_per_batch=4
-            ):
-                registry.apply("g", batch)
-                apply_ops_to_model(model_e, model_w, batch.ops)
-                got = pool.execute(engine, spec)
-                oracle = _scratch(base, model_e, model_w)
-                oreg = GraphRegistry(preload_datasets=False)
-                oreg.register("g", lambda g=oracle: g)
-                want = QueryEngine(oreg).execute(spec)
-                assert [
-                    (v.keynode, v.influence, v.members)
-                    for v in got.communities
-                ] == [
-                    (v.keynode, v.influence, v.members)
-                    for v in want.communities
-                ]
-        finally:
-            pool.shutdown()
-
 
 # ----------------------------------------------------------------------
-# registry: versions, delta chains, compaction, hooks
+# registry: versions, pending batches, compaction, hooks
 # ----------------------------------------------------------------------
 class TestRegistryLive:
     def _registry(self, compact_after=None):
@@ -412,15 +355,6 @@ class TestRegistryLive:
         assert registry.pending_deltas("g") == 1
         assert registry.mutations == 1
 
-    def test_delta_chain_contiguity(self):
-        registry, _ = self._registry()
-        registry.apply("g", [("insert", 0, 4)])
-        registry.apply("g", [("insert", 0, 5)])
-        chain = registry.delta_chain("g", 1, 3)
-        assert chain is not None and len(chain) == 2
-        assert registry.delta_chain("g", 2, 3) is not None
-        assert registry.delta_chain("g", 0, 3) is None  # v0 predates deltas
-
     def test_compact_folds_and_clears(self):
         registry, _ = self._registry()
         registry.apply("g", [("insert", 0, 4)])
@@ -431,8 +365,7 @@ class TestRegistryLive:
         after = registry.get("g")
         assert after.version == before.version + 1
         assert registry.pending_deltas("g") == 0
-        assert registry.delta_chain("g", before.version, after.version) is None
-        # Same content, same rows: compaction only cuts the chain.
+        # Same content, same rows: compaction only bumps the version.
         assert after.graph is before.graph
         assert registry.compactions == 1
 
@@ -846,98 +779,3 @@ def test_scoped_drops_are_pinned_on_an_email_stream():
             else:
                 kept[g] += 1
     assert (kept, dropped) == (EMAIL_KEPT, EMAIL_DROPPED)
-
-
-# ----------------------------------------------------------------------
-# cluster: delta pickup, no-downgrade, mirror guard, segment hygiene
-# ----------------------------------------------------------------------
-@needs_mp
-class TestClusterLive:
-    def _stack(self):
-        n, edges = chung_lu(120, avg_degree=5.0, seed=13)
-        graph = build_weighted_graph(n, edges, weights="degree", seed=13)
-        registry = GraphRegistry(
-            preload_datasets=False, compact_after=None
-        )
-        registry.register("g", lambda: graph)
-        cache = ResultCache(32)
-        metrics = ServiceMetrics()
-        engine = QueryEngine(registry, cache=cache, metrics=metrics)
-        return registry, cache, metrics, engine
-
-    def test_worker_catches_up_via_delta_chain(self):
-        registry, cache, metrics, engine = self._stack()
-        pool = ClusterPool(1, registry, cache=cache, metrics=metrics)
-        spec = QuerySpec(graph="g", gamma=2, k=4)
-        try:
-            pool.warm("g")
-            pool.execute(engine, spec)
-            registry.apply("g", [("insert", 0, 7)])
-            # force a worker dispatch (a preserved family may be served
-            # from the migrated parent mirror): ask for more than cached
-            result = pool.execute(
-                engine, QuerySpec(graph="g", gamma=2, k=12)
-            )
-            assert result.graph_version == registry.get("g").version
-            attaches = metrics.snapshot()["cluster"]["segment_attaches"]
-            assert attaches.get("delta", 0) >= 1
-        finally:
-            pool.shutdown()
-
-    def test_no_downgrade_on_stale_handle(self):
-        registry, cache, metrics, engine = self._stack()
-        pool = ClusterPool(1, registry, cache=cache, metrics=metrics)
-        spec = QuerySpec(graph="g", gamma=2, k=4)
-        try:
-            pool.warm("g")
-            stale = registry.get("g")  # v1 handle, held across the flip
-            pool.execute(engine, spec)
-            registry.apply("g", [("insert", 0, 7)])
-            pool.execute(engine, QuerySpec(graph="g", gamma=2, k=12))
-            worker = pool._workers[0]
-            current = worker.attached["g"]
-            assert current == registry.get("g").version
-            with worker.lock:
-                pool._ensure_attached(worker, stale)
-            # the racing stale-handle dispatcher must not win a downgrade
-            assert worker.attached["g"] == current
-        finally:
-            pool.shutdown()
-
-    def test_mirror_rejects_mixed_version_results(self):
-        from dataclasses import replace
-
-        registry, cache, metrics, engine = self._stack()
-        pool = ClusterPool(1, registry, cache=cache, metrics=metrics)
-        spec = QuerySpec(graph="g", gamma=2, k=4)
-        try:
-            pool.warm("g")
-            result = pool.execute(engine, spec)
-            handle = registry.get("g")
-            stale_key = CacheKey.for_spec(spec, handle.version + 1)
-            newer = replace(result, graph_version=handle.version)
-            before = cache.get(stale_key)
-            pool._mirror(stale_key, handle, newer)
-            assert cache.get(stale_key) is before is None
-        finally:
-            pool.shutdown()
-
-    def test_no_segment_leaks_across_mutations_and_compaction(self):
-        import glob
-
-        before = set(glob.glob("/dev/shm/repro-csr*"))
-        registry, cache, metrics, engine = self._stack()
-        pool = ClusterPool(2, registry, cache=cache, metrics=metrics)
-        spec = QuerySpec(graph="g", gamma=2, k=4)
-        try:
-            pool.warm("g")
-            pool.execute(engine, spec)
-            for i in range(3):
-                registry.apply("g", [("insert", 0, 20 + i)])
-                pool.execute(engine, QuerySpec(graph="g", gamma=2, k=8 + i))
-            registry.compact("g")
-            pool.execute(engine, QuerySpec(graph="g", gamma=2, k=16))
-        finally:
-            pool.shutdown()
-        after = set(glob.glob("/dev/shm/repro-csr*"))
-        assert after <= before

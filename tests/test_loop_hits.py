@@ -4,9 +4,8 @@
 (``QueryEngine.execute(spec, on_loop=True)``): every LocalSearch-P
 query of a built graph — cold fill, cursor extension or cache hit — is
 answered there, and only graph builds, the non-progressive algorithms
-and lock-contended queries go to a shard thread.  The process pool
-serves pure hits on the loop (:meth:`QueryEngine.execute_cached`) and
-sends the rest to a worker.  These tests pin the guarantees that make
+and lock-contended queries go to a shard thread.  These tests pin the
+guarantees that make
 that safe: the loop never builds a graph and never waits on a busy
 cache or entry lock, a loop-served query is counted and traced exactly
 like a shard-served one, and its answer equals the reference
@@ -25,7 +24,6 @@ import urllib.request
 import pytest
 
 from repro.api import QuerySpec
-from repro.cluster import ClusterPool
 from repro.core.progressive import ProgressiveCursor
 from repro.core.reference import reference_top_k
 from repro.graph.builder import graph_from_arrays
@@ -35,10 +33,6 @@ from repro.service import GraphRegistry, QueryEngine, ResultCache, ServiceMetric
 from repro.service import engine as engine_module
 from repro.service.cache import ProgressiveEntry
 from repro.workloads.generators import erdos_renyi
-
-needs_mp = pytest.mark.skipif(
-    not ClusterPool.available(), reason="multiprocessing unavailable"
-)
 
 
 def layered_cliques(num_cliques=6):
@@ -113,7 +107,7 @@ class TestNoBlockingOnTheLoop:
 
         async def main():
             loop_thread = threading.get_ident()
-            server = ReproServer(registry=registry, backend="thread")
+            server = ReproServer(registry=registry)
             client = await started(server)
             try:
                 cold = await client.execute(
@@ -146,7 +140,7 @@ class TestNoBlockingOnTheLoop:
 
         async def main():
             loop_thread = threading.current_thread().name
-            server = ReproServer(registry=registry, backend="thread")
+            server = ReproServer(registry=registry)
             client = await started(server)
             try:
                 for gamma in (2, 3):
@@ -173,7 +167,7 @@ class TestNoBlockingOnTheLoop:
                 release.wait(10.0)
 
         async def main():
-            server = ReproServer(registry=registry, backend="thread", shards=1)
+            server = ReproServer(registry=registry, shards=1)
             client = await started(server)
             try:
                 for gamma in (2, 3):
@@ -226,7 +220,7 @@ class TestProgressiveWorkOnTheLoop:
     def test_cold_and_extending_queries_run_on_the_loop(self, take_threads):
         async def main():
             loop_thread = threading.current_thread().name
-            server = ReproServer(registry=make_registry(), backend="thread")
+            server = ReproServer(registry=make_registry())
             client = await started(server)
             try:
                 await client.execute(QuerySpec(graph="cliques", k=4, gamma=2))
@@ -269,7 +263,7 @@ class TestProgressiveWorkOnTheLoop:
 
         async def main():
             server = ReproServer(
-                registry=make_registry(), backend="thread", shards=1
+                registry=make_registry(), shards=1
             )
             client = await started(server)
             try:
@@ -299,7 +293,7 @@ class TestProgressiveWorkOnTheLoop:
         async def main():
             loop_thread = threading.current_thread().name
             server = ReproServer(
-                registry=make_registry(), backend="thread", shards=1
+                registry=make_registry(), shards=1
             )
             client = await started(server)
             try:
@@ -357,7 +351,7 @@ class TestProgressiveWorkOnTheLoop:
 
         async def main():
             server = ReproServer(
-                registry=make_registry(), backend="thread", shards=1
+                registry=make_registry(), shards=1
             )
             client = await started(server)
             try:
@@ -489,7 +483,6 @@ def _counts(snapshot):
         "by_source": snapshot["by_source"],
         "by_algorithm": snapshot["by_algorithm"],
         "by_kernel": snapshot["by_kernel"],
-        "by_backend": snapshot["by_backend"],
         "by_graph": snapshot["by_graph"],
         "errors": snapshot["errors"],
         "batches": server["batches"],
@@ -508,7 +501,7 @@ def _served_counts(loop_hits: bool):
     shard."""
 
     async def main():
-        server = ReproServer(registry=make_registry(), backend="thread")
+        server = ReproServer(registry=make_registry())
         if not loop_hits:
             execute = server.engine.execute
             server.engine.execute = lambda spec, on_loop=False: (
@@ -541,9 +534,9 @@ def test_loop_hits_count_exactly_like_shard_hits():
 
 
 def test_loop_and_shard_threads_lose_no_counts():
-    """Non-blocking passes (``execute_cached`` and ``on_loop``) race
-    blocking cold fills and extensions on other threads over the shared
-    cache and metrics; every query must be counted exactly once."""
+    """Non-blocking ``on_loop`` passes race blocking cold fills and
+    extensions on other threads over the shared cache and metrics;
+    every query must be counted exactly once."""
     registry = make_registry()
     engine = QueryEngine(registry, cache=ResultCache(8), metrics=ServiceMetrics())
     threads, rounds = 6, 200
@@ -555,12 +548,7 @@ def test_loop_and_shard_threads_lose_no_counts():
                 spec = QuerySpec(
                     graph="cliques", gamma=2 + (index + i) % 2, k=1 + i % 6
                 )
-                first = (
-                    engine.execute_cached(spec)
-                    if i % 2
-                    else engine.execute(spec, on_loop=True)
-                )
-                if first is None:
+                if i % 2 or engine.execute(spec, on_loop=True) is None:
                     engine.execute(spec)
         except Exception as exc:  # noqa: BLE001 — surfaced below
             errors.append(exc)
@@ -591,21 +579,13 @@ def _traces(base):
         return json.loads(r.read().decode("utf-8"))["traces"]
 
 
-@pytest.mark.parametrize(
-    "backend", ["thread", pytest.param("process", marks=needs_mp)]
-)
-def test_traced_hit_has_transport_scheduler_and_engine_spans(backend):
+def test_traced_hit_has_transport_scheduler_and_engine_spans():
     async def main():
         server = ReproServer(
-            registry=make_registry(),
-            backend=backend,
-            workers=2 if backend == "process" else None,
-            trace_sample=1.0,
-            metrics_port=0,
+            registry=make_registry(), trace_sample=1.0, metrics_port=0
         )
         client = await started(server)
         try:
-            assert server.shards.backend == backend
             await client.execute(QuerySpec(graph="cliques", k=4, gamma=3))
             hit = await client.execute(QuerySpec(graph="cliques", k=2, gamma=3))
             mhost, mport = server.metrics_address
@@ -627,8 +607,6 @@ def test_traced_hit_has_transport_scheduler_and_engine_spans(backend):
     ]
     spans = {s["name"]: s for s in trace["spans"]}
     assert {"transport", "scheduler", "engine"} <= set(spans)
-    # Served in the parent on the loop: no worker round trip.
-    assert "cluster_dispatch" not in spans
     assert spans["engine"]["tags"]["source"] == "cache"
     assert spans["engine"]["parent_id"] == spans["scheduler"]["span_id"]
     assert spans["scheduler"]["parent_id"] == spans["transport"]["span_id"]

@@ -49,28 +49,20 @@ def _drive(metrics: ServiceMetrics) -> None:
     wiki = FamilyKey("wiki", 10, "localsearch", 2.0)
     odd = FamilyKey('we"ird\\graph', 3, "localsearch-p", 1.5)
     queries = [
-        ("localsearch-p", 4.0, "cold", "array", email, None, None,
+        ("localsearch-p", 4.0, "cold", "array", email,
          {"peel": 3.0, "enumerate": 0.5}),
-        ("localsearch-p", 0.25, "cache", "array", email, None, None, None),
-        ("localsearch-p", 1.5, "extended", "array", email, "process",
-         "worker:0", {"peel": 3.5, "enumerate": 0.75}),
-        ("localsearch-p", 0.5, "coalesced", "array", email, None, None, None),
-        ("localsearch", 12.0, "cold", "python", wiki, "process",
-         "worker:1", {"peel": 10.0}),
-        ("localsearch", 0.125, "cache", "python", wiki, "thread", None, None),
-        ("localsearch-p", 7.0, "cold", None, odd, None, None, None),
-        ("backward", 30.0, "cold", None, None, None, None, None),
+        ("localsearch-p", 0.25, "cache", "array", email, None),
+        ("localsearch-p", 1.5, "extended", "array", email,
+         {"peel": 3.5, "enumerate": 0.75}),
+        ("localsearch-p", 0.5, "coalesced", "array", email, None),
+        ("localsearch", 12.0, "cold", "python", wiki, {"peel": 10.0}),
+        ("localsearch", 0.125, "cache", "python", wiki, None),
+        ("localsearch-p", 7.0, "cold", None, odd, None),
+        ("backward", 30.0, "cold", None, None, None),
     ]
-    for algo, ms, source, kernel, family, backend, worker, phases in queries:
+    for algo, ms, source, kernel, family, phases in queries:
         metrics.observe_query(
-            algo,
-            ms,
-            source,
-            kernel=kernel,
-            family=family,
-            backend=backend,
-            worker=worker,
-            phases=phases,
+            algo, ms, source, kernel=kernel, family=family, phases=phases
         )
     metrics.observe_error()
     metrics.observe_error("QueryParameterError")
@@ -91,13 +83,6 @@ def _drive(metrics: ServiceMetrics) -> None:
     metrics.observe_queue_depth(2)
     metrics.observe_replica_idle_dispatch()
     metrics.observe_replica_idle_dispatch()
-    metrics.observe_segment_attach("shm")
-    metrics.observe_segment_attach("shm")
-    metrics.observe_segment_attach("pickle")
-    metrics.observe_worker_restart()
-    metrics.observe_cluster_depth("worker:0", 3)
-    metrics.observe_cluster_depth("worker:1", 5)
-    metrics.observe_cluster_depth("worker:1", 1)
     metrics.observe_mutation("email", 2, invalidated=3, preserved=5)
     metrics.observe_mutation("email", 3, invalidated=1, preserved=7)
     metrics.observe_mutation("wiki", 4, compaction=True)

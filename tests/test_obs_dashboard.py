@@ -43,7 +43,6 @@ def sample_points():
                 "hit_rate": 0.5,
                 "coalesce_rate": 0.25,
                 "queue_depth": i,
-                "workers": {"worker:0": i, "worker:1": 1},
                 "families": {
                     "email|gamma=5": {
                         "queries": 4, "hit_rate": 0.5, "p95_ms": 3.0 + i,
@@ -123,7 +122,8 @@ class TestDashboardRendering:
         assert 'id="slo"' in html
         assert 'id="breaches"' in html
         assert "not ready" in html
-        assert "worker:0" in html and "worker:1" in html
+        # The queue bar reads the latest tick's scheduler depth.
+        assert '<td class="fam">scheduler</td><td>5</td>' in html
 
     def test_no_external_fetches_or_scripts(self):
         for html in (render_dashboard(populated_snapshot()), render_full()):

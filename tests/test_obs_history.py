@@ -46,7 +46,6 @@ class StubMetrics:
             "errors": self.errors,
             "by_source": dict(self.sources),
             "server": {"batches": 0, "batched_queries": 0, "queue_depth": 0},
-            "cluster": {},
             "by_family": dict(self.families),
             "latency_overall_ms": dict(self.latency),
         }

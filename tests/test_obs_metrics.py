@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.api.spec import FamilyKey
+from repro.api.spec import FamilyKey, QuerySpec
 from repro.graph.builder import graph_from_arrays
 from repro.service import (
     GraphRegistry,
@@ -63,17 +63,13 @@ def populated_metrics():
             source,
             kernel="python",
             family=family(),
-            backend="process",
-            worker="worker:0",
         )
     metrics.observe_error(kind="ValueError")
     metrics.session_opened()
     metrics.connection_opened()
     metrics.observe_batch(2)
     metrics.observe_queue_depth(3)
-    metrics.observe_segment_attach("create")
-    metrics.observe_worker_restart()
-    metrics.observe_cluster_depth("worker:0", 2)
+    metrics.observe_mutation("g", 2, invalidated=1, preserved=1)
     return metrics
 
 
@@ -89,16 +85,13 @@ class TestSnapshotIsolation:
         ("by_source",),
         ("by_algorithm",),
         ("by_kernel",),
-        ("by_backend",),
         ("by_error",),
         ("by_family",),
         ("latency_ms",),
         ("latency_overall_ms",),
         ("server",),
-        ("cluster",),
-        ("cluster", "by_worker"),
-        ("cluster", "queue_depth"),
-        ("cluster", "segment_attaches"),
+        ("live",),
+        ("live", "graph_generation"),
     )
 
     @staticmethod
@@ -115,12 +108,11 @@ class TestSnapshotIsolation:
         # Keep observing: every table the snapshot carries moves.
         metrics.observe_query(
             "forward", 9.0, "cold", kernel="numpy",
-            family=family(gamma=9), backend="process", worker="worker:1",
+            family=family(gamma=9),
         )
         metrics.observe_error(kind="OSError")
         metrics.observe_batch(5)
-        metrics.observe_cluster_depth("worker:1", 7)
-        metrics.observe_segment_attach("attach")
+        metrics.observe_mutation("h", 3, compaction=True)
         assert json.dumps(before, sort_keys=True, default=str) == frozen
 
     def test_mutating_snapshot_does_not_leak_into_live_state(self):
@@ -141,7 +133,7 @@ class TestSnapshotIsolation:
             node = self._dig(clean, path)
             assert "poisoned" not in node, path
         assert clean["by_source"]["cold"] == 1
-        assert clean["cluster"]["queue_depth"] == {"worker:0": 2}
+        assert clean["live"]["graph_generation"] == {"g": 2}
 
     def test_snapshot_containers_are_distinct_objects(self):
         metrics = populated_metrics()
@@ -341,3 +333,60 @@ class TestFamilyPhases:
         fam = family()
         metrics.observe_query("localsearch-p", 1.0, "cold", family=fam)
         assert metrics.by_family()[family_label(fam)]["phases_ms"] == {}
+
+
+class TestByFamily:
+    def test_by_family_aggregates_hit_rate_and_percentiles(self):
+        metrics = ServiceMetrics()
+        fam = QuerySpec(graph="g", gamma=3, k=5).cache_key()
+        metrics.observe_query("localsearch-p", 10.0, "cold", family=fam)
+        metrics.observe_query("localsearch-p", 1.0, "cache", family=fam)
+        metrics.observe_query("localsearch-p", 2.0, "extended", family=fam)
+        rows = metrics.by_family()
+        label = family_label(fam)
+        assert label in rows
+        row = rows[label]
+        assert row["queries"] == 3
+        assert row["hit_rate"] == pytest.approx(2 / 3)
+        assert row["p50_ms"] == 2.0
+        assert row["p95_ms"] == 10.0
+
+    def test_by_family_table_is_bounded(self):
+        metrics = ServiceMetrics(max_families=4)
+        for gamma in range(1, 11):
+            fam = QuerySpec(graph="g", gamma=gamma, k=5).cache_key()
+            metrics.observe_query("localsearch-p", 1.0, "cold", family=fam)
+        assert len(metrics.by_family()) == 4  # least-recently-active dropped
+
+    def test_shell_metrics_text_and_json_modes(self):
+        registry = GraphRegistry(preload_datasets=False)
+        registry.register("g", k4)
+        metrics = ServiceMetrics()
+        engine = QueryEngine(registry, cache=ResultCache(8), metrics=metrics)
+        out = io.StringIO()
+        shell = ServiceShell(
+            engine,
+            SessionManager(registry, metrics=metrics),
+            out,
+            metrics=metrics,
+        )
+        shell.execute_line("query g gamma=3 k=4")
+        shell.execute_line("query g gamma=3 k=4")
+        out.seek(0)
+        out.truncate(0)
+        shell.execute_line("metrics")
+        text = out.getvalue()
+        assert "family[" in text
+        assert "hit_rate=0.500" in text
+        out.seek(0)
+        out.truncate(0)
+        shell.execute_line("metrics json")
+        snapshot = json.loads(out.getvalue())
+        assert snapshot["queries_served"] == 2
+        (family_row,) = snapshot["by_family"].values()
+        assert family_row["queries"] == 2
+        assert family_row["p50_ms"] is not None
+        out.seek(0)
+        out.truncate(0)
+        shell.execute_line("metrics nonsense")
+        assert "error" in out.getvalue()

@@ -1,9 +1,8 @@
-"""End-to-end tracing through the serving tiers (thread and cluster).
+"""End-to-end tracing through the serving tier.
 
-The PR-6 acceptance shape: one query through the full server yields one
-stitched trace — transport -> scheduler -> (cluster_dispatch -> worker,
-process backend) -> engine with kernel phases — retrievable over the
-shell ``trace`` command and the HTTP exporter alike.
+One query through the full server yields one stitched trace —
+transport -> scheduler -> engine with kernel phases — retrievable over
+the shell ``trace`` command and the HTTP exporter alike.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import pytest
 
 from repro import cli
 from repro.api import QuerySpec
-from repro.cluster import ClusterPool
 from repro.graph.builder import graph_from_arrays
 from repro.obs.profiling import OnDemandProfiler
 from repro.obs.trace import Tracer
@@ -33,10 +31,6 @@ from repro.service import (
     ResultCache,
     ServiceShell,
     SessionManager,
-)
-
-needs_mp = pytest.mark.skipif(
-    not ClusterPool.available(), reason="multiprocessing unavailable"
 )
 
 
@@ -76,7 +70,6 @@ class TestThreadBackendEndToEnd:
         async def main():
             server = ReproServer(
                 registry=registry,
-                backend="thread",
                 trace_sample=1.0,
                 metrics_port=0,
             )
@@ -118,7 +111,7 @@ class TestThreadBackendEndToEnd:
     def test_sampled_out_queries_leave_no_trace(self, registry):
         async def main():
             server = ReproServer(
-                registry=registry, backend="thread", trace_sample=0.0
+                registry=registry, trace_sample=0.0
             )
             await server.start(tcp=("127.0.0.1", 0))
             try:
@@ -195,7 +188,6 @@ class TestObservabilityEndpoints:
         async def main():
             server = ReproServer(
                 registry=registry,
-                backend="thread",
                 trace_sample=1.0,
                 metrics_port=0,
                 slo="p95_ms=60000,err_rate=0.9,window_s=30",
@@ -271,7 +263,6 @@ class TestObservabilityEndpoints:
         async def main():
             server = ReproServer(
                 registry=registry,
-                backend="thread",
                 metrics_port=0,
                 slo="err_rate=0.5,window_s=2",
                 history_interval=0.2,
@@ -335,7 +326,6 @@ class TestObservabilityEndpoints:
         async def main():
             server = ReproServer(
                 registry=registry,
-                backend="thread",
                 metrics_port=0,
             )
             await server.start(tcp=("127.0.0.1", 0))
@@ -446,7 +436,7 @@ class TestReadinessParity:
     def _network_readyz(self, registry):
         async def main():
             server = ReproServer(
-                registry=registry, backend="thread", metrics_port=0,
+                registry=registry, metrics_port=0,
                 slo=self.SLO,
             )
             await server.start(tcp=("127.0.0.1", 0))
@@ -495,7 +485,7 @@ class TestNonFiniteWindows:
     def test_wire_and_http_answer_typed_errors(self, registry):
         async def main():
             server = ReproServer(
-                registry=registry, backend="thread", metrics_port=0
+                registry=registry, metrics_port=0
             )
             await server.start(tcp=("127.0.0.1", 0))
             try:
@@ -529,112 +519,6 @@ class TestNonFiniteWindows:
                     "error": f"{self.MESSAGE}, got -1.0",
                     "type": "QueryParameterError",
                 }
-            finally:
-                await server.stop()
-
-        asyncio.run(main())
-
-@needs_mp
-class TestClusterReadiness:
-    def test_dead_worker_flips_readyz_until_restarted(self, registry):
-        async def main():
-            server = ReproServer(
-                registry=registry,
-                workers=2,
-                metrics_port=0,
-                history_interval=0.2,
-            )
-            await server.start(tcp=("127.0.0.1", 0))
-            try:
-                assert getattr(server.shards, "backend", None) == "process"
-                host, port = server.tcp_address
-                mhost, mport = server.metrics_address
-                base = f"http://{mhost}:{mport}"
-                client = await ReproClient.connect(host, port=port)
-                try:
-                    await client.execute(
-                        QuerySpec(graph="cliques", k=2, gamma=3)
-                    )
-                    status, _ = _http_get(base, "/readyz")
-                    assert status == 200
-
-                    victim = server.shards._workers[0]
-                    victim.process.kill()
-                    victim.process.join()
-                    status, body = _http_get(base, "/readyz")
-                    assert status == 503
-                    doc = json.loads(body)
-                    assert doc["workers"]["worker:0"] is False
-                    assert any(
-                        "dead workers" in reason
-                        for reason in doc["reasons"]
-                    )
-                    # /healthz stays green: the process itself is alive.
-                    status, body = _http_get(base, "/healthz")
-                    assert (status, body) == (200, "ok\n")
-
-                    # health_check() is the mutating recovery path.
-                    restarted = await asyncio.get_running_loop(
-                    ).run_in_executor(None, server.shards.health_check)
-                    assert "worker:0" in restarted["restarted"]
-                    status, body = _http_get(base, "/readyz")
-                    assert status == 200
-                    assert json.loads(body)["workers"]["worker:0"] is True
-                finally:
-                    await client.close()
-            finally:
-                await server.stop()
-
-        asyncio.run(main())
-
-
-@needs_mp
-class TestClusterBackendEndToEnd:
-    def test_trace_stitches_across_worker_process(self, registry):
-        async def main():
-            server = ReproServer(
-                registry=registry,
-                workers=2,
-                trace_sample=1.0,
-                metrics_port=0,
-            )
-            await server.start(tcp=("127.0.0.1", 0))
-            try:
-                assert getattr(server.shards, "backend", None) == "process"
-                host, port = server.tcp_address
-                mhost, mport = server.metrics_address
-                base = f"http://{mhost}:{mport}"
-                client = await ReproClient.connect(host, port=port)
-                try:
-                    await client.execute(
-                        QuerySpec(graph="cliques", k=3, gamma=3)
-                    )
-                    [trace] = _http_json(base, "/traces?limit=1")["traces"]
-                    names = {s["name"] for s in trace["spans"]}
-                    assert {
-                        "transport",
-                        "scheduler",
-                        "cluster_dispatch",
-                        "worker",
-                        "engine",
-                    } <= names
-                    worker = next(
-                        s for s in trace["spans"] if s["name"] == "worker"
-                    )
-                    dispatch = next(
-                        s
-                        for s in trace["spans"]
-                        if s["name"] == "cluster_dispatch"
-                    )
-                    # The remote span hangs off the dispatch span: one
-                    # connected tree across the process edge.
-                    assert worker["parent_id"] == dispatch["span_id"]
-                    engine = next(
-                        s for s in trace["spans"] if s["name"] == "engine"
-                    )
-                    assert len(engine.get("phases", {})) >= 3
-                finally:
-                    await client.close()
             finally:
                 await server.stop()
 

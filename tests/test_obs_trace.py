@@ -76,8 +76,7 @@ class TestSampling:
         assert len(ids) == 50
 
     def test_span_ids_unique_across_tracers(self):
-        # A stitched trace mixes spans from several tracers (parent
-        # process + each worker); ids must not collide between them.
+        # Spans of two tracers rendered together must not collide.
         a, b = Tracer(sample=1.0), Tracer(sample=1.0)
         ours = {a.maybe_start("q").span_id for _ in range(10)}
         theirs = {b.maybe_start("q").span_id for _ in range(10)}
@@ -161,36 +160,6 @@ class TestTraceAssembly:
             tracer.end(tracer.start_span("chatty", root))
         trace = tracer.end(root)
         assert len(trace["spans"]) <= Tracer.MAX_SPANS + 1
-
-    def test_remote_stitching(self):
-        parent = Tracer(sample=1.0)
-        worker = Tracer(sample=0.0)  # workers never originate traces
-        root = parent.maybe_start("transport")
-        dispatch = parent.start_span("cluster_dispatch", root)
-
-        wspan = worker.start_remote(
-            root.trace_id, dispatch.span_id, "worker", pid=123
-        )
-        child = worker.start_span("engine", wspan)
-        worker.end(child)
-        payload = worker.finish_remote(wspan, source="cold")
-        assert {span["name"] for span in payload} == {"worker", "engine"}
-        # Remote spans never land in the worker-side store.
-        assert worker.store.counters()["traces_recorded"] == 0
-
-        parent.attach(dispatch, payload)
-        parent.end(dispatch)
-        trace = parent.end(root)
-        names = {span["name"] for span in trace["spans"]}
-        assert names == {"transport", "cluster_dispatch", "worker", "engine"}
-
-    def test_attach_after_close_is_dropped(self):
-        tracer = Tracer(sample=1.0)
-        root = tracer.maybe_start("transport")
-        tracer.end(root)
-        tracer.attach(root, [{"span_id": 7, "parent_id": None, "name": "x",
-                              "start_ms": 0.0, "duration_ms": 1.0}])
-        assert tracer._active == {}
 
 
 class TestTraceStore:

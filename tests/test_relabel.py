@@ -19,6 +19,8 @@ in the new rank space.  Covered here:
 
 from __future__ import annotations
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,14 +199,10 @@ def test_a_rerank_builds_nothing_and_shares_rows_outside_the_window(
     assert reranked._core_stops == core_stops(fresh)
 
 
-def test_a_cluster_copy_reranks_without_a_decomposition(monkeypatch):
+def test_a_pickled_copy_reranks_without_a_decomposition(monkeypatch):
     base = random_graph(40, 0.2, 5, weights="shuffled")
-    copy = WeightedGraph.from_csr(
-        base.csr(),
-        [base.weight(r) for r in range(40)],
-        base.labels(range(40)),
-        base.core_numbers(),
-    )
+    base.core_numbers()
+    copy = pickle.loads(pickle.dumps(base))
     assert copy._core_stops == base._core_stops
     _forbid_rebuilds(monkeypatch)
     reranked, _, stats = apply_batch(

@@ -9,6 +9,7 @@ import zlib
 import pytest
 
 from repro.server import ShardPool
+from repro.service.metrics import ServiceMetrics
 
 
 def test_route_is_deterministic_per_graph():
@@ -120,3 +121,31 @@ def test_depth_tracks_inflight_work():
             pool.shutdown()
 
     asyncio.run(main())
+
+
+def test_replica_routing_steers_around_a_busy_replica():
+    metrics = ServiceMetrics()
+    pool = ShardPool(4, replication={"hot": 2}, metrics=metrics)
+    try:
+        base = pool.home_shard("hot")
+        twin = (base + 1) % 4
+        # Round-robin turn 0 chooses base; make base busy, twin idle.
+        pool._depth[base] = 1
+        assert pool.route("hot") == twin
+        assert metrics.replica_idle_dispatches == 1
+        # Both busy: fall back to the round-robin choice (turn 1 = twin).
+        pool._depth[twin] = 1
+        assert pool.route("hot") in (base, twin)
+        assert metrics.replica_idle_dispatches == 1  # no idle to steal
+    finally:
+        pool.shutdown()
+
+
+def test_replica_routing_keeps_round_robin_when_all_idle():
+    pool = ShardPool(4, replication={"hot": 3})
+    try:
+        base = pool.home_shard("hot")
+        expected = [(base + i) % 4 for i in (0, 1, 2, 0, 1, 2)]
+        assert [pool.route("hot") for _ in range(6)] == expected
+    finally:
+        pool.shutdown()

@@ -246,6 +246,26 @@ def test_start_requires_an_endpoint():
     run(main())
 
 
+@pytest.mark.parametrize("ttl", [0, -1.0, float("nan")])
+def test_non_positive_session_ttl_is_rejected_at_construction(ttl):
+    with pytest.raises(ValueError, match="session_ttl"):
+        make_server(session_ttl=ttl)
+
+
+@pytest.mark.parametrize("port", [-1, 65536])
+def test_out_of_range_ports_are_rejected(port):
+    with pytest.raises(ValueError, match="out of range"):
+        make_server(metrics_port=port)
+
+    async def main():
+        server = make_server()
+        with pytest.raises(ValueError, match="out of range"):
+            await server.start(tcp=("127.0.0.1", port))
+        await server.stop()
+
+    run(main())
+
+
 def test_stop_is_idempotent():
     async def main():
         server = make_server()

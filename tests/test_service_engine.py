@@ -9,6 +9,11 @@ import pytest
 
 from repro.api import QuerySpec
 from repro.cli import main
+from repro.core.reference import (
+    reference_noncontainment_communities,
+    reference_top_k,
+    reference_truss_top_k,
+)
 from repro.errors import QueryParameterError
 from repro.graph.builder import graph_from_arrays
 from repro.graph.io import write_edge_list, write_weights
@@ -19,6 +24,8 @@ from repro.service import (
     ServiceMetrics,
 )
 from repro.service.metrics import percentile
+
+from tests.conftest import random_graph
 
 
 def two_k4s():
@@ -117,6 +124,56 @@ class TestDispatch:
             QuerySpec(graph="g", gamma=3, k=2, algorithm="noncontainment")
         )
         assert len(nc) >= 1
+
+    def test_random_graph_noncontainment_and_static_paths_match(self):
+        """The engine's non-containment, onlineall and truss answers on
+        a random graph equal the definitions in core/reference.py."""
+        graph = random_graph(60, 0.12, seed=9, weights="shuffled")
+        registry = GraphRegistry(preload_datasets=False)
+        registry.register("g", lambda: graph)
+        engine = QueryEngine(registry, cache=ResultCache(8))
+        k, gamma = 6, 2
+
+        def labels(ranks):
+            return frozenset(graph.label(u) for u in ranks)
+
+        def truss_labels(edges):
+            return labels(u for edge in edges for u in edge)
+
+        cases = (
+            (
+                QuerySpec(graph="g", gamma=gamma, k=k, containment=False),
+                [
+                    (influence, labels(members))
+                    for influence, members in
+                    reference_noncontainment_communities(graph, gamma)[:k]
+                ],
+            ),
+            (
+                QuerySpec(graph="g", gamma=gamma, k=k, algorithm="onlineall"),
+                [
+                    (influence, labels(members))
+                    for influence, members in
+                    reference_top_k(graph, k, gamma)
+                ],
+            ),
+            (
+                QuerySpec(graph="g", gamma=gamma, k=k, algorithm="truss"),
+                [
+                    (influence, truss_labels(edges))
+                    for influence, edges in
+                    reference_truss_top_k(graph, k, gamma)
+                ],
+            ),
+        )
+        for spec, want in cases:
+            result = engine.execute(spec)
+            got = [
+                (view.influence, frozenset(view.members))
+                for view in result.communities
+            ]
+            assert got == want, spec
+            assert got, spec  # a non-empty answer, not a vacuous match
 
     def test_result_serialises_deterministically(self, registry):
         engine = QueryEngine(registry)

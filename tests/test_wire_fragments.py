@@ -150,7 +150,6 @@ def results(draw):
         elapsed_ms=draw(_influences),
         complete=draw(st.booleans()),
         kernel=draw(st.one_of(st.none(), st.sampled_from(["array", "numpy"]))),
-        worker=draw(st.one_of(st.none(), _text.map(lambda t: "worker:" + t))),
     )
 
 
@@ -200,23 +199,20 @@ def test_json_and_text_memos_coexist(result):
         assert result.to_json(False) == json_reference(result, False)
 
 
-def test_empty_result_and_worker_key():
-    spec = QuerySpec(graph="g", gamma=3, k=2)
-    for worker in (None, "worker:1"):
-        result = QueryResult(
-            query=spec,
-            algorithm="localsearch-p",
-            graph_version=4,
-            communities=(),
-            source="cache",
-            elapsed_ms=0.5,
-            worker=worker,
-        )
-        for include_members in (True, False):
-            text = result.to_json(include_members)
-            assert text == json_reference(result, include_members)
-            assert ('"worker"' in text) == (worker is not None)
-        assert ServiceShell.render_result(result, True)[1:] == []
+def test_empty_result_renders_no_communities():
+    result = QueryResult(
+        query=QuerySpec(graph="g", gamma=3, k=2),
+        algorithm="localsearch-p",
+        graph_version=4,
+        communities=(),
+        source="cache",
+        elapsed_ms=0.5,
+    )
+    for include_members in (True, False):
+        text = result.to_json(include_members)
+        assert text == json_reference(result, include_members)
+        assert '"communities": []' in text
+    assert ServiceShell.render_result(result, True)[1:] == []
 
 
 def test_engine_results_are_byte_identical(engine_stack):
