@@ -6,9 +6,11 @@ spans) is separate; see ``perfbench/NOTES.md``.  Datasets are the synthetic Tabl
 stand-ins, built once per session.  Benchmarks measure *query* time only;
 graph construction happens in fixtures.
 
-Run with::
+The files and functions are named ``bench_*``, which pytest does not
+collect by default, so run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src pytest benchmarks/ --benchmark-only \
+        -o python_files='bench_*.py' -o python_functions='bench_*'
 
 Use ``--benchmark-group-by=group`` for paper-figure-shaped output.
 """

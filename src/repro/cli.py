@@ -344,8 +344,8 @@ def _parse_replication(values):
         except ValueError:
             copies = 0
         if not sep or not name or copies < 1:
-            raise SystemExit(
-                f"error: bad --replicate value {item!r} (want GRAPH=COPIES)"
+            raise ValueError(
+                f"bad --replicate value {item!r} (want GRAPH=COPIES)"
             )
         replication[name] = copies
     return replication
@@ -468,7 +468,9 @@ def _run_serve(args: argparse.Namespace, out, in_stream) -> int:
         if server.metrics_address is not None:
             mhost, mport = server.metrics_address
             print(f"metrics on http://{mhost}:{mport}/metrics", file=out)
-        shell = ServiceShell(server.engine, server.open_sessions(), out)
+        shell = ServiceShell(
+            server.engine, out, session_ttl=server.session_ttl
+        )
         if args.script is not None:
             with open(args.script, "r", encoding="utf-8") as handle:
                 return shell.run(handle)

@@ -192,9 +192,11 @@ class ProgressiveCursor:
       generator exactly where the previous call stopped — the suffix
       property (Lemma 3.1/3.2) means no prefix is ever re-peeled.
 
-    This is the primitive behind the service layer's result cache and
-    progressive sessions: one cursor amortises a whole family of
-    ``(gamma, k)`` queries over the same graph.
+    This is the primitive behind the service layer's result cache: one
+    cursor, held by the family's
+    :class:`~repro.service.cache.ProgressiveEntry`, amortises a whole
+    family of ``(gamma, k)`` queries and progressive sessions over the
+    same graph.
     """
 
     def __init__(self, searcher: LocalSearchP) -> None:
@@ -232,15 +234,6 @@ class ProgressiveCursor:
             time.perf_counter() - t0,
             self.searcher.stats.phases,
         )
-
-    def ensure(self, k: int) -> int:
-        """Materialise at least ``k`` communities (fewer if exhausted).
-
-        Returns the number of communities now materialised.
-        """
-        with self._lock:
-            self._advance_to(k)
-            return len(self._seen)
 
     def take(self, k: int) -> Tuple[Community, ...]:
         """The top-``k`` communities, resuming the stream if needed.

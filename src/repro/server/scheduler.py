@@ -47,10 +47,6 @@ class CoalesceStats:
     queries: int = 0
     max_width: int = 0
 
-    @property
-    def mean_width(self) -> float:
-        return self.queries / self.batches if self.batches else 0.0
-
     def record(self, width: int) -> None:
         self.batches += 1
         self.queries += width

@@ -8,9 +8,11 @@ over TCP and/or a unix domain socket, many clients per process:
   starting with ``.`` are dot-stuffed), so programmatic clients know
   exactly where a response ends;
 * **per-connection session scoping** — every connection gets its own
+  :class:`~repro.service.shell.ServiceShell`, which owns one
   :class:`~repro.service.sessions.SessionManager`; session ids are
   meaningless outside their connection, and a dropped connection closes
-  its sessions;
+  its sessions.  The sessions themselves stream from the shared result
+  cache's progressive entries, so they peel nothing a query already did;
 * **query path** — ``query`` commands go through the
   :class:`~repro.server.scheduler.BatchScheduler` (coalescing) onto the
   :class:`~repro.server.shards.ShardPool` (progressive queries on the
@@ -44,7 +46,6 @@ from ..service.cache import ResultCache
 from ..service.engine import QueryEngine
 from ..service.metrics import ServiceMetrics
 from ..service.registry import GraphRegistry
-from ..service.sessions import SessionManager
 from ..service.shell import ServiceShell, split_verb
 from .scheduler import BatchScheduler
 from .shards import ShardPool
@@ -79,8 +80,9 @@ class ReproServer:
 
     This is also where the stdio loop of ``repro serve`` gets its
     stack: it builds a server, never calls :meth:`start`, and runs a
-    :class:`ServiceShell` over :attr:`engine` and :meth:`open_sessions`
-    between :meth:`start_observability` and :meth:`stop_observability`.
+    :class:`ServiceShell` over :attr:`engine` (its sessions expiring
+    after :attr:`session_ttl`) between :meth:`start_observability` and
+    :meth:`stop_observability`.
 
     Parameters
     ----------
@@ -302,12 +304,6 @@ class ReproServer:
         if self.metrics_server is not None:
             self.metrics_server.stop()
 
-    def open_sessions(self) -> SessionManager:
-        """A fresh session scope: one per connection (or stdio loop)."""
-        return SessionManager(
-            self.registry, ttl_seconds=self.session_ttl, metrics=self.metrics
-        )
-
     @staticmethod
     async def _guard_live_socket(path: str) -> None:
         """Refuse to bind over a unix socket a live server still answers.
@@ -405,9 +401,11 @@ class ReproServer:
         assert task is not None
         self._connections[task] = writer
         self.metrics.connection_opened()
-        sessions = self.open_sessions()
         shell = ServiceShell(
-            self.engine, sessions, None, on_shutdown=self.request_shutdown
+            self.engine,
+            None,
+            on_shutdown=self.request_shutdown,
+            session_ttl=self.session_ttl,
         )
         loop = asyncio.get_running_loop()
         try:
@@ -480,7 +478,9 @@ class ReproServer:
         finally:
             self._connections.pop(task, None)
             self.metrics.connection_closed()
-            self._close_sessions(sessions)
+            for row in shell.sessions.active():
+                with contextlib.suppress(UnknownSessionError):
+                    shell.sessions.close(str(row["session_id"]))
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -538,12 +538,6 @@ class ReproServer:
                 return True
             discarded += len(chunk)
         return False
-
-    @staticmethod
-    def _close_sessions(sessions: SessionManager) -> None:
-        for row in sessions.active():
-            with contextlib.suppress(UnknownSessionError):
-                sessions.close(str(row["session_id"]))
 
     async def _send(
         self, writer: asyncio.StreamWriter, lines: Iterable[str]

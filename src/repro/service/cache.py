@@ -15,7 +15,9 @@ delta)``; the graph version comes from the :class:`GraphRegistry`, so a
 hold a live :class:`~repro.core.progressive.ProgressiveCursor`; static
 entries (non-progressive algorithms) hold a frozen tuple of views and
 can only serve ``k' <= k`` (or anything, once the answer is known to be
-complete).
+complete).  A family has one progressive entry: the engine's queries
+and the progressive sessions (:mod:`repro.service.sessions`) both read
+it, so a session never re-peels what a query already materialised.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ class ProgressiveEntry:
     Three lifecycles share this class:
 
     * the engine's hot path holds a **live cursor** and materialises views
-      as queries pull on it;
+      as queries and progressive sessions pull on it (a session serves
+      ``delivered + N`` and drops what it already delivered);
     * a **warm-start restore** seeds the entry with frozen views only
       (plus a ``cursor_factory``); small ``k`` is a slice, a larger ``k``
       rebuilds the cursor and re-peels — the stream is deterministic, so
@@ -113,7 +116,8 @@ class ProgressiveEntry:
       ``max_cached_k`` views have been materialised, the tail views *and*
       the cursor (whose internal list of live ``Community`` objects is the
       real memory hog) are released, bounding what a long-running server
-      retains per entry.  Queries above the cap recompute via the factory.
+      retains per entry.  Queries above the cap recompute via the
+      factory, and so does each batch of a session that reads past it.
 
     Views are projected by a :class:`ForestProjector` that lives exactly
     as long as the cursor: its memo holds the cursor's communities, so
@@ -448,11 +452,13 @@ class ResultCache:
         Preserved progressive entries are re-seeded from their frozen
         views with a cursor factory bound to the **new** graph (via
         ``progressive_factory(new_key)``) — the old cursor still walks
-        the old generation and is retired here, so no old cursor stays
-        alive.  A reached family forgets exhaustion/completeness
-        because the stream *below* the watermark may have changed.
-        With ``identical=True`` (compaction: same content, new
-        representation) everything migrates and completeness survives.
+        the old generation, so the cache lets go of it (a session
+        holding the old entry keeps streaming that generation).  A
+        reached family forgets exhaustion/completeness because the
+        stream *below* the watermark may have changed.  With
+        ``identical=True`` (compaction: the same graph under a new
+        version) every entry object is re-keyed unchanged, its live
+        cursor included.
         Families that cannot be preserved — or reached progressive
         families when no factory is supplied — are dropped.  An entry
         already under the new key (a query of the new generation that
@@ -471,53 +477,50 @@ class ResultCache:
             for key, entry in moved:
                 del self._data[key]
                 new_key = replace(key, version=new_version)
-                if new_key in self._data:
-                    preserved += 1
-                    continue
-                scope = barrier if levels is None else _family_barrier(
-                    levels, key
-                )
-                unchanged = identical or (
-                    levels is not None and scope == float("-inf")
-                )
-                views = getattr(entry, "views", ())
-                keep = unchanged or (
-                    len(views) > 0 and views[-1].influence > scope
-                )
-                if keep and isinstance(entry, ProgressiveEntry):
-                    factory = (
-                        progressive_factory(new_key)
-                        if progressive_factory is not None
-                        else None
+                if new_key not in self._data:
+                    entry = self._carried(
+                        entry, new_key, identical, barrier, levels,
+                        progressive_factory,
                     )
-                    exhausted = entry.exhausted if unchanged else False
-                    if factory is None and not exhausted:
-                        keep = False  # inextensible without a factory
-                    else:
-                        self._data[new_key] = ProgressiveEntry(
-                            cursor_factory=factory,
-                            views=views,
-                            exhausted=exhausted,
-                            max_cached_k=(
-                                self.max_cached_k
-                                if factory is not None
-                                else None
-                            ),
-                        )
-                elif keep and isinstance(entry, StaticEntry):
-                    self._data[new_key] = StaticEntry(
-                        views, entry.complete if unchanged else False
-                    )
-                elif keep:  # unknown entry type: only safe when unchanged
-                    if unchanged:
-                        self._data[new_key] = entry
-                    else:
-                        keep = False
-                if keep:
-                    preserved += 1
-                else:
-                    invalidated += 1
+                    if entry is None:
+                        invalidated += 1
+                        continue
+                    self._data[new_key] = entry
+                preserved += 1
             return preserved, invalidated
+
+    def _carried(
+        self, entry, new_key, identical, barrier, levels, progressive_factory
+    ):
+        """What ``entry`` becomes under ``new_key``, or ``None`` to drop
+        it (see :meth:`migrate_graph`)."""
+        if identical:
+            return entry  # same graph: a live cursor carries on
+        scope = barrier if levels is None else _family_barrier(
+            levels, new_key
+        )
+        unchanged = levels is not None and scope == float("-inf")
+        views = getattr(entry, "views", ())
+        if not (unchanged or (views and views[-1].influence > scope)):
+            return None
+        if isinstance(entry, ProgressiveEntry):
+            factory = (
+                progressive_factory(new_key)
+                if progressive_factory is not None
+                else None
+            )
+            exhausted = unchanged and entry.exhausted
+            if factory is None and not exhausted:
+                return None  # inextensible without a factory
+            return ProgressiveEntry(
+                cursor_factory=factory,
+                views=views,
+                exhausted=exhausted,
+                max_cached_k=self.max_cached_k if factory is not None else None,
+            )
+        if isinstance(entry, StaticEntry):
+            return entry if unchanged else StaticEntry(views, False)
+        return entry if unchanged else None  # unknown entry type
 
     def invalidate_graph(self, graph: str, version: Optional[int] = None) -> int:
         """Drop all entries for ``graph`` (optionally one version only)."""

@@ -159,9 +159,10 @@ class QueryEngine:
         its γ (``event.stats.levels``); families no op reaches, and
         those whose influence frontier sits above their barrier, are
         re-keyed to the new version with a cursor factory bound to the
-        new graph; the rest are dropped (their progressive cursors
-        retire with them).  Counts are attached to the event for the
-        caller.
+        new graph; the rest are dropped (a session holding one keeps
+        streaming the old generation).  A compaction keeps the graph,
+        so each entry moves over as it is, live cursor included.
+        Counts are attached to the event for the caller.
         """
         identical = event.kind == "compact"
         preserved = invalidated = 0
@@ -220,6 +221,34 @@ class QueryEngine:
         return QueryPlan(algorithm, progressive=progressive, reason=reason)
 
     # ------------------------------------------------------------------
+    def progressive_entry(
+        self, handle: GraphHandle, key: CacheKey,
+        blocking: bool = True, resume: bool = True,
+    ) -> Optional[ProgressiveEntry]:
+        """The family's one progressive entry: the cached one, else a
+        fresh one stored under ``key``.  Queries and sessions share it.
+
+        ``None`` when a lock is busy (``blocking=False``), or when
+        nothing is cached and ``resume=False`` forbids a new stream.
+        """
+        cache = self.cache
+        entry = cache.get(key, blocking) if cache is not None else None
+        if isinstance(entry, ProgressiveEntry):
+            return entry
+        if entry is BUSY or not resume:
+            return None
+        cursor_factory = progressive_cursor_factory(
+            handle.graph, key.gamma, key.delta, kernel=self.kernel
+        )
+        entry = ProgressiveEntry(
+            cursor_factory(),
+            cursor_factory=cursor_factory,
+            max_cached_k=cache.max_cached_k if cache is not None else None,
+        )
+        if cache is not None and not cache.put(key, entry, blocking):
+            return None
+        return entry
+
     def _serve_progressive(
         self,
         handle: GraphHandle,
@@ -228,23 +257,9 @@ class QueryEngine:
         blocking: bool,
         resume: bool,
     ) -> Optional[_Served]:
-        cache = self.cache
-        entry = cache.get(key, blocking) if cache is not None else None
-        if entry is BUSY:
+        entry = self.progressive_entry(handle, key, blocking, resume)
+        if entry is None:
             return None
-        if not isinstance(entry, ProgressiveEntry):
-            if not resume:
-                return None
-            cursor_factory = progressive_cursor_factory(
-                handle.graph, query.gamma, query.delta, kernel=self.kernel
-            )
-            entry = ProgressiveEntry(
-                cursor_factory(),
-                cursor_factory=cursor_factory,
-                max_cached_k=cache.max_cached_k if cache is not None else None,
-            )
-            if cache is not None and not cache.put(key, entry, blocking):
-                return None
         served = entry.serve(query.k, blocking=blocking, resume=resume)
         if served is None:
             return None

@@ -184,7 +184,7 @@ METRICS = (
            help="Cached families carried across a graph mutation.",
            tick="families_preserved"),
     Metric("live.compactions", COUNTER, prom="repro_live_compactions_total",
-           help="Delta chains folded into fresh flat CSR generations.",
+           help="Compactions: pending-batch count reset, version bumped.",
            tick="compactions"),
     Metric("live.graph_generation", GAUGE, "graph", "repro_graph_generation",
            "Current registry version (generation) per graph."),

@@ -2,11 +2,17 @@
 
 The paper's "no k needed" workflow (Section 4): a client opens a session
 for ``(graph, gamma)``, repeatedly asks for the *next* few communities —
-each batch arrives in strictly decreasing influence order, computed
-lazily via :class:`~repro.core.progressive.ProgressiveCursor` — and
-closes (or abandons) the session when it has seen enough.  Abandoned
-sessions are evicted once idle longer than the TTL; the clock is
-injectable so tests can drive expiry deterministically.
+each batch arrives in strictly decreasing influence order — and closes
+(or abandons) the session when it has seen enough.
+
+A session holds its family's :class:`~repro.service.cache.ProgressiveEntry`
+(the one the result cache and the query engine share) and a delivered
+count; ``next`` serves ``delivered + N`` from it and drops what was
+delivered, so a session and a query on one family peel once.  The held
+entry pins the generation the session opened on, even after a mutation
+re-keys or re-seeds the family in the cache.  Abandoned sessions are
+evicted once idle longer than the TTL; the clock is injectable so tests
+can drive expiry deterministically.
 """
 
 from __future__ import annotations
@@ -14,13 +20,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from ..core.progressive import LocalSearchP, ProgressiveCursor
 from ..errors import UnknownSessionError
-from .metrics import ServiceMetrics
-from .model import CommunityView, ForestProjector
-from .registry import GraphRegistry
+from .cache import CacheKey, ProgressiveEntry
+from .engine import QueryEngine
+from .model import CommunityView
 
 __all__ = ["Session", "SessionManager"]
 
@@ -34,20 +39,12 @@ class Session:
     graph_version: int
     gamma: int
     delta: float
-    cursor: ProgressiveCursor
+    entry: ProgressiveEntry
     created_at: float
     last_used: float
     delivered: int = 0
-    #: Projects the cursor's communities; it lives as long as the session.
-    projector: ForestProjector = field(default_factory=ForestProjector)
+    exhausted: bool = False
     _lock: threading.Lock = field(default_factory=threading.Lock)
-
-    @property
-    def exhausted(self) -> bool:
-        return (
-            self.cursor.exhausted
-            and self.delivered >= self.cursor.materialized
-        )
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -66,8 +63,10 @@ class SessionManager:
 
     Parameters
     ----------
-    registry:
-        Graph source; sessions pin the handle current at creation time.
+    engine:
+        The query engine whose registry, cache, kernel and metrics the
+        sessions use; each session pins the graph handle current when
+        it opens.
     ttl_seconds:
         Idle time after which a session may be evicted (checked on every
         public operation — no background thread needed).
@@ -77,17 +76,15 @@ class SessionManager:
 
     def __init__(
         self,
-        registry: GraphRegistry,
+        engine: QueryEngine,
         ttl_seconds: float = 300.0,
         clock: Callable[[], float] = time.monotonic,
-        metrics: Optional[ServiceMetrics] = None,
     ) -> None:
         if not ttl_seconds > 0:  # NaN fails this too
             raise ValueError("ttl_seconds must be positive")
-        self.registry = registry
+        self.engine = engine
         self.ttl_seconds = ttl_seconds
         self.clock = clock
-        self.metrics = metrics
         self._sessions: Dict[str, Session] = {}
         self._lock = threading.RLock()
         self._counter = 0
@@ -103,9 +100,10 @@ class SessionManager:
             ]
             for sid in expired:
                 del self._sessions[sid]
-        for _ in expired:
-            if self.metrics is not None:
-                self.metrics.session_closed(expired=True)
+        metrics = self.engine.metrics
+        if metrics is not None:
+            for _ in expired:
+                metrics.session_closed(expired=True)
 
     def get(self, session_id: str) -> Session:
         """The live session called ``session_id`` (raises if unknown)."""
@@ -116,20 +114,12 @@ class SessionManager:
         return session
 
     # ------------------------------------------------------------------
-    def create(
-        self,
-        graph: str,
-        gamma: int,
-        delta: float = 2.0,
-        noncontainment: bool = False,
-    ) -> Session:
+    def create(self, graph: str, gamma: int, delta: float = 2.0) -> Session:
         """Open a session streaming ``graph``'s communities at ``gamma``."""
         self._sweep()
-        handle = self.registry.get(graph)
-        searcher = LocalSearchP(
-            handle.graph, gamma=gamma, delta=delta,
-            noncontainment=noncontainment,
-        )
+        handle = self.engine.registry.get(graph)
+        key = CacheKey(graph, handle.version, gamma, "localsearch-p", delta)
+        entry = self.engine.progressive_entry(handle, key)
         now = self.clock()
         with self._lock:
             self._counter += 1
@@ -139,13 +129,13 @@ class SessionManager:
                 graph_version=handle.version,
                 gamma=gamma,
                 delta=delta,
-                cursor=searcher.cursor(),
+                entry=entry,
                 created_at=now,
                 last_used=now,
             )
             self._sessions[session.session_id] = session
-        if self.metrics is not None:
-            self.metrics.session_opened()
+        if self.engine.metrics is not None:
+            self.engine.metrics.session_opened()
         return session
 
     def next(
@@ -153,8 +143,8 @@ class SessionManager:
     ) -> Tuple[List[CommunityView], bool]:
         """The next ``count`` communities and whether the stream is done.
 
-        Successive calls never repeat a community; the underlying stream
-        resumes where the last batch stopped.
+        Successive calls never repeat a community; the family's stream
+        resumes where the furthest reader stopped.
         """
         if count < 1:
             raise ValueError("count must be at least 1")
@@ -162,12 +152,10 @@ class SessionManager:
         session = self.get(session_id)
         with session._lock:
             start = session.delivered
-            communities = session.cursor.take(start + count)[start:]
-            views = list(map(session.projector.view, communities))
-            session.delivered += len(communities)
+            views, _, session.exhausted = session.entry.serve(start + count)
+            session.delivered = len(views)
             session.last_used = self.clock()
-            done = session.exhausted
-        return views, done
+            return list(views[start:]), session.exhausted
 
     def close(self, session_id: str) -> None:
         """Close a session (idempotent errors: unknown ids raise)."""
@@ -175,8 +163,8 @@ class SessionManager:
             if session_id not in self._sessions:
                 raise UnknownSessionError(session_id)
             del self._sessions[session_id]
-        if self.metrics is not None:
-            self.metrics.session_closed()
+        if self.engine.metrics is not None:
+            self.engine.metrics.session_closed()
 
     def touch(self, session_id: str) -> None:
         """Refresh a session's idle timer without advancing it."""

@@ -4,9 +4,10 @@ A dependency-free serving frontend: one command per line on an input
 stream, human-readable responses on an output stream.  The same loop
 serves an interactive REPL (stdin on a TTY), a piped script, or a test
 feeding a ``StringIO`` — no network stack required, while exercising the
-full service stack (registry -> planner -> cache -> sessions -> metrics)
-exactly as a socket server would; the network transport runs every
-command but ``query`` through it as well.
+full service stack (registry -> planner -> cache -> metrics; sessions
+stream from the cache's progressive entries) exactly as a socket server
+would; the network transport runs every command but ``query`` through
+it as well.
 
 :attr:`ServiceShell.COMMANDS` is the protocol: one row per verb holds
 its grammar, its help text and its handler.  Type ``help`` for the
@@ -251,7 +252,12 @@ def render_traces(
 
 
 class ServiceShell:
-    """Drive a :class:`QueryEngine` + :class:`SessionManager` over text.
+    """Drive a :class:`QueryEngine` and a session scope over text.
+
+    Each shell owns one :class:`SessionManager` over its engine (idle
+    sessions expire after ``session_ttl`` seconds): the stdio loop has
+    one, and the network transport builds one shell per connection, so
+    session ids never cross connections.
 
     ``on_shutdown`` is the hook behind the ``shutdown`` command: the
     asyncio server passes a (thread-safe) callback requesting a graceful
@@ -265,14 +271,14 @@ class ServiceShell:
     def __init__(
         self,
         engine: QueryEngine,
-        sessions: SessionManager,
         out: Optional[TextIO],
         metrics: Optional[ServiceMetrics] = None,
         prompt: str = "",
         on_shutdown: Optional[Callable[[], None]] = None,
+        session_ttl: float = 300.0,
     ) -> None:
         self.engine = engine
-        self.sessions = sessions
+        self.sessions = SessionManager(engine, ttl_seconds=session_ttl)
         self.out = out
         self.metrics = metrics if metrics is not None else engine.metrics
         self.prompt = prompt

@@ -7,6 +7,7 @@ from typing import List, Tuple
 
 import pytest
 
+from repro.core.progressive import LocalSearchP
 from repro.graph.builder import graph_from_arrays
 from repro.graph.weighted_graph import WeightedGraph
 from repro.workloads.paper_examples import figure1_graph, figure3_graph
@@ -29,6 +30,20 @@ def random_graph(
     else:
         weight_list = None  # identity: vertex 0 is heaviest
     return graph_from_arrays(n, edges, weights=weight_list)
+
+
+@pytest.fixture()
+def started_streams(monkeypatch) -> list:
+    """Every LocalSearch-P stream started while the test runs."""
+    started: list = []
+    stream = LocalSearchP.stream
+
+    def counting(self):
+        started.append(self)
+        return stream(self)
+
+    monkeypatch.setattr(LocalSearchP, "stream", counting)
+    return started
 
 
 @pytest.fixture(scope="session")

@@ -414,12 +414,10 @@ class TestReviewRegressions:
     def test_tab_separated_query_lines_parse(self, registry, facade):
         import io
 
-        from repro.service import ServiceShell, SessionManager
+        from repro.service import ServiceShell
 
         out = io.StringIO()
-        shell = ServiceShell(
-            facade.engine, SessionManager(registry), out
-        )
+        shell = ServiceShell(facade.engine, out)
         assert shell.execute_line("query\tcliques k=1 gamma=3")
         text = out.getvalue()
         assert "top-1:" in text and "error" not in text

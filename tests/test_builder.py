@@ -16,7 +16,7 @@ from repro.errors import (
 from repro.graph.builder import GraphBuilder, graph_from_arrays
 from repro.graph.io import load_npz, load_snap_graph
 from repro.graph.weighted_graph import WeightedGraph
-from repro.service import GraphRegistry, QueryEngine, ServiceShell, SessionManager
+from repro.service import GraphRegistry, QueryEngine, ServiceShell
 
 
 class TestBasics:
@@ -196,7 +196,7 @@ def test_shell_load_answers_non_finite_weights_with_a_typed_error(
 ):
     registry = GraphRegistry(preload_datasets=False)
     out = io.StringIO()
-    shell = ServiceShell(QueryEngine(registry), SessionManager(registry), out)
+    shell = ServiceShell(QueryEngine(registry), out)
     edges, weights = _edges_and_weights_files(tmp_path, value)
     assert shell.execute_line(f"load g {edges} {weights}")
     (line,) = out.getvalue().splitlines()

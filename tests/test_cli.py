@@ -194,16 +194,14 @@ class TestServe:
             GraphRegistry,
             QueryEngine,
             ServiceShell,
-            SessionManager,
         )
 
         registry = GraphRegistry(preload_datasets=False)
         engine = QueryEngine(registry)
-        sessions = SessionManager(registry)
         out = io.StringIO()
         fired = []
         shell = ServiceShell(
-            engine, sessions, out, on_shutdown=lambda: fired.append(True)
+            engine, out, on_shutdown=lambda: fired.append(True)
         )
         code = shell.run(io.StringIO("shutdown\nquery g\n"))
         assert code == 0
@@ -217,7 +215,6 @@ class TestServe:
             GraphRegistry,
             QueryEngine,
             ServiceShell,
-            SessionManager,
         )
 
         class BrokenOut(io.StringIO):
@@ -229,7 +226,7 @@ class TestServe:
         registry = GraphRegistry(preload_datasets=False)
         registry.register_edge_list("g", edge_file)
         engine = QueryEngine(registry)
-        shell = ServiceShell(engine, SessionManager(registry), BrokenOut())
+        shell = ServiceShell(engine, BrokenOut())
         code = shell.run(io.StringIO("query g k=1 gamma=3\nquery g\n"))
         assert code == 0
 
@@ -337,9 +334,20 @@ class TestServerFlags:
         assert _parse_replication(["wiki=2", "email=1"]) == {
             "wiki": 2, "email": 1,
         }
-        for bad in ("wiki", "wiki=", "wiki=0", "=2"):
-            with pytest.raises(SystemExit):
+        for bad in ("wiki", "wiki=", "wiki=0", "=2", "wiki=x"):
+            with pytest.raises(ValueError):
                 _parse_replication([bad])
+
+    @pytest.mark.parametrize("value", ["wiki", "wiki=0", "=2", "wiki=x"])
+    def test_bad_replicate_fails_cleanly(self, value):
+        code, text = run_cli(
+            ["serve", "--no-datasets", "--tcp", "127.0.0.1:0",
+             "--replicate", value]
+        )
+        assert code == 2
+        assert text == (
+            f"error: bad --replicate value {value!r} (want GRAPH=COPIES)\n"
+        )
 
     def test_tcp_serve_roundtrip(self, tmp_path, edge_file):
         """`repro serve --socket` end to end through the CLI entry point."""

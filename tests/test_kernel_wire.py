@@ -29,7 +29,6 @@ from repro.service import (
     ResultCache,
     ServiceMetrics,
     ServiceShell,
-    SessionManager,
 )
 
 
@@ -59,9 +58,7 @@ def make_shell(registry=None, cache=True):
         metrics=metrics,
     )
     out = io.StringIO()
-    shell = ServiceShell(
-        engine, SessionManager(registry, metrics=metrics), out, metrics=metrics
-    )
+    shell = ServiceShell(engine, out, metrics=metrics)
     return shell, out, metrics
 
 

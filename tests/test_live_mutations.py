@@ -470,6 +470,21 @@ class TestScopedInvalidation:
         assert result.source == "cache"
         assert result.graph_version == event.new_version
 
+    def test_compaction_rekeys_the_live_entry(self, started_streams):
+        registry, cache, metrics, engine = self._stack()
+        spec = QuerySpec(graph="g", gamma=1, k=1)
+        registry.apply("g", [("insert", 3, 5)])
+        engine.execute(spec)
+        key = CacheKey.for_spec(spec, registry.get("g").version)
+        entry = cache.get(key)
+        del started_streams[:]
+        event = registry.compact("g")
+        assert (event.preserved, event.invalidated) == (1, 0)
+        assert cache.get(replace(key, version=event.new_version)) is entry
+        # The live cursor carries on: the extension resumes it.
+        assert engine.execute(replace(spec, k=4)).source == "extended"
+        assert started_streams == []
+
     def test_metrics_live_section(self):
         registry, cache, metrics, engine = self._stack()
         spec = QuerySpec(graph="g", gamma=1, k=2)

@@ -17,7 +17,6 @@ from repro.service import (
     ResultCache,
     ServiceMetrics,
     ServiceShell,
-    SessionManager,
 )
 from repro.service.metrics import METRICS, family_label
 
@@ -223,7 +222,6 @@ class TestErrorKinds:
         metrics = ServiceMetrics()
         shell = ServiceShell(
             QueryEngine(registry, cache=ResultCache(), metrics=metrics),
-            SessionManager(registry),
             io.StringIO(),
             metrics=metrics,
         )
@@ -366,7 +364,6 @@ class TestByFamily:
         out = io.StringIO()
         shell = ServiceShell(
             engine,
-            SessionManager(registry, metrics=metrics),
             out,
             metrics=metrics,
         )

@@ -30,7 +30,6 @@ from repro.service import (
     QueryEngine,
     ResultCache,
     ServiceShell,
-    SessionManager,
 )
 
 
@@ -473,7 +472,7 @@ class TestNonFiniteWindows:
         engine = QueryEngine(registry, cache=ResultCache())
         engine.profiler = OnDemandProfiler()
         out = io.StringIO()
-        shell = ServiceShell(engine, SessionManager(registry), out)
+        shell = ServiceShell(engine, out)
         for value in ("nan", "inf"):
             shell.execute_line(f"profile seconds={value}")
         lines = out.getvalue().splitlines()

@@ -171,7 +171,7 @@ def test_trimmed_entry_extends_like_the_reference(case, cap):
 def test_session_batches_project_like_the_reference(case, batch):
     graph, gamma = _graph(case), case[2]
     expected = _reference(graph, gamma)
-    sessions = SessionManager(_registry(graph))
+    sessions = SessionManager(QueryEngine(_registry(graph)))
     sid = sessions.create("g", gamma).session_id
     streamed, done = [], False
     while not done:
@@ -245,7 +245,7 @@ def test_colliding_str_forms_order_by_rank_on_every_path():
         static = engine.execute(
             QuerySpec(graph="g", gamma=2, k=k, algorithm="localsearch")
         )
-        sessions = SessionManager(registry)
+        sessions = SessionManager(QueryEngine(registry))
         streamed, _ = sessions.next(sessions.create("g", 2).session_id, k)
         _assert_served(progressive, expected)
         _assert_served(static, expected)

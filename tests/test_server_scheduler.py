@@ -21,7 +21,6 @@ from repro.service import (
     ResultCache,
     ServiceMetrics,
     ServiceShell,
-    SessionManager,
 )
 
 
@@ -239,7 +238,7 @@ def test_kernel_spellings_share_one_pass_and_one_entry(registry):
         assert result.communities == reference_views(registry, result.query)
 
     out = io.StringIO()
-    shell = ServiceShell(engine, SessionManager(registry), out)
+    shell = ServiceShell(engine, out)
     shell.execute_line("query cliques gamma=3 k=2 kernel=fortran")
     assert out.getvalue().splitlines() == [
         "error: unknown kernel 'fortran'; "

@@ -1,13 +1,23 @@
-"""SessionManager: progressive batches, TTL eviction, cursor resumption."""
+"""SessionManager: progressive batches, TTL eviction, cursor resumption,
+and the family entry a session shares with the query engine."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api.spec import QuerySpec
 from repro.core.progressive import LocalSearchP
+from repro.core.reference import reference_communities
 from repro.errors import UnknownSessionError
 from repro.graph.builder import graph_from_arrays
-from repro.service import GraphRegistry, ServiceMetrics, SessionManager
+from repro.service import (
+    CacheKey,
+    GraphRegistry,
+    QueryEngine,
+    ResultCache,
+    ServiceMetrics,
+    SessionManager,
+)
 
 
 def layered_cliques(num_cliques=5):
@@ -45,7 +55,7 @@ def clock():
 
 @pytest.fixture()
 def manager(registry, clock):
-    return SessionManager(registry, ttl_seconds=60.0, clock=clock)
+    return SessionManager(QueryEngine(registry), ttl_seconds=60.0, clock=clock)
 
 
 class TestProgressiveCursor:
@@ -112,7 +122,7 @@ class TestSessions:
 class TestTTL:
     def test_idle_session_expires(self, manager, clock, registry):
         metrics = ServiceMetrics()
-        manager.metrics = metrics
+        manager.engine.metrics = metrics
         session = manager.create("cliques", gamma=3)
         clock.advance(61.0)
         assert manager.active() == []
@@ -148,3 +158,105 @@ class TestTTL:
         live = [row["session_id"] for row in manager.active()]
         assert live == [s2.session_id]
         assert s1.session_id not in manager
+
+
+def reference(graph, gamma):
+    """``(influence, member labels)`` of every community, by definition."""
+    return [
+        (influence, frozenset(graph.labels(sorted(ranks))))
+        for influence, ranks in reference_communities(graph, gamma)
+    ]
+
+
+def pairs(views):
+    return [(view.influence, frozenset(view.members)) for view in views]
+
+
+def drain(manager, sid, batch=2):
+    streamed, done = [], False
+    while not done:
+        views, done = manager.next(sid, batch)
+        streamed.extend(views)
+    return streamed
+
+
+class TestSharedEntry:
+    """A session streams from its family's cached ProgressiveEntry."""
+
+    def test_session_after_query_reads_the_cached_prefix(
+        self, registry, started_streams
+    ):
+        engine = QueryEngine(registry, cache=ResultCache(8))
+        manager = SessionManager(engine)
+        spec = QuerySpec(graph="cliques", gamma=3, k=2)
+        queried = engine.execute(spec).communities
+        assert len(started_streams) == 1
+        sid = manager.create("cliques", gamma=3).session_id
+        views, _ = manager.next(sid, 2)
+        assert len(views) == 2
+        assert all(a is b for a, b in zip(views, queried))
+        manager.next(sid, 2)
+        # One stream serves both readers; the query reads what the
+        # session pulled.
+        result = engine.execute(spec.with_k(4))
+        assert result.source == "cache"
+        assert len(started_streams) == 1
+
+    def test_session_batches_are_not_counted_as_queries(self, registry):
+        metrics = ServiceMetrics()
+        engine = QueryEngine(registry, cache=ResultCache(8), metrics=metrics)
+        manager = SessionManager(engine)
+        drain(manager, manager.create("cliques", gamma=3).session_id)
+        snap = metrics.snapshot()
+        assert snap["queries_served"] == 0
+        assert engine.cache.stats.lookups == 0
+        assert snap["sessions_opened"] == 1
+
+    def test_mutation_keeps_the_session_on_its_generation(self, registry):
+        engine = QueryEngine(registry, cache=ResultCache(8))
+        manager = SessionManager(engine)
+        before = registry.get("cliques").graph
+        sid = manager.create("cliques", gamma=3).session_id
+        first, _ = manager.next(sid, 2)
+        # Deleting an edge of the heaviest clique reaches gamma=3 and
+        # removes its community.
+        event = registry.apply("cliques", [("delete", 0, 1)])
+        assert event.invalidated == 1
+        rest = drain(manager, sid)
+        assert pairs(first + rest) == reference(before, 3)
+        after = registry.get("cliques").graph
+        result = engine.execute(QuerySpec(graph="cliques", gamma=3, k=10))
+        assert pairs(result.communities) == reference(after, 3)
+        assert len(result.communities) == len(first + rest) - 1
+
+    def test_compaction_keeps_the_session_on_the_cached_entry(
+        self, registry, started_streams
+    ):
+        engine = QueryEngine(registry, cache=ResultCache(8))
+        manager = SessionManager(engine)
+        registry.apply("cliques", [("delete", 0, 1)])
+        session = manager.create("cliques", gamma=3)
+        first, _ = manager.next(session.session_id, 1)
+        event = registry.compact("cliques")
+        key = CacheKey("cliques", event.new_version, 3, "localsearch-p", 2.0)
+        assert engine.cache.get(key) is session.entry
+        rest = drain(manager, session.session_id)
+        graph = registry.get("cliques").graph
+        assert pairs(first + rest) == reference(graph, 3)
+        result = engine.execute(
+            QuerySpec(graph="cliques", gamma=3, k=len(first + rest))
+        )
+        assert result.source == "cache"
+        assert pairs(result.communities) == reference(graph, 3)
+        assert len(started_streams) == 1
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_reading_past_max_cached_k_streams_the_reference(
+        self, registry, batch
+    ):
+        engine = QueryEngine(registry, cache=ResultCache(8, max_cached_k=2))
+        manager = SessionManager(engine)
+        sid = manager.create("cliques", gamma=3).session_id
+        streamed = drain(manager, sid, batch)
+        graph = registry.get("cliques").graph
+        assert pairs(streamed) == reference(graph, 3)

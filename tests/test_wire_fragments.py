@@ -38,7 +38,6 @@ from repro.service import (
     QueryEngine,
     ResultCache,
     ServiceShell,
-    SessionManager,
 )
 from repro.core.progressive import LocalSearchP
 from repro.graph.weighted_graph import WeightedGraph
@@ -357,7 +356,7 @@ def test_non_finite_delta_is_rejected(value):
 def _shell(registry):
     out = io.StringIO()
     engine = QueryEngine(registry)
-    return ServiceShell(engine, SessionManager(registry), out), out
+    return ServiceShell(engine, out), out
 
 
 def test_shell_answers_typed_errors_and_leaves_graph_alone():
