@@ -29,7 +29,7 @@ from ..api.spec import FamilyKey, QuerySpec
 from ..obs.trace import Span, Tracer
 from ..service.engine import QueryEngine
 from ..service.metrics import ServiceMetrics, family_label
-from ..service.model import QueryResult
+from ..service.model import QueryResult, ViewSlice
 from .shards import ShardPool
 
 __all__ = ["CoalesceStats", "BatchScheduler"]
@@ -187,9 +187,13 @@ class BatchScheduler:
         ],
     ) -> None:
         k_max = max(query.k for query, _, _ in batch)
-        lead, _, lead_span = next(
-            entry for entry in batch if entry[0].k == k_max
+        # The lead is a position, not a spec: two waiters may hold one
+        # QuerySpec object, and only the lead's own waiter is served
+        # the engine's result.
+        lead_at = next(
+            idx for idx, (query, _, _) in enumerate(batch) if query.k == k_max
         )
+        lead, _, lead_span = batch[lead_at]
         tracer = self.tracer
         bspan = (
             tracer.start_span("scheduler", lead_span, width=len(batch))
@@ -202,8 +206,8 @@ class BatchScheduler:
         # explained without dumping the leader's trace.
         coalesced: Dict[int, Span] = {}
         if tracer is not None:
-            for idx, (query, _, span) in enumerate(batch):
-                if query is not lead and span is not None:
+            for idx, (_, _, span) in enumerate(batch):
+                if idx != lead_at and span is not None:
                     coalesced[idx] = tracer.start_span(
                         "coalesced",
                         span,
@@ -243,7 +247,7 @@ class BatchScheduler:
                 tracer.end(cspan, source=COALESCED)
             if future.done():  # waiter went away (connection dropped)
                 continue
-            if query is lead:
+            if idx == lead_at:
                 future.set_result(result)
             else:
                 future.set_result(self._slice(result, query))
@@ -258,8 +262,18 @@ class BatchScheduler:
 
     @staticmethod
     def _slice(result: QueryResult, query: QuerySpec) -> QueryResult:
-        """A follower's view of the lead's result: its own k-prefix."""
-        views = result.communities[: query.k]
+        """A follower's view of the lead's result: its own k-prefix.
+
+        A cache-served lead answers with a :class:`ViewSlice`, whose
+        prefixes are memoised with their joined JSON, so a repeated
+        follower reuses the lead slice's stored text.
+        """
+        views = result.communities
+        views = (
+            views.head(query.k)
+            if type(views) is ViewSlice
+            else views[: query.k]
+        )
         return QueryResult(
             query=query,
             algorithm=result.algorithm,

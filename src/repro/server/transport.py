@@ -55,6 +55,8 @@ __all__ = ["ReproServer", "check_port", "dot_stuff", "dot_unstuff"]
 
 #: End-of-response sentinel line.
 TERMINATOR = "."
+#: What follows the last payload line of a response block.
+_BLOCK_END = "\n" + TERMINATOR + "\n"
 
 
 def check_port(port: int, what: str) -> int:
@@ -542,6 +544,19 @@ class ReproServer:
     async def _send(
         self, writer: asyncio.StreamWriter, lines: Iterable[str]
     ) -> None:
+        r"""Frame ``lines`` as one response block and write it.
+
+        Each line is split at ``\n`` and dot-stuffed, and a ``.`` line
+        ends the block.  A one-line response that needs neither (a JSON
+        answer, an ``error:`` line) is framed as ``line + "\n.\n"``
+        with one encode: the same bytes without the per-part copies.
+        """
+        if isinstance(lines, list) and len(lines) == 1:
+            line = lines[0]
+            if not line.startswith(".") and "\n" not in line:
+                writer.write((line + _BLOCK_END).encode("utf-8"))
+                await writer.drain()
+                return
         payload: List[str] = []
         for line in lines:
             for part in line.split("\n"):

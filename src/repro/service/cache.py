@@ -29,7 +29,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.progressive import ProgressiveCursor
 from ..errors import ServiceError
-from .model import CommunityView, ForestProjector
+from .model import CommunityView, ForestProjector, ViewSlice
 
 __all__ = [
     "CacheKey",
@@ -43,6 +43,9 @@ __all__ = [
 #: What a non-blocking :meth:`ResultCache.get` answers when another
 #: thread holds the cache lock (``None`` means "no entry").
 BUSY = object()
+
+#: Cap on memoised answer slices per entry (distinct k's).
+MAX_CACHED_SLICES = 128
 
 
 @dataclass(frozen=True)
@@ -135,9 +138,6 @@ class ProgressiveEntry:
         "_lock",
     )
 
-    #: Cap on memoised per-k answer tuples (distinct k's per entry).
-    _MAX_CACHED_SLICES = 128
-
     def __init__(
         self,
         cursor: Optional[ProgressiveCursor] = None,
@@ -165,9 +165,10 @@ class ProgressiveEntry:
         self.cursor_factory = cursor_factory
         self.max_cached_k = max_cached_k
         self._views: List[CommunityView] = list(views)
-        #: Memoised answer tuples by k: the view sequence is append-only,
+        #: Memoised answer slices by k: the view sequence is append-only,
         #: so a fully-materialised top-k prefix never changes and repeat
-        #: hits (the dominant server-tier traffic) allocate nothing.
+        #: hits (the dominant server-tier traffic) allocate nothing and
+        #: reuse the slice's joined JSON.
         self._served: dict = {}
         self._exhausted = exhausted
         self._lock = threading.Lock()
@@ -209,8 +210,13 @@ class ProgressiveEntry:
         for k in [k for k in self._served if k > cap]:
             del self._served[k]
 
-    def _answer(self, k: int) -> Tuple[CommunityView, ...]:
-        """The (memoised) top-``k`` tuple (lock held)."""
+    def _answer(self, k: int) -> ViewSlice:
+        """The top-``k`` :class:`ViewSlice` (lock held).
+
+        A slice that can never change is stored by ``k`` and handed to
+        every later hit of that ``k``, so its joined communities JSON
+        (:meth:`ViewSlice.json_body`) is built once per members flag.
+        """
         have = len(self._views)
         # Once the stream is exhausted, every k >= have yields the same
         # full answer: normalise the memo key so oversized k's share one
@@ -219,12 +225,12 @@ class ProgressiveEntry:
         cached = self._served.get(key)
         if cached is not None:
             return cached
-        out = tuple(self._views[:k])
+        out = ViewSlice(self._views[:k])
         # Only memoise slices that can never change: k fully covered by
         # the materialised views, or the stream known exhausted.
         if (
             have >= k or self._exhausted
-        ) and len(self._served) < self._MAX_CACHED_SLICES:
+        ) and len(self._served) < MAX_CACHED_SLICES:
             self._served[key] = out
         return out
 
@@ -292,13 +298,17 @@ class ProgressiveEntry:
 class StaticEntry:
     """A frozen cached answer from a non-resumable algorithm."""
 
-    __slots__ = ("views", "complete")
+    __slots__ = ("views", "complete", "_served")
 
     def __init__(self, views: Tuple[CommunityView, ...], complete: bool) -> None:
         self.views = tuple(views)
         #: True when the views are *all* communities of the graph (the
         #: query asked for more than exist), so any k' can be served.
         self.complete = complete
+        #: Served :class:`ViewSlice` objects by (clamped) k, as in
+        #: :class:`ProgressiveEntry`; lock-free, since a racing serve
+        #: only builds an equal slice.
+        self._served: dict = {}
 
     @classmethod
     def capped(
@@ -319,8 +329,15 @@ class StaticEntry:
 
     def serve(self, k: int) -> Optional[Tuple[Tuple[CommunityView, ...], str]]:
         """Serve top-``k`` if the entry covers it, else ``None`` (miss)."""
-        if k <= len(self.views) or self.complete:
-            return self.views[:k], "cache"
+        views = self.views
+        if k <= len(views) or self.complete:
+            key = min(k, len(views))
+            out = self._served.get(key)
+            if out is None:
+                out = ViewSlice(views[:key])
+                if len(self._served) < MAX_CACHED_SLICES:
+                    self._served[key] = out
+            return out, "cache"
         return None
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "CommunityView",
     "ForestProjector",
     "QueryResult",
+    "ViewSlice",
     "ALGORITHMS",
     "AUTO",
 ]
@@ -177,6 +178,9 @@ _JSON_BARE = "_json_bare"
 _JSON_TOKENS = "_json_tokens"
 _TEXT_HEAD = "_text_head"
 _TEXT_MEMBERS = "_text_members"
+# A ViewSlice's memoised prefixes by k; its joined JSON takes the two
+# JSON slots above.
+_HEADS = "_heads"
 
 
 class ForestProjector:
@@ -246,6 +250,52 @@ class ForestProjector:
         return view
 
 
+def _join_fragments(
+    views: Tuple[CommunityView, ...], include_members: bool
+) -> str:
+    """The views' JSON fragments, comma-separated: the inside of a
+    result's ``"communities"`` array."""
+    return ", ".join(v.json_fragment(include_members) for v in views)
+
+
+class ViewSlice(tuple):
+    """A served top-k tuple of views that memoises its joined JSON.
+
+    A family's answer does not depend on ``k`` beyond a prefix cut
+    (the suffix property), so a cache entry hands out one slice object
+    for every hit of one ``k`` and its wire text never changes.  The
+    slice joins its views' fragments once per members flag
+    (:meth:`json_body`) and keeps each shorter prefix it is asked for
+    (:meth:`head`, a coalesced follower's answer), so a repeated hit
+    splices one stored string.  The memo lives in the instance
+    ``__dict__``; equality, hashing, repr and slicing are the tuple's
+    (a slice of a ViewSlice is a plain tuple), and a ViewSlice pickles
+    to its views only.  No lock: racing renders store the same text.
+    """
+
+    def json_body(self, include_members: bool = True) -> str:
+        """``_join_fragments(self, include_members)``, joined once."""
+        slot = _JSON_MEMBERS if include_members else _JSON_BARE
+        text = self.__dict__.get(slot)
+        if text is None:
+            text = self.__dict__[slot] = _join_fragments(self, include_members)
+        return text
+
+    def head(self, k: int) -> "ViewSlice":
+        """The top-``k`` prefix as a memoised ViewSlice (``self`` when
+        ``k`` covers every view)."""
+        if k >= len(self):
+            return self
+        heads = self.__dict__.setdefault(_HEADS, {})
+        out = heads.get(k)
+        if out is None:
+            out = heads[k] = ViewSlice(self[:k])
+        return out
+
+    def __reduce__(self):
+        return ViewSlice, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """A served query: the answer plus its provenance.
@@ -308,15 +358,20 @@ class QueryResult:
         """Deterministic JSON (sorted keys, no whitespace variance).
 
         Byte-identical to ``json.dumps(self.to_dict(include_members),
-        sort_keys=True, default=str)``, but each community is spliced in
-        as its memoised :meth:`CommunityView.json_fragment`, so a cache
-        hit encodes only the scalar provenance.  Sorted, the keys open
-        with ``"algorithm"`` then ``"communities"``; the rest follow.
+        sort_keys=True, default=str)``, but the communities are spliced
+        in as stored text: a :class:`ViewSlice` (what the cache serves)
+        joins them once, any other tuple joins each view's memoised
+        :meth:`CommunityView.json_fragment`.  So a cache hit encodes
+        only the scalar head and tail.  Sorted, the keys open with
+        ``"algorithm"`` then ``"communities"``; the rest follow.
         """
         scalars = self._scalars()
         algorithm = JSON_ENCODER.encode(scalars.pop("algorithm"))
-        communities = ", ".join(
-            v.json_fragment(include_members) for v in self.communities
+        views = self.communities
+        communities = (
+            views.json_body(include_members)
+            if type(views) is ViewSlice
+            else _join_fragments(views, include_members)
         )
         rest = JSON_ENCODER.encode(scalars)
         return (

@@ -16,6 +16,7 @@ rendered list.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import shlex
@@ -56,6 +57,16 @@ def split_verb(line: str) -> Tuple[str, str]:
         parts[1] if len(parts) > 1 else ""
     )
 
+
+#: Parsed JSON query documents by their exact text, for
+#: :meth:`ServiceShell.parse_query_line`.  Shared by every shell and
+#: thread: a dict read or store is atomic, and a racing parse stores an
+#: equal value.
+_WIRE_MEMO: Dict[str, Tuple[QuerySpec, bool]] = {}
+#: The memo is cleared when it holds this many documents, and keeps
+#: none longer than ``_WIRE_MEMO_TEXT`` characters: at most about 1 MiB.
+_WIRE_MEMO_SIZE = 1024
+_WIRE_MEMO_TEXT = 1024
 
 #: Value names with a type; any other value is a string.
 _TYPES = {"N": int, "F": float}
@@ -293,9 +304,25 @@ class ServiceShell:
         ``key=value`` token grammar, and — when the remainder opens a
         JSON object — the versioned wire document consumed by
         :func:`repro.api.spec.parse_wire_query`.
+
+        A wire document's parse is memoised by its exact text (only
+        successful parses of documents up to 1,024 characters; the memo
+        is cleared when it holds 1,024 of them), so a repeated JSON
+        request costs one dictionary lookup.  Every call still returns
+        a spec object of its own, a shallow copy of the memoised one:
+        the scheduler and the tracing seams tell requests apart by spec
+        identity.
         """
-        if rest.lstrip().startswith("{"):
-            return parse_wire_query(rest)
+        parsed = _WIRE_MEMO.get(rest)
+        if parsed is None and rest.lstrip().startswith("{"):
+            parsed = parse_wire_query(rest)
+            if len(rest) <= _WIRE_MEMO_TEXT:
+                if len(_WIRE_MEMO) >= _WIRE_MEMO_SIZE:
+                    _WIRE_MEMO.clear()
+                _WIRE_MEMO[rest] = parsed
+        if parsed is not None:
+            spec, members = parsed
+            return copy.copy(spec), members
         try:
             tokens = shlex.split(rest, comments=True)
         except ValueError as exc:

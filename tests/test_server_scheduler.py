@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import QuerySpec, parse_spec_tokens
 from repro.errors import UnknownGraphError
+from repro.obs.trace import Tracer
 from repro.graph.builder import graph_from_arrays
 from repro.server import BatchScheduler, ShardPool
 from repro.service import (
@@ -244,3 +245,38 @@ def test_kernel_spellings_share_one_pass_and_one_entry(registry):
         "error: unknown kernel 'fortran'; "
         "choose from auto, python, array, numpy"
     ]
+
+
+def test_waiters_sharing_one_spec_object_are_each_served(registry):
+    """The lead is one waiter, not one spec: a follower holding the
+    lead's own QuerySpec object is still a coalesced follower, gets its
+    own ``coalesced`` span and is counted once."""
+
+    async def main():
+        metrics = ServiceMetrics()
+        scheduler, pool = make_scheduler(registry, metrics, window_s=0.05)
+        tracer = Tracer(sample=1.0)
+        scheduler.tracer = tracer
+        query = QuerySpec(graph="cliques", gamma=3, k=3)
+        twin = QuerySpec(graph="cliques", gamma=3, k=3)
+        spans = [tracer.maybe_start("transport") for _ in range(3)]
+        try:
+            results = await asyncio.gather(
+                scheduler.submit(query, span=spans[0]),
+                scheduler.submit(query, span=spans[1]),
+                scheduler.submit(twin, span=spans[2]),
+            )
+        finally:
+            pool.shutdown()
+        for span in spans:
+            tracer.end(span)
+        return metrics, scheduler, tracer, spans, results
+
+    metrics, scheduler, tracer, spans, results = asyncio.run(main())
+    assert [r.source for r in results] == ["cold", "coalesced", "coalesced"]
+    assert results[0].query is results[1].query
+    assert scheduler.stats.queries == 3
+    assert metrics.snapshot()["queries_served"] == 3
+    for span, followed in zip(spans, (False, True, True)):
+        names = [s["name"] for s in tracer.store.get(span.trace_id)["spans"]]
+        assert ("coalesced" in names) is followed
