@@ -238,13 +238,6 @@ class QuerySpec:
             delta=self.delta,
         )
 
-    def __copy__(self) -> "QuerySpec":
-        # A field-for-field copy of a spec that was validated when it
-        # was built: no replace(), no second validation.
-        fresh = object.__new__(type(self))
-        fresh.__dict__.update(self.__dict__)
-        return fresh
-
     def with_k(self, k: int) -> "QuerySpec":
         """This spec asking for ``k`` communities (same family)."""
         return self if k == self.k else replace(self, k=k)

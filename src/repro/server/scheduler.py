@@ -29,7 +29,7 @@ from ..api.spec import FamilyKey, QuerySpec
 from ..obs.trace import Span, Tracer
 from ..service.engine import QueryEngine
 from ..service.metrics import ServiceMetrics, family_label
-from ..service.model import QueryResult, ViewSlice
+from ..service.model import QueryResult
 from .shards import ShardPool
 
 __all__ = ["CoalesceStats", "BatchScheduler"]
@@ -262,18 +262,8 @@ class BatchScheduler:
 
     @staticmethod
     def _slice(result: QueryResult, query: QuerySpec) -> QueryResult:
-        """A follower's view of the lead's result: its own k-prefix.
-
-        A cache-served lead answers with a :class:`ViewSlice`, whose
-        prefixes are memoised with their joined JSON, so a repeated
-        follower reuses the lead slice's stored text.
-        """
-        views = result.communities
-        views = (
-            views.head(query.k)
-            if type(views) is ViewSlice
-            else views[: query.k]
-        )
+        """A follower's view of the lead's result: its own k-prefix."""
+        views = result.communities[: query.k]
         return QueryResult(
             query=query,
             algorithm=result.algorithm,

@@ -55,8 +55,8 @@ __all__ = ["ReproServer", "check_port", "dot_stuff", "dot_unstuff"]
 
 #: End-of-response sentinel line.
 TERMINATOR = "."
-#: What follows the last payload line of a response block.
-_BLOCK_END = "\n" + TERMINATOR + "\n"
+#: The last line of a response block, with its newline.
+_BLOCK_END = TERMINATOR + "\n"
 
 
 def check_port(port: int, what: str) -> int:
@@ -546,21 +546,18 @@ class ReproServer:
     ) -> None:
         r"""Frame ``lines`` as one response block and write it.
 
-        Each line is split at ``\n`` and dot-stuffed, and a ``.`` line
-        ends the block.  A one-line response that needs neither (a JSON
-        answer, an ``error:`` line) is framed as ``line + "\n.\n"``
-        with one encode: the same bytes without the per-part copies.
+        A line that starts with ``.`` or holds a ``\n`` is split at
+        ``\n`` and each part dot-stuffed; any other line (a JSON answer,
+        an ``error:`` line) is taken as it is, with no copy.  A ``.``
+        line ends the block, and the block is joined and encoded once,
+        so a one-line answer costs one concatenation.
         """
-        if isinstance(lines, list) and len(lines) == 1:
-            line = lines[0]
-            if not line.startswith(".") and "\n" not in line:
-                writer.write((line + _BLOCK_END).encode("utf-8"))
-                await writer.drain()
-                return
         payload: List[str] = []
         for line in lines:
-            for part in line.split("\n"):
-                payload.append(dot_stuff(part))
-        payload.append(TERMINATOR)
-        writer.write(("\n".join(payload) + "\n").encode("utf-8"))
+            if line.startswith(".") or "\n" in line:
+                payload.extend(map(dot_stuff, line.split("\n")))
+            else:
+                payload.append(line)
+        payload.append(_BLOCK_END)
+        writer.write("\n".join(payload).encode("utf-8"))
         await writer.drain()

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.progressive import ProgressiveCursor
 from ..errors import ServiceError
-from .model import CommunityView, ForestProjector, ViewSlice
+from .model import CommunityView, ForestProjector, PrefixText, ViewSlice
 
 __all__ = [
     "CacheKey",
@@ -43,9 +43,6 @@ __all__ = [
 #: What a non-blocking :meth:`ResultCache.get` answers when another
 #: thread holds the cache lock (``None`` means "no entry").
 BUSY = object()
-
-#: Cap on memoised answer slices per entry (distinct k's).
-MAX_CACHED_SLICES = 128
 
 
 @dataclass(frozen=True)
@@ -134,9 +131,13 @@ class ProgressiveEntry:
         "max_cached_k",
         "_views",
         "_served",
+        "_text",
         "_exhausted",
         "_lock",
     )
+
+    #: Cap on memoised per-k answer tuples (distinct k's per entry).
+    _MAX_CACHED_SLICES = 128
 
     def __init__(
         self,
@@ -165,11 +166,13 @@ class ProgressiveEntry:
         self.cursor_factory = cursor_factory
         self.max_cached_k = max_cached_k
         self._views: List[CommunityView] = list(views)
-        #: Memoised answer slices by k: the view sequence is append-only,
+        #: Memoised answer tuples by k: the view sequence is append-only,
         #: so a fully-materialised top-k prefix never changes and repeat
-        #: hits (the dominant server-tier traffic) allocate nothing and
-        #: reuse the slice's joined JSON.
+        #: hits (the dominant server-tier traffic) allocate nothing.
         self._served: dict = {}
+        #: The joined JSON of the retained views' prefixes, shared by
+        #: every served :class:`ViewSlice`.
+        self._text = PrefixText()
         self._exhausted = exhausted
         self._lock = threading.Lock()
         self._trim()  # seeded views (warm-start restore) respect the cap
@@ -204,18 +207,18 @@ class ProgressiveEntry:
         del self._views[cap:]
         self._cursor = None
         self._projector = None
-        # The tail is gone; only the retained prefix is known complete,
-        # and memoised answers beyond the cap are no longer servable.
+        # The tail is gone; only the retained prefix is known complete.
+        # (No memoised answer reaches past the cap: see _answer.)
         self._exhausted = False
-        for k in [k for k in self._served if k > cap]:
-            del self._served[k]
 
-    def _answer(self, k: int) -> ViewSlice:
-        """The top-``k`` :class:`ViewSlice` (lock held).
+    def _answer(self, k: int) -> Tuple[CommunityView, ...]:
+        """The (memoised) top-``k`` tuple (lock held).
 
-        A slice that can never change is stored by ``k`` and handed to
-        every later hit of that ``k``, so its joined communities JSON
-        (:meth:`ViewSlice.json_body`) is built once per members flag.
+        A top-``k`` that can never change is a :class:`ViewSlice`,
+        stored by ``k`` and handed to every later hit of that ``k``; it
+        renders its communities JSON from the entry's one
+        :class:`PrefixText`, which joins each retained view's fragment
+        once per members flag.
         """
         have = len(self._views)
         # Once the stream is exhausted, every k >= have yields the same
@@ -225,14 +228,20 @@ class ProgressiveEntry:
         cached = self._served.get(key)
         if cached is not None:
             return cached
-        out = ViewSlice(self._views[:k])
-        # Only memoise slices that can never change: k fully covered by
-        # the materialised views, or the stream known exhausted.
-        if (
-            have >= k or self._exhausted
-        ) and len(self._served) < MAX_CACHED_SLICES:
-            self._served[key] = out
-        return out
+        views = self._views[:k]
+        # Only slices that can never change are memoised and share the
+        # stored text: k fully covered by the materialised views, or
+        # the stream known exhausted, and within the retention cap (so
+        # the text never outgrows the retained views).
+        cap = self.max_cached_k
+        if (have >= k or self._exhausted) and (
+            cap is None or len(views) <= cap
+        ):
+            out = ViewSlice(views, self._text)
+            if len(self._served) < self._MAX_CACHED_SLICES:
+                self._served[key] = out
+            return out
+        return tuple(views)
 
     def _hit(
         self, k: int
@@ -298,17 +307,13 @@ class ProgressiveEntry:
 class StaticEntry:
     """A frozen cached answer from a non-resumable algorithm."""
 
-    __slots__ = ("views", "complete", "_served")
+    __slots__ = ("views", "complete")
 
     def __init__(self, views: Tuple[CommunityView, ...], complete: bool) -> None:
         self.views = tuple(views)
         #: True when the views are *all* communities of the graph (the
         #: query asked for more than exist), so any k' can be served.
         self.complete = complete
-        #: Served :class:`ViewSlice` objects by (clamped) k, as in
-        #: :class:`ProgressiveEntry`; lock-free, since a racing serve
-        #: only builds an equal slice.
-        self._served: dict = {}
 
     @classmethod
     def capped(
@@ -329,15 +334,8 @@ class StaticEntry:
 
     def serve(self, k: int) -> Optional[Tuple[Tuple[CommunityView, ...], str]]:
         """Serve top-``k`` if the entry covers it, else ``None`` (miss)."""
-        views = self.views
-        if k <= len(views) or self.complete:
-            key = min(k, len(views))
-            out = self._served.get(key)
-            if out is None:
-                out = ViewSlice(views[:key])
-                if len(self._served) < MAX_CACHED_SLICES:
-                    self._served[key] = out
-            return out, "cache"
+        if k <= len(self.views) or self.complete:
+            return self.views[:k], "cache"
         return None
 
 

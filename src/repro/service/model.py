@@ -25,6 +25,7 @@ from ..graph.weighted_graph import JSON_ENCODER
 __all__ = [
     "CommunityView",
     "ForestProjector",
+    "PrefixText",
     "QueryResult",
     "ViewSlice",
     "ALGORITHMS",
@@ -178,9 +179,6 @@ _JSON_BARE = "_json_bare"
 _JSON_TOKENS = "_json_tokens"
 _TEXT_HEAD = "_text_head"
 _TEXT_MEMBERS = "_text_members"
-# A ViewSlice's memoised prefixes by k; its joined JSON takes the two
-# JSON slots above.
-_HEADS = "_heads"
 
 
 class ForestProjector:
@@ -258,42 +256,76 @@ def _join_fragments(
     return ", ".join(v.json_fragment(include_members) for v in views)
 
 
-class ViewSlice(tuple):
-    """A served top-k tuple of views that memoises its joined JSON.
+class PrefixText:
+    """The joined JSON of every prefix of one append-only view sequence.
 
-    A family's answer does not depend on ``k`` beyond a prefix cut
-    (the suffix property), so a cache entry hands out one slice object
-    for every hit of one ``k`` and its wire text never changes.  The
-    slice joins its views' fragments once per members flag
-    (:meth:`json_body`) and keeps each shorter prefix it is asked for
-    (:meth:`head`, a coalesced follower's answer), so a repeated hit
-    splices one stored string.  The memo lives in the instance
-    ``__dict__``; equality, hashing, repr and slicing are the tuple's
-    (a slice of a ViewSlice is a plain tuple), and a ViewSlice pickles
-    to its views only.  No lock: racing renders store the same text.
+    Per members flag it keeps one string, the first ``n`` views'
+    fragments comma-joined, and each of those views' end offset in it.
+    The ``"communities"`` text of any top-``k`` prefix (``k <= n``) is
+    then one slice of that string, the string itself when ``k == n``,
+    and a longer prefix extends it by the missing fragments only.  So
+    the stored text is at most one full answer's worth per flag,
+    however many distinct ``k``'s are served.
+
+    Every caller passes a prefix of the same sequence.  No lock: each
+    flag's ``(text, ends)`` pair is replaced whole, and a racing render
+    at worst stores a shorter valid pair.
     """
 
-    def json_body(self, include_members: bool = True) -> str:
-        """``_join_fragments(self, include_members)``, joined once."""
-        slot = _JSON_MEMBERS if include_members else _JSON_BARE
-        text = self.__dict__.get(slot)
-        if text is None:
-            text = self.__dict__[slot] = _join_fragments(self, include_members)
-        return text
+    __slots__ = ("_joined",)
 
-    def head(self, k: int) -> "ViewSlice":
-        """The top-``k`` prefix as a memoised ViewSlice (``self`` when
-        ``k`` covers every view)."""
-        if k >= len(self):
-            return self
-        heads = self.__dict__.setdefault(_HEADS, {})
-        out = heads.get(k)
-        if out is None:
-            out = heads[k] = ViewSlice(self[:k])
+    def __init__(self) -> None:
+        self._joined: Dict[bool, Tuple[str, Tuple[int, ...]]] = {}
+
+    def body(
+        self, views: Tuple[CommunityView, ...], include_members: bool
+    ) -> str:
+        """``_join_fragments(views, include_members)`` for a prefix
+        ``views`` of the sequence."""
+        k = len(views)
+        if not k:
+            return ""
+        joined = self._joined.get(include_members)
+        if joined is None or len(joined[1]) < k:
+            text, ends = joined if joined is not None else ("", ())
+            parts = [text] if ends else []
+            offsets = list(ends)
+            for view in views[len(ends):]:
+                fragment = view.json_fragment(include_members)
+                at = offsets[-1] + 2 if offsets else 0  # past ", "
+                offsets.append(at + len(fragment))
+                parts.append(fragment)
+            joined = ", ".join(parts), tuple(offsets)
+            self._joined[include_members] = joined
+        text, ends = joined
+        return text[: ends[k - 1]]
+
+
+class ViewSlice(tuple):
+    """A cache entry's top-k views, rendered from the entry's
+    :class:`PrefixText`.
+
+    A family's answer does not depend on ``k`` beyond a prefix cut
+    (the suffix property), so the wire text of a cached top-k never
+    changes and every slice an entry serves can take its communities
+    JSON from one stored string (:meth:`json_body`).  Equality,
+    hashing, repr and slicing are the tuple's (a slice of a ViewSlice
+    is a plain tuple), and a ViewSlice pickles to a plain tuple.
+    """
+
+    def __new__(
+        cls, views: Tuple[CommunityView, ...], text: PrefixText
+    ) -> "ViewSlice":
+        out = super().__new__(cls, views)
+        out.text = text
         return out
 
+    def json_body(self, include_members: bool = True) -> str:
+        """``_join_fragments(self, include_members)``, from stored text."""
+        return self.text.body(self, include_members)
+
     def __reduce__(self):
-        return ViewSlice, (tuple(self),)
+        return tuple, (tuple(self),)
 
 
 @dataclass(frozen=True)
@@ -359,8 +391,9 @@ class QueryResult:
 
         Byte-identical to ``json.dumps(self.to_dict(include_members),
         sort_keys=True, default=str)``, but the communities are spliced
-        in as stored text: a :class:`ViewSlice` (what the cache serves)
-        joins them once, any other tuple joins each view's memoised
+        in as stored text: a :class:`ViewSlice` (what a progressive
+        cache entry serves) cuts them from its entry's
+        :class:`PrefixText`, any other tuple joins each view's memoised
         :meth:`CommunityView.json_fragment`.  So a cache hit encodes
         only the scalar head and tail.  Sorted, the keys open with
         ``"algorithm"`` then ``"communities"``; the rest follow.

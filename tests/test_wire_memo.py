@@ -2,13 +2,17 @@
 
 A repeated JSON query is served from stored text at three layers: the
 shell keeps each parsed request document by its exact text, every slice
-a cache entry serves (a :class:`ViewSlice`) keeps its joined
-communities JSON, and the transport frames a plain one-line answer with
-one concatenation.  These tests pin that none of it changes a byte:
+a progressive cache entry serves (a :class:`ViewSlice`) cuts its
+communities JSON from the entry's one joined string (a
+:class:`PrefixText`), and the transport frames a plain one-line answer
+with one concatenation.  These tests pin that none of it changes a byte
+and that the stored text stays bounded:
 
-* a second render of every kind of served slice equals the first and
+* a second render of every kind of served answer equals the first and
   equals ``json.dumps(result.to_dict(members), sort_keys=True,
   default=str)``, with members on and off;
+* an entry's stored text is at most one full answer per members flag,
+  however many distinct ``k``'s it serves;
 * ``_send`` writes what the per-part framing wrote;
 * each parse returns a spec object of its own, failures are never
   stored, and the parse memo stays within its bound.
@@ -29,8 +33,7 @@ from repro.server import BatchScheduler, ShardPool
 from repro.server.transport import ReproServer, TERMINATOR, dot_stuff
 from repro.service import GraphRegistry, QueryEngine, ResultCache, ServiceShell
 from repro.service import shell as shell_module
-from repro.service.cache import StaticEntry
-from repro.service.model import CommunityView, ViewSlice
+from repro.service.model import CommunityView, PrefixText, ViewSlice
 
 
 def layered_cliques(num_cliques=6):
@@ -132,41 +135,25 @@ def test_coalesced_followers_render_identically(registry):
         assert [r.source for r in results][1:] == ["coalesced"] * 3
         for result in results:
             assert_renders_stable(result)
-    # The second round's lead is a cache hit: its followers' prefixes
-    # are the first round's memoised heads of the same slice.
+    # The second round's lead is a cache hit; its followers cut their
+    # own prefixes of the lead's slice.
     first, second = rounds
     assert second[0].source == "cache"
     assert second[0].communities is first[0].communities
-    assert second[1].communities is first[1].communities
-    assert second[2].communities is second[1].communities
-    assert second[3].communities is second[0].communities
+    assert second[1].communities == second[0].communities[:2]
 
 
 @pytest.mark.parametrize("algorithm", ["onlineall", "forward"])
-def test_static_entries_serve_memoised_slices(registry, algorithm):
+def test_static_entries_render_identically(registry, algorithm):
     engine = QueryEngine(registry, cache=ResultCache())
     cold = engine.execute(spec(4, algorithm=algorithm))
     assert cold.source == "cold"
     assert_renders_stable(cold)
-    hits = [engine.execute(spec(2, algorithm=algorithm)) for _ in range(2)]
-    assert [h.source for h in hits] == ["cache", "cache"]
-    assert hits[1].communities is hits[0].communities
+    hits = [engine.execute(spec(k, algorithm=algorithm)) for k in (2, 2, 4)]
+    assert [h.source for h in hits] == ["cache", "cache", "cache"]
     for hit in hits:
+        assert type(hit.communities) is tuple
         assert_renders_stable(hit)
-
-
-def test_complete_static_entry_clamps_its_slice_key():
-    views = tuple(
-        CommunityView(keynode=i, influence=10.0 - i, size=1, members=(i,))
-        for i in range(3)
-    )
-    entry = StaticEntry(views, complete=True)
-    a, _ = entry.serve(5)
-    b, _ = entry.serve(50)
-    c, _ = entry.serve(3)
-    assert a is b is c
-    assert a == views
-    assert entry.serve(2)[0] == views[:2]
 
 
 def test_migrated_entry_renders_identically(registry):
@@ -192,39 +179,91 @@ def test_trimmed_entry_renders_identically(registry):
     engine = QueryEngine(registry, cache=ResultCache(max_cached_k=3))
     big = engine.execute(spec(5))
     assert_renders_stable(big)
-    hits = [engine.execute(spec(2)) for _ in range(2)]
-    assert [h.source for h in hits] == ["cache", "cache"]
+    hits = [engine.execute(spec(k)) for k in (2, 2, 3)]
+    assert [h.source for h in hits] == ["cache", "cache", "cache"]
     assert hits[1].communities is hits[0].communities
     again = engine.execute(spec(5))  # past the cap: recomputed
     assert again.source == "extended"
     assert again.communities == big.communities
     for result in hits + [again]:
         assert_renders_stable(result)
+    # Answers past the cap are plain tuples, so the stored text never
+    # reaches past the retained views.
+    assert type(big.communities) is tuple
+    assert type(again.communities) is tuple
+    text = hits[0].communities.text
+    assert hits[2].communities.text is text
+    assert stored_chars(text) == sum(
+        len(hits[2].communities.json_body(members))
+        for members in (True, False)
+    )
 
 
-def test_view_slice_is_a_tuple_outside_its_memo():
+def stored_chars(text):
+    """Characters a :class:`PrefixText` holds, both members flags."""
+    return sum(len(joined) for joined, _ in text._joined.values())
+
+
+def test_many_distinct_ks_store_one_answer_of_text(registry):
+    registry.register("many", lambda: layered_cliques(40))
+    engine = QueryEngine(registry, cache=ResultCache())
+    full = engine.execute(QuerySpec(graph="many", gamma=3, k=40))
+    assert len(full) == 40
+    ks = list(range(1, 41)) + [60, 200] + list(range(39, 0, -3))
+    served = [
+        engine.execute(QuerySpec(graph="many", gamma=3, k=k)) for k in ks
+    ]
+    assert all(r.source == "cache" for r in served)
+    for result in served:
+        assert_renders_stable(result)
+    text = full.communities.text
+    assert all(r.communities.text is text for r in served)
+    # One full answer of text per members flag, not one per k.
+    full_bodies = sum(
+        len(full.communities.json_body(members)) for members in (True, False)
+    )
+    assert stored_chars(text) == full_bodies
+    assert full_bodies < len(full.to_json(True)) + len(full.to_json(False))
+
+
+def test_prefix_text_cuts_any_prefix_in_any_order():
+    views = tuple(
+        CommunityView(keynode=i, influence=9.0 - i, size=2, members=(i, -i))
+        for i in range(7)
+    )
+    text = PrefixText()
+    for k in (3, 0, 1, 7, 2, 5, 7, 6, 4):
+        for members in (True, False):
+            expected = ", ".join(
+                v.json_fragment(members) for v in views[:k]
+            )
+            assert text.body(views[:k], members) == expected
+    assert stored_chars(text) == sum(
+        len(text.body(views, members)) for members in (True, False)
+    )
+
+
+def test_view_slice_is_a_tuple_outside_its_text():
     views = tuple(
         CommunityView(keynode=i, influence=5.0 - i, size=1, members=(i,))
         for i in range(4)
     )
-    piece = ViewSlice(views)
-    piece.json_body(True)
-    head = piece.head(2)
+    piece = ViewSlice(views, PrefixText())
+    assert piece.json_body(True) == ", ".join(
+        v.json_fragment(True) for v in views
+    )
     assert piece == views and hash(piece) == hash(views)
     assert repr(piece) == repr(views)
     assert type(piece[:2]) is tuple
-    assert head == views[:2] and piece.head(2) is head
-    assert piece.head(4) is piece and piece.head(9) is piece
     clone = pickle.loads(pickle.dumps(piece))
-    assert type(clone) is ViewSlice and clone == views
-    assert vars(clone) == {}
+    assert type(clone) is tuple and clone == views
 
 
 # ----------------------------------------------------------------------
-# frame: the one-line fast path writes the per-part framing's bytes
+# frame: one framing path, the per-part framing's bytes
 # ----------------------------------------------------------------------
 def framing_reference(lines):
-    """The response framing as it was before the one-line fast path."""
+    """Every line split at newlines and dot-stuffed, then a ``.`` line."""
     payload = []
     for line in lines:
         for part in line.split("\n"):
